@@ -10,8 +10,9 @@ Subcommands:
 
 Verdicts go to stdout as one JSON object; --trace streams one JSON line
 per rule application to stderr as the search runs.  Exit status is 0 for
-sat/true, 1 for unsat/false, 2 for usage errors, bad input, or exceeded
-resource caps.  Identical invocations produce byte-identical output.
+sat/true, 1 for unsat/false, 2 for usage errors, bad input, exceeded
+resource caps, or internal errors.  Identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .extraction import extract_model
+from .extraction import validate
 from .fragment import (
     FragmentCapError,
     FragmentError,
@@ -35,7 +36,7 @@ from .oracle import (
     OracleBounds,
     brute_force_sat,
 )
-from .semantics import FrameClass, NeighbourhoodModel, check_frame_class, satisfies
+from .semantics import FrameClass, NeighbourhoodModel
 from .syntax import ParseError, normalize, parse_formula, serialize
 from .tableau import EngineError, SolveOptions, solve
 
@@ -59,7 +60,6 @@ class RunConfig:
     max_worlds: int = 2
     max_domain: int = 2
     cap_steps: int | None = None
-    seed: int | None = None
 
     def check(self) -> None:
         if self.domain_mode == "constant" and self.subcommand == "solve":
@@ -102,7 +102,6 @@ def _stats_payload(config: RunConfig, extra: dict) -> dict:
     payload = {
         "logic": config.logic.value,
         "domain": config.domain_mode,
-        "seed": config.seed,
     }
     payload.update(extra)
     return payload
@@ -190,9 +189,7 @@ def _run_validate(config: RunConfig) -> int:
         raise UsageError("validate needs --model <path>")
     with open(config.model_path, "r", encoding="utf-8") as handle:
         model = NeighbourhoodModel.from_json(handle.read())
-    ok = check_frame_class(model, config.logic) and satisfies(
-        model, model.worlds[0], phi
-    )
+    ok = validate(model, phi, config.logic)
     _emit({"valid": ok, "logic": config.logic.value})
     return EXIT_SAT if ok else EXIT_UNSAT
 
@@ -245,7 +242,6 @@ def _add_common_args(parser: argparse.ArgumentParser) -> None:
         default="varying",
         help="domain regime (default varying)",
     )
-    parser.add_argument("--seed", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,7 +298,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         max_worlds=getattr(args, "max_worlds", 2),
         max_domain=getattr(args, "max_domain", 2),
         cap_steps=getattr(args, "cap_steps", None),
-        seed=args.seed,
     )
 
 
@@ -322,6 +317,10 @@ def main(argv: list[str] | None = None) -> int:
         ValueError,
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_ERROR
+    except Exception as exc:
+        # A defect must not exit 0 or 1, which would read as a verdict.
+        sys.stderr.write(f"error: internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_ERROR
 
 

@@ -40,7 +40,12 @@ from .syntax import (
     neg_nnf,
     sort_key,
 )
-from .tableau import CompletionSet, ConstraintSystem, blockers
+from .tableau import (
+    CompletionSet,
+    ConstraintSystem,
+    _nonempty_subsets,
+    blockers,
+)
 
 
 @dataclass(frozen=True)
@@ -114,9 +119,9 @@ def extract_model(
 
     The result's frame lies in the requested class by construction, and
     the formula the completion set was built for holds at world "0".
-    Raises ValueError when the state still has a clash or an applicable
-    rule (checked via the clash test only; saturation is the caller's
-    responsibility and is re-checked by `validate`).
+    Raises ValueError when the state has a clash.  Saturation is not
+    checked here: it is the caller's responsibility, and `validate` only
+    tests the model this returns.
     """
     from .tableau import is_clash
 
@@ -174,18 +179,14 @@ def extract_model(
             bodies = _box_bodies(system, index)
             collection: set[frozenset[str]] = set()
             if frame_class is FrameClass.C:
-                for size in range(1, len(bodies) + 1):
-                    for chosen in combinations(bodies, size):
-                        approxes = [
-                            floors_ceilings(tableau, body, var)
-                            for body, var in chosen
-                        ]
-                        floor = frozenset(labels)
-                        ceil = frozenset(labels)
-                        for approx in approxes:
-                            floor &= approx.floor
-                            ceil &= approx.ceil
-                        collection |= _window(floor, ceil)
+                for chosen in _nonempty_subsets(bodies):
+                    floor = frozenset(labels)
+                    ceil = frozenset(labels)
+                    for body, var in chosen:
+                        approx = floors_ceilings(tableau, body, var)
+                        floor &= approx.floor
+                        ceil &= approx.ceil
+                    collection |= _window(floor, ceil)
             else:
                 for body, var in bodies:
                     approx = floors_ceilings(tableau, body, var)
@@ -211,9 +212,10 @@ def extract_model(
 
 
 def validate(
-    tableau: CompletionSet, phi: Formula, frame_class: FrameClass
+    model: NeighbourhoodModel, phi: Formula, frame_class: FrameClass
 ) -> bool:
-    """Full check of the construction: the extracted model's frame lies in
-    the class and the formula holds at world "0"."""
-    model = extract_model(tableau, frame_class)
-    return check_frame_class(model, frame_class) and satisfies(model, "0", phi)
+    """Semantic check of a model: its frame lies in the class and the
+    formula holds at its first world (world "0" of an extracted model)."""
+    return check_frame_class(model, frame_class) and satisfies(
+        model, model.worlds[0], phi
+    )

@@ -48,9 +48,10 @@ from .syntax import (
     has_modalised_concept,
     normalize,
 )
+from .tableau import _nonempty_subsets
 
-#: Above this many letters (or free atoms overall) the 2^n assignment
-#: enumeration is refused instead of attempted.
+#: At this many free atoms (letters and boxes of the abstraction) the 2^n
+#: assignment enumeration is refused instead of attempted.
 LETTER_CAP = 20
 
 
@@ -59,7 +60,7 @@ class FragmentError(ValueError):
 
 
 class FragmentCapError(ValueError):
-    """The abstraction has too many letters to enumerate assignments."""
+    """The abstraction has too many free atoms to enumerate assignments."""
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +209,6 @@ class Valuation:
     def value(self, psi: PFormula) -> int:
         return 1 if psi in self.true_members else 0
 
-    def as_dict(self, sub: frozenset[PFormula]) -> dict[PFormula, int]:
-        return {psi: self.value(psi) for psi in sub}
-
 
 @dataclass(frozen=True)
 class SupportSet:
@@ -251,7 +249,7 @@ def _conjunction(formulas: list[Formula]) -> Formula:
 
 
 def alc_consistent(
-    assignment: Valuation | dict[str, int],
+    assignment: dict[str, int],
     abstraction: Abstraction,
     _memo: dict | None = None,
 ) -> bool:
@@ -264,12 +262,7 @@ def alc_consistent(
     """
     from .tableau import SolveOptions, solve
 
-    if isinstance(assignment, Valuation):
-        bitmap = tuple(
-            assignment.value(PVar(letter)) for letter in abstraction.letters
-        )
-    else:
-        bitmap = tuple(assignment[letter] for letter in abstraction.letters)
+    bitmap = tuple(assignment[letter] for letter in abstraction.letters)
     if _memo is not None and bitmap in _memo:
         return _memo[bitmap]
     parts: list[Formula] = []
@@ -338,14 +331,6 @@ def _boxes_by_index(sub: frozenset[PFormula]) -> dict[int, list[PBox]]:
     for index in grouped:
         grouped[index].sort(key=serialize_prop)
     return grouped
-
-
-def _nonempty_subsets(items: list) -> list[tuple]:
-    out = []
-    for mask in range(1, 2 ** len(items)):
-        out.append(tuple(items[i] for i in range(len(items)) if mask >> i & 1))
-    out.sort(key=len)
-    return out
 
 
 def _requirements(
@@ -421,14 +406,7 @@ def solve_fragment(phi: Formula, frame_class: FrameClass) -> FragmentResult:
         raise ValueError(
             f"fragment procedure decides classes C and N, not {frame_class.value}"
         )
-    phi = normalize(phi)
-    if not check_g_fragment(phi):
-        raise FragmentError("modalised concepts are outside this fragment")
     abstraction = prop_abstraction(phi)
-    if len(abstraction.letters) >= LETTER_CAP:
-        raise FragmentCapError(
-            f"{len(abstraction.letters)} letters exceed the cap of {LETTER_CAP}"
-        )
     sub = sub_closure(abstraction.prop_formula)
     memo: dict = {}
     survivors = _valuations(abstraction, sub, memo)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import chain, combinations
 from typing import Callable, Iterable
 
 from .semantics import FrameClass, NeighbourhoodModel
@@ -76,27 +77,6 @@ class StaleInstanceError(ValueError):
 # Search state
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Constraint:
-    """A labelled constraint: a formula, a concept on a variable, or a
-    role between variables, all under one label."""
-
-    label: int
-    kind: str  # "formula" | "concept" | "role"
-    formula: Formula | None = None
-    concept: Concept | None = None
-    role: str | None = None
-    subject: int | None = None
-    target: int | None = None
-
-    def __str__(self) -> str:
-        if self.kind == "formula":
-            return f"{self.label}: {serialize(self.formula)}"
-        if self.kind == "concept":
-            return f"{self.label}: {serialize(self.concept)}(x{self.subject})"
-        return f"{self.label}: {self.role}(x{self.subject}, x{self.target})"
-
-
 class ConstraintSystem:
     """All constraints of one label, with its occurring variables."""
 
@@ -123,14 +103,6 @@ class ConstraintSystem:
     def constraint_count(self) -> int:
         return len(self.formulas) + len(self.concepts) + len(self.roles)
 
-    def iter_constraints(self) -> Iterable[Constraint]:
-        for f in self.formulas:
-            yield Constraint(self.label, "formula", formula=f)
-        for c, v in self.concepts:
-            yield Constraint(self.label, "concept", concept=c, subject=v)
-        for r, x, y in self.roles:
-            yield Constraint(self.label, "role", role=r, subject=x, target=y)
-
 
 @dataclass
 class SolveStats:
@@ -138,14 +110,6 @@ class SolveStats:
     labels_created: int = 0
     variables_created: int = 0
     steps: int = 0
-
-    def copy(self) -> "SolveStats":
-        return SolveStats(
-            dict(self.rule_applications),
-            self.labels_created,
-            self.variables_created,
-            self.steps,
-        )
 
     def count(self, rule: str):
         self.rule_applications[rule] = self.rule_applications.get(rule, 0) + 1
@@ -174,7 +138,6 @@ class CompletionSet:
         "label_order",
         "next_label",
         "next_var",
-        "stats",
         "phi",
         "closure",
     )
@@ -184,7 +147,6 @@ class CompletionSet:
         self.label_order: list[int] = []
         self.next_label = 0
         self.next_var = 0
-        self.stats = SolveStats()
         self.phi = phi
         self.closure = phi_closure
 
@@ -194,7 +156,6 @@ class CompletionSet:
         dup.label_order = list(self.label_order)
         dup.next_label = self.next_label
         dup.next_var = self.next_var
-        dup.stats = self.stats.copy()
         return dup
 
     # -- allocation ---------------------------------------------------------
@@ -210,24 +171,21 @@ class CompletionSet:
         system = ConstraintSystem(label)
         self.systems[label] = system
         self.label_order.append(label)
-        self.stats.labels_created += 1
         return system
 
     def new_variable(self) -> int:
         var = self.next_var
         self.next_var += 1
-        self.stats.variables_created += 1
         return var
 
     # -- mutation -----------------------------------------------------------
 
-    def add_formula(self, label: int, psi: Formula) -> Constraint:
+    def add_formula(self, label: int, psi: Formula) -> None:
         if psi not in self.closure.for_neg:
             raise EngineError(f"formula outside closure: {serialize(psi)}")
         self.systems[label].formulas.add(psi)
-        return Constraint(label, "formula", formula=psi)
 
-    def add_concept(self, label: int, concept: Concept, var: int) -> Constraint:
+    def add_concept(self, label: int, concept: Concept, var: int) -> None:
         if concept not in self.closure.con_neg:
             raise EngineError(f"concept outside closure: {serialize(concept)}")
         system = self.systems[label]
@@ -235,9 +193,8 @@ class CompletionSet:
         if var not in system.variables:
             system.variables.add(var)
             system.concepts.add((TOP, var))
-        return Constraint(label, "concept", concept=concept, subject=var)
 
-    def add_role(self, label: int, role: str, x: int, y: int) -> Constraint:
+    def add_role(self, label: int, role: str, x: int, y: int) -> None:
         if role not in self.closure.roles:
             raise EngineError(f"role outside closure: {role}")
         system = self.systems[label]
@@ -246,7 +203,6 @@ class CompletionSet:
             if var not in system.variables:
                 system.variables.add(var)
                 system.concepts.add((TOP, var))
-        return Constraint(label, "role", role=role, subject=x, target=y)
 
 
 def label_budget(fg_size: int, frame_class: FrameClass) -> int:
@@ -260,9 +216,7 @@ def init(phi: Formula) -> CompletionSet:
     """Initial completion set: the formula and one domain seed at label 0."""
     tableau = CompletionSet(phi, closure(phi))
     system = tableau.new_label(FrameClass.E)
-    tableau.stats.labels_created = 0  # budget counts created beyond the root
     var = tableau.new_variable()
-    tableau.stats.variables_created = 0
     system.formulas.add(phi)
     system.variables.add(var)
     system.concepts.add((TOP, var))
@@ -288,27 +242,10 @@ def is_clash(tableau: CompletionSet) -> bool:
     return False
 
 
-def blocked(var: int, system: ConstraintSystem) -> bool:
-    """Subset blocking: an older variable's concept set covers this one's."""
-    mine = system.concept_set(var)
-    return any(
-        other < var and mine <= system.concept_set(other)
-        for other in system.variables
-    )
-
-
-def blocking_witness(var: int, system: ConstraintSystem) -> int | None:
-    """Least blocker of the variable, or None."""
-    mine = system.concept_set(var)
-    candidates = [
-        other
-        for other in sorted(system.variables)
-        if other < var and mine <= system.concept_set(other)
-    ]
-    return candidates[0] if candidates else None
-
-
 def blockers(var: int, system: ConstraintSystem) -> list[int]:
+    """Subset blocking: the older variables whose concept sets cover this
+    one's, in ascending order.  The variable is blocked when the list is
+    non-empty."""
     mine = system.concept_set(var)
     return [
         other
@@ -332,13 +269,10 @@ BranchItem = tuple
 class RuleInstance:
     rule: str
     label: int
-    premises: tuple[Constraint, ...]
     #: For in-label rules each branch lists items added to `label`; for R_L
     #: every branch is added to a fresh label allocated at application time.
+    #: R_exists and R_neq allocate one fresh variable per application.
     branches: tuple[tuple[BranchItem, ...], ...]
-    #: R_exists / R_neq allocate one fresh variable per application.
-    fresh_variable: bool = False
-    fresh_label: bool = False
     frame_class: FrameClass | None = None
     #: Unit-class diamond-alone instances on a concept carry the premise
     #: variable: an empty branch (a label the variable is absent from) is an
@@ -423,7 +357,6 @@ def _label_instances(
                 yield RuleInstance(
                     R_AND,
                     label,
-                    (Constraint(label, "formula", formula=psi),),
                     ((_formula_item(psi.left), _formula_item(psi.right)),),
                 )
         elif isinstance(psi, OrF):
@@ -434,7 +367,6 @@ def _label_instances(
                 yield RuleInstance(
                     R_OR,
                     label,
-                    (Constraint(label, "formula", formula=psi),),
                     (
                         (_formula_item(psi.left),),
                         (_formula_item(psi.right),),
@@ -446,7 +378,6 @@ def _label_instances(
                     yield RuleInstance(
                         R_EQ,
                         label,
-                        (Constraint(label, "formula", formula=psi),),
                         ((_concept_item(psi.right, var),),),
                     )
         elif isinstance(psi, NotF):
@@ -455,9 +386,7 @@ def _label_instances(
                 yield RuleInstance(
                     R_NEQ,
                     label,
-                    (Constraint(label, "formula", formula=psi),),
                     ((_concept_item(negated, -1),),),
-                    fresh_variable=True,
                 )
     for concept, var in system.concepts:
         if isinstance(concept, And):
@@ -468,7 +397,6 @@ def _label_instances(
                 yield RuleInstance(
                     R_SQCAP,
                     label,
-                    (Constraint(label, "concept", concept=concept, subject=var),),
                     (
                         (
                             _concept_item(concept.left, var),
@@ -484,7 +412,6 @@ def _label_instances(
                 yield RuleInstance(
                     R_SQCUP,
                     label,
-                    (Constraint(label, "concept", concept=concept, subject=var),),
                     (
                         (_concept_item(concept.left, var),),
                         (_concept_item(concept.right, var),),
@@ -496,13 +423,11 @@ def _label_instances(
                 and (concept.arg, z) in system.concepts
                 for z in system.variables
             )
-            if not has_witness and not blocked(var, system):
+            if not has_witness and not blockers(var, system):
                 yield RuleInstance(
                     R_EXISTS,
                     label,
-                    (Constraint(label, "concept", concept=concept, subject=var),),
                     ((("exists", concept.role, var, concept.arg),),),
-                    fresh_variable=True,
                 )
         elif isinstance(concept, Forall):
             for role, x, y in system.roles:
@@ -514,68 +439,41 @@ def _label_instances(
                     yield RuleInstance(
                         R_FORALL,
                         label,
-                        (
-                            Constraint(
-                                label, "concept", concept=concept, subject=var
-                            ),
-                            Constraint(
-                                label, "role", role=role, subject=x, target=y
-                            ),
-                        ),
                         ((_concept_item(concept.arg, y),),),
                     )
 
 
 def _modal_premises(system: ConstraintSystem):
-    """Box and diamond constraints of a system, grouped by modality index."""
-    boxes: dict[int, list[tuple[BranchItem, Constraint]]] = {}
-    dias: dict[int, list[tuple[BranchItem, Constraint]]] = {}
-    label = system.label
+    """Bodies of a system's box and diamond constraints as branch items,
+    grouped by modality index."""
+    boxes: dict[int, list[BranchItem]] = {}
+    dias: dict[int, list[BranchItem]] = {}
     for psi in system.formulas:
         if isinstance(psi, BoxF):
-            boxes.setdefault(psi.index, []).append(
-                (
-                    _formula_item(psi.arg),
-                    Constraint(label, "formula", formula=psi),
-                )
-            )
+            boxes.setdefault(psi.index, []).append(_formula_item(psi.arg))
         elif isinstance(psi, DiaF):
-            dias.setdefault(psi.index, []).append(
-                (
-                    _formula_item(psi.arg),
-                    Constraint(label, "formula", formula=psi),
-                )
-            )
+            dias.setdefault(psi.index, []).append(_formula_item(psi.arg))
     for concept, var in system.concepts:
         if isinstance(concept, Box):
             boxes.setdefault(concept.index, []).append(
-                (
-                    _concept_item(concept.arg, var),
-                    Constraint(label, "concept", concept=concept, subject=var),
-                )
+                _concept_item(concept.arg, var)
             )
         elif isinstance(concept, Dia):
             dias.setdefault(concept.index, []).append(
-                (
-                    _concept_item(concept.arg, var),
-                    Constraint(label, "concept", concept=concept, subject=var),
-                )
+                _concept_item(concept.arg, var)
             )
-    for index in boxes:
-        boxes[index].sort(key=lambda p: _item_key(p[0]))
-    for index in dias:
-        dias[index].sort(key=lambda p: _item_key(p[0]))
+    for items in (*boxes.values(), *dias.values()):
+        items.sort(key=_item_key)
     return boxes, dias
 
 
 def _nonempty_subsets(items: list) -> Iterable[tuple]:
-    """Non-empty subsets of an ordered list, by size then lexicographically."""
-    by_size: list[list[tuple]] = [[] for _ in range(len(items) + 1)]
-    for mask in range(1, 2 ** len(items)):
-        chosen = tuple(items[i] for i in range(len(items)) if mask >> i & 1)
-        by_size[len(chosen)].append(chosen)
-    for bucket in by_size:
-        yield from bucket
+    """Non-empty subsets of a list as tuples keeping the list's order:
+    by size, and within one size in the lexicographic order of positions
+    (the order of `itertools.combinations`)."""
+    return chain.from_iterable(
+        combinations(items, size) for size in range(1, len(items) + 1)
+    )
 
 
 def _modal_instances(
@@ -587,7 +485,7 @@ def _modal_instances(
     label = system.label
     for index, dia_list in sorted(dias.items()):
         box_list = boxes.get(index, [])
-        for delta_item, delta_premise in dia_list:
+        for delta_item in dia_list:
             if frame_class is FrameClass.N:
                 # Unit shape: the diamond alone demands a label carrying its
                 # body.  For a concept body the demand is met just as well by
@@ -598,12 +496,7 @@ def _modal_instances(
                     branches = ((delta_item,),)
                     if not _some_branch_realized(tableau, branches):
                         yield RuleInstance(
-                            R_L,
-                            label,
-                            (delta_premise,),
-                            branches,
-                            fresh_label=True,
-                            frame_class=frame_class,
+                            R_L, label, branches, frame_class=frame_class
                         )
                 else:
                     var = delta_item[2]
@@ -617,31 +510,22 @@ def _modal_instances(
                         yield RuleInstance(
                             R_L,
                             label,
-                            (delta_premise,),
                             ((delta_item,), ()),
-                            fresh_label=True,
                             frame_class=frame_class,
                             absent_variable=var,
                         )
             if frame_class is FrameClass.C:
-                for subset in _nonempty_subsets(box_list):
-                    gamma_items = tuple(item for item, _ in subset)
-                    premises = tuple(p for _, p in subset) + (delta_premise,)
+                for gamma_items in _nonempty_subsets(box_list):
                     branches = (gamma_items + (delta_item,),) + tuple(
                         (_neg_item(g), _neg_item(delta_item))
                         for g in gamma_items
                     )
                     if not _some_branch_realized(tableau, branches):
                         yield RuleInstance(
-                            R_L,
-                            label,
-                            premises,
-                            branches,
-                            fresh_label=True,
-                            frame_class=frame_class,
+                            R_L, label, branches, frame_class=frame_class
                         )
             else:
-                for gamma_item, gamma_premise in box_list:
+                for gamma_item in box_list:
                     if frame_class is FrameClass.M:
                         branches = ((gamma_item, delta_item),)
                     else:  # E and the paired shape of N
@@ -651,12 +535,7 @@ def _modal_instances(
                         )
                     if not _some_branch_realized(tableau, branches):
                         yield RuleInstance(
-                            R_L,
-                            label,
-                            (gamma_premise, delta_premise),
-                            branches,
-                            fresh_label=True,
-                            frame_class=frame_class,
+                            R_L, label, branches, frame_class=frame_class
                         )
 
 
@@ -711,7 +590,7 @@ def _check_not_stale(tableau: CompletionSet, inst: RuleInstance) -> None:
             raise StaleInstanceError("R_neq witness already present")
     elif inst.rule == R_EXISTS:
         _, role, var, target = inst.branches[0][0]
-        if blocked(var, system) or any(
+        if blockers(var, system) or any(
             (role, var, z) in system.roles and (target, z) in system.concepts
             for z in system.variables
         ):
@@ -732,39 +611,34 @@ def apply(
         raise ValueError(f"branch {branch} out of range")
     _check_not_stale(tableau, inst)
     out = tableau.copy()
-    out.stats.count(inst.rule)
-    added: list[Constraint] = []
     if inst.rule == R_L:
         system = out.new_label(inst.frame_class or FrameClass.E)
         for item in inst.branches[branch]:
             if item[0] == "formula":
-                added.append(out.add_formula(system.label, item[1]))
+                out.add_formula(system.label, item[1])
             else:
-                added.append(out.add_concept(system.label, item[1], item[2]))
+                out.add_concept(system.label, item[1], item[2])
         if not system.variables:
             # Domains are non-empty: labels reached only through formula
             # constraints still describe a world with at least one element.
             seed = out.new_variable()
             system.variables.add(seed)
             system.concepts.add((TOP, seed))
-            added.append(
-                Constraint(system.label, "concept", concept=TOP, subject=seed)
-            )
         return out
     label = inst.label
     for item in inst.branches[branch]:
         if item[0] == "formula":
-            added.append(out.add_formula(label, item[1]))
+            out.add_formula(label, item[1])
         elif item[0] == "concept":
             var = item[2]
             if var == -1:  # R_neq allocates its witness here
                 var = out.new_variable()
-            added.append(out.add_concept(label, item[1], var))
+            out.add_concept(label, item[1], var)
         else:  # ("exists", role, var, target)
             _, role, var, target = item
             fresh = out.new_variable()
-            added.append(out.add_role(label, role, var, fresh))
-            added.append(out.add_concept(label, target, fresh))
+            out.add_role(label, role, var, fresh)
+            out.add_concept(label, target, fresh)
     return out
 
 
@@ -823,8 +697,14 @@ class _Search:
         self.trace: list[dict] = []
 
     def _step(
-        self, tableau: CompletionSet, inst: RuleInstance, branch: int
-    ) -> tuple[CompletionSet, dict]:
+        self,
+        tableau: CompletionSet,
+        inst: RuleInstance,
+        branch: int,
+        path: list[dict],
+    ) -> CompletionSet:
+        """Apply one branch and count it; the trace entry is built, streamed
+        and appended to the path only when someone listens."""
         if self.stats.steps >= self.cap:
             raise EngineError(
                 f"step cap {self.cap} exceeded; raise {STEP_CAP_ENV} "
@@ -834,18 +714,24 @@ class _Search:
         self.stats.count(inst.rule)
         self.stats.labels_created += len(nxt.label_order) - len(tableau.label_order)
         self.stats.variables_created += nxt.next_var - tableau.next_var
-        entry = {
-            "step": self.stats.steps,
-            "rule": inst.rule,
-            "label": inst.label,
-            "branch": branch,
-            "added": applied_constraints(tableau, inst, branch),
-        }
-        if self.options.on_step is not None:
-            self.options.on_step(entry)
-        return nxt, entry
+        on_step = self.options.on_step
+        if self.options.trace or on_step is not None:
+            entry = {
+                "step": self.stats.steps,
+                "rule": inst.rule,
+                "label": inst.label,
+                "branch": branch,
+                "added": applied_constraints(tableau, inst, branch),
+            }
+            if on_step is not None:
+                on_step(entry)
+            if self.options.trace:
+                path.append(entry)
+        return nxt
 
     def run(self, tableau: CompletionSet, path: list[dict]) -> CompletionSet | None:
+        """Depth-first search from this state.  `path` holds the trace of
+        the current branch; a failed alternative is cut back off it."""
         while True:
             if is_clash(tableau):
                 return None
@@ -856,14 +742,15 @@ class _Search:
                 return tableau
             inst = instances[0]
             if inst.branch_count == 1:
-                tableau, entry = self._step(tableau, inst, 0)
-                path.append(entry)
+                tableau = self._step(tableau, inst, 0, path)
                 continue
+            depth = len(path)
             for branch in range(inst.branch_count):
-                nxt, entry = self._step(tableau, inst, branch)
-                result = self.run(nxt, path + [entry])
+                nxt = self._step(tableau, inst, branch, path)
+                result = self.run(nxt, path)
                 if result is not None:
                     return result
+                del path[depth:]
             return None
 
 
@@ -894,7 +781,7 @@ def solve(
         from .extraction import extract_model, validate
 
         model = extract_model(final, frame_class)
-        if options.validate and not validate(final, phi, frame_class):
+        if options.validate and not validate(model, phi, frame_class):
             raise EngineError(
                 "extracted model failed validation; "
                 "the saturated state does not satisfy its own formula"

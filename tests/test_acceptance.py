@@ -80,7 +80,7 @@ def corpus_results():
                 max_constraints = max(
                     s.constraint_count() for s in completion.systems.values()
                 )
-                ok = validate(completion, phi, fc)
+                ok = validate(result.model, phi, fc)
                 model = result.model
                 outcome = ClassOutcome(
                     "sat",

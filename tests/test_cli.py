@@ -182,7 +182,7 @@ def test_trace_streams_json_lines(capsys):
 
 
 def test_deterministic_output(capsys):
-    args = ("solve", "--logic", "C", "--seed", "3", "-e", UNSAT_E)
+    args = ("solve", "--logic", "C", "-e", UNSAT_E)
     first = run_cli(capsys, *args)
     second = run_cli(capsys, *args)
     assert first == second
@@ -196,7 +196,6 @@ def test_golden_solve_output(capsys):
         "stats": {
             "logic": "E",
             "domain": "varying",
-            "seed": None,
             "fragment": False,
             "rule_applications": {"R_eq": 1},
             "labels_created": 0,
@@ -204,6 +203,18 @@ def test_golden_solve_output(capsys):
             "steps": 1,
         },
     }
+
+
+def test_internal_error_is_not_a_verdict(capsys):
+    # 520 nested conjunctions overflow the interpreter's stack today; the
+    # failure must exit 2, never 1 (which means unsat).
+    text = "(sub top (atom A))"
+    for _ in range(520):
+        text = f"(and {text} (sub top (atom A)))"
+    code, out, err = run_cli(capsys, "solve", "-e", text)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error: internal error: ")
 
 
 def test_formula_from_file(capsys, tmp_path):

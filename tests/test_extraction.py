@@ -148,7 +148,8 @@ def test_validate_positive_on_corpus():
             result = solve(phi, fc, SolveOptions(extract=False))
             if result.verdict == "sat":
                 checked += 1
-                assert validate(result.completion, phi, fc)
+                model = extract_model(result.completion, fc)
+                assert validate(model, phi, fc)
     assert checked > 20
 
 
@@ -164,6 +165,22 @@ def test_validate_negative_control():
     assert body_set in model.neighbourhoods[1]["0"]
     model.neighbourhoods[1]["0"] = model.neighbourhoods[1]["0"] - {body_set}
     assert not satisfies(model, "0", normalize(phi))
+
+
+def test_sat_solve_extracts_once(monkeypatch):
+    import nnmdl.extraction
+
+    calls = []
+    original = nnmdl.extraction.extract_model
+
+    def counting(tableau, frame_class):
+        calls.append(frame_class)
+        return original(tableau, frame_class)
+
+    monkeypatch.setattr(nnmdl.extraction, "extract_model", counting)
+    result = solve(normalize(AndF(BoxF(1, P), DiaF(1, Q))), FrameClass.E)
+    assert result.verdict == "sat"
+    assert calls == [FrameClass.E]  # validation reuses the extracted model
 
 
 def test_solve_validates_by_default():

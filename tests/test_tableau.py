@@ -35,8 +35,7 @@ from nnmdl.tableau import (
     SolveOptions,
     StaleInstanceError,
     apply,
-    blocked,
-    blocking_witness,
+    blockers,
     find_applicable,
     init,
     is_clash,
@@ -60,8 +59,6 @@ def test_init_holds_formula_and_domain_seed():
     system = tableau.systems[0]
     assert system.formulas == {phi}
     assert system.concepts == {(TOP, 0)}
-    assert tableau.stats.steps == 0
-    assert tableau.stats.labels_created == 0
 
 
 def test_clash_same_label():
@@ -98,9 +95,8 @@ def test_blocking_subset_and_order():
     var = tableau.new_variable()
     system.variables.add(var)
     system.concepts.add((TOP, var))
-    assert blocked(var, system)  # {top} <= {top, A}
-    assert not blocked(0, system)
-    assert blocking_witness(var, system) == 0
+    assert blockers(var, system) == [0]  # {top} <= {top, A}
+    assert blockers(0, system) == []
 
 
 def test_find_applicable_single_conjunction():
@@ -360,6 +356,18 @@ def test_verdict_class_containment_on_corpus():
         for fc in (FrameClass.M, FrameClass.C, FrameClass.N):
             if solve(phi, fc, SolveOptions(extract=False)).verdict == "sat":
                 assert base == "sat"
+
+
+def test_stats_do_not_depend_on_tracing():
+    rng = random.Random(31)
+    for _ in range(60):
+        phi = random_normalized_formula(rng)
+        for fc in FrameClass:
+            plain = solve(phi, fc, SolveOptions(extract=False))
+            traced = solve(phi, fc, SolveOptions(extract=False, trace=True))
+            assert plain.verdict == traced.verdict
+            assert plain.stats.as_dict() == traced.stats.as_dict()
+            assert plain.trace is None
 
 
 def test_differential_agreement_sample():
