@@ -14,12 +14,26 @@ ever add constraints, every payload stays inside the closure sets of the
 input formula, and the label count is asserted against its theoretical
 budget at every label creation.  A solve call owns its state exclusively;
 distinct calls share nothing mutable.
+
+The search is incremental.  Every constraint added to a completion set
+pushes the rule instances it completes onto an agenda, a heap ordered by
+the same canonical key that `find_applicable` sorts by, and sets the
+state's clash flag when its NNF negation is already present (or it is a
+bottom concept).  The next instance is the agenda's head once stale heads
+have been dropped; an R_exists instance that is only blocked is parked
+until its variable's concept set grows.  The search extends the state in
+place, copies it only at a branch point (every alternative but the last
+works on a copy of the saved state) and keeps its branch points on an
+explicit stack.  `find_applicable`, `is_clash` and `apply` recompute from
+the whole state; they are the references the agenda, the clash flag and
+the in-place extension are tested against.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from itertools import chain, combinations
 from typing import Callable, Iterable
 
@@ -131,31 +145,54 @@ class CompletionSet:
     membership and label budgets can be checked.  Variables are ordered
     by their integer creation index (a global counter), which realizes
     the well-order used by freshness and blocking.
+
+    Every add keeps two derived pieces of state current.  `clash` is set
+    once a label holds some constraint with its NNF negation, or a bottom
+    concept; rules only add, so it stays set.  For the frame class of the
+    last `next_instance` call, `agenda` is a heap of (key, instance) pairs
+    holding every applicable rule instance, possibly with stale ones in
+    between, and `parked` holds, per (label, variable), the R_exists
+    instances found blocked.
     """
 
     __slots__ = (
         "systems",
         "label_order",
+        "label_pos",
         "next_label",
         "next_var",
         "phi",
         "closure",
+        "clash",
+        "frame_class",
+        "agenda",
+        "parked",
     )
 
     def __init__(self, phi: Formula, phi_closure: Closure):
         self.systems: dict[int, ConstraintSystem] = {}
         self.label_order: list[int] = []
+        self.label_pos: dict[int, int] = {}
         self.next_label = 0
         self.next_var = 0
         self.phi = phi
         self.closure = phi_closure
+        self.clash = False
+        self.frame_class: FrameClass | None = None
+        self.agenda: list[tuple] = []
+        self.parked: dict[tuple[int, int], list[tuple]] = {}
 
     def copy(self) -> "CompletionSet":
         dup = CompletionSet(self.phi, self.closure)
         dup.systems = {n: s.copy() for n, s in self.systems.items()}
         dup.label_order = list(self.label_order)
+        dup.label_pos = dict(self.label_pos)
         dup.next_label = self.next_label
         dup.next_var = self.next_var
+        dup.clash = self.clash
+        dup.frame_class = self.frame_class
+        dup.agenda = list(self.agenda)
+        dup.parked = {k: list(v) for k, v in self.parked.items()}
         return dup
 
     # -- allocation ---------------------------------------------------------
@@ -170,6 +207,7 @@ class CompletionSet:
         self.next_label += 1
         system = ConstraintSystem(label)
         self.systems[label] = system
+        self.label_pos[label] = len(self.label_order)
         self.label_order.append(label)
         return system
 
@@ -183,26 +221,219 @@ class CompletionSet:
     def add_formula(self, label: int, psi: Formula) -> None:
         if psi not in self.closure.for_neg:
             raise EngineError(f"formula outside closure: {serialize(psi)}")
-        self.systems[label].formulas.add(psi)
+        system = self.systems[label]
+        if psi in system.formulas:
+            return
+        system.formulas.add(psi)
+        if neg_nnf(psi) in system.formulas:
+            self.clash = True
+        if self.frame_class is not None:
+            self._formula_added(system, psi)
 
     def add_concept(self, label: int, concept: Concept, var: int) -> None:
         if concept not in self.closure.con_neg:
             raise EngineError(f"concept outside closure: {serialize(concept)}")
         system = self.systems[label]
-        system.concepts.add((concept, var))
-        if var not in system.variables:
-            system.variables.add(var)
-            system.concepts.add((TOP, var))
+        self._put_concept(system, concept, var)
+        self._add_variable(system, var)
 
     def add_role(self, label: int, role: str, x: int, y: int) -> None:
         if role not in self.closure.roles:
             raise EngineError(f"role outside closure: {role}")
         system = self.systems[label]
+        if (role, x, y) in system.roles:
+            return
         system.roles.add((role, x, y))
-        for var in (x, y):
-            if var not in system.variables:
-                system.variables.add(var)
-                system.concepts.add((TOP, var))
+        self._add_variable(system, x)
+        self._add_variable(system, y)
+        if self.frame_class is not None:
+            for concept, source in system.concepts:
+                if (
+                    source == x
+                    and isinstance(concept, Forall)
+                    and concept.role == role
+                ):
+                    self._push(_forall_instance(system.label, concept, y))
+
+    def _add_variable(self, system: ConstraintSystem, var: int) -> None:
+        """Make a variable occur in a label, asserting top on it."""
+        if var in system.variables:
+            return
+        system.variables.add(var)
+        self._put_concept(system, TOP, var)
+        if self.frame_class is not None:
+            for psi in system.formulas:
+                if isinstance(psi, CI):
+                    self._push(_eq_instance(system.label, psi, var))
+
+    def _put_concept(
+        self, system: ConstraintSystem, concept: Concept, var: int
+    ) -> None:
+        pair = (concept, var)
+        if pair in system.concepts:
+            return
+        system.concepts.add(pair)
+        if isinstance(concept, Bot) or (neg_nnf(concept), var) in system.concepts:
+            self.clash = True
+        if self.frame_class is not None:
+            self._concept_added(system, concept, var)
+
+    # -- agenda -------------------------------------------------------------
+
+    def seed_agenda(self, frame_class: FrameClass) -> None:
+        """Rebuild the agenda for a frame class from the whole state."""
+        self.frame_class = frame_class
+        self.agenda = []
+        self.parked = {}
+        # A new formula or concept pairs with every variable, role and
+        # modal premise already present, so replaying them covers all.
+        for label in self.label_order:
+            system = self.systems[label]
+            for psi in system.formulas:
+                self._formula_added(system, psi)
+            for concept, var in system.concepts:
+                self._concept_added(system, concept, var)
+        # Replaying every premise pairs each box with each diamond twice.
+        self.agenda = list(dict(self.agenda).items())
+        heapify(self.agenda)
+
+    def _push(self, inst: "RuleInstance") -> None:
+        """Queue a candidate under its `find_applicable` sort key.  Within one
+        search the key determines the instance (rule, label and flattened
+        items fix the branches), and adds push each instance once, when its
+        last premise arrives, so no two entries tie."""
+        heappush(self.agenda, (_instance_key(inst, self.label_pos), inst))
+
+    def _formula_added(self, system: ConstraintSystem, psi: Formula) -> None:
+        """Push the instances whose last premise is this new formula."""
+        label = system.label
+        if isinstance(psi, AndF):
+            self._push(
+                RuleInstance(
+                    R_AND,
+                    label,
+                    ((_formula_item(psi.left), _formula_item(psi.right)),),
+                )
+            )
+        elif isinstance(psi, OrF):
+            self._push(
+                RuleInstance(
+                    R_OR,
+                    label,
+                    ((_formula_item(psi.left),), (_formula_item(psi.right),)),
+                )
+            )
+        elif isinstance(psi, CI):
+            for var in system.variables:
+                self._push(_eq_instance(label, psi, var))
+        elif isinstance(psi, NotF):
+            self._push(
+                RuleInstance(
+                    R_NEQ,
+                    label,
+                    ((_concept_item(neg_nnf(psi.arg.right), -1),),),
+                )
+            )
+        elif isinstance(psi, BoxF):
+            self._box_added(system, psi.index, _formula_item(psi.arg))
+        elif isinstance(psi, DiaF):
+            self._diamond_added(system, psi.index, _formula_item(psi.arg))
+
+    def _concept_added(
+        self, system: ConstraintSystem, concept: Concept, var: int
+    ) -> None:
+        """Push the instances whose last premise is this new concept, and
+        give the variable's parked R_exists instances another look: a
+        variable can only become unblocked when its own concept set grows."""
+        label = system.label
+        if isinstance(concept, And):
+            self._push(
+                RuleInstance(
+                    R_SQCAP,
+                    label,
+                    (
+                        (
+                            _concept_item(concept.left, var),
+                            _concept_item(concept.right, var),
+                        ),
+                    ),
+                )
+            )
+        elif isinstance(concept, Or):
+            self._push(
+                RuleInstance(
+                    R_SQCUP,
+                    label,
+                    (
+                        (_concept_item(concept.left, var),),
+                        (_concept_item(concept.right, var),),
+                    ),
+                )
+            )
+        elif isinstance(concept, Exists):
+            self._push(
+                RuleInstance(
+                    R_EXISTS,
+                    label,
+                    ((("exists", concept.role, var, concept.arg),),),
+                )
+            )
+        elif isinstance(concept, Forall):
+            for role, x, y in system.roles:
+                if role == concept.role and x == var:
+                    self._push(_forall_instance(label, concept, y))
+        elif isinstance(concept, Box):
+            self._box_added(system, concept.index, _concept_item(concept.arg, var))
+        elif isinstance(concept, Dia):
+            self._diamond_added(
+                system, concept.index, _concept_item(concept.arg, var)
+            )
+        parked = self.parked.pop((label, var), None)
+        if parked:
+            for entry in parked:
+                heappush(self.agenda, entry)
+
+    def _box_added(
+        self, system: ConstraintSystem, index: int, box_item: BranchItem
+    ) -> None:
+        """R_L instances pairing a new box body with the label's diamonds
+        of the same index; under C, every box subset holding the new one."""
+        boxes, dias = _modal_premises(system)
+        diamonds = dias.get(index)
+        if not diamonds:
+            return
+        if self.frame_class is FrameClass.C:
+            others = [item for item in boxes[index] if item != box_item]
+            gammas = (
+                tuple(sorted(subset + (box_item,), key=_item_key))
+                for subset in chain(((),), _nonempty_subsets(others))
+            )
+        else:
+            gammas = ((box_item,),)
+        for gamma_items in gammas:
+            for delta_item in diamonds:
+                self._push(
+                    _modal_instance(
+                        system.label, self.frame_class, gamma_items, delta_item
+                    )
+                )
+
+    def _diamond_added(
+        self, system: ConstraintSystem, index: int, delta_item: BranchItem
+    ) -> None:
+        """R_L instances of a new diamond body: N's diamond-alone shape and
+        the pairs with the label's boxes of the same index."""
+        if self.frame_class is FrameClass.N:
+            self._push(_unit_instance(system.label, delta_item))
+        boxes, _ = _modal_premises(system)
+        for gamma_items in _box_choices(
+            boxes.get(index, []), self.frame_class
+        ):
+            self._push(
+                _modal_instance(
+                    system.label, self.frame_class, gamma_items, delta_item
+                )
+            )
 
 
 def label_budget(fg_size: int, frame_class: FrameClass) -> int:
@@ -216,10 +447,8 @@ def init(phi: Formula) -> CompletionSet:
     """Initial completion set: the formula and one domain seed at label 0."""
     tableau = CompletionSet(phi, closure(phi))
     system = tableau.new_label(FrameClass.E)
-    var = tableau.new_variable()
-    system.formulas.add(phi)
-    system.variables.add(var)
-    system.concepts.add((TOP, var))
+    tableau.add_formula(system.label, phi)
+    tableau._add_variable(system, tableau.new_variable())
     return tableau
 
 
@@ -229,7 +458,11 @@ def init(phi: Formula) -> CompletionSet:
 
 def is_clash(tableau: CompletionSet) -> bool:
     """A label holding some constraint together with its NNF negation,
-    or a bottom concept on any variable."""
+    or a bottom concept on any variable.
+
+    Reference implementation, rescanning the whole state: the search reads
+    the `clash` flag that every add maintains, and the tests check that
+    flag against this function at every step."""
     for system in tableau.systems.values():
         for psi in system.formulas:
             if neg_nnf(psi) in system.formulas:
@@ -240,6 +473,14 @@ def is_clash(tableau: CompletionSet) -> bool:
             if (neg_nnf(concept), var) in system.concepts:
                 return True
     return False
+
+
+def _witnessed(system: ConstraintSystem, role: str, var: int, target: Concept) -> bool:
+    """Some role successor of the variable already carries the target."""
+    return any(
+        (role, var, z) in system.roles and (target, z) in system.concepts
+        for z in system.variables
+    )
 
 
 def blockers(var: int, system: ConstraintSystem) -> list[int]:
@@ -345,6 +586,69 @@ def _some_branch_realized(
     return False
 
 
+def _eq_instance(label: int, psi: CI, var: int) -> RuleInstance:
+    return RuleInstance(R_EQ, label, ((_concept_item(psi.right, var),),))
+
+
+def _forall_instance(label: int, concept: Forall, y: int) -> RuleInstance:
+    return RuleInstance(R_FORALL, label, ((_concept_item(concept.arg, y),),))
+
+
+def _modal_instance(
+    label: int,
+    frame_class: FrameClass,
+    gamma_items: tuple[BranchItem, ...],
+    delta_item: BranchItem,
+) -> RuleInstance:
+    """R_L for box bodies and a diamond body: one box under E, M and N, a
+    non-empty box subset under C.  Beside the branch with every body, all
+    classes but M offer one branch per box refuting that box and the
+    diamond together."""
+    branches = (gamma_items + (delta_item,),)
+    if frame_class is not FrameClass.M:
+        branches += tuple(
+            (_neg_item(g), _neg_item(delta_item)) for g in gamma_items
+        )
+    return RuleInstance(R_L, label, branches, frame_class=frame_class)
+
+
+def _unit_instance(label: int, delta_item: BranchItem) -> RuleInstance:
+    """N's diamond-alone R_L: a label carrying the body.  For a concept
+    body the demand is met just as well by a world its variable is absent
+    from (varying domains), so such an instance offers an empty branch and
+    is settled by any label lacking the variable."""
+    if delta_item[0] == "formula":
+        return RuleInstance(
+            R_L, label, ((delta_item,),), frame_class=FrameClass.N
+        )
+    return RuleInstance(
+        R_L,
+        label,
+        ((delta_item,), ()),
+        frame_class=FrameClass.N,
+        absent_variable=delta_item[2],
+    )
+
+
+def _box_choices(box_list: list, frame_class: FrameClass) -> Iterable[tuple]:
+    """The box bodies one R_L instance takes: each non-empty subset under C,
+    each single box otherwise."""
+    if frame_class is FrameClass.C:
+        return _nonempty_subsets(box_list)
+    return ((item,) for item in box_list)
+
+
+def _settled(tableau: CompletionSet, inst: RuleInstance) -> bool:
+    """An R_L instance is settled by a label realizing one of its non-empty
+    branches, or, with an absent variable, by any label lacking it."""
+    filled = tuple(b for b in inst.branches if b)
+    if _some_branch_realized(tableau, filled):
+        return True
+    return inst.absent_variable is not None and any(
+        inst.absent_variable not in s.variables for s in tableau.systems.values()
+    )
+
+
 def _label_instances(
     tableau: CompletionSet, system: ConstraintSystem
 ) -> Iterable[RuleInstance]:
@@ -375,11 +679,7 @@ def _label_instances(
         elif isinstance(psi, CI):
             for var in system.variables:
                 if (psi.right, var) not in system.concepts:
-                    yield RuleInstance(
-                        R_EQ,
-                        label,
-                        ((_concept_item(psi.right, var),),),
-                    )
+                    yield _eq_instance(label, psi, var)
         elif isinstance(psi, NotF):
             negated = neg_nnf(psi.arg.right)
             if not any(c == negated for c, _ in system.concepts):
@@ -418,11 +718,7 @@ def _label_instances(
                     ),
                 )
         elif isinstance(concept, Exists):
-            has_witness = any(
-                (concept.role, var, z) in system.roles
-                and (concept.arg, z) in system.concepts
-                for z in system.variables
-            )
+            has_witness = _witnessed(system, concept.role, var, concept.arg)
             if not has_witness and not blockers(var, system):
                 yield RuleInstance(
                     R_EXISTS,
@@ -436,11 +732,7 @@ def _label_instances(
                     and x == var
                     and (concept.arg, y) not in system.concepts
                 ):
-                    yield RuleInstance(
-                        R_FORALL,
-                        label,
-                        ((_concept_item(concept.arg, y),),),
-                    )
+                    yield _forall_instance(label, concept, y)
 
 
 def _modal_premises(system: ConstraintSystem):
@@ -486,64 +778,26 @@ def _modal_instances(
     for index, dia_list in sorted(dias.items()):
         box_list = boxes.get(index, [])
         for delta_item in dia_list:
+            candidates = (
+                _modal_instance(label, frame_class, gamma_items, delta_item)
+                for gamma_items in _box_choices(box_list, frame_class)
+            )
             if frame_class is FrameClass.N:
-                # Unit shape: the diamond alone demands a label carrying its
-                # body.  For a concept body the demand is met just as well by
-                # a world its variable is absent from (varying domains), so
-                # such an instance offers an empty branch and is settled by
-                # any label lacking the variable.
-                if delta_item[0] == "formula":
-                    branches = ((delta_item,),)
-                    if not _some_branch_realized(tableau, branches):
-                        yield RuleInstance(
-                            R_L, label, branches, frame_class=frame_class
-                        )
-                else:
-                    var = delta_item[2]
-                    settled = _some_branch_realized(
-                        tableau, ((delta_item,),)
-                    ) or any(
-                        var not in s.variables
-                        for s in tableau.systems.values()
-                    )
-                    if not settled:
-                        yield RuleInstance(
-                            R_L,
-                            label,
-                            ((delta_item,), ()),
-                            frame_class=frame_class,
-                            absent_variable=var,
-                        )
-            if frame_class is FrameClass.C:
-                for gamma_items in _nonempty_subsets(box_list):
-                    branches = (gamma_items + (delta_item,),) + tuple(
-                        (_neg_item(g), _neg_item(delta_item))
-                        for g in gamma_items
-                    )
-                    if not _some_branch_realized(tableau, branches):
-                        yield RuleInstance(
-                            R_L, label, branches, frame_class=frame_class
-                        )
-            else:
-                for gamma_item in box_list:
-                    if frame_class is FrameClass.M:
-                        branches = ((gamma_item, delta_item),)
-                    else:  # E and the paired shape of N
-                        branches = (
-                            (gamma_item, delta_item),
-                            (_neg_item(gamma_item), _neg_item(delta_item)),
-                        )
-                    if not _some_branch_realized(tableau, branches):
-                        yield RuleInstance(
-                            R_L, label, branches, frame_class=frame_class
-                        )
+                candidates = chain((_unit_instance(label, delta_item),), candidates)
+            for inst in candidates:
+                if not _settled(tableau, inst):
+                    yield inst
 
 
 def find_applicable(
     tableau: CompletionSet, frame_class: FrameClass
 ) -> list[RuleInstance]:
     """All rule instances whose premises and application condition hold,
-    ordered by rule priority and a canonical key."""
+    ordered by rule priority and a canonical key.
+
+    Reference implementation, regenerating every instance from the whole
+    state: the search takes `next_instance` instead, and the tests check
+    at every step that its choice is this list's head."""
     label_pos = {n: i for i, n in enumerate(tableau.label_order)}
     instances: list[RuleInstance] = []
     for label in tableau.label_order:
@@ -564,14 +818,7 @@ def is_complete(tableau: CompletionSet, frame_class: FrameClass) -> bool:
 
 def _check_not_stale(tableau: CompletionSet, inst: RuleInstance) -> None:
     if inst.rule == R_L:
-        filled = tuple(b for b in inst.branches if b)
-        settled = _some_branch_realized(tableau, filled)
-        if inst.absent_variable is not None:
-            settled = settled or any(
-                inst.absent_variable not in s.variables
-                for s in tableau.systems.values()
-            )
-        if settled:
+        if _settled(tableau, inst):
             raise StaleInstanceError(f"{inst.rule} already realized by a label")
         return
     system = tableau.systems[inst.label]
@@ -590,55 +837,90 @@ def _check_not_stale(tableau: CompletionSet, inst: RuleInstance) -> None:
             raise StaleInstanceError("R_neq witness already present")
     elif inst.rule == R_EXISTS:
         _, role, var, target = inst.branches[0][0]
-        if blockers(var, system) or any(
-            (role, var, z) in system.roles and (target, z) in system.concepts
-            for z in system.variables
-        ):
+        if blockers(var, system) or _witnessed(system, role, var, target):
             raise StaleInstanceError("R_exists witness present or variable blocked")
 
 
-def apply(
-    tableau: CompletionSet, inst: RuleInstance, branch: int
-) -> CompletionSet:
-    """New completion set with the chosen branch's constraints added.
+def next_instance(
+    tableau: CompletionSet, frame_class: FrameClass
+) -> RuleInstance | None:
+    """Remove and return the least applicable rule instance, in the order
+    of `find_applicable`, or None when the state is saturated.
+
+    Stale heads are dropped for good: rules only add constraints, so an
+    instance that has fired or been realized stays so.  The one condition
+    that can lapse is blocking, so an R_exists head that is blocked but not
+    witnessed is parked until its variable's concept set grows.  The agenda
+    is built from the whole state on the first call for a frame class and
+    kept current by every add after that.  The returned instance is stale
+    once any of its branches is added, so it leaves the agenda here.
+    """
+    if tableau.frame_class is not frame_class:
+        tableau.seed_agenda(frame_class)
+    agenda = tableau.agenda
+    while agenda:
+        entry = heappop(agenda)
+        inst = entry[1]
+        try:
+            _check_not_stale(tableau, inst)
+        except StaleInstanceError:
+            if inst.rule == R_EXISTS:
+                _, role, var, target = inst.branches[0][0]
+                system = tableau.systems[inst.label]
+                if not _witnessed(system, role, var, target):
+                    tableau.parked.setdefault((inst.label, var), []).append(entry)
+            continue
+        return inst
+    return None
+
+
+def _extend(tableau: CompletionSet, inst: RuleInstance, branch: int) -> None:
+    """Add the chosen branch's constraints to the state in place.
 
     Fresh variables take the next global index (trivially the least fresh
     one for the target system); fresh labels take the next unused id and
     are seeded with a domain variable when the branch puts no variable in
     them.
     """
+    if inst.rule == R_L:
+        system = tableau.new_label(inst.frame_class or FrameClass.E)
+        for item in inst.branches[branch]:
+            if item[0] == "formula":
+                tableau.add_formula(system.label, item[1])
+            else:
+                tableau.add_concept(system.label, item[1], item[2])
+        if not system.variables:
+            # Domains are non-empty: labels reached only through formula
+            # constraints still describe a world with at least one element.
+            tableau._add_variable(system, tableau.new_variable())
+        return
+    label = inst.label
+    for item in inst.branches[branch]:
+        if item[0] == "formula":
+            tableau.add_formula(label, item[1])
+        elif item[0] == "concept":
+            var = item[2]
+            if var == -1:  # R_neq allocates its witness here
+                var = tableau.new_variable()
+            tableau.add_concept(label, item[1], var)
+        else:  # ("exists", role, var, target)
+            _, role, var, target = item
+            fresh = tableau.new_variable()
+            tableau.add_role(label, role, var, fresh)
+            tableau.add_concept(label, target, fresh)
+
+
+def apply(
+    tableau: CompletionSet, inst: RuleInstance, branch: int
+) -> CompletionSet:
+    """New completion set with the chosen branch's constraints added; the
+    input is left untouched.  Reference for the search, which extends its
+    state in place and copies only at branch points."""
     if not 0 <= branch < inst.branch_count:
         raise ValueError(f"branch {branch} out of range")
     _check_not_stale(tableau, inst)
     out = tableau.copy()
-    if inst.rule == R_L:
-        system = out.new_label(inst.frame_class or FrameClass.E)
-        for item in inst.branches[branch]:
-            if item[0] == "formula":
-                out.add_formula(system.label, item[1])
-            else:
-                out.add_concept(system.label, item[1], item[2])
-        if not system.variables:
-            # Domains are non-empty: labels reached only through formula
-            # constraints still describe a world with at least one element.
-            seed = out.new_variable()
-            system.variables.add(seed)
-            system.concepts.add((TOP, seed))
-        return out
-    label = inst.label
-    for item in inst.branches[branch]:
-        if item[0] == "formula":
-            out.add_formula(label, item[1])
-        elif item[0] == "concept":
-            var = item[2]
-            if var == -1:  # R_neq allocates its witness here
-                var = out.new_variable()
-            out.add_concept(label, item[1], var)
-        else:  # ("exists", role, var, target)
-            _, role, var, target = item
-            fresh = out.new_variable()
-            out.add_role(label, role, var, fresh)
-            out.add_concept(label, target, fresh)
+    _extend(out, inst, branch)
     return out
 
 
@@ -702,18 +984,19 @@ class _Search:
         inst: RuleInstance,
         branch: int,
         path: list[dict],
-    ) -> CompletionSet:
-        """Apply one branch and count it; the trace entry is built, streamed
-        and appended to the path only when someone listens."""
+    ) -> None:
+        """Extend the state by one branch and count it; the trace entry is
+        built, streamed and appended to the path only when someone listens."""
         if self.stats.steps >= self.cap:
             raise EngineError(
                 f"step cap {self.cap} exceeded; raise {STEP_CAP_ENV} "
                 "if the input is legitimately this large"
             )
-        nxt = apply(tableau, inst, branch)
+        labels, variables = len(tableau.label_order), tableau.next_var
+        _extend(tableau, inst, branch)
         self.stats.count(inst.rule)
-        self.stats.labels_created += len(nxt.label_order) - len(tableau.label_order)
-        self.stats.variables_created += nxt.next_var - tableau.next_var
+        self.stats.labels_created += len(tableau.label_order) - labels
+        self.stats.variables_created += tableau.next_var - variables
         on_step = self.options.on_step
         if self.options.trace or on_step is not None:
             entry = {
@@ -727,31 +1010,47 @@ class _Search:
                 on_step(entry)
             if self.options.trace:
                 path.append(entry)
-        return nxt
 
-    def run(self, tableau: CompletionSet, path: list[dict]) -> CompletionSet | None:
-        """Depth-first search from this state.  `path` holds the trace of
-        the current branch; a failed alternative is cut back off it."""
+    def run(self, tableau: CompletionSet) -> CompletionSet | None:
+        """Depth-first search from this state; the saturated clash-free
+        state reached, or None when every branch clashes.
+
+        Each step takes `next_instance` (checked against `find_applicable`
+        by the tests) and reads the state's clash flag (checked against
+        `is_clash`).  Deterministic steps extend the state in place.  A
+        branch point is pushed on an explicit stack as [saved state,
+        instance, next branch, trace length], and its first alternative
+        runs on a copy.  On a clash the top entry's next alternative runs
+        on another copy, or, when it is the last one, on the saved state
+        itself as the entry is popped; the trace path is cut back to the
+        entry's length first.
+        """
+        path: list[dict] = []
+        stack: list[list] = []
         while True:
-            if is_clash(tableau):
-                return None
-            instances = find_applicable(tableau, self.frame_class)
-            if not instances:
+            if tableau.clash:
+                if not stack:
+                    return None
+                frame = stack[-1]
+                saved, inst, branch, depth = frame
+                del path[depth:]
+                if branch + 1 < inst.branch_count:
+                    frame[2] = branch + 1
+                    tableau = saved.copy()
+                else:
+                    stack.pop()
+                    tableau = saved
+                self._step(tableau, inst, branch, path)
+                continue
+            inst = next_instance(tableau, self.frame_class)
+            if inst is None:
                 if self.options.trace:
                     self.trace = path
                 return tableau
-            inst = instances[0]
-            if inst.branch_count == 1:
-                tableau = self._step(tableau, inst, 0, path)
-                continue
-            depth = len(path)
-            for branch in range(inst.branch_count):
-                nxt = self._step(tableau, inst, branch, path)
-                result = self.run(nxt, path)
-                if result is not None:
-                    return result
-                del path[depth:]
-            return None
+            if inst.branch_count > 1:
+                stack.append([tableau, inst, 1, len(path)])
+                tableau = tableau.copy()
+            self._step(tableau, inst, 0, path)
 
 
 def solve(
@@ -773,7 +1072,7 @@ def solve(
         options = SolveOptions()
     phi = normalize(phi)
     search = _Search(frame_class, options)
-    final = search.run(init(phi), [])
+    final = search.run(init(phi))
     if final is None:
         return SolveResult("unsat", None, None, None, search.stats)
     model = None
