@@ -306,34 +306,12 @@ class CompletionSet:
 
     def _formula_added(self, system: ConstraintSystem, psi: Formula) -> None:
         """Push the instances whose last premise is this new formula."""
-        label = system.label
-        if isinstance(psi, AndF):
-            self._push(
-                RuleInstance(
-                    R_AND,
-                    label,
-                    ((_formula_item(psi.left), _formula_item(psi.right)),),
-                )
-            )
-        elif isinstance(psi, OrF):
-            self._push(
-                RuleInstance(
-                    R_OR,
-                    label,
-                    ((_formula_item(psi.left),), (_formula_item(psi.right),)),
-                )
-            )
+        inst = _premise_instance(system.label, psi)
+        if inst is not None:
+            self._push(inst)
         elif isinstance(psi, CI):
             for var in system.variables:
-                self._push(_eq_instance(label, psi, var))
-        elif isinstance(psi, NotF):
-            self._push(
-                RuleInstance(
-                    R_NEQ,
-                    label,
-                    ((_concept_item(neg_nnf(psi.arg.right), -1),),),
-                )
-            )
+                self._push(_eq_instance(system.label, psi, var))
         elif isinstance(psi, BoxF):
             self._box_added(system, psi.index, _formula_item(psi.arg))
         elif isinstance(psi, DiaF):
@@ -346,44 +324,17 @@ class CompletionSet:
         give the variable's parked R_exists instances another look: a
         variable can only become unblocked when its own concept set grows."""
         label = system.label
-        if isinstance(concept, And):
-            self._push(
-                RuleInstance(
-                    R_SQCAP,
-                    label,
-                    (
-                        (
-                            _concept_item(concept.left, var),
-                            _concept_item(concept.right, var),
-                        ),
-                    ),
-                )
-            )
-        elif isinstance(concept, Or):
-            self._push(
-                RuleInstance(
-                    R_SQCUP,
-                    label,
-                    (
-                        (_concept_item(concept.left, var),),
-                        (_concept_item(concept.right, var),),
-                    ),
-                )
-            )
-        elif isinstance(concept, Exists):
-            self._push(
-                RuleInstance(
-                    R_EXISTS,
-                    label,
-                    ((("exists", concept.role, var, concept.arg),),),
-                )
-            )
+        inst = _premise_instance(label, concept, var)
+        if inst is not None:
+            self._push(inst)
         elif isinstance(concept, Forall):
             for role, x, y in system.roles:
                 if role == concept.role and x == var:
                     self._push(_forall_instance(label, concept, y))
         elif isinstance(concept, Box):
-            self._box_added(system, concept.index, _concept_item(concept.arg, var))
+            self._box_added(
+                system, concept.index, _concept_item(concept.arg, var)
+            )
         elif isinstance(concept, Dia):
             self._diamond_added(
                 system, concept.index, _concept_item(concept.arg, var)
@@ -475,7 +426,9 @@ def is_clash(tableau: CompletionSet) -> bool:
     return False
 
 
-def _witnessed(system: ConstraintSystem, role: str, var: int, target: Concept) -> bool:
+def _witnessed(
+    system: ConstraintSystem, role: str, var: int, target: Concept
+) -> bool:
     """Some role successor of the variable already carries the target."""
     return any(
         (role, var, z) in system.roles and (target, z) in system.concepts
@@ -586,6 +539,43 @@ def _some_branch_realized(
     return False
 
 
+def _premise_instance(
+    label: int, term: Formula | Concept, var: int = -1
+) -> RuleInstance | None:
+    """The one in-label instance a premise creates on its own: R_and, R_or
+    and R_neq for a formula; R_cap, R_cup and R_exists for a concept on
+    `var`.  None for premises that pair with others or create nothing."""
+    if isinstance(term, AndF):
+        return RuleInstance(
+            R_AND, label, ((_formula_item(term.left), _formula_item(term.right)),)
+        )
+    if isinstance(term, OrF):
+        return RuleInstance(
+            R_OR, label, ((_formula_item(term.left),), (_formula_item(term.right),))
+        )
+    if isinstance(term, NotF):
+        return RuleInstance(
+            R_NEQ, label, ((_concept_item(neg_nnf(term.arg.right), -1),),)
+        )
+    if isinstance(term, And):
+        return RuleInstance(
+            R_SQCAP,
+            label,
+            ((_concept_item(term.left, var), _concept_item(term.right, var)),),
+        )
+    if isinstance(term, Or):
+        return RuleInstance(
+            R_SQCUP,
+            label,
+            ((_concept_item(term.left, var),), (_concept_item(term.right, var),)),
+        )
+    if isinstance(term, Exists):
+        return RuleInstance(
+            R_EXISTS, label, ((("exists", term.role, var, term.arg),),)
+        )
+    return None
+
+
 def _eq_instance(label: int, psi: CI, var: int) -> RuleInstance:
     return RuleInstance(R_EQ, label, ((_concept_item(psi.right, var),),))
 
@@ -658,24 +648,13 @@ def _label_instances(
             if not (
                 psi.left in system.formulas and psi.right in system.formulas
             ):
-                yield RuleInstance(
-                    R_AND,
-                    label,
-                    ((_formula_item(psi.left), _formula_item(psi.right)),),
-                )
+                yield _premise_instance(label, psi)
         elif isinstance(psi, OrF):
             if (
                 psi.left not in system.formulas
                 and psi.right not in system.formulas
             ):
-                yield RuleInstance(
-                    R_OR,
-                    label,
-                    (
-                        (_formula_item(psi.left),),
-                        (_formula_item(psi.right),),
-                    ),
-                )
+                yield _premise_instance(label, psi)
         elif isinstance(psi, CI):
             for var in system.variables:
                 if (psi.right, var) not in system.concepts:
@@ -683,48 +662,24 @@ def _label_instances(
         elif isinstance(psi, NotF):
             negated = neg_nnf(psi.arg.right)
             if not any(c == negated for c, _ in system.concepts):
-                yield RuleInstance(
-                    R_NEQ,
-                    label,
-                    ((_concept_item(negated, -1),),),
-                )
+                yield _premise_instance(label, psi)
     for concept, var in system.concepts:
         if isinstance(concept, And):
             if not (
                 (concept.left, var) in system.concepts
                 and (concept.right, var) in system.concepts
             ):
-                yield RuleInstance(
-                    R_SQCAP,
-                    label,
-                    (
-                        (
-                            _concept_item(concept.left, var),
-                            _concept_item(concept.right, var),
-                        ),
-                    ),
-                )
+                yield _premise_instance(label, concept, var)
         elif isinstance(concept, Or):
             if (concept.left, var) not in system.concepts and (
                 concept.right,
                 var,
             ) not in system.concepts:
-                yield RuleInstance(
-                    R_SQCUP,
-                    label,
-                    (
-                        (_concept_item(concept.left, var),),
-                        (_concept_item(concept.right, var),),
-                    ),
-                )
+                yield _premise_instance(label, concept, var)
         elif isinstance(concept, Exists):
             has_witness = _witnessed(system, concept.role, var, concept.arg)
             if not has_witness and not blockers(var, system):
-                yield RuleInstance(
-                    R_EXISTS,
-                    label,
-                    ((("exists", concept.role, var, concept.arg),),),
-                )
+                yield _premise_instance(label, concept, var)
         elif isinstance(concept, Forall):
             for role, x, y in system.roles:
                 if (

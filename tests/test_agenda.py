@@ -8,8 +8,6 @@ around the functions it looks up, so every state it visits is compared.
 
 import random
 
-import pytest
-
 from nnmdl import tableau
 from nnmdl.semantics import FrameClass
 from nnmdl.syntax import (
@@ -169,7 +167,9 @@ def balanced_conjunction(parts):
     if len(parts) == 1:
         return parts[0]
     mid = len(parts) // 2
-    return AndF(balanced_conjunction(parts[:mid]), balanced_conjunction(parts[mid:]))
+    return AndF(
+        balanced_conjunction(parts[:mid]), balanced_conjunction(parts[mid:])
+    )
 
 
 def test_thousand_nested_branch_points_need_no_python_recursion():
@@ -179,6 +179,7 @@ def test_thousand_nested_branch_points_need_no_python_recursion():
         CI(TOP, Or(AtomicConcept(f"A{i:04d}"), AtomicConcept(f"B{i:04d}")))
         for i in range(1000)
     ]
-    result = solve(balanced_conjunction(parts), FrameClass.E, SolveOptions(extract=False))
+    phi = balanced_conjunction(parts)
+    result = solve(phi, FrameClass.E, SolveOptions(extract=False))
     assert result.verdict == "sat"
     assert result.stats.steps == 2999  # 999 R_and, 1000 R_eq, 1000 R_cup
