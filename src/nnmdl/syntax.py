@@ -359,6 +359,11 @@ def parse_concept(text: str) -> Concept:
 
 def serialize(term: Concept | Formula) -> str:
     """Render a concept or formula; parse_formula/parse_concept invert this."""
+    return _render(term, serialize)
+
+
+def _render(term: Concept | Formula, sub) -> str:
+    """Render a term, rendering its children with `sub`."""
     if isinstance(term, Top):
         return "top"
     if isinstance(term, Bot):
@@ -366,31 +371,31 @@ def serialize(term: Concept | Formula) -> str:
     if isinstance(term, AtomicConcept):
         return f"(atom {term.name})"
     if isinstance(term, Not):
-        return f"(not {serialize(term.arg)})"
+        return f"(not {sub(term.arg)})"
     if isinstance(term, And):
-        return f"(and {serialize(term.left)} {serialize(term.right)})"
+        return f"(and {sub(term.left)} {sub(term.right)})"
     if isinstance(term, Or):
-        return f"(or {serialize(term.left)} {serialize(term.right)})"
+        return f"(or {sub(term.left)} {sub(term.right)})"
     if isinstance(term, Exists):
-        return f"(some {term.role} {serialize(term.arg)})"
+        return f"(some {term.role} {sub(term.arg)})"
     if isinstance(term, Forall):
-        return f"(all {term.role} {serialize(term.arg)})"
+        return f"(all {term.role} {sub(term.arg)})"
     if isinstance(term, Box):
-        return f"(box {term.index} {serialize(term.arg)})"
+        return f"(box {term.index} {sub(term.arg)})"
     if isinstance(term, Dia):
-        return f"(dia {term.index} {serialize(term.arg)})"
+        return f"(dia {term.index} {sub(term.arg)})"
     if isinstance(term, CI):
-        return f"(sub {serialize(term.left)} {serialize(term.right)})"
+        return f"(sub {sub(term.left)} {sub(term.right)})"
     if isinstance(term, NotF):
-        return f"(not {serialize(term.arg)})"
+        return f"(not {sub(term.arg)})"
     if isinstance(term, AndF):
-        return f"(and {serialize(term.left)} {serialize(term.right)})"
+        return f"(and {sub(term.left)} {sub(term.right)})"
     if isinstance(term, OrF):
-        return f"(or {serialize(term.left)} {serialize(term.right)})"
+        return f"(or {sub(term.left)} {sub(term.right)})"
     if isinstance(term, BoxF):
-        return f"(box {term.index} {serialize(term.arg)})"
+        return f"(box {term.index} {sub(term.arg)})"
     if isinstance(term, DiaF):
-        return f"(dia {term.index} {serialize(term.arg)})"
+        return f"(dia {term.index} {sub(term.arg)})"
     raise TypeError(f"not a concept or formula: {term!r}")
 
 
@@ -637,7 +642,33 @@ def has_modalised_concept(phi: Formula) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
+def _children(term: Concept | Formula) -> tuple:
+    if isinstance(term, (And, Or, CI, AndF, OrF)):
+        return (term.left, term.right)
+    if isinstance(term, (Top, Bot, AtomicConcept)):
+        return ()
+    return (term.arg,)
+
+
+_SORT_KEYS: dict[Concept | Formula, str] = {}
+
+
 def sort_key(term: Concept | Formula) -> str:
-    """Stable canonical ordering key for deterministic iteration."""
-    return serialize(term)
+    """Stable canonical ordering key for deterministic iteration: the
+    serialized term.  Keys are cached and built children first from the
+    children's keys, so each subterm is rendered once and deep terms need
+    no recursion."""
+    key = _SORT_KEYS.get(term)
+    if key is None:
+        stack = [term]
+        while stack:
+            top = stack[-1]
+            missing = [c for c in _children(top) if c not in _SORT_KEYS]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            if top not in _SORT_KEYS:
+                _SORT_KEYS[top] = _render(top, _SORT_KEYS.__getitem__)
+        key = _SORT_KEYS[term]
+    return key
