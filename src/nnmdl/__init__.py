@@ -26,6 +26,7 @@ from .oracle import (
 from .semantics import (
     FrameClass,
     NeighbourhoodModel,
+    Windows,
     add_unit,
     check_frame_class,
     close_intersection,
@@ -74,6 +75,7 @@ __all__ = [
     "Signature",
     "SolveOptions",
     "SolveResult",
+    "Windows",
     "add_unit",
     "alc_consistent",
     "brute_force_sat",

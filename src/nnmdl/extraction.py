@@ -3,15 +3,21 @@
 Worlds are the labels; each label's domain is its occurring variables.
 A constraint asserted at a label fixes membership from below, while the
 absence of its negation leaves room above: the floor/ceiling pair of a
-term brackets every admissible truth set.  Neighbourhood collections are
-materialized extensionally from those brackets, per frame class:
+term brackets every admissible truth set.  Each neighbourhood collection
+is stored as a union of windows [floor, ceil] (a `Windows`), one per
+frame-class rule:
 
-  E  every set between the floor and ceiling of some asserted box body;
-  M  every superset of the floor of some asserted box body;
-  C  every set between the intersected floors and intersected ceilings
-     of a non-empty selection of asserted box bodies (which makes the
-     result closed under binary intersection);
-  N  as for E, plus the full world set in every collection.
+  E  one window per asserted box body: its floor and ceiling;
+  M  one window per asserted box body: its floor up to the full world
+     set, so the collection is upward closed by shape;
+  C  one window per non-empty selection of asserted box bodies (equal
+     windows kept once): the intersected floors and intersected ceilings
+     (the meets of two selections' members form the window of their
+     union, so the collection is closed under binary intersection);
+  N  as for E, plus the window [W, W] of the full world set.
+
+Nothing is enumerated: a window of slack k stands for 2^k sets, which
+are expanded only when the model is iterated, measured or exported.
 
 Role edges at a label are the asserted ones, plus edges lent to a blocked
 variable by each variable that blocks it.  The construction is a pure
@@ -21,11 +27,11 @@ function of the completion set and safe to run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .semantics import (
     FrameClass,
     NeighbourhoodModel,
+    Windows,
     check_frame_class,
     satisfies,
 )
@@ -43,7 +49,6 @@ from .syntax import (
 from .tableau import (
     CompletionSet,
     ConstraintSystem,
-    _nonempty_subsets,
     blockers,
 )
 
@@ -85,18 +90,6 @@ def floors_ceilings(
             n for n in labels if negated not in tableau.systems[n].formulas
         )
     return TruthApproximation(floor, ceil)
-
-
-def _window(
-    floor: frozenset[int], ceil: frozenset[int]
-) -> set[frozenset[str]]:
-    """All world sets between a floor and a ceiling, as world-id strings."""
-    slack = sorted(ceil - floor)
-    out = set()
-    for r in range(len(slack) + 1):
-        for extra in combinations(slack, r):
-            out.add(frozenset(str(n) for n in floor | set(extra)))
-    return out
 
 
 def _box_bodies(system: ConstraintSystem, index: int):
@@ -171,32 +164,44 @@ def extract_model(
                         per_role[role].add((f"x{var}", f"x{y}"))
         role_ext[world] = {r: frozenset(pairs) for r, pairs in per_role.items()}
 
-    neighbourhoods: dict[int, dict[str, frozenset[frozenset[str]]]] = {}
+    # Brackets of each box body, as world ids; the C loop revisits a body
+    # in every selection that contains it.
+    brackets: dict[tuple, tuple[frozenset[str], frozenset[str]]] = {}
+
+    def bracket(body, var):
+        pair = brackets.get((body, var))
+        if pair is None:
+            approx = floors_ceilings(tableau, body, var)
+            pair = (
+                frozenset(str(n) for n in approx.floor),
+                frozenset(str(n) for n in approx.ceil),
+            )
+            brackets[(body, var)] = pair
+        return pair
+
+    neighbourhoods: dict[int, dict[str, Windows]] = {}
     for index in modalities:
-        per_world: dict[str, frozenset[frozenset[str]]] = {}
+        per_world: dict[str, Windows] = {}
         for n in labels:
-            system = tableau.systems[n]
-            bodies = _box_bodies(system, index)
-            collection: set[frozenset[str]] = set()
+            bodies = _box_bodies(tableau.systems[n], index)
             if frame_class is FrameClass.C:
-                for chosen in _nonempty_subsets(bodies):
-                    floor = frozenset(labels)
-                    ceil = frozenset(labels)
-                    for body, var in chosen:
-                        approx = floors_ceilings(tableau, body, var)
-                        floor &= approx.floor
-                        ceil &= approx.ceil
-                    collection |= _window(floor, ceil)
-            else:
+                # The windows of every non-empty selection, grown one body
+                # at a time: the selections with the next body are the
+                # earlier ones' windows met with its bracket, plus its own.
+                windows = {}
                 for body, var in bodies:
-                    approx = floors_ceilings(tableau, body, var)
-                    if frame_class is FrameClass.M:
-                        collection |= _window(approx.floor, frozenset(labels))
-                    else:  # E and N share the bracketed shape
-                        collection |= _window(approx.floor, approx.ceil)
-            if frame_class is FrameClass.N:
-                collection.add(full)
-            per_world[str(n)] = frozenset(collection)
+                    body_floor, body_ceil = bracket(body, var)
+                    grown = {(body_floor, body_ceil): None}
+                    for floor, ceil in windows:
+                        grown[(floor & body_floor, ceil & body_ceil)] = None
+                    windows.update(grown)
+            elif frame_class is FrameClass.M:
+                windows = [(bracket(body, var)[0], full) for body, var in bodies]
+            else:  # E and N share the bracketed shape
+                windows = [bracket(body, var) for body, var in bodies]
+                if frame_class is FrameClass.N:
+                    windows.append((full, full))
+            per_world[str(n)] = Windows(windows)
         neighbourhoods[index] = per_world
 
     model = NeighbourhoodModel(

@@ -19,8 +19,10 @@ and is the only reading implemented.
 from __future__ import annotations
 
 import json
+from collections.abc import Set
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
 
 from .syntax import (
     And,
@@ -65,14 +67,69 @@ class ModelTooLargeError(ValueError):
     """Raised when a check would enumerate subsets of too many worlds."""
 
 
+class Windows(Set):
+    """Read-only collection of world sets given as a union of windows.
+
+    A window (floor, ceil) stands for every world set alpha with
+    floor <= alpha <= ceil.  Membership is tested against the windows;
+    iteration and len() expand the windows once, lazily, so a Windows
+    equals the frozenset of its members and exports like one.
+    """
+
+    __slots__ = ("windows", "_members")
+
+    def __init__(self, windows=()):
+        # Equal windows are kept once, in order; empty ones are dropped.
+        self.windows: tuple[tuple[frozenset[str], frozenset[str]], ...] = tuple(
+            dict.fromkeys(
+                (frozenset(floor), frozenset(ceil))
+                for floor, ceil in windows
+                if floor <= ceil
+            )
+        )
+        self._members: frozenset[frozenset[str]] | None = None
+
+    @classmethod
+    def _from_iterable(cls, iterable):
+        return frozenset(iterable)
+
+    def __contains__(self, alpha) -> bool:
+        for floor, ceil in self.windows:
+            if floor <= alpha <= ceil:
+                return True
+        return False
+
+    def _expand(self) -> frozenset[frozenset[str]]:
+        if self._members is None:
+            members = set()
+            for floor, ceil in self.windows:
+                slack = sorted(ceil - floor)
+                for r in range(len(slack) + 1):
+                    for extra in combinations(slack, r):
+                        members.add(floor.union(extra))
+            self._members = frozenset(members)
+        return self._members
+
+    def __iter__(self):
+        return iter(self._expand())
+
+    def __len__(self) -> int:
+        return len(self._expand())
+
+    def __repr__(self) -> str:
+        return f"Windows({[(sorted(f), sorted(c)) for f, c in self.windows]!r})"
+
+
 @dataclass
 class NeighbourhoodModel:
-    """Extensional finite neighbourhood model.
+    """Finite neighbourhood model.
 
     worlds is kept as an ordered tuple (the first world is the
     distinguished one for validation); all set-valued fields use
     frozensets.  neighbourhoods maps modality index -> world ->
-    collection of world sets.
+    collection of world sets: a frozenset, or a Windows when the
+    collection was extracted from a completion set.  Both read the same
+    through membership, iteration, len() and equality.
     """
 
     worlds: tuple[str, ...]
@@ -80,9 +137,9 @@ class NeighbourhoodModel:
     domains: dict[str, frozenset[str]]
     concepts: dict[str, dict[str, frozenset[str]]]
     roles: dict[str, dict[str, frozenset[tuple[str, str]]]]
-    neighbourhoods: dict[int, dict[str, frozenset[frozenset[str]]]] = field(
-        default_factory=dict
-    )
+    neighbourhoods: dict[
+        int, dict[str, frozenset[frozenset[str]] | Windows]
+    ] = field(default_factory=dict)
 
     def world_set(self) -> frozenset[str]:
         return frozenset(self.worlds)
@@ -112,7 +169,12 @@ class NeighbourhoodModel:
             if index < 1:
                 raise ValueError(f"modality index {index} out of range")
             for w, collection in per_world.items():
-                for alpha in collection:
+                if isinstance(collection, Windows):
+                    # Every member lies below some ceiling.
+                    members = (ceil for _, ceil in collection.windows)
+                else:
+                    members = collection
+                for alpha in members:
                     if not alpha <= ws:
                         raise ValueError(
                             f"neighbourhood member at {w!r} is not a set of worlds"
@@ -409,10 +471,36 @@ def intersection_closed_collection(
     return all(a & b in collection for a in collection for b in collection)
 
 
+def _supplemented_by_shape(collection, worlds: frozenset[str]) -> bool:
+    """Windows that all reach up to the full world set are upward closed."""
+    return isinstance(collection, Windows) and all(
+        ceil == worlds for _, ceil in collection.windows
+    )
+
+
+def _meet_closed_by_shape(collection) -> bool:
+    """The meets of two windows' members form the window of the meets of
+    their floors and ceilings; sufficient that each such window is one of
+    the collection's windows."""
+    if not isinstance(collection, Windows):
+        return False
+    windows = collection.windows
+    if len(windows) < 2:
+        return True
+    present = set(windows)
+    return all(
+        (floor_i & floor_j, ceil_i & ceil_j) in present
+        for i, (floor_i, ceil_i) in enumerate(windows)
+        for floor_j, ceil_j in windows[i + 1 :]
+    )
+
+
 def check_frame_class(model: NeighbourhoodModel, frame_class: FrameClass) -> bool:
     """Membership of the model's frame in the given class.
 
-    The supplementation check refuses models with more than
+    Window collections are decided by their shape where it suffices;
+    every other collection is checked member by member.  That
+    supplementation check refuses models with more than
     MAX_WORLDS_FOR_SUPPLEMENTATION worlds (the condition ranges over
     subsets of the world set).
     """
@@ -420,17 +508,20 @@ def check_frame_class(model: NeighbourhoodModel, frame_class: FrameClass) -> boo
         return True
     ws = model.world_set()
     if frame_class is FrameClass.M:
-        if len(ws) > MAX_WORLDS_FOR_SUPPLEMENTATION:
+        rest = [
+            collection
+            for _, _, collection in _collections(model)
+            if not _supplemented_by_shape(collection, ws)
+        ]
+        if rest and len(ws) > MAX_WORLDS_FOR_SUPPLEMENTATION:
             raise ModelTooLargeError(
                 f"supplementation check: {len(ws)} worlds, too large to verify"
             )
-        return all(
-            supplemented_collection(collection, ws)
-            for _, _, collection in _collections(model)
-        )
+        return all(supplemented_collection(c, ws) for c in rest)
     if frame_class is FrameClass.C:
         return all(
-            intersection_closed_collection(collection)
+            _meet_closed_by_shape(collection)
+            or intersection_closed_collection(collection)
             for _, _, collection in _collections(model)
         )
     if frame_class is FrameClass.N:
