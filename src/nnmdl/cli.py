@@ -134,8 +134,9 @@ def _run_solve(config: RunConfig) -> int:
         sys.stderr.write(json.dumps(entry, sort_keys=True) + "\n")
         sys.stderr.flush()
 
+    # Every sat answer is extracted and re-checked; --model-out only
+    # decides whether the model is also written.
     options = SolveOptions(
-        extract=config.model_out is not None,
         validate=config.validate_flag,
         trace=config.trace,
         step_cap=config.cap_steps,

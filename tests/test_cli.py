@@ -61,6 +61,30 @@ def test_solve_sat_writes_validated_model(capsys, tmp_path):
     assert json.loads(out)["valid"] is True
 
 
+def test_solve_validates_without_model_out(capsys, monkeypatch):
+    import nnmdl.extraction
+
+    checked = []
+
+    def failing_validate(model, phi, frame_class):
+        checked.append(model)
+        return False
+
+    monkeypatch.setattr(nnmdl.extraction, "validate", failing_validate)
+    code, out, err = run_cli(capsys, "solve", "--logic", "M", "-e", SAT_SIMPLE)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert "failed validation" in err
+    assert len(checked) == 1 and checked[0].worlds == ("0",)
+
+    code, out, _ = run_cli(
+        capsys, "solve", "--logic", "M", "-e", SAT_SIMPLE, "--no-validate"
+    )
+    assert code == EXIT_SAT
+    assert json.loads(out)["verdict"] == "sat"
+    assert len(checked) == 1
+
+
 def test_validate_rejects_unsupplemented_model(capsys, tmp_path):
     model = {
         "worlds": ["w", "v"],
