@@ -357,13 +357,14 @@ def parse_concept(text: str) -> Concept:
     return result
 
 
-def serialize(term: Concept | Formula) -> str:
-    """Render a concept or formula; parse_formula/parse_concept invert this."""
-    return _render(term, serialize)
+def serialize(term: Concept | Formula, sub=None) -> str:
+    """Render a concept or formula; parse_formula/parse_concept invert this.
 
-
-def _render(term: Concept | Formula, sub) -> str:
-    """Render a term, rendering its children with `sub`."""
+    Children are rendered with `sub`, by default serialize itself;
+    sort_key passes its cache of rendered subterms.
+    """
+    if sub is None:
+        sub = serialize
     if isinstance(term, Top):
         return "top"
     if isinstance(term, Bot):
@@ -656,8 +657,8 @@ _SORT_KEYS: dict[Concept | Formula, str] = {}
 def sort_key(term: Concept | Formula) -> str:
     """Stable canonical ordering key for deterministic iteration: the
     serialized term.  Keys are cached and built children first from the
-    children's keys, so each subterm is rendered once and deep terms need
-    no recursion."""
+    children's keys, with an explicit stack, so each subterm is rendered
+    once and deep terms need no recursion."""
     key = _SORT_KEYS.get(term)
     if key is None:
         stack = [term]
@@ -668,7 +669,6 @@ def sort_key(term: Concept | Formula) -> str:
                 stack.extend(missing)
                 continue
             stack.pop()
-            if top not in _SORT_KEYS:
-                _SORT_KEYS[top] = _render(top, _SORT_KEYS.__getitem__)
+            _SORT_KEYS[top] = serialize(top, _SORT_KEYS.__getitem__)
         key = _SORT_KEYS[term]
     return key
