@@ -45,8 +45,10 @@ from .syntax import (
     Top,
 )
 
-#: Supplementation checks and closures enumerate subsets of the world set;
-#: models beyond this many worlds are rejected rather than silently skipped.
+#: The member-by-member supplementation check and the closures enumerate
+#: subsets of the world set; models beyond this many worlds are rejected
+#: rather than silently skipped (window collections upward closed by shape
+#: need no enumeration).
 MAX_WORLDS_FOR_SUPPLEMENTATION = 16
 
 
