@@ -138,7 +138,6 @@ def _run_solve(config: RunConfig) -> int:
     # decides whether the model is also written.
     options = SolveOptions(
         validate=config.validate_flag,
-        trace=config.trace,
         step_cap=config.cap_steps,
         on_step=stream if config.trace else None,
     )
@@ -230,13 +229,16 @@ def _add_formula_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--file", help="file containing the formula")
 
 
-def _add_common_args(parser: argparse.ArgumentParser) -> None:
+def _add_logic_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--logic",
         choices=[c.value for c in FrameClass],
         default="E",
         help="frame class (default E)",
     )
+
+
+def _add_domain_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--domain",
         choices=["varying", "constant"],
@@ -253,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_solve = sub.add_parser("solve", help="decide satisfiability")
-    _add_common_args(p_solve)
+    _add_logic_arg(p_solve)
+    _add_domain_arg(p_solve)
     _add_formula_args(p_solve)
     p_solve.add_argument("--fragment", action="store_true")
     p_solve.add_argument("--model-out", help="write the witness model here")
@@ -266,19 +269,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--cap-steps", type=int, default=None)
 
     p_oracle = sub.add_parser("oracle", help="brute-force bounded models")
-    _add_common_args(p_oracle)
+    _add_logic_arg(p_oracle)
+    _add_domain_arg(p_oracle)
     _add_formula_args(p_oracle)
     p_oracle.add_argument("--max-worlds", type=int, default=2)
     p_oracle.add_argument("--max-domain", type=int, default=2)
     p_oracle.add_argument("--model-out", help="write the first witness here")
 
     p_validate = sub.add_parser("validate", help="check a stored model")
-    _add_common_args(p_validate)
+    _add_logic_arg(p_validate)
     _add_formula_args(p_validate)
     p_validate.add_argument("--model", required=True, help="model JSON path")
 
     p_abstract = sub.add_parser("abstract", help="propositional abstraction")
-    _add_common_args(p_abstract)
     _add_formula_args(p_abstract)
 
     return parser
@@ -287,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         subcommand=args.subcommand,
-        logic=FrameClass(args.logic),
-        domain_mode=args.domain,
+        logic=FrameClass(getattr(args, "logic", "E")),
+        domain_mode=getattr(args, "domain", "varying"),
         fragment=getattr(args, "fragment", False),
         text=args.expr,
         path=args.file,

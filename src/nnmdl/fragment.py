@@ -37,7 +37,6 @@ from itertools import product
 
 from .semantics import FrameClass
 from .syntax import (
-    cached_hash,
     AndF,
     BoxF,
     CI,
@@ -45,6 +44,7 @@ from .syntax import (
     Formula,
     NotF,
     OrF,
+    Term,
     has_modalised_concept,
     normalize,
 )
@@ -67,43 +67,24 @@ class FragmentCapError(ValueError):
 # Propositional shapes
 # ---------------------------------------------------------------------------
 
-class PFormula:
+class PFormula(Term):
     __slots__ = ()
 
 
-@cached_hash
-@dataclass(frozen=True)
 class PVar(PFormula):
-    name: str
+    __slots__ = _fields = ("name",)
 
 
-@cached_hash
-@dataclass(frozen=True)
 class PNot(PFormula):
-    arg: PFormula
+    __slots__ = _fields = ("arg",)
 
 
-@cached_hash
-@dataclass(frozen=True)
 class PAnd(PFormula):
-    left: PFormula
-    right: PFormula
+    __slots__ = _fields = ("left", "right")
 
 
-@cached_hash
-@dataclass(frozen=True)
-class POr(PFormula):
-    """Used only inside witness patterns; abstractions stay in not/and/box."""
-
-    left: PFormula
-    right: PFormula
-
-
-@cached_hash
-@dataclass(frozen=True)
 class PBox(PFormula):
-    index: int
-    arg: PFormula
+    __slots__ = _fields = ("index", "arg")
 
 
 def pnot(psi: PFormula) -> PFormula:
@@ -118,8 +99,6 @@ def serialize_prop(psi: PFormula) -> str:
         return f"(not {serialize_prop(psi.arg)})"
     if isinstance(psi, PAnd):
         return f"(and {serialize_prop(psi.left)} {serialize_prop(psi.right)})"
-    if isinstance(psi, POr):
-        return f"(or {serialize_prop(psi.left)} {serialize_prop(psi.right)})"
     if isinstance(psi, PBox):
         return f"(box {psi.index} {serialize_prop(psi.arg)})"
     raise TypeError(f"not a propositional formula: {psi!r}")
@@ -185,7 +164,7 @@ def sub_closure(prop: PFormula) -> frozenset[PFormula]:
         base.add(psi)
         if isinstance(psi, PNot):
             walk(psi.arg)
-        elif isinstance(psi, (PAnd, POr)):
+        elif isinstance(psi, PAnd):
             walk(psi.left)
             walk(psi.right)
         elif isinstance(psi, PBox):
@@ -215,30 +194,6 @@ class SupportSet:
     """Valuations surviving the witness elimination."""
 
     members: frozenset[Valuation]
-
-
-def eval_bool(valuation: Valuation, sub: frozenset[PFormula], chi: PFormula) -> int:
-    """Boolean value of a combination of closure members.
-
-    Members of the closure are read off the valuation directly (boxes
-    included); connectives above them evaluate structurally.  An atom
-    outside the closure is an error.
-    """
-    if chi in sub:
-        return valuation.value(chi)
-    if isinstance(chi, PNot):
-        return 1 - eval_bool(valuation, sub, chi.arg)
-    if isinstance(chi, PAnd):
-        return min(
-            eval_bool(valuation, sub, chi.left),
-            eval_bool(valuation, sub, chi.right),
-        )
-    if isinstance(chi, POr):
-        return max(
-            eval_bool(valuation, sub, chi.left),
-            eval_bool(valuation, sub, chi.right),
-        )
-    raise ValueError(f"atom outside the closure: {serialize_prop(chi)}")
 
 
 def _conjunction(formulas: list[Formula]) -> Formula:
@@ -338,50 +293,37 @@ def _requirements(
     boxes: dict[int, list[PBox]],
     frame_class: FrameClass,
 ):
-    """Witness patterns this valuation's box values demand."""
+    """Witness patterns this valuation's box values demand, as pairs
+    (bodies, refuted): a survivor must give the conjunction of `bodies`
+    (true when empty) a different value from `refuted`."""
     for index, group in sorted(boxes.items()):
         ones = [b for b in group if valuation.value(b) == 1]
         zeros = [b for b in group if valuation.value(b) == 0]
         if frame_class is FrameClass.N:
             for b in zeros:
-                yield ("refute", b.arg)
+                yield ((), b.arg)
             for b1 in ones:
                 for b2 in zeros:
-                    yield ("separate", (b1.arg,), b2.arg)
+                    yield ((b1.arg,), b2.arg)
         else:  # intersection-closed
             for chosen in _nonempty_subsets(ones):
                 for b2 in zeros:
-                    yield (
-                        "separate",
-                        tuple(b.arg for b in chosen),
-                        b2.arg,
-                    )
-
-
-def _witness_formula(requirement) -> PFormula:
-    if requirement[0] == "refute":
-        return pnot(requirement[1])
-    _, bodies, refuted = requirement
-    conj = bodies[0]
-    for body in bodies[1:]:
-        conj = PAnd(conj, body)
-    pattern: PFormula = PAnd(conj, pnot(refuted))
-    for body in bodies:
-        pattern = POr(pattern, PAnd(pnot(body), refuted))
-    return pattern
+                    yield (tuple(b.arg for b in chosen), b2.arg)
 
 
 def _has_witness(
     requirement,
     survivors: list[Valuation],
-    sub: frozenset[PFormula],
     cache: dict,
 ) -> bool:
     hit = cache.get(requirement)
     if hit is not None:
         return hit
-    pattern = _witness_formula(requirement)
-    answer = any(eval_bool(v, sub, pattern) == 1 for v in survivors)
+    bodies, refuted = requirement
+    answer = any(
+        all(v.value(body) for body in bodies) != v.value(refuted)
+        for v in survivors
+    )
     cache[requirement] = answer
     return answer
 
@@ -420,7 +362,7 @@ def solve_fragment(phi: Formula, frame_class: FrameClass) -> FragmentResult:
             v
             for v in survivors
             if all(
-                _has_witness(req, survivors, sub, cache)
+                _has_witness(req, survivors, cache)
                 for req in _requirements(v, boxes, frame_class)
             )
         ]

@@ -9,165 +9,150 @@ internalized to the form ``top <= C``), the structural weight measure used
 as a termination/induction ordering, and the closure sets over which the
 solver's search state ranges.
 
-All AST nodes are frozen dataclasses: immutable, hashable, structurally
-comparable, and safe to share between concurrent solver instances.
+All AST nodes are interned (hash-consed) `Term`s: building a node from
+the same class and fields returns the one existing object, so equal terms
+are identical, equality and hashing cost constant time at any depth, and
+the immutable nodes are safe to share between concurrent solver instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
+
+#: The one intern table: (class, *fields) -> the node with those fields.
+_TERMS: dict[tuple, Term] = {}
 
 
-def cached_hash(cls):
-    """Memoize the structural hash of a frozen dataclass on the instance.
+class Term:
+    """Interned syntax node.
 
-    Terms are used as dictionary keys throughout the solver; without this
-    every lookup re-hashes the whole subtree.
+    Building a node from the same class and fields gives back the existing
+    node, so equality and hashing are object identity: constant time and
+    no recursion, however deep the term.  Nodes enter the table through
+    `dict.setdefault`, so threads that build equal terms concurrently
+    still get one object.  A subclass lists its fields once, as both
+    `__slots__` and `_fields`; fields cannot be assigned after
+    construction.  `_sort_key` caches the key `sort_key` computes.
     """
-    structural = cls.__hash__
 
-    def __hash__(self):
-        value = self.__dict__.get("_hash")
-        if value is None:
-            value = structural(self)
-            object.__setattr__(self, "_hash", value)
-        return value
+    __slots__ = ("_sort_key",)
+    _fields: tuple[str, ...] = ()
 
-    cls.__hash__ = __hash__
-    return cls
+    def __new__(cls, *args):
+        key = (cls, *args)
+        node = _TERMS.get(key)
+        if node is None:
+            if len(args) != len(cls._fields):
+                raise TypeError(
+                    f"{cls.__qualname__} takes {len(cls._fields)} fields, "
+                    f"got {len(args)}"
+                )
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, args):
+                object.__setattr__(node, name, value)
+            object.__setattr__(node, "_sort_key", None)
+            node = _TERMS.setdefault(key, node)
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields
+        )
+        return f"{type(self).__qualname__}({fields})"
 
 
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
 
-class Concept:
+class Concept(Term):
     """Base class for concept expressions."""
 
     __slots__ = ()
 
 
-@cached_hash
-@dataclass(frozen=True)
 class AtomicConcept(Concept):
-    name: str
+    __slots__ = _fields = ("name",)
 
 
-@cached_hash
-@dataclass(frozen=True)
 class Top(Concept):
-    pass
+    __slots__ = _fields = ()
 
 
-@cached_hash
-@dataclass(frozen=True)
 class Bot(Concept):
-    pass
+    __slots__ = _fields = ()
 
 
-@cached_hash
-@dataclass(frozen=True)
 class Not(Concept):
-    arg: Concept
+    __slots__ = _fields = ("arg",)
 
 
-@cached_hash
-@dataclass(frozen=True)
 class And(Concept):
-    left: Concept
-    right: Concept
+    __slots__ = _fields = ("left", "right")
 
 
-@cached_hash
-@dataclass(frozen=True)
 class Or(Concept):
-    left: Concept
-    right: Concept
+    __slots__ = _fields = ("left", "right")
 
 
-@cached_hash
-@dataclass(frozen=True)
 class Exists(Concept):
-    role: str
-    arg: Concept
+    __slots__ = _fields = ("role", "arg")
 
 
-@cached_hash
-@dataclass(frozen=True)
 class Forall(Concept):
-    role: str
-    arg: Concept
+    __slots__ = _fields = ("role", "arg")
 
 
-@cached_hash
-@dataclass(frozen=True)
 class Box(Concept):
-    index: int
-    arg: Concept
+    __slots__ = _fields = ("index", "arg")
 
 
-@cached_hash
-@dataclass(frozen=True)
 class Dia(Concept):
-    index: int
-    arg: Concept
+    __slots__ = _fields = ("index", "arg")
 
 
-class Formula:
+class Formula(Term):
     """Base class for formula expressions."""
 
     __slots__ = ()
 
 
-@cached_hash
-@dataclass(frozen=True)
 class CI(Formula):
     """Concept inclusion ``left <= right``."""
 
-    left: Concept
-    right: Concept
+    __slots__ = _fields = ("left", "right")
 
 
-@cached_hash
-@dataclass(frozen=True)
 class NotF(Formula):
-    arg: Formula
+    __slots__ = _fields = ("arg",)
 
 
-@cached_hash
-@dataclass(frozen=True)
 class AndF(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@cached_hash
-@dataclass(frozen=True)
 class OrF(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@cached_hash
-@dataclass(frozen=True)
 class BoxF(Formula):
-    index: int
-    arg: Formula
+    __slots__ = _fields = ("index", "arg")
 
 
-@cached_hash
-@dataclass(frozen=True)
 class DiaF(Formula):
-    index: int
-    arg: Formula
+    __slots__ = _fields = ("index", "arg")
 
 
 TOP = Top()
 BOT = Bot()
-
-#: ``true`` as a formula: the inclusion bot <= top, valid in every world.
-TRUE = CI(BOT, TOP)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +346,7 @@ def serialize(term: Concept | Formula, sub=None) -> str:
     """Render a concept or formula; parse_formula/parse_concept invert this.
 
     Children are rendered with `sub`, by default serialize itself;
-    sort_key passes its cache of rendered subterms.
+    sort_key passes the keys already stored on the children.
     """
     if sub is None:
         sub = serialize
@@ -563,50 +548,47 @@ class Closure:
         return len(self.con_neg) + len(self.for_neg) + len(self.roles)
 
 
-def subconcepts(concept: Concept) -> set[Concept]:
-    out = {concept}
-    if isinstance(concept, Not):
-        out |= subconcepts(concept.arg)
-    elif isinstance(concept, (And, Or)):
-        out |= subconcepts(concept.left)
-        out |= subconcepts(concept.right)
-    elif isinstance(concept, (Exists, Forall, Box, Dia)):
-        out |= subconcepts(concept.arg)
+def _subterms(term: Concept | Formula) -> list:
+    """Distinct subterms of a term, both sides of every inclusion
+    included, each listed after its own subterms.  Built with an explicit
+    stack, so deep terms need no recursion."""
+    out: list = []
+    seen: set = set()
+    stack = [(term, False)]
+    while stack:
+        top, expanded = stack.pop()
+        if expanded:
+            out.append(top)
+        elif top not in seen:
+            seen.add(top)
+            stack.append((top, True))
+            stack.extend((c, False) for c in _children(top))
     return out
 
 
 def subformulas(phi: Formula) -> set[Formula]:
-    out = {phi}
-    if isinstance(phi, NotF):
-        out |= subformulas(phi.arg)
-    elif isinstance(phi, (AndF, OrF)):
-        out |= subformulas(phi.left)
-        out |= subformulas(phi.right)
-    elif isinstance(phi, (BoxF, DiaF)):
-        out |= subformulas(phi.arg)
-    return out
+    return {t for t in _subterms(phi) if isinstance(t, Formula)}
 
 
 def formula_concepts(phi: Formula) -> set[Concept]:
     """All concepts occurring in phi (both sides of every inclusion)."""
-    out: set[Concept] = set()
-    for psi in subformulas(phi):
-        if isinstance(psi, CI):
-            out |= subconcepts(psi.left)
-            out |= subconcepts(psi.right)
-    return out
+    return {t for t in _subterms(phi) if isinstance(t, Concept)}
 
 
 def closure(phi: Formula) -> Closure:
-    """Closure sets of a normalized formula."""
-    con = formula_concepts(phi)
-    con_neg = con | {neg_nnf(c) for c in con}
-    fors = subformulas(phi)
-    for_neg = fors | {neg_nnf(f) for f in fors}
-    roles = {
+    """Closure sets of a normalized formula.
+
+    Subterms are negated children first, so every `neg_nnf` call finds
+    its children's negations cached and recursion stays shallow however
+    deep the formula."""
+    terms = _subterms(phi)
+    terms += [neg_nnf(t) for t in terms]
+    con_neg = frozenset(t for t in terms if isinstance(t, Concept))
+    for_neg = frozenset(t for t in terms if isinstance(t, Formula))
+    roles = frozenset(
         c.role for c in con_neg if isinstance(c, (Exists, Forall))
-    }
-    return Closure(frozenset(con_neg), frozenset(for_neg), frozenset(roles))
+    )
+    return Closure(con_neg, for_neg, roles)
 
 
 def concept_names(phi: Formula) -> frozenset[str]:
@@ -651,24 +633,24 @@ def _children(term: Concept | Formula) -> tuple:
     return (term.arg,)
 
 
-_SORT_KEYS: dict[Concept | Formula, str] = {}
+_cached_key = attrgetter("_sort_key")
 
 
 def sort_key(term: Concept | Formula) -> str:
     """Stable canonical ordering key for deterministic iteration: the
-    serialized term.  Keys are cached and built children first from the
-    children's keys, with an explicit stack, so each subterm is rendered
-    once and deep terms need no recursion."""
-    key = _SORT_KEYS.get(term)
+    serialized term.  Each key is stored on its node and built children
+    first from the children's stored keys, with an explicit stack, so
+    each subterm is rendered once and deep terms need no recursion."""
+    key = term._sort_key
     if key is None:
         stack = [term]
         while stack:
             top = stack[-1]
-            missing = [c for c in _children(top) if c not in _SORT_KEYS]
+            missing = [c for c in _children(top) if c._sort_key is None]
             if missing:
                 stack.extend(missing)
                 continue
             stack.pop()
-            _SORT_KEYS[top] = serialize(top, _SORT_KEYS.__getitem__)
-        key = _SORT_KEYS[term]
+            object.__setattr__(top, "_sort_key", serialize(top, _cached_key))
+        key = term._sort_key
     return key

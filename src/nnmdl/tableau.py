@@ -879,9 +879,7 @@ def apply(
     return out
 
 
-def applied_constraints(
-    tableau: CompletionSet, inst: RuleInstance, branch: int
-) -> list[str]:
+def applied_constraints(inst: RuleInstance, branch: int) -> list[str]:
     """Human/trace rendering of what a branch would add (without applying)."""
     out = []
     for item in inst.branches[branch]:
@@ -959,7 +957,7 @@ class _Search:
                 "rule": inst.rule,
                 "label": inst.label,
                 "branch": branch,
-                "added": applied_constraints(tableau, inst, branch),
+                "added": applied_constraints(inst, branch),
             }
             if on_step is not None:
                 on_step(entry)

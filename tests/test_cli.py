@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from nnmdl import cli
 from nnmdl.cli import EXIT_ERROR, EXIT_SAT, EXIT_UNSAT, main
 
 UNSAT_E = "(and (box 1 (sub top (atom A))) (dia 1 (not (sub top (atom A)))))"
@@ -229,16 +230,42 @@ def test_golden_solve_output(capsys):
     }
 
 
-def test_internal_error_is_not_a_verdict(capsys):
-    # 520 nested conjunctions overflow the interpreter's stack today; the
-    # failure must exit 2, never 1 (which means unsat).
-    text = "(sub top (atom A))"
-    for _ in range(520):
-        text = f"(and {text} (sub top (atom A)))"
-    code, out, err = run_cli(capsys, "solve", "-e", text)
+def test_internal_error_is_not_a_verdict(capsys, monkeypatch):
+    # An unexpected exception must exit 2, never 0 or 1 (sat or unsat).
+    def broken(*args, **kwargs):
+        raise RuntimeError("engine defect")
+
+    monkeypatch.setattr(cli, "solve", broken)
+    code, out, err = run_cli(capsys, "solve", "-e", SAT_SIMPLE)
     assert code == EXIT_ERROR
     assert out == ""
-    assert err.startswith("error: internal error: ")
+    assert err == "error: internal error: RuntimeError: engine defect\n"
+
+
+def _chain(depth: int, left: bool) -> str:
+    text = "(sub top (atom A))"
+    for _ in range(depth):
+        if left:
+            text = f"(and {text} (sub top (atom A)))"
+        else:
+            text = f"(and (sub top (atom A)) {text})"
+    return text
+
+
+@pytest.mark.parametrize("left", [True, False])
+def test_deep_chain_solves(capsys, left):
+    code, out, err = run_cli(capsys, "solve", "-e", _chain(520, left))
+    assert code == EXIT_SAT
+    assert json.loads(out)["verdict"] == "sat"
+    assert err == ""
+
+
+def test_parser_overflow_is_not_a_verdict(capsys):
+    # The recursive parser still overflows far below this depth.
+    code, out, err = run_cli(capsys, "solve", "-e", _chain(3000, True))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_formula_from_file(capsys, tmp_path):

@@ -3,17 +3,16 @@ import random
 import pytest
 
 from nnmdl.fragment import (
+    _has_witness,
     FragmentCapError,
     FragmentError,
     PAnd,
     PBox,
     PNot,
-    POr,
     PVar,
     Valuation,
     alc_consistent,
     check_g_fragment,
-    eval_bool,
     pnot,
     prop_abstraction,
     serialize_prop,
@@ -137,34 +136,30 @@ def _valuation(sub, true_atoms):
     return Valuation(frozenset(psi for psi in sub if truth(psi)))
 
 
-def test_eval_bool_negation_and_conjunction():
-    abstraction = prop_abstraction(AndF(P, Q))
-    sub = sub_closure(abstraction.prop_formula)
-    v = _valuation(sub, {PVar("p1")})
-    assert eval_bool(v, sub, PNot(PVar("p1"))) == 0
-    assert eval_bool(v, sub, PAnd(PVar("p1"), PNot(PVar("p2")))) == 1
-    assert eval_bool(v, sub, POr(PVar("p2"), PVar("p1"))) == 1
+# Requirement (bodies, refuted) and the valuations of p1 p2 p3 (as bit
+# strings) that witness it: the conjunction of the bodies, true when there
+# are none, takes a different value from the refuted formula.
+WITNESS_TABLE = [
+    ((), "p1", {"000", "001", "010", "011"}),
+    (("p1",), "p2", {"100", "101", "010", "011"}),
+    (("p1", "p2"), "p3", {"110", "001", "011", "101"}),
+]
 
 
-def test_eval_bool_rejects_foreign_atoms():
-    abstraction = prop_abstraction(P)
-    sub = sub_closure(abstraction.prop_formula)
-    v = _valuation(sub, set())
-    with pytest.raises(ValueError, match="outside"):
-        eval_bool(v, sub, PVar("p9"))
-
-
-def test_eval_bool_three_literal_witness_table():
+def test_has_witness_table():
     abstraction = prop_abstraction(AndF(AndF(P, Q), CI(Top(), Not(A))))
     sub = sub_closure(abstraction.prop_formula)
-    chi = POr(PAnd(PVar("p1"), PNot(PVar("p2"))), PVar("p3"))
+    valuations = {}
     for bits in range(8):
-        atoms = {
-            PVar(f"p{i + 1}") for i in range(3) if bits >> i & 1
-        }
-        v = _valuation(sub, atoms)
-        expected = (bool(bits & 1) and not bits & 2) or bool(bits & 4)
-        assert eval_bool(v, sub, chi) == int(expected)
+        name = f"{bits:03b}"
+        atoms = {PVar(f"p{i + 1}") for i, c in enumerate(name) if c == "1"}
+        valuations[name] = _valuation(sub, atoms)
+    for bodies, refuted, witnesses in WITNESS_TABLE:
+        req = (tuple(PVar(b) for b in bodies), PVar(refuted))
+        for name, v in valuations.items():
+            assert _has_witness(req, [v], {}) == (name in witnesses), (req, name)
+        assert not _has_witness(req, [], {})
+        assert _has_witness(req, list(valuations.values()), {})
 
 
 # -- the decision procedure -----------------------------------------------------------

@@ -1,7 +1,9 @@
 import random
+import threading
 
 import pytest
 
+from nnmdl.fragment import PAnd, PBox, PNot, PVar
 from nnmdl.syntax import (
     And,
     AndF,
@@ -201,3 +203,64 @@ def test_normalization_keeps_nnf_shape():
 
     for _ in range(500):
         assert nnf_ok(normalize(random_raw_formula_any(rng)))
+
+
+# -- interning ----------------------------------------------------------------
+
+def test_parsing_twice_gives_one_object():
+    text = "(and (sub top (atom A)) (box 1 (sub (atom A) (some r (atom B)))))"
+    assert parse_formula(text) is parse_formula(text)
+    assert parse_concept("(and top (atom A))") is And(Top(), A)
+
+
+def test_rewrites_return_interned_terms_random():
+    rng = random.Random(41)
+    for _ in range(1000):
+        phi = normalize(random_raw_formula_any(rng))
+        assert normalize(phi) is phi
+        clo = closure(phi)
+        for t in clo.con_neg | clo.for_neg:
+            assert neg_nnf(neg_nnf(t)) is t
+
+
+def test_terms_are_immutable():
+    with pytest.raises(AttributeError):
+        A.name = "B"
+    with pytest.raises(AttributeError):
+        del A.name
+    with pytest.raises(AttributeError):
+        Top().extra = 1
+    assert A.name == "A"
+
+
+def test_repr_names_the_fields():
+    assert repr(BoxF(1, CI(Top(), A))) == (
+        "BoxF(index=1, arg=CI(left=Top(), right=AtomicConcept(name='A')))"
+    )
+
+
+def test_fragment_terms_are_interned():
+    assert PAnd(PVar("p1"), PNot(PBox(1, PVar("p2")))) is PAnd(
+        PVar("p1"), PNot(PBox(1, PVar("p2")))
+    )
+    assert PVar("A") is not AtomicConcept("A")
+    assert PVar("A") != AtomicConcept("A")
+
+
+def test_threads_building_equal_terms_get_one_object():
+    barrier = threading.Barrier(2)
+    built: list[list] = [[], []]
+
+    def build(slot: int) -> None:
+        barrier.wait()
+        for i in range(2000):
+            atom = AtomicConcept(f"Thread{i}")
+            built[slot].append(CI(Top(), And(atom, Exists("r", Not(atom)))))
+
+    threads = [threading.Thread(target=build, args=(k,)) for k in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(built[0]) == 2000
+    assert all(a is b for a, b in zip(*built))
