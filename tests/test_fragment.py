@@ -11,6 +11,7 @@ from nnmdl.fragment import (
     PNot,
     PVar,
     Valuation,
+    _valuations,
     alc_consistent,
     check_g_fragment,
     pnot,
@@ -134,6 +135,41 @@ def _valuation(sub, true_atoms):
         raise AssertionError(psi)
 
     return Valuation(frozenset(psi for psi in sub if truth(psi)))
+
+
+def _letter(abstraction, ci):
+    (letter,) = [
+        name for name in abstraction.letters if abstraction.ci_of(name) == ci
+    ]
+    return PVar(letter)
+
+
+def test_eval_bool_negation_and_conjunction():
+    abstraction = prop_abstraction(AndF(P, Q))
+    sub = sub_closure(abstraction.prop_formula)
+    p, q = _letter(abstraction, P), _letter(abstraction, Q)
+    (v,) = [
+        v
+        for v in _valuations(abstraction, sub, {})
+        if v.value(p) == 1 and v.value(q) == 0
+    ]
+    assert v.value(PNot(p)) == 0
+    assert v.value(PNot(q)) == 1
+    assert v.value(PAnd(p, q)) == 0
+    assert v.value(PNot(PAnd(p, q))) == 1
+
+
+def test_eval_bool_three_literal_witness_table():
+    # (P and not Q) or R, abstracted to not(not(p and not q) and not r)
+    R = CI(Top(), AtomicConcept("C"))
+    abstraction = prop_abstraction(OrF(AndF(P, NotF(Q)), R))
+    sub = sub_closure(abstraction.prop_formula)
+    p, q, r = (_letter(abstraction, ci) for ci in (P, Q, R))
+    valuations = _valuations(abstraction, sub, {})
+    assert len(valuations) == 8
+    for v in valuations:
+        expected = (v.value(p) and not v.value(q)) or v.value(r)
+        assert v.value(abstraction.prop_formula) == int(bool(expected))
 
 
 # Requirement (bodies, refuted) and the valuations of p1 p2 p3 (as bit
