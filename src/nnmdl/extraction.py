@@ -116,9 +116,7 @@ def extract_model(
     checked here: it is the caller's responsibility, and `validate` only
     tests the model this returns.
     """
-    from .tableau import is_clash
-
-    if is_clash(tableau):
+    if tableau.clash:
         raise ValueError("completion set has a clash")
     labels = tableau.label_order
     world_ids = tuple(str(n) for n in labels)

@@ -247,39 +247,11 @@ class NeighbourhoodModel:
         return cls.from_json_dict(json.loads(text))
 
 
-_MISS = object()
-
-
-class EvaluationCache:
-    """Read-only evaluation results shared across models that agree on
-    everything except their neighbourhood functions.
-
-    Only entries for modality-free terms may be stored here; their values
-    never depend on the neighbourhoods.
-    """
-
-    __slots__ = ("concept_ext", "formula_holds", "concept_sets", "formula_sets")
-
-    def __init__(self):
-        self.concept_ext: dict = {}
-        self.formula_holds: dict = {}
-        self.concept_sets: dict = {}
-        self.formula_sets: dict = {}
-
-
-_EMPTY_CACHE = EvaluationCache()
-
-
 class Evaluator:
     """Memoizing evaluator bound to a single model."""
 
-    def __init__(
-        self,
-        model: NeighbourhoodModel,
-        cache: EvaluationCache | None = None,
-    ):
+    def __init__(self, model: NeighbourhoodModel):
         self.model = model
-        self._base = cache if cache is not None else _EMPTY_CACHE
         self._concept_memo: dict[tuple[str, Concept], frozenset[str]] = {}
         self._formula_memo: dict[tuple[str, Formula], bool] = {}
         self._concept_set_memo: dict[tuple[str, Concept], frozenset[str]] = {}
@@ -295,10 +267,8 @@ class Evaluator:
         if world not in self.model.domains:
             raise ValueError(f"unknown world {world!r}")
         key = (world, concept)
-        cached = self._concept_memo.get(key, _MISS)
-        if cached is _MISS:
-            cached = self._base.concept_ext.get(key, _MISS)
-        if cached is not _MISS:
+        cached = self._concept_memo.get(key)
+        if cached is not None:
             return cached
         model = self.model
         dom = model.domains[world]
@@ -348,10 +318,8 @@ class Evaluator:
 
     def concept_truth_set(self, element: str, concept: Concept) -> frozenset[str]:
         key = (element, concept)
-        cached = self._concept_set_memo.get(key, _MISS)
-        if cached is _MISS:
-            cached = self._base.concept_sets.get(key, _MISS)
-        if cached is not _MISS:
+        cached = self._concept_set_memo.get(key)
+        if cached is not None:
             return cached
         out = frozenset(
             v
@@ -365,10 +333,8 @@ class Evaluator:
         if world not in self.model.domains:
             raise ValueError(f"unknown world {world!r}")
         key = (world, phi)
-        cached = self._formula_memo.get(key, _MISS)
-        if cached is _MISS:
-            cached = self._base.formula_holds.get(key, _MISS)
-        if cached is not _MISS:
+        cached = self._formula_memo.get(key)
+        if cached is not None:
             return cached
         if isinstance(phi, CI):
             out = self.concept_ext(world, phi.left) <= self.concept_ext(
@@ -394,29 +360,12 @@ class Evaluator:
         return out
 
     def formula_truth_set(self, phi: Formula) -> frozenset[str]:
-        cached = self._formula_set_memo.get(phi, _MISS)
-        if cached is _MISS:
-            cached = self._base.formula_sets.get(phi, _MISS)
-        if cached is not _MISS:
+        cached = self._formula_set_memo.get(phi)
+        if cached is not None:
             return cached
         out = frozenset(v for v in self.model.worlds if self.holds(v, phi))
         self._formula_set_memo[phi] = out
         return out
-
-    def export_cache(self) -> EvaluationCache:
-        """Snapshot of everything computed so far, for reuse on models with
-        the same modality-free part.  Only meaningful when every request
-        made of this evaluator concerned modality-free terms."""
-        cache = EvaluationCache()
-        cache.concept_ext.update(self._base.concept_ext)
-        cache.concept_ext.update(self._concept_memo)
-        cache.formula_holds.update(self._base.formula_holds)
-        cache.formula_holds.update(self._formula_memo)
-        cache.concept_sets.update(self._base.concept_sets)
-        cache.concept_sets.update(self._concept_set_memo)
-        cache.formula_sets.update(self._base.formula_sets)
-        cache.formula_sets.update(self._formula_set_memo)
-        return cache
 
 
 def interpret_concept(

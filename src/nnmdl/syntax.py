@@ -607,15 +607,14 @@ def role_names(phi: Formula) -> frozenset[str]:
 
 def modality_count(term: Concept | Formula) -> int:
     """Largest modality index occurring in the term (0 if none)."""
-    if isinstance(term, (Box, Dia, BoxF, DiaF)):
-        return max(term.index, modality_count(term.arg))
-    if isinstance(term, (Not, NotF, Exists, Forall)):
-        return modality_count(term.arg)
-    if isinstance(term, (And, Or, AndF, OrF)):
-        return max(modality_count(term.left), modality_count(term.right))
-    if isinstance(term, CI):
-        return max(modality_count(term.left), modality_count(term.right))
-    return 0
+    return max(
+        (
+            t.index
+            for t in _subterms(term)
+            if isinstance(t, (Box, Dia, BoxF, DiaF))
+        ),
+        default=0,
+    )
 
 
 def has_modalised_concept(phi: Formula) -> bool:

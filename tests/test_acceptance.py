@@ -14,7 +14,13 @@ import pytest
 
 from nnmdl.extraction import validate
 from nnmdl.fragment import solve_fragment
-from nnmdl.oracle import SAT, OracleBounds, brute_force_sat
+from nnmdl.oracle import (
+    SAT,
+    OracleBounds,
+    brute_force_sat,
+    count_models,
+    formula_signature,
+)
 from nnmdl.semantics import (
     FrameClass,
     add_unit,
@@ -43,6 +49,11 @@ CORPUS_SIZE = 500
 FRAGMENT_SEED = 99120
 FRAGMENT_SIZE = 200
 CLASSES = (FrameClass.E, FrameClass.M, FrameClass.C, FrameClass.N)
+#: Three worlds with one element each, for every corpus answer whose
+#: class-filtered space at these bounds has at most SLICE_BUDGET models
+#: (a cap above count_candidates' raw count, which the filter keeps small).
+SLICE_BOUNDS = OracleBounds(max_worlds=3, max_domain=1, candidate_cap=10**10)
+SLICE_BUDGET = 600_000
 
 
 @dataclass
@@ -166,6 +177,36 @@ def test_termination_bounds(corpus_results):
             assert outcome.max_label_constraints <= constraint_cap, case.text
     print("\nPASS termination bounds: label and per-label constraint budgets "
           "respected across the corpus")
+
+
+def test_three_world_slice(corpus_results):
+    cases, _ = corpus_results
+    started = time.time()
+    checked = oracle_sat = became_sat = 0
+    violations = []
+    for case in cases:
+        phi = parse_formula(case.text)
+        signature = formula_signature(phi)
+        for fc in CLASSES:
+            if count_models(signature, SLICE_BOUNDS, fc) > SLICE_BUDGET:
+                continue
+            checked += 1
+            if brute_force_sat(phi, fc, SLICE_BOUNDS).verdict != SAT:
+                continue
+            oracle_sat += 1
+            outcome = case.per_class[fc]
+            if outcome.tableau_verdict != "sat":
+                violations.append((fc.value, case.text))
+            if outcome.oracle_verdict != SAT:
+                became_sat += 1
+    assert not violations, violations[:5]
+    assert checked > CORPUS_SIZE
+    print(
+        f"\nPASS three-world slice: {checked} corpus answers re-decided over "
+        f"3 worlds x 1 element, {oracle_sat} enumeration-sat cases all "
+        f"confirmed, {became_sat} of them unsat-within-bounds at 2 worlds "
+        f"({time.time() - started:.0f}s)"
+    )
 
 
 SEPARATION_TABLE = [

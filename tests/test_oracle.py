@@ -10,6 +10,7 @@ from nnmdl.oracle import (
     Signature,
     brute_force_sat,
     count_candidates,
+    count_models,
     enumerate_models,
     formula_signature,
 )
@@ -27,7 +28,7 @@ from nnmdl.syntax import (
     parse_formula,
 )
 
-from corpus import random_normalized_formula
+from corpus import random_normalized_formula, random_raw_formula_any
 
 P = CI(Top(), AtomicConcept("A"))
 
@@ -52,6 +53,14 @@ def test_enumeration_bounds_too_large():
     bounds = OracleBounds(max_worlds=3, max_domain=2)
     with pytest.raises(BoundsTooLargeError):
         next(enumerate_models(signature, bounds, FrameClass.E))
+
+
+def test_count_models_matches_enumeration():
+    signature = Signature(("A",), ("r",), 1)
+    bounds = OracleBounds(max_worlds=2, max_domain=1)
+    for fc in FrameClass:
+        enumerated = sum(1 for _ in enumerate_models(signature, bounds, fc))
+        assert count_models(signature, bounds, fc) == enumerated
 
 
 def test_count_candidates_closed_form():
@@ -140,8 +149,6 @@ def test_witness_model_satisfies_formula():
 
 def test_verdict_invariant_under_normalization():
     rng = random.Random(201)
-    from corpus import random_raw_formula_any
-
     count = 0
     while count < 25:
         raw = random_raw_formula_any(rng, depth=2)
@@ -174,3 +181,85 @@ def test_constant_domain_mode_produces_equal_domains():
         assert model.constant_domain
         domains = {model.domains[w] for w in model.worlds}
         assert len(domains) == 1
+
+
+# -- the mask evaluator against the reference evaluator -----------------------
+
+#: Bounds of the differential below: three worlds with one element each in
+#: both domain modes; two worlds with one element, where most modal
+#: formulas fit the budget; one world with up to three elements, for role
+#: pairs; and the default bounds, whose varying domains give elements that
+#: some worlds lack.
+REFERENCE_BOUNDS = (
+    OracleBounds(max_worlds=3, max_domain=1, candidate_cap=10**10),
+    OracleBounds(
+        max_worlds=3, max_domain=1, domain_mode="constant", candidate_cap=10**10
+    ),
+    OracleBounds(max_worlds=2, max_domain=1),
+    OracleBounds(max_worlds=1, max_domain=3),
+    OracleBounds(),
+)
+#: Largest class-filtered space walked per (formula, class, bounds).
+REFERENCE_BUDGET = 8_000
+REFERENCE_DRAWS = 80
+
+
+def reference_walk(phi, fc, bounds):
+    """First model in enumeration order with a world where `satisfies`
+    holds: (model, world, models walked), or (None, None, models walked)."""
+    walked = 0
+    for model in enumerate_models(formula_signature(phi), bounds, fc):
+        walked += 1
+        for world in model.worlds:
+            if satisfies(model, world, phi):
+                return model, world, walked
+    return None, None, walked
+
+
+#: Formulas whose first witness (or full sweep) depends on role pairs of
+#: elements past d0, and on boxes at worlds that lack the element.
+REFERENCE_FORMULAS = (
+    "(not (sub (some r (atom A)) (atom A)))",
+    "(not (sub (box 1 top) top))",
+)
+
+
+def reference_formulas():
+    """The fixed formulas, then a seeded sample of normalized and raw
+    formulas; raw ones add inclusions with a left side other than top and
+    negations above compound concepts."""
+    for text in REFERENCE_FORMULAS:
+        yield parse_formula(text)
+    rng = random.Random(907)
+    for _ in range(REFERENCE_DRAWS):
+        yield random_normalized_formula(rng)
+        yield random_raw_formula_any(rng, 2)
+
+
+def reference_cases():
+    """(formula, class, bounds) triples whose class-filtered space fits the
+    budget."""
+    for phi in reference_formulas():
+        signature = formula_signature(phi)
+        for bounds in REFERENCE_BOUNDS:
+            for fc in FrameClass:
+                if count_models(signature, bounds, fc) <= REFERENCE_BUDGET:
+                    yield phi, fc, bounds
+
+
+def test_mask_evaluation_matches_reference_evaluator():
+    cases = hits = 0
+    for phi, fc, bounds in reference_cases():
+        cases += 1
+        model, world, walked = reference_walk(phi, fc, bounds)
+        result = brute_force_sat(phi, fc, bounds)
+        assert result.models_checked == walked, (phi, fc, bounds)
+        if model is None:
+            assert result.verdict == UNSAT_WITHIN_BOUNDS, (phi, fc, bounds)
+            assert result.model is None and result.world is None
+        else:
+            hits += 1
+            assert result.verdict == SAT, (phi, fc, bounds)
+            assert result.world == world
+            assert result.model == model
+    assert 0 < hits < cases

@@ -189,6 +189,16 @@ def test_modality_count_inferred():
     assert modality_count(parse_formula("(sub top top)")) == 0
 
 
+def test_signature_of_deep_chain_needs_no_recursion():
+    from nnmdl.oracle import Signature, formula_signature
+
+    phi = BoxF(2, CI(Top(), Exists("r", A)))
+    for _ in range(3_000):
+        phi = AndF(phi, CI(Top(), B))
+    assert modality_count(phi) == 2
+    assert formula_signature(phi) == Signature(("A", "B"), ("r",), 2)
+
+
 def test_normalization_keeps_nnf_shape():
     rng = random.Random(31)
 
