@@ -166,6 +166,8 @@ def _world_sets(wcount: int) -> list[frozenset[str]]:
 
 
 #: (world count, frame class) -> the admitted collections, ascending.
+#: Entries are deterministic, so threads that race on one only compute it
+#: twice.
 _COLLECTIONS: dict[tuple[int, FrameClass], tuple[int, ...]] = {}
 
 
@@ -273,46 +275,83 @@ def _mask_space(
     return _shapes(signature, bounds, frame_class)
 
 
-def _decode(
-    signature: Signature,
-    constant: bool,
-    shape: _Shape,
-    concepts: tuple[int, ...],
-    roles: tuple[int, ...],
-    choice: tuple[int, ...],
-) -> NeighbourhoodModel:
-    """The model a point of the mask space stands for."""
-    names, role_names = signature.concept_names, signature.role_names
-    worlds = tuple(f"w{i}" for i in range(shape.wcount))
-    sets = _world_sets(shape.wcount)
-    elements = [tuple(f"d{i}" for i in range(s)) for s in shape.sizes]
-    pairs = [tuple((d, e) for d in els for e in els) for els in elements]
-    return NeighbourhoodModel(
-        worlds=worlds,
-        constant_domain=constant,
-        domains={w: frozenset(els) for w, els in zip(worlds, elements)},
-        concepts={
+def _cached_members(cache: dict, mask: int, items) -> frozenset:
+    members = cache.get(mask)
+    if members is None:
+        members = cache[mask] = _members(mask, items)
+    return members
+
+
+class _Decoder:
+    """Turns the mask points of one shape into models.
+
+    Each set is decoded once and shared by every model that holds it, and
+    consecutive skeletons with the same concepts share their concept
+    extensions; treat the models as immutable."""
+
+    def __init__(self, signature: Signature, constant: bool, shape: _Shape):
+        self.signature = signature
+        self.constant = constant
+        self.worlds = tuple(f"w{i}" for i in range(shape.wcount))
+        self.sets = _world_sets(shape.wcount)
+        self.elements = [tuple(f"d{i}" for i in range(s)) for s in shape.sizes]
+        self.pairs = [
+            tuple((d, e) for d in els for e in els) for els in self.elements
+        ]
+        self.domains = {
+            w: frozenset(els) for w, els in zip(self.worlds, self.elements)
+        }
+        # Decoded sets by mask: per world for elements and pairs.
+        self.element_sets: list[dict] = [{} for _ in shape.sizes]
+        self.pair_sets: list[dict] = [{} for _ in shape.sizes]
+        self.collections: dict[int, frozenset[frozenset[str]]] = {}
+        # Per modality index, (world, position of its axis in a choice).
+        self.axes = [
+            (i, [(w, (i - 1) * shape.wcount + j) for j, w in enumerate(self.worlds)])
+            for i in range(1, signature.modalities + 1)
+        ]
+        self._concepts: tuple = (None, None)  # last concept masks, extensions
+
+    def _extensions(self, masks, names, sets, items) -> dict:
+        return {
             w: {
-                a: _members(concepts[j * len(names) + k], elements[j])
+                a: _cached_members(sets[j], masks[j * len(names) + k], items[j])
                 for k, a in enumerate(names)
             }
-            for j, w in enumerate(worlds)
-        },
-        roles={
-            w: {
-                r: _members(roles[j * len(role_names) + k], pairs[j])
-                for k, r in enumerate(role_names)
-            }
-            for j, w in enumerate(worlds)
-        },
-        neighbourhoods={
-            i: {
-                w: _members(choice[(i - 1) * shape.wcount + j], sets)
-                for j, w in enumerate(worlds)
-            }
-            for i in range(1, signature.modalities + 1)
-        },
-    )
+            for j, w in enumerate(self.worlds)
+        }
+
+    def skeleton(self, concepts: tuple[int, ...], roles: tuple[int, ...]):
+        """The concept and role extensions of a skeleton."""
+        if concepts != self._concepts[0]:
+            self._concepts = concepts, self._extensions(
+                concepts,
+                self.signature.concept_names,
+                self.element_sets,
+                self.elements,
+            )
+        roles_ext = self._extensions(
+            roles, self.signature.role_names, self.pair_sets, self.pairs
+        )
+        return self._concepts[1], roles_ext
+
+    def model(self, skeleton, choice: tuple[int, ...]) -> NeighbourhoodModel:
+        concepts, roles = skeleton
+        collections, sets = self.collections, self.sets
+        return NeighbourhoodModel(
+            worlds=self.worlds,
+            constant_domain=self.constant,
+            domains=self.domains,
+            concepts=concepts,
+            roles=roles,
+            neighbourhoods={
+                i: {
+                    w: _cached_members(collections, choice[axis], sets)
+                    for w, axis in axes
+                }
+                for i, axes in self.axes
+            },
+        )
 
 
 def enumerate_models(
@@ -324,12 +363,16 @@ def enumerate_models(
 
     Models are produced up to the fixed naming w0.. / d0.. (domains are
     prefixes of the element pool; no further isomorphism pruning).
+    Models share the sets and dictionaries they have in common; treat
+    them as immutable.
     """
     constant = bounds.domain_mode == "constant"
     for shape in _mask_space(signature, bounds, frame_class):
+        decoder = _Decoder(signature, constant, shape)
         for concepts, roles in shape.skeletons():
+            skeleton = decoder.skeleton(concepts, roles)
             for choice in shape.choices():
-                yield _decode(signature, constant, shape, concepts, roles, choice)
+                yield decoder.model(skeleton, choice)
 
 
 # ---------------------------------------------------------------------------
@@ -656,14 +699,8 @@ def brute_force_sat(
                 checked += shape.sweep_size
                 continue
             position, choice, holds = hit
-            model = _decode(
-                signature,
-                bounds.domain_mode == "constant",
-                shape,
-                concepts,
-                roles,
-                choice,
-            )
+            decoder = _Decoder(signature, bounds.domain_mode == "constant", shape)
+            model = decoder.model(decoder.skeleton(concepts, roles), choice)
             world = model.worlds[(holds & -holds).bit_length() - 1]
             return OracleResult(SAT, model, world, checked + position)
     return OracleResult(UNSAT_WITHIN_BOUNDS, None, None, checked)
