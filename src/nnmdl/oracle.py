@@ -380,22 +380,18 @@ def enumerate_models(
 # ---------------------------------------------------------------------------
 
 # Tiers: what a subterm's value depends on besides the shape.
-_SHAPE, _SKELETON, _NEIGHBOURHOODS = 0, 1, 2
-_OWN_TIER = {
-    **dict.fromkeys(_MODAL, _NEIGHBOURHOODS),
-    **dict.fromkeys((AtomicConcept, Exists, Forall), _SKELETON),
-}
+_SKELETON, _NEIGHBOURHOODS = 0, 1
 
 
 def _layout(nodes: list) -> list[tuple]:
     """(node, child slots, tier) per subterm, in `_subterms` order: tier
     _NEIGHBOURHOODS with a modal operator at or below the node, else
-    _SKELETON with a concept name or role restriction, else _SHAPE."""
+    _SKELETON."""
     slot = {node: i for i, node in enumerate(nodes)}
     layout = []
     for node in nodes:
         kids = tuple([slot[c] for c in _children(node)])
-        tier = _OWN_TIER.get(type(node), _SHAPE)
+        tier = _NEIGHBOURHOODS if isinstance(node, _MODAL) else _SKELETON
         for k in kids:
             tier = max(tier, layout[k][2])
         layout.append((node, kids, tier))
@@ -406,14 +402,14 @@ class _Program:
     """A formula compiled for one shape.
 
     `vals` holds one value per subterm, in layout order, plus one slot of
-    per-element truth sets for every concept-level box or diamond.  Values
-    of tier _SHAPE are computed here, once; `sweep` computes those of tier
-    _SKELETON once per skeleton and those of tier _NEIGHBOURHOODS once per
-    neighbourhood choice.  Before a shape's or a skeleton's sweep, `vals`
-    first receives an upper bound of where each formula of a higher tier
-    can hold (every world at a modal operator, negation or inclusion; the
-    and/or of the children's bounds above them); a root bound of no world
-    settles the whole sweep without a choice.
+    per-element truth sets for every concept-level box or diamond.
+    `sweep` computes the values of tier _SKELETON once per skeleton and
+    those of tier _NEIGHBOURHOODS once per neighbourhood choice.  Before a
+    skeleton's choices, `vals` first receives an upper bound of where each
+    formula of tier _NEIGHBOURHOODS can hold (every world at a modal
+    operator, negation or inclusion; the and/or of the children's values
+    or bounds above them); a root bound of no world settles the sweep
+    without a choice.
     """
 
     def __init__(self, layout: list[tuple], signature: Signature, shape: _Shape):
@@ -433,27 +429,16 @@ class _Program:
         self.nbhd = [0] * shape.axes
         self.skeleton: list = [(), ()]  # concept masks, role rows
         self.tiers = [tier for _, _, tier in layout]
-        self.steps: tuple[list, list, list] = ([], [], [])
-        fns = []
+        self.steps: tuple[list, list] = ([], [])
+        self.bound: list = []  # upper-bound steps over tier _NEIGHBOURHOODS
         for i, (node, kids, tier) in enumerate(layout):
             fn = _BUILDERS[type(node)](self, node, kids)
-            fns.append(fn)
             self.steps[tier].append((i, fn))
+            if tier == _NEIGHBOURHOODS and isinstance(node, Formula):
+                bound = fn if isinstance(node, (AndF, OrF)) else self._full
+                self.bound.append((i, bound))
         self.root = len(layout) - 1
         self.root_tier = layout[-1][2]
-        # Bound steps for the shape (over tiers above _SHAPE) and for a
-        # skeleton (over tier _NEIGHBOURHOODS).
-        self.bounds = tuple(
-            [
-                (i, fns[i] if isinstance(node, (AndF, OrF)) else self._full)
-                for i, (node, _, tier) in enumerate(layout)
-                if tier > known and isinstance(node, Formula)
-            ]
-            for known in (_SHAPE, _SKELETON)
-        )
-        self._run(self.steps[_SHAPE])
-        self._run(self.bounds[_SHAPE])
-        self.empty = not self.vals[self.root]
 
     def _full(self) -> int:
         return self.full
@@ -507,7 +492,7 @@ class _Program:
             if vals[root]:
                 return 1, next(shape.choices()), vals[root]
             return None
-        self._run(self.bounds[_SKELETON])
+        self._run(self.bound)
         if not vals[root]:
             return None
         nbhd, steps = self.nbhd, self.steps[_NEIGHBOURHOODS]
@@ -690,9 +675,6 @@ def brute_force_sat(
     checked = 0
     for shape in _mask_space(signature, bounds, frame_class):
         program = _Program(layout, signature, shape)
-        if program.empty:
-            checked += shape.skeleton_count * shape.sweep_size
-            continue
         for concepts, roles in shape.skeletons():
             hit = program.sweep(concepts, roles)
             if hit is None:

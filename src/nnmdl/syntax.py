@@ -591,32 +591,6 @@ def closure(phi: Formula) -> Closure:
     return Closure(con_neg, for_neg, roles)
 
 
-def concept_names(phi: Formula) -> frozenset[str]:
-    return frozenset(
-        c.name for c in formula_concepts(phi) if isinstance(c, AtomicConcept)
-    )
-
-
-def role_names(phi: Formula) -> frozenset[str]:
-    return frozenset(
-        c.role
-        for c in formula_concepts(phi)
-        if isinstance(c, (Exists, Forall))
-    )
-
-
-def modality_count(term: Concept | Formula) -> int:
-    """Largest modality index occurring in the term (0 if none)."""
-    return max(
-        (
-            t.index
-            for t in _subterms(term)
-            if isinstance(t, (Box, Dia, BoxF, DiaF))
-        ),
-        default=0,
-    )
-
-
 def has_modalised_concept(phi: Formula) -> bool:
     """True when a box or diamond occurs at concept level."""
     return any(
