@@ -38,7 +38,7 @@ from .oracle import (
 )
 from .semantics import FrameClass, NeighbourhoodModel
 from .syntax import ParseError, normalize, parse_formula, serialize
-from .tableau import EngineError, SolveOptions, solve
+from .tableau import EngineError, SolveOptions, StepCapError, solve
 
 EXIT_SAT = 0
 EXIT_UNSAT = 1
@@ -72,6 +72,10 @@ class RunConfig:
                 raise UsageError(
                     "constant-domain fragment solving supports logics C and N"
                 )
+        if self.cap_steps is not None and self.cap_steps < 0:
+            raise UsageError(
+                f"--cap-steps must be a non-negative integer, got {self.cap_steps}"
+            )
         if self.fragment and self.domain_mode != "constant":
             raise UsageError(
                 "--fragment decides constant-domain satisfiability; "
@@ -141,7 +145,12 @@ def _run_solve(config: RunConfig) -> int:
         step_cap=config.cap_steps,
         on_step=stream if config.trace else None,
     )
-    result = solve(phi, config.logic, options)
+    try:
+        result = solve(phi, config.logic, options)
+    except StepCapError as exc:
+        if config.cap_steps is None:
+            raise
+        raise StepCapError(exc.cap, "--cap-steps") from None
     stats = result.stats.as_dict()
     _emit(
         {

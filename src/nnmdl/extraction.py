@@ -144,14 +144,11 @@ def extract_model(
         if not variables:
             raise ValueError(f"label {n} has no variables")
         domains[world] = frozenset(f"x{v}" for v in variables)
-        concept_ext[world] = {
-            a: frozenset(
-                f"x{v}"
-                for c, v in system.concepts
-                if isinstance(c, AtomicConcept) and c.name == a
-            )
-            for a in atom_names
-        }
+        members: dict[str, list[str]] = {a: [] for a in atom_names}
+        for c, v in system.concepts:
+            if isinstance(c, AtomicConcept):
+                members[c.name].append(f"x{v}")
+        concept_ext[world] = {a: frozenset(xs) for a, xs in members.items()}
         per_role: dict[str, set[tuple[str, str]]] = {r: set() for r in role_names}
         for role, x, y in system.roles:
             per_role[role].add((f"x{x}", f"x{y}"))

@@ -26,7 +26,10 @@ place, copies it only at a branch point (every alternative but the last
 works on a copy of the saved state) and keeps its branch points on an
 explicit stack.  `find_applicable`, `is_clash` and `apply` recompute from
 the whole state; they are the references the agenda, the clash flag and
-the in-place extension are tested against.
+the in-place extension are tested against.  Whether an R_L instance is
+already realized is read from an index mapping each constraint to the
+labels holding it, as an int with one bit per label; `find_applicable`
+rescans the labels instead.
 """
 
 from __future__ import annotations
@@ -81,6 +84,20 @@ R_L = "R_L"
 
 class EngineError(RuntimeError):
     """Internal inconsistency: a bound or check the engine must uphold failed."""
+
+
+class StepCapError(EngineError):
+    """The search used up its step cap: a resource limit, not a defect.
+    `setting` names where the cap was set, None for the default."""
+
+    def __init__(self, cap: int, setting: str | None):
+        self.cap = cap
+        self.setting = setting
+        where = "the default" if setting is None else f"set by {setting}"
+        super().__init__(
+            f"step cap {cap} ({where}) exceeded; raise "
+            f"{setting or STEP_CAP_ENV} if the input is legitimately this large"
+        )
 
 
 class StaleInstanceError(ValueError):
@@ -146,9 +163,12 @@ class CompletionSet:
     by their integer creation index (a global counter), which realizes
     the well-order used by freshness and blocking.
 
-    Every add keeps two derived pieces of state current.  `clash` is set
+    Every add keeps three derived pieces of state current.  `clash` is set
     once a label holds some constraint with its NNF negation, or a bottom
-    concept; rules only add, so it stays set.  For the frame class of the
+    concept; rules only add, so it stays set.  `holders` maps each formula
+    and each (concept, variable) pair present anywhere to an int whose bit
+    n is set when label n holds it; ints are immutable, so a copy of the
+    dict is a copy of the index.  For the frame class of the
     last `next_instance` call, `agenda` is a heap of (key, instance) pairs
     holding every applicable rule instance, possibly with stale ones in
     between, and `parked` holds, per (label, variable), the R_exists
@@ -164,6 +184,7 @@ class CompletionSet:
         "phi",
         "closure",
         "clash",
+        "holders",
         "frame_class",
         "agenda",
         "parked",
@@ -178,6 +199,7 @@ class CompletionSet:
         self.phi = phi
         self.closure = phi_closure
         self.clash = False
+        self.holders: dict[Formula | tuple[Concept, int], int] = {}
         self.frame_class: FrameClass | None = None
         self.agenda: list[tuple] = []
         self.parked: dict[tuple[int, int], list[tuple]] = {}
@@ -190,6 +212,7 @@ class CompletionSet:
         dup.next_label = self.next_label
         dup.next_var = self.next_var
         dup.clash = self.clash
+        dup.holders = dict(self.holders)
         dup.frame_class = self.frame_class
         dup.agenda = list(self.agenda)
         dup.parked = {k: list(v) for k, v in self.parked.items()}
@@ -225,6 +248,7 @@ class CompletionSet:
         if psi in system.formulas:
             return
         system.formulas.add(psi)
+        self.holders[psi] = self.holders.get(psi, 0) | 1 << label
         if neg_nnf(psi) in system.formulas:
             self.clash = True
         if self.frame_class is not None:
@@ -273,6 +297,7 @@ class CompletionSet:
         if pair in system.concepts:
             return
         system.concepts.add(pair)
+        self.holders[pair] = self.holders.get(pair, 0) | 1 << system.label
         if isinstance(concept, Bot) or (neg_nnf(concept), var) in system.concepts:
             self.clash = True
         if self.frame_class is not None:
@@ -628,15 +653,41 @@ def _box_choices(box_list: list, frame_class: FrameClass) -> Iterable[tuple]:
     return ((item,) for item in box_list)
 
 
-def _settled(tableau: CompletionSet, inst: RuleInstance) -> bool:
+def _settled_by_scan(tableau: CompletionSet, inst: RuleInstance) -> bool:
     """An R_L instance is settled by a label realizing one of its non-empty
-    branches, or, with an absent variable, by any label lacking it."""
+    branches, or, with an absent variable, by any label lacking it.
+
+    Reference for `_settled`, scanning every label."""
     filled = tuple(b for b in inst.branches if b)
     if _some_branch_realized(tableau, filled):
         return True
     return inst.absent_variable is not None and any(
         inst.absent_variable not in s.variables for s in tableau.systems.values()
     )
+
+
+def _settled(tableau: CompletionSet, inst: RuleInstance) -> bool:
+    """`_settled_by_scan` read from the `holders` index: a branch is
+    realized when the masks of its items share a label.  Every label
+    asserts top on each of its variables, so the labels lacking one are
+    those missing from the mask of (top, variable)."""
+    holders = tableau.holders
+    for branch in inst.branches:
+        if not branch:
+            continue
+        shared = -1
+        for item in branch:
+            key = item[1] if item[0] == "formula" else (item[1], item[2])
+            shared &= holders.get(key, 0)
+            if not shared:
+                break
+        else:
+            return True
+    var = inst.absent_variable
+    if var is None:
+        return False
+    every_label = (1 << tableau.next_label) - 1
+    return bool(every_label & ~holders.get((TOP, var), 0))
 
 
 def _label_instances(
@@ -740,7 +791,7 @@ def _modal_instances(
             if frame_class is FrameClass.N:
                 candidates = chain((_unit_instance(label, delta_item),), candidates)
             for inst in candidates:
-                if not _settled(tableau, inst):
+                if not _settled_by_scan(tableau, inst):
                     yield inst
 
 
@@ -914,20 +965,34 @@ class SolveResult:
     stats: SolveStats
 
 
-def _step_cap(options: SolveOptions) -> int:
+def _step_cap(options: SolveOptions) -> tuple[int, str | None]:
+    """The step cap and the setting it came from: `SolveOptions.step_cap`
+    over the environment variable over the default (None).  A negative or
+    non-integer cap is rejected with ValueError."""
     if options.step_cap is not None:
-        return options.step_cap
-    env = os.environ.get(STEP_CAP_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_STEP_CAP
+        cap, setting = options.step_cap, "SolveOptions.step_cap"
+    else:
+        env = os.environ.get(STEP_CAP_ENV)
+        if not env:
+            return DEFAULT_STEP_CAP, None
+        try:
+            cap, setting = int(env), STEP_CAP_ENV
+        except ValueError:
+            raise ValueError(
+                f"{STEP_CAP_ENV} must be a non-negative integer, got {env!r}"
+            ) from None
+    if cap < 0:
+        raise ValueError(
+            f"{setting} must be a non-negative integer, got {cap}"
+        )
+    return cap, setting
 
 
 class _Search:
     def __init__(self, frame_class: FrameClass, options: SolveOptions):
         self.frame_class = frame_class
         self.options = options
-        self.cap = _step_cap(options)
+        self.cap, self.cap_setting = _step_cap(options)
         self.stats = SolveStats()
         self.trace: list[dict] = []
 
@@ -941,10 +1006,7 @@ class _Search:
         """Extend the state by one branch and count it; the trace entry is
         built, streamed and appended to the path only when someone listens."""
         if self.stats.steps >= self.cap:
-            raise EngineError(
-                f"step cap {self.cap} exceeded; raise {STEP_CAP_ENV} "
-                "if the input is legitimately this large"
-            )
+            raise StepCapError(self.cap, self.cap_setting)
         labels, variables = len(tableau.label_order), tableau.next_var
         _extend(tableau, inst, branch)
         self.stats.count(inst.rule)

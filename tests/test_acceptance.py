@@ -48,6 +48,9 @@ CORPUS_SEED = 74453
 CORPUS_SIZE = 500
 FRAGMENT_SEED = 99120
 FRAGMENT_SIZE = 200
+#: A second fragment-corpus seed for the tableau differential, first run
+#: once both engines under test were final.
+FRAGMENT_TABLEAU_SEED = 61803
 CLASSES = (FrameClass.E, FrameClass.M, FrameClass.C, FrameClass.N)
 #: Three worlds with one element each, for every corpus answer whose
 #: class-filtered space at these bounds has at most SLICE_BUDGET models
@@ -271,6 +274,40 @@ def test_fragment_differential(fragment_results):
     print(
         f"\nPASS fragment differential: {FRAGMENT_SIZE} formulas x 2 classes, "
         f"{oracle_sat} enumeration-sat cases all confirmed ({elapsed:.0f}s)"
+    )
+
+
+@pytest.mark.parametrize("seed", [FRAGMENT_SEED, FRAGMENT_TABLEAU_SEED])
+def test_fragment_matches_tableau(seed):
+    # Without modalised concepts, satisfiability over constant and over
+    # varying domains coincide (worlds share no elements and cloning an
+    # element is a bisimulation, so domains pad to one size).  The
+    # tableau is then an unbounded reference sharing no code with the
+    # fragment's elimination; where they disagree, the oracle names the
+    # engine that is wrong.
+    rng = random.Random(seed)
+    bounds = OracleBounds(domain_mode="constant")
+    started = time.time()
+    disagreements = []
+    for _ in range(FRAGMENT_SIZE):
+        phi = random_g_formula(rng)
+        for fc in (FrameClass.C, FrameClass.N):
+            fragment_verdict = solve_fragment(phi, fc).verdict
+            tableau_verdict = solve(phi, fc).verdict
+            if fragment_verdict == tableau_verdict:
+                continue
+            oracle_verdict = brute_force_sat(phi, fc, bounds).verdict
+            if oracle_verdict == SAT:
+                wrong = "fragment" if fragment_verdict != "sat" else "tableau"
+            else:
+                wrong = f"undecided (oracle: {oracle_verdict})"
+            disagreements.append(
+                (fc.value, serialize(phi), fragment_verdict, tableau_verdict, wrong)
+            )
+    assert not disagreements, disagreements[:5]
+    print(
+        f"\nPASS fragment vs tableau at seed {seed}: {FRAGMENT_SIZE} formulas "
+        f"x 2 classes agree ({time.time() - started:.1f}s)"
     )
 
 

@@ -4,9 +4,13 @@ The search picks each rule instance with `next_instance` and reads the
 state's clash flag; `find_applicable` and `is_clash` recompute both from
 the whole state.  These tests run the real search with checking wrappers
 around the functions it looks up, so every state it visits is compared.
+The same wrappers hold the `holders` index to the label sets it mirrors,
+and its settledness answers to the label scan.
 """
 
 import random
+import time
+from itertools import chain
 
 from nnmdl import tableau
 from nnmdl.semantics import FrameClass
@@ -16,6 +20,7 @@ from nnmdl.syntax import (
     BOT,
     BoxF,
     CI,
+    Dia,
     DiaF,
     Exists,
     Forall,
@@ -48,12 +53,15 @@ class CheckedSearch:
     def __init__(self, monkeypatch):
         self.real_next = tableau.next_instance
         self.real_extend = tableau._extend
+        self.real_settled = tableau._settled
         self.choices = 0
         self.parked: set = set()
         self.parked_then_chosen = 0
         self.clashes = 0
+        self.settled_by_absence = 0
         monkeypatch.setattr(tableau, "next_instance", self.next_instance)
         monkeypatch.setattr(tableau, "_extend", self.extend)
+        monkeypatch.setattr(tableau, "_settled", self.settled)
 
     def next_instance(self, state, frame_class):
         assert not is_clash(state)
@@ -68,7 +76,16 @@ class CheckedSearch:
     def extend(self, state, inst, branch):
         self.real_extend(state, inst, branch)
         assert state.clash == is_clash(state)
+        assert state.holders == holders_from_systems(state)
         self.clashes += state.clash
+
+    def settled(self, state, inst):
+        answer = self.real_settled(state, inst)
+        assert answer == tableau._settled_by_scan(state, inst)
+        filled = tuple(b for b in inst.branches if b)
+        if answer and not tableau._some_branch_realized(state, filled):
+            self.settled_by_absence += 1
+        return answer
 
     def check_agenda(self, state):
         """No candidate twice, and every parked one blocked, unwitnessed
@@ -87,6 +104,15 @@ class CheckedSearch:
             entries.extend(parked)
         keys = [entry[0] for entry in entries]
         assert len(keys) == len(set(keys))
+
+
+def holders_from_systems(state):
+    """The `holders` index recomputed from the label sets."""
+    masks = {}
+    for label, system in state.systems.items():
+        for key in chain(system.formulas, system.concepts):
+            masks[key] = masks.get(key, 0) | 1 << label
+    return masks
 
 
 def test_agenda_matches_find_applicable_on_corpus(monkeypatch):
@@ -142,6 +168,31 @@ def test_agenda_matches_find_applicable_on_c_boxes(monkeypatch):
     result = solve(c_boxes(3), FrameClass.C, SolveOptions(extract=False))
     assert result.verdict == "unsat"
     assert checked.choices > result.stats.steps / 2
+
+
+def test_c_boxes_4_step_and_label_counts():
+    # Past the search pin's sizes: the index must answer as the scan did
+    # over thousands of labels.
+    started = time.perf_counter()
+    result = solve(c_boxes(4), FrameClass.C, SolveOptions(extract=False))
+    elapsed = time.perf_counter() - started
+    assert result.verdict == "unsat"
+    assert result.stats.steps == 17_624
+    assert result.stats.labels_created == 7_827
+    print(f"\nc_boxes(4) under C: 17,624 steps in {elapsed:.2f} s")
+
+
+def test_unit_instance_settled_by_a_label_lacking_its_variable(monkeypatch):
+    # Under N the formula diamond opens label 1 with its own variable x1.
+    # The diamond-alone instance of (dia 1 A) at x0 then needs no label:
+    # label 1 lacks x0, a world x0 is absent from, and no label holds A(x0).
+    checked = CheckedSearch(monkeypatch)
+    A, B = AtomicConcept("A"), AtomicConcept("B")
+    phi = AndF(CI(TOP, Dia(1, A)), DiaF(1, CI(TOP, B)))
+    result = solve(phi, FrameClass.N, SolveOptions(extract=False))
+    assert result.verdict == "sat"
+    assert result.stats.labels_created == 1
+    assert checked.settled_by_absence >= 1
 
 
 def test_agenda_seeded_from_a_hand_built_state():

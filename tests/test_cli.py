@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nnmdl import cli
+from nnmdl import cli, tableau
 from nnmdl.cli import EXIT_ERROR, EXIT_SAT, EXIT_UNSAT, main
 
 UNSAT_E = "(and (box 1 (sub top (atom A))) (dia 1 (not (sub top (atom A)))))"
@@ -240,6 +240,59 @@ def test_internal_error_is_not_a_verdict(capsys, monkeypatch):
     assert code == EXIT_ERROR
     assert out == ""
     assert err == "error: internal error: RuntimeError: engine defect\n"
+
+
+#: Sat in three steps: R_and, then R_eq for each inclusion.
+THREE_STEPS = "(and (sub top (atom A)) (sub top (atom B)))"
+
+
+def test_cap_steps_exceeded_names_the_flag(capsys, monkeypatch):
+    # The flag overrides the environment, so the advice names the flag.
+    monkeypatch.setenv("NNMDL_CAP_STEPS", "100")
+    code, out, err = run_cli(
+        capsys, "solve", "--cap-steps", "1", "-e", THREE_STEPS
+    )
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == (
+        "error: step cap 1 (set by --cap-steps) exceeded; raise --cap-steps "
+        "if the input is legitimately this large\n"
+    )
+
+
+def test_env_step_cap_exceeded_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("NNMDL_CAP_STEPS", "1")
+    code, out, err = run_cli(capsys, "solve", "-e", THREE_STEPS)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert "step cap 1 (set by NNMDL_CAP_STEPS) exceeded" in err
+
+
+def test_default_step_cap_exceeded_says_so(capsys, monkeypatch):
+    monkeypatch.delenv("NNMDL_CAP_STEPS", raising=False)
+    monkeypatch.setattr(tableau, "DEFAULT_STEP_CAP", 1)
+    code, out, err = run_cli(capsys, "solve", "-e", THREE_STEPS)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert "step cap 1 (the default) exceeded; raise NNMDL_CAP_STEPS" in err
+
+
+def test_negative_cap_steps_rejected(capsys):
+    code, out, err = run_cli(
+        capsys, "solve", "--cap-steps", "-3", "-e", THREE_STEPS
+    )
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == "error: --cap-steps must be a non-negative integer, got -3\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
+def test_bad_env_step_cap_rejected(capsys, monkeypatch, value):
+    monkeypatch.setenv("NNMDL_CAP_STEPS", value)
+    code, out, err = run_cli(capsys, "solve", "-e", SAT_SIMPLE)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error: NNMDL_CAP_STEPS must be a non-negative integer")
 
 
 def _chain(depth: int, left: bool) -> str:

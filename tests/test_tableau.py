@@ -32,8 +32,10 @@ from nnmdl.tableau import (
     R_NEQ,
     R_SQCAP,
     EngineError,
+    STEP_CAP_ENV,
     SolveOptions,
     StaleInstanceError,
+    StepCapError,
     apply,
     blockers,
     find_applicable,
@@ -309,6 +311,22 @@ def test_step_cap_raises_engine_error():
     phi = normalize(CI(Top(), Exists("r", A)))
     with pytest.raises(EngineError, match="step cap"):
         solve(phi, FrameClass.E, SolveOptions(step_cap=1))
+
+
+def test_step_cap_names_its_setting(monkeypatch):
+    phi = normalize(CI(Top(), Exists("r", A)))
+    monkeypatch.delenv(STEP_CAP_ENV, raising=False)
+    with pytest.raises(StepCapError, match=r"SolveOptions\.step_cap"):
+        solve(phi, FrameClass.E, SolveOptions(step_cap=1))
+    monkeypatch.setenv(STEP_CAP_ENV, "1")
+    with pytest.raises(StepCapError, match=f"set by {STEP_CAP_ENV}"):
+        solve(phi, FrameClass.E)
+
+
+def test_negative_step_cap_rejected():
+    phi = normalize(CI(Top(), Exists("r", A)))
+    with pytest.raises(ValueError, match="non-negative"):
+        solve(phi, FrameClass.E, SolveOptions(step_cap=-1))
 
 
 def test_label_budget_values():
