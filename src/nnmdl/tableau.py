@@ -9,7 +9,11 @@ premises, with the branching shape determined by the frame class.
 
 Deterministic rules are applied before generating ones, generating before
 branching, and label-creating last; branch alternatives are explored
-depth-first in their given order, so runs are reproducible.  Rules only
+depth-first in their given order, so runs are reproducible.  On a clash
+the search backjumps: every constraint carries the set of open branch
+points it depends on, and the search returns straight to the newest
+branch point in the clash's set, skipping the untried alternatives of
+later ones, none of which can avoid that clash.  Rules only
 ever add constraints, every payload stays inside the closure sets of the
 input formula, and the label count is asserted against its theoretical
 budget at every label creation.  A solve call owns its state exclusively;
@@ -26,10 +30,11 @@ place, copies it only at a branch point (every alternative but the last
 works on a copy of the saved state) and keeps its branch points on an
 explicit stack.  `find_applicable`, `is_clash` and `apply` recompute from
 the whole state; they are the references the agenda, the clash flag and
-the in-place extension are tested against.  Whether an R_L instance is
-already realized is read from an index mapping each constraint to the
-labels holding it, as an int with one bit per label; `find_applicable`
-rescans the labels instead.
+the in-place extension are tested against, and the tests build a
+chronological search from them to check backjumping's verdicts.
+Whether an R_L instance is already realized is read from an index
+mapping each constraint to the labels holding it, as an int with one bit
+per label; `find_applicable` rescans the labels instead.
 """
 
 from __future__ import annotations
@@ -137,10 +142,19 @@ class ConstraintSystem:
 
 @dataclass
 class SolveStats:
+    """Counts over a whole search.  `branch_points` counts the branching
+    instances applied, `backtracks` the alternatives tried after a clash
+    and `backjumps` the branch points popped with alternatives untried;
+    these three stay out of `as_dict`, so the CLI's output keeps its
+    shape."""
+
     rule_applications: dict[str, int] = field(default_factory=dict)
     labels_created: int = 0
     variables_created: int = 0
     steps: int = 0
+    branch_points: int = 0
+    backtracks: int = 0
+    backjumps: int = 0
 
     def count(self, rule: str):
         self.rule_applications[rule] = self.rule_applications.get(rule, 0) + 1
@@ -163,12 +177,20 @@ class CompletionSet:
     by their integer creation index (a global counter), which realizes
     the well-order used by freshness and blocking.
 
-    Every add keeps three derived pieces of state current.  `clash` is set
+    Every add keeps four derived pieces of state current.  `clash` is set
     once a label holds some constraint with its NNF negation, or a bottom
     concept; rules only add, so it stays set.  `holders` maps each formula
     and each (concept, variable) pair present anywhere to an int whose bit
     n is set when label n holds it; ints are immutable, so a copy of the
-    dict is a copy of the index.  For the frame class of the
+    dict is a copy of the index.  `deps` maps (label, key) to the
+    dependency set a constraint was first added with: an int with bit i
+    set when the constraint rests on the choice made at branch point i of
+    the search stack.  The key is the formula, the (concept, variable)
+    pair or the (role, x, y) triple.  Every add stamps its constraint with
+    `stamp`, which the search sets before each extension; a zero set is
+    not stored, so the map stays empty while no branch point is open.
+    `clash_deps` is the union of the sets of the first pair of clashing
+    constraints (a bottom concept's own set).  For the frame class of the
     last `next_instance` call, `agenda` is a heap of (key, instance) pairs
     holding every applicable rule instance, possibly with stale ones in
     between, and `parked` holds, per (label, variable), the R_exists
@@ -184,7 +206,10 @@ class CompletionSet:
         "phi",
         "closure",
         "clash",
+        "clash_deps",
         "holders",
+        "deps",
+        "stamp",
         "frame_class",
         "agenda",
         "parked",
@@ -199,7 +224,10 @@ class CompletionSet:
         self.phi = phi
         self.closure = phi_closure
         self.clash = False
+        self.clash_deps = 0
         self.holders: dict[Formula | tuple[Concept, int], int] = {}
+        self.deps: dict[tuple[int, object], int] = {}
+        self.stamp = 0
         self.frame_class: FrameClass | None = None
         self.agenda: list[tuple] = []
         self.parked: dict[tuple[int, int], list[tuple]] = {}
@@ -212,7 +240,9 @@ class CompletionSet:
         dup.next_label = self.next_label
         dup.next_var = self.next_var
         dup.clash = self.clash
+        dup.clash_deps = self.clash_deps
         dup.holders = dict(self.holders)
+        dup.deps = dict(self.deps)
         dup.frame_class = self.frame_class
         dup.agenda = list(self.agenda)
         dup.parked = {k: list(v) for k, v in self.parked.items()}
@@ -249,8 +279,11 @@ class CompletionSet:
             return
         system.formulas.add(psi)
         self.holders[psi] = self.holders.get(psi, 0) | 1 << label
-        if neg_nnf(psi) in system.formulas:
-            self.clash = True
+        if self.stamp:
+            self.deps[(label, psi)] = self.stamp
+        neg = neg_nnf(psi)
+        if neg in system.formulas:
+            self._clash_with(label, neg)
         if self.frame_class is not None:
             self._formula_added(system, psi)
 
@@ -268,6 +301,8 @@ class CompletionSet:
         if (role, x, y) in system.roles:
             return
         system.roles.add((role, x, y))
+        if self.stamp:
+            self.deps[(label, (role, x, y))] = self.stamp
         self._add_variable(system, x)
         self._add_variable(system, y)
         if self.frame_class is not None:
@@ -297,11 +332,25 @@ class CompletionSet:
         if pair in system.concepts:
             return
         system.concepts.add(pair)
-        self.holders[pair] = self.holders.get(pair, 0) | 1 << system.label
-        if isinstance(concept, Bot) or (neg_nnf(concept), var) in system.concepts:
-            self.clash = True
+        label = system.label
+        self.holders[pair] = self.holders.get(pair, 0) | 1 << label
+        if self.stamp:
+            self.deps[(label, pair)] = self.stamp
+        if isinstance(concept, Bot):
+            self._clash_with(label, pair)
+        else:
+            neg = (neg_nnf(concept), var)
+            if neg in system.concepts:
+                self._clash_with(label, neg)
         if self.frame_class is not None:
             self._concept_added(system, concept, var)
+
+    def _clash_with(self, label: int, other) -> None:
+        """Record a clash between the constraint being added and `other`
+        of the same label (itself, for a bottom concept)."""
+        if not self.clash:
+            self.clash = True
+            self.clash_deps = self.stamp | self.deps.get((label, other), 0)
 
     # -- agenda -------------------------------------------------------------
 
@@ -880,6 +929,80 @@ def next_instance(
     return None
 
 
+def _modal_premise(index: int, item: BranchItem, box: bool):
+    """The `deps` key of the box (or diamond) of this index around a body."""
+    if item[0] == "formula":
+        return (BoxF if box else DiaF)(index, item[1])
+    return ((Box if box else Dia)(index, item[1]), item[2])
+
+
+def _premise_keys(system: ConstraintSystem, inst: RuleInstance) -> list:
+    """The `deps` keys, within the instance's label, of the constraints
+    an instance was completed by, rebuilt from its branches.
+
+    Normalized inclusions read top <= C, so R_eq and R_neq rebuild theirs
+    from C; R_eq also rests on its variable occurring, which is the
+    variable's top.  R_forall and R_L do not carry the role source or the
+    modality index, so they take every premise group the label holds that
+    completes them: a larger set is still a sound one."""
+    rule = inst.rule
+    first = inst.branches[0]
+    if rule == R_AND:
+        return [AndF(first[0][1], first[1][1])]
+    if rule == R_OR:
+        return [OrF(first[0][1], inst.branches[1][0][1])]
+    if rule == R_NEQ:
+        return [NotF(CI(TOP, neg_nnf(first[0][1])))]
+    if rule == R_SQCAP:
+        return [(And(first[0][1], first[1][1]), first[0][2])]
+    if rule == R_SQCUP:
+        return [(Or(first[0][1], inst.branches[1][0][1]), first[0][2])]
+    if rule == R_EXISTS:
+        _, role, var, target = first[0]
+        return [(Exists(role, target), var)]
+    if rule == R_EQ:
+        _, concept, var = first[0]
+        return [CI(TOP, concept), (TOP, var)]
+    if rule == R_FORALL:
+        _, concept, y = first[0]
+        keys = []
+        for role, x, z in system.roles:
+            if z == y and (Forall(role, concept), x) in system.concepts:
+                keys += [(role, x, y), (Forall(role, concept), x)]
+        return keys
+    # R_L: the diamond is the first branch's last item, the boxes the rest.
+    *gamma, delta = first
+    if delta[0] == "formula":
+        indices = {
+            psi.index
+            for psi in system.formulas
+            if isinstance(psi, DiaF) and psi.arg is delta[1]
+        }
+    else:
+        indices = {
+            c.index
+            for c, var in system.concepts
+            if var == delta[2] and isinstance(c, Dia) and c.arg is delta[1]
+        }
+    keys = []
+    for index in indices:
+        boxes = [_modal_premise(index, g, True) for g in gamma]
+        if all(k in system.formulas or k in system.concepts for k in boxes):
+            keys += boxes
+            keys.append(_modal_premise(index, delta, False))
+    return keys
+
+
+def _premise_deps(tableau: CompletionSet, inst: RuleInstance) -> int:
+    """Union of the dependency sets of the instance's premises."""
+    deps = tableau.deps
+    label = inst.label
+    out = 0
+    for key in _premise_keys(tableau.systems[label], inst):
+        out |= deps.get((label, key), 0)
+    return out
+
+
 def _extend(tableau: CompletionSet, inst: RuleInstance, branch: int) -> None:
     """Add the chosen branch's constraints to the state in place.
 
@@ -995,19 +1118,23 @@ class _Search:
         self.cap, self.cap_setting = _step_cap(options)
         self.stats = SolveStats()
         self.trace: list[dict] = []
+        self.stack: list[list] = []
 
     def _step(
         self,
         tableau: CompletionSet,
         inst: RuleInstance,
         branch: int,
+        stamp: int,
         path: list[dict],
     ) -> None:
-        """Extend the state by one branch and count it; the trace entry is
-        built, streamed and appended to the path only when someone listens."""
+        """Extend the state by one branch, stamping what it adds with the
+        given dependency set, and count it; the trace entry is built,
+        streamed and appended to the path only when someone listens."""
         if self.stats.steps >= self.cap:
             raise StepCapError(self.cap, self.cap_setting)
         labels, variables = len(tableau.label_order), tableau.next_var
+        tableau.stamp = stamp
         _extend(tableau, inst, branch)
         self.stats.count(inst.rule)
         self.stats.labels_created += len(tableau.label_order) - labels
@@ -1027,45 +1154,69 @@ class _Search:
                 path.append(entry)
 
     def run(self, tableau: CompletionSet) -> CompletionSet | None:
-        """Depth-first search from this state; the saturated clash-free
-        state reached, or None when every branch clashes.
+        """Depth-first search with dependency-directed backjumping from
+        this state; the saturated clash-free state reached, or None when
+        every branch clashes.
 
         Each step takes `next_instance` (checked against `find_applicable`
         by the tests) and reads the state's clash flag (checked against
         `is_clash`).  Deterministic steps extend the state in place.  A
         branch point is pushed on an explicit stack as [saved state,
-        instance, next branch, trace length], and its first alternative
-        runs on a copy.  On a clash the top entry's next alternative runs
-        on another copy, or, when it is the last one, on the saved state
-        itself as the entry is popped; the trace path is cut back to the
-        entry's length first.
+        instance, next branch, trace length, premise set, failure set],
+        and its first alternative runs on a copy.  Stack position i owns
+        bit i of every dependency set: what a step adds is stamped with
+        the union of its premises' sets, plus the bit of the branch point
+        it opens.
+
+        On a clash, the branch points whose bit is not in the clash's set
+        are popped untried: no choice of theirs can avoid it.  The newest
+        one left adds the set, less its own bit, to its failure set, and
+        its next alternative runs on another copy.  The last alternative
+        runs on the saved state itself as the entry is popped, stamped
+        with the premise set and the failure set instead of the bit, since
+        every earlier alternative failed for the reasons recorded there.
+        The trace path is cut back to the entry's length first.
         """
+        stats, stack = self.stats, self.stack
         path: list[dict] = []
-        stack: list[list] = []
         while True:
             if tableau.clash:
+                conflict = tableau.clash_deps
+                while stack and not conflict >> (len(stack) - 1) & 1:
+                    stack.pop()
+                    stats.backjumps += 1
                 if not stack:
                     return None
                 frame = stack[-1]
-                saved, inst, branch, depth = frame
+                saved, inst, branch, depth, premises, failed = frame
+                bit = 1 << (len(stack) - 1)
+                failed |= conflict & ~bit
                 del path[depth:]
+                stats.backtracks += 1
                 if branch + 1 < inst.branch_count:
                     frame[2] = branch + 1
+                    frame[5] = failed
                     tableau = saved.copy()
+                    stamp = premises | bit
                 else:
                     stack.pop()
                     tableau = saved
-                self._step(tableau, inst, branch, path)
+                    stamp = premises | failed
+                self._step(tableau, inst, branch, stamp, path)
                 continue
             inst = next_instance(tableau, self.frame_class)
             if inst is None:
                 if self.options.trace:
                     self.trace = path
                 return tableau
+            # With no set stored, no premise can have one.
+            stamp = _premise_deps(tableau, inst) if tableau.deps else 0
             if inst.branch_count > 1:
-                stack.append([tableau, inst, 1, len(path)])
+                stats.branch_points += 1
+                stack.append([tableau, inst, 1, len(path), stamp, 0])
                 tableau = tableau.copy()
-            self._step(tableau, inst, 0, path)
+                stamp |= 1 << (len(stack) - 1)
+            self._step(tableau, inst, 0, stamp, path)
 
 
 def solve(
@@ -1076,8 +1227,12 @@ def solve(
     """Decide satisfiability over varying-domain models of the class.
 
     SAT means some sequence of branch choices reaches a saturated
-    clash-free completion set (found by depth-first backtracking); UNSAT
-    means every branch of the search tree ended in a clash.  On SAT the
+    clash-free completion set (found by depth-first search); UNSAT means
+    every branch of the search tree ended in a clash.  On a clash the
+    search jumps back to the newest branch point the clash depends on,
+    skipping the alternatives of later ones, which would meet the same
+    clash; it therefore reaches the same first saturated state as
+    chronological backtracking, in fewer steps.  On SAT the
     result carries the final completion set and, when requested, the
     extracted countermodel (validated by default; validation failure is
     an engine bug, not an input error).  Result stats aggregate the whole

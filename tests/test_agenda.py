@@ -5,7 +5,9 @@ state's clash flag; `find_applicable` and `is_clash` recompute both from
 the whole state.  These tests run the real search with checking wrappers
 around the functions it looks up, so every state it visits is compared.
 The same wrappers hold the `holders` index to the label sets it mirrors,
-and its settledness answers to the label scan.
+and its settledness answers to the label scan.  At every clash they check
+the recorded dependency set against the clashing constraints' stored sets
+and the open branch points.
 """
 
 import random
@@ -54,6 +56,8 @@ class CheckedSearch:
         self.real_next = tableau.next_instance
         self.real_extend = tableau._extend
         self.real_settled = tableau._settled
+        self.real_step = tableau._Search._step
+        self.real_premise_keys = tableau._premise_keys
         self.choices = 0
         self.parked: set = set()
         self.parked_then_chosen = 0
@@ -62,6 +66,8 @@ class CheckedSearch:
         monkeypatch.setattr(tableau, "next_instance", self.next_instance)
         monkeypatch.setattr(tableau, "_extend", self.extend)
         monkeypatch.setattr(tableau, "_settled", self.settled)
+        monkeypatch.setattr(tableau._Search, "_step", self.step_wrapper())
+        monkeypatch.setattr(tableau, "_premise_keys", self.premise_keys)
 
     def next_instance(self, state, frame_class):
         assert not is_clash(state)
@@ -86,6 +92,30 @@ class CheckedSearch:
         if answer and not tableau._some_branch_realized(state, filled):
             self.settled_by_absence += 1
         return answer
+
+    def step_wrapper(self):
+        checked = self
+
+        def step(search, state, inst, branch, stamp, path):
+            before = constraint_keys(state)
+            checked.real_step(search, state, inst, branch, stamp, path)
+            for key in constraint_keys(state) - before:
+                assert state.deps.get(key, 0) == stamp
+            open_bits = (1 << len(search.stack)) - 1
+            assert all(deps & ~open_bits == 0 for deps in state.deps.values())
+            if state.clash:
+                assert state.clash_deps & ~open_bits == 0
+                assert state.clash_deps in clash_unions(state)
+
+        return step
+
+    def premise_keys(self, system, inst):
+        """Every rebuilt premise is a constraint the label holds."""
+        keys = self.real_premise_keys(system, inst)
+        assert keys
+        held = set(chain(system.formulas, system.concepts, system.roles))
+        assert all(key in held for key in keys)
+        return keys
 
     def check_agenda(self, state):
         """No candidate twice, and every parked one blocked, unwitnessed
@@ -113,6 +143,35 @@ def holders_from_systems(state):
         for key in chain(system.formulas, system.concepts):
             masks[key] = masks.get(key, 0) | 1 << label
     return masks
+
+
+def constraint_keys(state):
+    """Every constraint of the state as its (label, key) in `deps`."""
+    return {
+        (label, key)
+        for label, system in state.systems.items()
+        for key in chain(system.formulas, system.concepts, system.roles)
+    }
+
+
+def clash_unions(state):
+    """The union of the stored dependency sets of each clashing pair (a
+    bottom concept's own set)."""
+    deps = state.deps
+    unions = set()
+    for label, system in state.systems.items():
+        for psi in system.formulas:
+            if neg_nnf(psi) in system.formulas:
+                unions.add(
+                    deps.get((label, psi), 0) | deps.get((label, neg_nnf(psi)), 0)
+                )
+        for concept, var in system.concepts:
+            own = deps.get((label, (concept, var)), 0)
+            if concept == BOT:
+                unions.add(own)
+            elif (neg_nnf(concept), var) in system.concepts:
+                unions.add(own | deps.get((label, (neg_nnf(concept), var)), 0))
+    return unions
 
 
 def test_agenda_matches_find_applicable_on_corpus(monkeypatch):
@@ -148,7 +207,8 @@ def test_clash_flag_on_formula_and_concept_pairs(monkeypatch):
 
 def test_unblocked_variable_gets_its_successor(monkeypatch):
     # x1, the successor of the root x0, starts as a copy of x0 and is
-    # blocked.  Chronological backtracking later gives x1 A, which x0 lacks:
+    # blocked.  A at x0 clashes whatever x1 chose, so the search jumps back
+    # over x1's disjunction and gives x0 B; x1 then takes A, which x0 lacks:
     # x1 is unblocked, its parked R_exists fires, and the successor's bottom
     # refutes A at x1.
     checked = CheckedSearch(monkeypatch)
@@ -159,8 +219,8 @@ def test_unblocked_variable_gets_its_successor(monkeypatch):
     )
     result = solve(phi, FrameClass.E, SolveOptions(extract=False))
     assert result.verdict == "sat"
-    assert result.stats.steps == 43
-    assert checked.parked_then_chosen == 2
+    assert result.stats.steps == 26
+    assert checked.parked_then_chosen == 1
 
 
 def test_agenda_matches_find_applicable_on_c_boxes(monkeypatch):
@@ -171,15 +231,26 @@ def test_agenda_matches_find_applicable_on_c_boxes(monkeypatch):
 
 
 def test_c_boxes_4_step_and_label_counts():
-    # Past the search pin's sizes: the index must answer as the scan did
-    # over thousands of labels.
+    # Past the search pin's sizes.  Chronological backtracking needed
+    # 17,624 steps and 7,827 labels here.
     started = time.perf_counter()
     result = solve(c_boxes(4), FrameClass.C, SolveOptions(extract=False))
     elapsed = time.perf_counter() - started
     assert result.verdict == "unsat"
-    assert result.stats.steps == 17_624
-    assert result.stats.labels_created == 7_827
-    print(f"\nc_boxes(4) under C: 17,624 steps in {elapsed:.2f} s")
+    assert result.stats.steps == 68
+    assert result.stats.labels_created == 24
+    print(f"\nc_boxes(4) under C: 68 steps in {elapsed:.2f} s")
+
+
+def test_c_boxes_5_unsat_within_the_default_step_cap(monkeypatch):
+    # Chronological backtracking ran past the 200,000-step default here.
+    monkeypatch.delenv(tableau.STEP_CAP_ENV, raising=False)
+    started = time.perf_counter()
+    result = solve(c_boxes(5), FrameClass.C, SolveOptions(extract=False))
+    elapsed = time.perf_counter() - started
+    assert result.verdict == "unsat"
+    assert result.stats.steps == 89
+    print(f"\nc_boxes(5) under C: 89 steps in {elapsed:.2f} s")
 
 
 def test_unit_instance_settled_by_a_label_lacking_its_variable(monkeypatch):

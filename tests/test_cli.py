@@ -4,6 +4,9 @@ import pytest
 
 from nnmdl import cli, tableau
 from nnmdl.cli import EXIT_ERROR, EXIT_SAT, EXIT_UNSAT, main
+from nnmdl.syntax import serialize
+
+from test_search_pin import c_boxes
 
 UNSAT_E = "(and (box 1 (sub top (atom A))) (dia 1 (not (sub top (atom A)))))"
 UNSAT_N = "(dia 1 (not (sub top top)))"
@@ -275,6 +278,14 @@ def test_default_step_cap_exceeded_says_so(capsys, monkeypatch):
     assert code == EXIT_ERROR
     assert out == ""
     assert "step cap 1 (the default) exceeded; raise NNMDL_CAP_STEPS" in err
+
+
+def test_c_boxes_5_unsat_within_the_default_step_cap(capsys, monkeypatch):
+    monkeypatch.delenv("NNMDL_CAP_STEPS", raising=False)
+    text = serialize(c_boxes(5))
+    code, out, _ = run_cli(capsys, "solve", "--logic", "C", "-e", text)
+    assert code == EXIT_UNSAT
+    assert json.loads(out)["verdict"] == "unsat"
 
 
 def test_negative_cap_steps_rejected(capsys):
