@@ -114,19 +114,30 @@ class StaleInstanceError(ValueError):
 # ---------------------------------------------------------------------------
 
 class ConstraintSystem:
-    """All constraints of one label, with its occurring variables."""
+    """All constraints of one label, with its occurring variables.
 
-    __slots__ = ("label", "formulas", "concepts", "roles", "variables")
+    `deps_base` is the dependency set of the step that created the label
+    (see `CompletionSet`); every constraint of the label rests on it."""
 
-    def __init__(self, label: int):
+    __slots__ = (
+        "label",
+        "formulas",
+        "concepts",
+        "roles",
+        "variables",
+        "deps_base",
+    )
+
+    def __init__(self, label: int, deps_base: int = 0):
         self.label = label
         self.formulas: set[Formula] = set()
         self.concepts: set[tuple[Concept, int]] = set()
         self.roles: set[tuple[str, int, int]] = set()
         self.variables: set[int] = set()
+        self.deps_base = deps_base
 
     def copy(self) -> "ConstraintSystem":
-        dup = ConstraintSystem(self.label)
+        dup = ConstraintSystem(self.label, self.deps_base)
         dup.formulas = set(self.formulas)
         dup.concepts = set(self.concepts)
         dup.roles = set(self.roles)
@@ -187,8 +198,12 @@ class CompletionSet:
     set when the constraint rests on the choice made at branch point i of
     the search stack.  The key is the formula, the (concept, variable)
     pair or the (role, x, y) triple.  Every add stamps its constraint with
-    `stamp`, which the search sets before each extension; a zero set is
-    not stored, so the map stays empty while no branch point is open.
+    `stamp`, which the search sets before each extension.  A set equal to
+    its label's `deps_base` is not stored, so the map stays empty while
+    no branch point is open, and a label created by a branch stores only
+    what was added to it under later ones.  `stamped` has bit n set once
+    label n stores a set; the premises of an instance in any other label
+    all have the label's base set.
     `clash_deps` is the union of the sets of the first pair of clashing
     constraints (a bottom concept's own set).  For the frame class of the
     last `next_instance` call, `agenda` is a heap of (key, instance) pairs
@@ -209,6 +224,7 @@ class CompletionSet:
         "clash_deps",
         "holders",
         "deps",
+        "stamped",
         "stamp",
         "frame_class",
         "agenda",
@@ -227,6 +243,7 @@ class CompletionSet:
         self.clash_deps = 0
         self.holders: dict[Formula | tuple[Concept, int], int] = {}
         self.deps: dict[tuple[int, object], int] = {}
+        self.stamped = 0
         self.stamp = 0
         self.frame_class: FrameClass | None = None
         self.agenda: list[tuple] = []
@@ -243,6 +260,7 @@ class CompletionSet:
         dup.clash_deps = self.clash_deps
         dup.holders = dict(self.holders)
         dup.deps = dict(self.deps)
+        dup.stamped = self.stamped
         dup.frame_class = self.frame_class
         dup.agenda = list(self.agenda)
         dup.parked = {k: list(v) for k, v in self.parked.items()}
@@ -258,7 +276,7 @@ class CompletionSet:
             )
         label = self.next_label
         self.next_label += 1
-        system = ConstraintSystem(label)
+        system = ConstraintSystem(label, self.stamp)
         self.systems[label] = system
         self.label_pos[label] = len(self.label_order)
         self.label_order.append(label)
@@ -279,11 +297,11 @@ class CompletionSet:
             return
         system.formulas.add(psi)
         self.holders[psi] = self.holders.get(psi, 0) | 1 << label
-        if self.stamp:
-            self.deps[(label, psi)] = self.stamp
+        if self.stamp != system.deps_base:
+            self._stamp_with(label, psi)
         neg = neg_nnf(psi)
         if neg in system.formulas:
-            self._clash_with(label, neg)
+            self._clash_with(system, neg)
         if self.frame_class is not None:
             self._formula_added(system, psi)
 
@@ -301,8 +319,8 @@ class CompletionSet:
         if (role, x, y) in system.roles:
             return
         system.roles.add((role, x, y))
-        if self.stamp:
-            self.deps[(label, (role, x, y))] = self.stamp
+        if self.stamp != system.deps_base:
+            self._stamp_with(label, (role, x, y))
         self._add_variable(system, x)
         self._add_variable(system, y)
         if self.frame_class is not None:
@@ -334,23 +352,29 @@ class CompletionSet:
         system.concepts.add(pair)
         label = system.label
         self.holders[pair] = self.holders.get(pair, 0) | 1 << label
-        if self.stamp:
-            self.deps[(label, pair)] = self.stamp
+        if self.stamp != system.deps_base:
+            self._stamp_with(label, pair)
         if isinstance(concept, Bot):
-            self._clash_with(label, pair)
+            self._clash_with(system, pair)
         else:
             neg = (neg_nnf(concept), var)
             if neg in system.concepts:
-                self._clash_with(label, neg)
+                self._clash_with(system, neg)
         if self.frame_class is not None:
             self._concept_added(system, concept, var)
 
-    def _clash_with(self, label: int, other) -> None:
+    def _stamp_with(self, label: int, key) -> None:
+        self.deps[(label, key)] = self.stamp
+        self.stamped |= 1 << label
+
+    def _clash_with(self, system: ConstraintSystem, other) -> None:
         """Record a clash between the constraint being added and `other`
         of the same label (itself, for a bottom concept)."""
         if not self.clash:
             self.clash = True
-            self.clash_deps = self.stamp | self.deps.get((label, other), 0)
+            self.clash_deps = self.stamp | self.deps.get(
+                (system.label, other), system.deps_base
+            )
 
     # -- agenda -------------------------------------------------------------
 
@@ -947,22 +971,22 @@ def _premise_keys(system: ConstraintSystem, inst: RuleInstance) -> list:
     completes them: a larger set is still a sound one."""
     rule = inst.rule
     first = inst.branches[0]
+    if rule == R_EQ:
+        _, concept, var = first[0]
+        return [CI(TOP, concept), (TOP, var)]
     if rule == R_AND:
         return [AndF(first[0][1], first[1][1])]
-    if rule == R_OR:
-        return [OrF(first[0][1], inst.branches[1][0][1])]
-    if rule == R_NEQ:
-        return [NotF(CI(TOP, neg_nnf(first[0][1])))]
     if rule == R_SQCAP:
         return [(And(first[0][1], first[1][1]), first[0][2])]
     if rule == R_SQCUP:
         return [(Or(first[0][1], inst.branches[1][0][1]), first[0][2])]
+    if rule == R_OR:
+        return [OrF(first[0][1], inst.branches[1][0][1])]
     if rule == R_EXISTS:
         _, role, var, target = first[0]
         return [(Exists(role, target), var)]
-    if rule == R_EQ:
-        _, concept, var = first[0]
-        return [CI(TOP, concept), (TOP, var)]
+    if rule == R_NEQ:
+        return [NotF(CI(TOP, neg_nnf(first[0][1])))]
     if rule == R_FORALL:
         _, concept, y = first[0]
         keys = []
@@ -995,11 +1019,13 @@ def _premise_keys(system: ConstraintSystem, inst: RuleInstance) -> list:
 
 def _premise_deps(tableau: CompletionSet, inst: RuleInstance) -> int:
     """Union of the dependency sets of the instance's premises."""
-    deps = tableau.deps
     label = inst.label
-    out = 0
-    for key in _premise_keys(tableau.systems[label], inst):
-        out |= deps.get((label, key), 0)
+    system = tableau.systems[label]
+    out = system.deps_base
+    if tableau.stamped >> label & 1:
+        deps = tableau.deps
+        for key in _premise_keys(system, inst):
+            out |= deps.get((label, key), 0)
     return out
 
 
@@ -1209,8 +1235,8 @@ class _Search:
                 if self.options.trace:
                     self.trace = path
                 return tableau
-            # With no set stored, no premise can have one.
-            stamp = _premise_deps(tableau, inst) if tableau.deps else 0
+            # With no branch point open, every set is empty.
+            stamp = _premise_deps(tableau, inst) if stack else 0
             if inst.branch_count > 1:
                 stats.branch_points += 1
                 stack.append([tableau, inst, 1, len(path), stamp, 0])

@@ -99,10 +99,13 @@ class CheckedSearch:
         def step(search, state, inst, branch, stamp, path):
             before = constraint_keys(state)
             checked.real_step(search, state, inst, branch, stamp, path)
-            for key in constraint_keys(state) - before:
-                assert state.deps.get(key, 0) == stamp
+            for label, key in constraint_keys(state) - before:
+                assert stored_set(state, label, key) == stamp
             open_bits = (1 << len(search.stack)) - 1
             assert all(deps & ~open_bits == 0 for deps in state.deps.values())
+            assert all(
+                s.deps_base & ~open_bits == 0 for s in state.systems.values()
+            )
             if state.clash:
                 assert state.clash_deps & ~open_bits == 0
                 assert state.clash_deps in clash_unions(state)
@@ -154,23 +157,28 @@ def constraint_keys(state):
     }
 
 
+def stored_set(state, label, key):
+    """A constraint's dependency set: its entry, else its label's base."""
+    return state.deps.get((label, key), state.systems[label].deps_base)
+
+
 def clash_unions(state):
     """The union of the stored dependency sets of each clashing pair (a
     bottom concept's own set)."""
-    deps = state.deps
     unions = set()
     for label, system in state.systems.items():
         for psi in system.formulas:
             if neg_nnf(psi) in system.formulas:
                 unions.add(
-                    deps.get((label, psi), 0) | deps.get((label, neg_nnf(psi)), 0)
+                    stored_set(state, label, psi)
+                    | stored_set(state, label, neg_nnf(psi))
                 )
         for concept, var in system.concepts:
-            own = deps.get((label, (concept, var)), 0)
+            own = stored_set(state, label, (concept, var))
             if concept == BOT:
                 unions.add(own)
             elif (neg_nnf(concept), var) in system.concepts:
-                unions.add(own | deps.get((label, (neg_nnf(concept), var)), 0))
+                unions.add(own | stored_set(state, label, (neg_nnf(concept), var)))
     return unions
 
 

@@ -22,12 +22,16 @@ from nnmdl.syntax import (
     AtomicConcept,
     BOT,
     Box,
+    BoxF,
     CI,
     Dia,
+    DiaF,
     Exists,
     Forall,
     Not,
+    NotF,
     Or,
+    OrF,
     TOP,
     normalize,
 )
@@ -44,7 +48,7 @@ from nnmdl.tableau import (
 from corpus import random_normalized_formula
 from test_acceptance import CORPUS_SEED, CORPUS_SIZE
 from test_agenda import CheckedSearch
-from test_search_pin import c_boxes, conj
+from test_search_pin import c_boxes, conj, or_chain
 
 A, B, C = AtomicConcept("A"), AtomicConcept("B"), AtomicConcept("C")
 
@@ -172,3 +176,36 @@ def test_backjump_skips_a_unit_instance_empty_branch(monkeypatch):
         for skipped, _ in log.jumps
         for inst in skipped
     )
+
+
+def test_branch_label_keeps_its_base_set_across_copies():
+    # The outer diamond's first R_L alternative opens a label whose
+    # disjunction branches before its own box and diamond pair, which fails
+    # in both alternatives.  Those premises rest on the outer choice only
+    # through the label's base set, read after the disjunction's branch
+    # point copied the state; the search must return to the outer R_L
+    # alternative that refutes its bodies.
+    D, E = AtomicConcept("D"), AtomicConcept("E")
+    inner = AndF(
+        BoxF(1, CI(TOP, A)), DiaF(1, NotF(CI(TOP, And(A, A))))
+    )
+    body = AndF(OrF(CI(TOP, D), CI(TOP, E)), inner)
+    phi = AndF(BoxF(1, CI(TOP, C)), DiaF(1, body))
+    assert verdict(phi, FrameClass.E) == chronological(phi, FrameClass.E)
+    assert verdict(phi, FrameClass.E) == "sat"
+
+
+def test_search_shape_counters():
+    # Each disjunction of or_chain first tries the refuted atom and falls
+    # back to its other side: one backtrack per branch point, no jump.
+    stats = solve(or_chain(20), FrameClass.E, SolveOptions(extract=False)).stats
+    assert (stats.branch_points, stats.backtracks, stats.backjumps) == (20, 20, 0)
+    stats = solve(c_boxes(3), FrameClass.C, SolveOptions(extract=False)).stats
+    assert (stats.branch_points, stats.backtracks, stats.backjumps) == (10, 16, 3)
+    # The counters stay out of the stats the CLI prints.
+    assert set(stats.as_dict()) == {
+        "rule_applications",
+        "labels_created",
+        "variables_created",
+        "steps",
+    }
