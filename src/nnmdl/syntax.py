@@ -13,13 +13,26 @@ All AST nodes are interned (hash-consed) `Term`s: building a node from
 the same class and fields returns the one existing object, so equal terms
 are identical, equality and hashing cost constant time at any depth, and
 the immutable nodes are safe to share between concurrent solver instances.
+
+The parser splits text with one compiled token regex and builds terms
+with a table-driven loop on an explicit stack; line and column are worked
+out from a token's offset only when a `ParseError` is raised.  `normalize`
+is a children-first rewrite on an explicit stack, so no walk here recurses
+once per nesting level.  Two memo tables sit next to the intern table
+`_TERMS`: `_NORMAL` maps each term to its normal form (and every normal
+form to itself), `_CLOSURES` maps each formula to its frozen `Closure`.
+Like `_TERMS` they are written only through `dict.setdefault` and hold
+only immutable values, so concurrent callers agree on one entry and
+distinct calls share nothing mutable.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
+from itertools import islice
+from operator import attrgetter, length_hint
 
 #: The one intern table: (class, *fields) -> the node with those fields.
 _TERMS: dict[tuple, Term] = {}
@@ -168,157 +181,159 @@ class ParseError(ValueError):
         self.column = column
 
 
-_PUNCT = {"(", ")"}
+#: One token: a parenthesis, or a maximal run of anything else that is
+#: not whitespace (`\s` is exactly `str.isspace`).
+_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
-def _tokenize(text: str) -> list[tuple[str, int, int]]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append((ch, line, col))
-            col += 1
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in _PUNCT:
-            j += 1
-        tokens.append((text[i:j], line, col))
-        col += j - i
-        i = j
-    return tokens
+class _BadToken(Exception):
+    """A leading argument failed its check; the parser adds the position."""
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self._end = (1, 1) if not self.tokens else None
+def _modality_index(token: str) -> int:
+    if not token.isdigit():
+        raise _BadToken(f"expected modality index, found '{token}'")
+    value = int(token)
+    if value < 1:
+        raise _BadToken("modality index must be at least 1")
+    return value
 
-    def _err(self, message: str, at: tuple[str, int, int] | None = None):
-        if at is None:
-            if self.tokens:
-                last = self.tokens[min(self.pos, len(self.tokens) - 1)]
-                line, col = last[1], last[2]
-            else:
-                line, col = 1, 1
-            raise ParseError(message, line, col)
-        raise ParseError(message, at[1], at[2])
 
-    def _next(self) -> tuple[str, int, int]:
-        if self.pos >= len(self.tokens):
-            self._err("unexpected end of input")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _name(what: str):
+    def check(token: str) -> str:
+        if not token[0].isalpha() or not token.replace("_", "").isalnum():
+            raise _BadToken(f"expected {what}, found '{token}'")
+        return token
 
-    def _expect(self, text: str):
-        tok = self._next()
-        if tok[0] != text:
-            self._err(f"expected '{text}', found '{tok[0]}'", tok)
+    return check
 
-    def _ident(self, what: str) -> str:
-        tok = self._next()
-        name = tok[0]
-        if not name or not name[0].isalpha() or not all(
-            c.isalnum() or c == "_" for c in name
+
+#: Sort of a term argument: one keyword table per sort.
+_FORMULA, _CONCEPT = 0, 1
+
+#: Per sort, keyword -> (constructor, check of the leading name or index
+#: or None, intern key length (1 + number of fields), sort of the term
+#: arguments).
+_KEYWORDS = (
+    {
+        "sub": (CI, None, 3, _CONCEPT),
+        "not": (NotF, None, 2, _FORMULA),
+        "and": (AndF, None, 3, _FORMULA),
+        "or": (OrF, None, 3, _FORMULA),
+        "box": (BoxF, _modality_index, 3, _FORMULA),
+        "dia": (DiaF, _modality_index, 3, _FORMULA),
+    },
+    {
+        "atom": (AtomicConcept, _name("concept name"), 2, None),
+        "not": (Not, None, 2, _CONCEPT),
+        "and": (And, None, 3, _CONCEPT),
+        "or": (Or, None, 3, _CONCEPT),
+        "some": (Exists, _name("role name"), 3, _CONCEPT),
+        "all": (Forall, _name("role name"), 3, _CONCEPT),
+        "box": (Box, _modality_index, 3, _CONCEPT),
+        "dia": (Dia, _modality_index, 3, _CONCEPT),
+    },
+)
+
+#: Bare tokens that stand for a term, per sort.
+_CONSTANTS = ({}, {"top": TOP, "bot": BOT})
+
+
+def _misplaced(sort: int, token: str, head: bool) -> str:
+    """Message for a token that cannot start a term of `sort`; `head`
+    when it follows an opening parenthesis."""
+    if sort == _FORMULA:
+        if token in ("top", "bot") or (
+            head and token in ("atom", "some", "all")
         ):
-            self._err(f"expected {what}, found '{name}'", tok)
-        return name
+            return f"'{token}' is a concept, not a formula"
+        if head:
+            return f"unknown formula keyword '{token}'"
+        return f"'{token}' is not a formula"
+    if head:
+        if token == "sub":
+            return "'sub' is a formula, not a concept"
+        return f"unknown concept keyword '{token}'"
+    return f"'{token}' is not a concept"
 
-    def _index(self) -> int:
-        tok = self._next()
-        if not tok[0].isdigit():
-            self._err(f"expected modality index, found '{tok[0]}'", tok)
-        value = int(tok[0])
-        if value < 1:
-            self._err("modality index must be at least 1", tok)
-        return value
 
-    def formula(self) -> Formula:
-        tok = self._next()
-        if tok[0] != "(":
-            if tok[0] in ("top", "bot"):
-                self._err(f"'{tok[0]}' is a concept, not a formula", tok)
-            self._err(f"'{tok[0]}' is not a formula", tok)
-        head = self._next()
-        kw = head[0]
-        if kw == "sub":
-            left = self.concept()
-            right = self.concept()
-            self._expect(")")
-            return CI(left, right)
-        if kw == "not":
-            arg = self.formula()
-            self._expect(")")
-            return NotF(arg)
-        if kw == "and" or kw == "or":
-            left = self.formula()
-            right = self.formula()
-            self._expect(")")
-            return AndF(left, right) if kw == "and" else OrF(left, right)
-        if kw == "box" or kw == "dia":
-            index = self._index()
-            arg = self.formula()
-            self._expect(")")
-            return BoxF(index, arg) if kw == "box" else DiaF(index, arg)
-        if kw in ("top", "bot", "atom", "some", "all"):
-            self._err(f"'{kw}' is a concept, not a formula", head)
-        self._err(f"unknown formula keyword '{kw}'", head)
+_END = "unexpected end of input"
 
-    def concept(self) -> Concept:
-        tok = self._next()
-        if tok[0] == "top":
-            return TOP
-        if tok[0] == "bot":
-            return BOT
-        if tok[0] != "(":
-            self._err(f"'{tok[0]}' is not a concept", tok)
-        head = self._next()
-        kw = head[0]
-        if kw == "atom":
-            name = self._ident("concept name")
-            self._expect(")")
-            return AtomicConcept(name)
-        if kw == "not":
-            arg = self.concept()
-            self._expect(")")
-            return Not(arg)
-        if kw == "and" or kw == "or":
-            left = self.concept()
-            right = self.concept()
-            self._expect(")")
-            return And(left, right) if kw == "and" else Or(left, right)
-        if kw == "some" or kw == "all":
-            role = self._ident("role name")
-            arg = self.concept()
-            self._expect(")")
-            return Exists(role, arg) if kw == "some" else Forall(role, arg)
-        if kw == "box" or kw == "dia":
-            index = self._index()
-            arg = self.concept()
-            self._expect(")")
-            return Box(index, arg) if kw == "box" else Dia(index, arg)
-        if kw == "sub":
-            self._err("'sub' is a formula, not a concept", head)
-        self._err(f"unknown concept keyword '{kw}'", head)
 
-    def finish(self):
-        if self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            self._err(f"trailing input '{tok[0]}'", tok)
+def _error(text: str, tokens: list, rest, message: str) -> ParseError:
+    """ParseError at the last token taken from `tokens`, whose iterator
+    `rest` holds the tokens not yet taken (1:1 when there are none).
+    Positions are found from the token's offset only here, on the error
+    path."""
+    index = len(tokens) - length_hint(rest) - 1
+    starts = [m.start() for m in islice(_TOKEN.finditer(text), index + 1)]
+    offset = starts[-1] if starts else 0
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
+
+
+def _parse(text: str, sort: int):
+    """Parse one term of `sort` covering all of `text`.
+
+    A table-driven shift/reduce loop over the tokens with an explicit
+    stack of the enclosing open parentheses, so nesting depth costs no
+    Python frames.  The open frame is `key`, the intern key so far
+    (constructor, then fields), complete at length `size`, whose term
+    arguments have sort `sort`; the bottom frame only collects the
+    result.  A complete key is looked up in `_TERMS` first, so a node
+    that exists costs one dict lookup."""
+    tokens = _TOKEN.findall(text)
+    rest = iter(tokens)
+    terms = _TERMS
+    stack: list[tuple] = []
+    key, size = [None], 2
+    for token in rest:
+        if token == "(":
+            head = next(rest, None)
+            entry = _KEYWORDS[sort].get(head)
+            if entry is None:
+                if head is None:
+                    raise _error(text, tokens, rest, _END)
+                raise _error(text, tokens, rest, _misplaced(sort, head, True))
+            stack.append((key, size, sort))
+            cls, lead, size, sort = entry
+            key = [cls]
+            if lead is None:
+                continue
+            token = next(rest, None)
+            if token is None:
+                raise _error(text, tokens, rest, _END)
+            try:
+                key.append(lead(token))
+            except _BadToken as bad:
+                raise _error(text, tokens, rest, str(bad)) from None
+        else:
+            value = _CONSTANTS[sort].get(token)
+            if value is None:
+                raise _error(text, tokens, rest, _misplaced(sort, token, False))
+            key.append(value)
+        # Close every frame whose fields are complete.
+        while len(key) == size:
+            if not stack:
+                token = next(rest, None)
+                if token is not None:
+                    raise _error(
+                        text, tokens, rest, f"trailing input '{token}'"
+                    )
+                return key[1]
+            token = next(rest, None)
+            if token != ")":
+                if token is None:
+                    raise _error(text, tokens, rest, _END)
+                raise _error(
+                    text, tokens, rest, f"expected ')', found '{token}'"
+                )
+            value = terms.get(tuple(key))
+            if value is None:
+                value = key[0](*key[1:])
+            key, size, sort = stack.pop()
+            key.append(value)
+    raise _error(text, tokens, rest, _END)
 
 
 def parse_formula(text: str) -> Formula:
@@ -328,18 +343,12 @@ def parse_formula(text: str) -> Formula:
     mismatches (a concept where a formula is required, or vice versa),
     modality indices below 1, and unknown keywords.
     """
-    parser = _Parser(text)
-    result = parser.formula()
-    parser.finish()
-    return result
+    return _parse(text, _FORMULA)
 
 
 def parse_concept(text: str) -> Concept:
     """Parse prefix-notation text into a concept AST."""
-    parser = _Parser(text)
-    result = parser.concept()
-    parser.finish()
-    return result
+    return _parse(text, _CONCEPT)
 
 
 def serialize(term: Concept | Formula, sub=None) -> str:
@@ -389,84 +398,107 @@ def serialize(term: Concept | Formula, sub=None) -> str:
 # Negation normal form
 # ---------------------------------------------------------------------------
 
-def nnf_concept(concept: Concept) -> Concept:
-    """Push concept negation down to atomic names (top/bot stay native)."""
-    if isinstance(concept, (AtomicConcept, Top, Bot)):
-        return concept
-    if isinstance(concept, And):
-        return And(nnf_concept(concept.left), nnf_concept(concept.right))
-    if isinstance(concept, Or):
-        return Or(nnf_concept(concept.left), nnf_concept(concept.right))
-    if isinstance(concept, Exists):
-        return Exists(concept.role, nnf_concept(concept.arg))
-    if isinstance(concept, Forall):
-        return Forall(concept.role, nnf_concept(concept.arg))
-    if isinstance(concept, Box):
-        return Box(concept.index, nnf_concept(concept.arg))
-    if isinstance(concept, Dia):
-        return Dia(concept.index, nnf_concept(concept.arg))
-    assert isinstance(concept, Not)
-    arg = concept.arg
-    if isinstance(arg, AtomicConcept):
-        return concept
-    if isinstance(arg, Top):
-        return BOT
-    if isinstance(arg, Bot):
-        return TOP
-    if isinstance(arg, Not):
-        return nnf_concept(arg.arg)
-    if isinstance(arg, And):
-        return Or(nnf_concept(Not(arg.left)), nnf_concept(Not(arg.right)))
-    if isinstance(arg, Or):
-        return And(nnf_concept(Not(arg.left)), nnf_concept(Not(arg.right)))
-    if isinstance(arg, Exists):
-        return Forall(arg.role, nnf_concept(Not(arg.arg)))
-    if isinstance(arg, Forall):
-        return Exists(arg.role, nnf_concept(Not(arg.arg)))
-    if isinstance(arg, Box):
-        return Dia(arg.index, nnf_concept(Not(arg.arg)))
-    assert isinstance(arg, Dia)
-    return Box(arg.index, nnf_concept(Not(arg.arg)))
+#: Normal forms: term -> its `normalize` result, written through
+#: `dict.setdefault` next to `_TERMS`.  Every result also maps to itself.
+_NORMAL: dict[Term, Term] = {}
+
+#: The dual of each connective, restriction and modal operator: a
+#: negation above one moves below its dual.
+_DUAL = {
+    And: Or,
+    Or: And,
+    Exists: Forall,
+    Forall: Exists,
+    Box: Dia,
+    Dia: Box,
+    AndF: OrF,
+    OrF: AndF,
+    BoxF: DiaF,
+    DiaF: BoxF,
+}
 
 
-def _normalize_ci(ci: CI) -> CI:
-    if isinstance(ci.left, Top):
-        return CI(TOP, nnf_concept(ci.right))
-    return CI(TOP, nnf_concept(Or(Not(ci.left), ci.right)))
+def _lead(term) -> tuple:
+    """The role or modality index of a unary node, as a 1-tuple."""
+    return (getattr(term, term._fields[0]),)
 
 
-def normalize(phi: Formula) -> Formula:
+def _rewrite_step(term):
+    """One rewrite of `term`: either its normal form outright, or
+    (constructor, leading fields, inputs) when the normal form is the
+    constructor applied to the leading fields and the inputs' normal
+    forms; a constructor of None means the one input's normal form."""
+    cls = type(term)
+    if cls in (AtomicConcept, Top, Bot):
+        return term
+    if cls is Not or cls is NotF:
+        arg = term.arg
+        inner = type(arg)
+        if inner is AtomicConcept:
+            return term
+        if inner is Top:
+            return BOT
+        if inner is Bot:
+            return TOP
+        if inner is CI:
+            return (NotF, (), (arg,))
+        if inner is cls:
+            return (None, (), (arg.arg,))
+        if inner in (And, Or, AndF, OrF):
+            return (_DUAL[inner], (), (cls(arg.left), cls(arg.right)))
+        return (_DUAL[inner], _lead(arg), (cls(arg.arg),))
+    if cls is CI:
+        if term.left is TOP:
+            return (CI, (TOP,), (term.right,))
+        return (CI, (TOP,), (Or(Not(term.left), term.right),))
+    if cls in (And, Or, AndF, OrF):
+        return (cls, (), (term.left, term.right))
+    return (cls, _lead(term), (term.arg,))
+
+
+def _rewrite(term):
+    """Normal form of `term`, built children first on an explicit stack
+    and recorded in `_NORMAL` for every node on the way."""
+    memo = _NORMAL
+    stack = [(term, None)]
+    while stack:
+        node, step = stack.pop()
+        if step is None:
+            if node in memo:
+                continue
+            step = _rewrite_step(node)
+            if type(step) is not tuple:
+                memo.setdefault(node, step)
+                memo.setdefault(step, step)
+                continue
+            stack.append((node, step))
+            stack.extend((d, None) for d in step[2] if d not in memo)
+            continue
+        cls, head, inputs = step
+        if cls is None:
+            result = memo[inputs[0]]
+        else:
+            result = cls(*head, *[memo[d] for d in inputs])
+        memo.setdefault(node, result)
+        memo.setdefault(result, result)
+    return memo[term]
+
+
+def normalize(term: Concept | Formula) -> Concept | Formula:
     """Rewrite to the solver's input form.
 
     Every inclusion C <= D becomes top <= (not C) or D, and the whole
     formula (concepts included) is put in negation normal form, so NotF
-    survives only directly above an inclusion.  Satisfiability is
-    preserved, and the rewrite is idempotent.
+    survives only directly above an inclusion; on a concept this is its
+    negation normal form, with negation pushed down to atomic names
+    (top/bot stay native).  Satisfiability is preserved, and the rewrite
+    is idempotent: a result is its own normal form.  Results are kept per
+    interned node, so a repeated call is one lookup.
     """
-    if isinstance(phi, CI):
-        return _normalize_ci(phi)
-    if isinstance(phi, AndF):
-        return AndF(normalize(phi.left), normalize(phi.right))
-    if isinstance(phi, OrF):
-        return OrF(normalize(phi.left), normalize(phi.right))
-    if isinstance(phi, BoxF):
-        return BoxF(phi.index, normalize(phi.arg))
-    if isinstance(phi, DiaF):
-        return DiaF(phi.index, normalize(phi.arg))
-    assert isinstance(phi, NotF)
-    arg = phi.arg
-    if isinstance(arg, CI):
-        return NotF(_normalize_ci(arg))
-    if isinstance(arg, NotF):
-        return normalize(arg.arg)
-    if isinstance(arg, AndF):
-        return OrF(normalize(NotF(arg.left)), normalize(NotF(arg.right)))
-    if isinstance(arg, OrF):
-        return AndF(normalize(NotF(arg.left)), normalize(NotF(arg.right)))
-    if isinstance(arg, BoxF):
-        return DiaF(arg.index, normalize(NotF(arg.arg)))
-    assert isinstance(arg, DiaF)
-    return BoxF(arg.index, normalize(NotF(arg.arg)))
+    result = _NORMAL.get(term)
+    if result is None:
+        result = _rewrite(term)
+    return result
 
 
 @lru_cache(maxsize=None)
@@ -575,20 +607,37 @@ def formula_concepts(phi: Formula) -> set[Concept]:
     return {t for t in _subterms(phi) if isinstance(t, Concept)}
 
 
-def closure(phi: Formula) -> Closure:
-    """Closure sets of a normalized formula.
+#: Closures: formula -> its `Closure`, written through `dict.setdefault`.
+_CLOSURES: dict[Formula, Closure] = {}
 
-    Subterms are negated children first, so every `neg_nnf` call finds
-    its children's negations cached and recursion stays shallow however
-    deep the formula."""
-    terms = _subterms(phi)
-    terms += [neg_nnf(t) for t in terms]
-    con_neg = frozenset(t for t in terms if isinstance(t, Concept))
-    for_neg = frozenset(t for t in terms if isinstance(t, Formula))
-    roles = frozenset(
-        c.role for c in con_neg if isinstance(c, (Exists, Forall))
-    )
-    return Closure(con_neg, for_neg, roles)
+
+def _build_closure(phi: Formula) -> Closure:
+    """Closure sets of `phi` in one pass over its subterms.  Subterms come
+    children first, so every `neg_nnf` call finds its children's
+    negations cached and recursion stays shallow however deep `phi`."""
+    concepts: set = set()
+    formulas: set = set()
+    roles: set = set()
+    for term in _subterms(phi):
+        cls = type(term)
+        if issubclass(cls, Concept):
+            concepts.add(term)
+            concepts.add(neg_nnf(term))
+            if cls is Exists or cls is Forall:
+                roles.add(term.role)
+        else:
+            formulas.add(term)
+            formulas.add(neg_nnf(term))
+    return Closure(frozenset(concepts), frozenset(formulas), frozenset(roles))
+
+
+def closure(phi: Formula) -> Closure:
+    """Closure sets of a normalized formula, built once per formula: the
+    frozen result is shared by every later call."""
+    result = _CLOSURES.get(phi)
+    if result is None:
+        result = _CLOSURES.setdefault(phi, _build_closure(phi))
+    return result
 
 
 def has_modalised_concept(phi: Formula) -> bool:

@@ -325,7 +325,10 @@ def test_deep_chain_solves(capsys, left):
 
 
 def test_parser_overflow_is_not_a_verdict(capsys):
-    # The recursive parser still overflows far below this depth.
+    # Parsing, normalization, closure and the search no longer recurse,
+    # but validation's recursive evaluator (`Evaluator.holds` in `semantics`,
+    # called through `extraction.validate`) still overflows far below this
+    # depth.
     code, out, err = run_cli(capsys, "solve", "-e", _chain(3000, True))
     assert code == EXIT_ERROR
     assert out == ""

@@ -1,8 +1,13 @@
+import gc
+import multiprocessing
 import random
+import statistics
 import threading
+import time
 
 import pytest
 
+from nnmdl import syntax
 from nnmdl.fragment import PAnd, PBox, PNot, PVar
 from nnmdl.syntax import (
     And,
@@ -74,6 +79,49 @@ def test_parse_trailing_input_rejected():
 
 def test_parse_concepts():
     assert parse_concept("(some r (all s bot))") == Exists("r", Forall("s", Bot()))
+
+
+#: Malformed inputs and the exact error each raises, position included.
+PARSE_ERRORS = [
+    (parse_formula, "", "1:1: unexpected end of input"),
+    (parse_formula, "   \n  ", "1:1: unexpected end of input"),
+    (parse_formula, "(sub top", "1:6: unexpected end of input"),
+    (parse_formula, "(and (sub top top)", "1:18: unexpected end of input"),
+    (parse_formula, "(box", "1:2: unexpected end of input"),
+    (parse_concept, "(atom", "1:2: unexpected end of input"),
+    (parse_formula, "(implies top top)", "1:2: unknown formula keyword 'implies'"),
+    (parse_concept, "(implies top top)", "1:2: unknown concept keyword 'implies'"),
+    (parse_formula, "top", "1:1: 'top' is a concept, not a formula"),
+    (parse_formula, "bot", "1:1: 'bot' is a concept, not a formula"),
+    (parse_formula, "(atom A)", "1:2: 'atom' is a concept, not a formula"),
+    (parse_formula, "(not (some r top))", "1:7: 'some' is a concept, not a formula"),
+    (parse_formula, ")", "1:1: ')' is not a formula"),
+    (parse_concept, "(sub top top)", "1:2: 'sub' is a formula, not a concept"),
+    (parse_concept, "A", "1:1: 'A' is not a concept"),
+    (parse_formula, "(sub top\n  (atom 1X))", "2:9: expected concept name, found '1X'"),
+    (parse_concept, "(some 1r top)", "1:7: expected role name, found '1r'"),
+    (parse_formula, "(box 0 (sub top top))", "1:6: modality index must be at least 1"),
+    (parse_formula, "(dia x (sub top top))", "1:6: expected modality index, found 'x'"),
+    (parse_formula, "(sub top (atom A)", "1:17: unexpected end of input"),
+    (parse_formula, "(sub top top top)", "1:14: expected ')', found 'top'"),
+    (parse_formula, "(sub top top) top", "1:15: trailing input 'top'"),
+    (parse_formula, "(sub top\t(atom A B))", "1:18: expected ')', found 'B'"),
+    (parse_formula, "(sub top\u00a0(atom A B))", "1:18: expected ')', found 'B'"),
+    (
+        parse_formula,
+        "(sub\n\t\u00a0 top\r\n  (all r (atom _A)))",
+        "3:16: expected concept name, found '_A'",
+    ),
+]
+
+
+@pytest.mark.parametrize("parse, text, message", PARSE_ERRORS)
+def test_parse_error_text_and_position(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+    line, column, _ = message.split(":", 2)
+    assert (err.value.line, err.value.column) == (int(line), int(column))
 
 
 # -- serialization ----------------------------------------------------------
@@ -275,3 +323,144 @@ def test_threads_building_equal_terms_get_one_object():
         t.join()
     assert len(built[0]) == 2000
     assert all(a is b for a, b in zip(*built))
+
+
+# -- depth ------------------------------------------------------------------
+
+DEPTH = 100_000
+
+
+def _fresh_children():
+    """A pool that runs each task in a fresh child process, its result or
+    exception passed back: the deep terms a task interns die with its
+    child instead of staying in this process's intern and memo tables for
+    the rest of the run."""
+    return multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1)
+
+
+def _chain_text(depth: int, left: bool, leaf: str, pad: str) -> str:
+    """`depth` nested `and`s around `leaf`, with `pad` as the other argument
+    of each: the nested argument on the left or on the right."""
+    if left:
+        return "(and " * depth + leaf + f" {pad})" * depth
+    return f"(and {pad} " * depth + leaf + ")" * depth
+
+
+def _chain(depth: int, left: bool, cls, leaf, pad):
+    term = leaf
+    for _ in range(depth):
+        term = cls(term, pad) if left else cls(pad, term)
+    return term
+
+
+def _deep_formula_chain(left: bool) -> None:
+    psi = CI(Top(), A)
+    phi = parse_formula(_chain_text(DEPTH, left, serialize(psi), serialize(psi)))
+    assert phi is _chain(DEPTH, left, AndF, psi, psi)
+    assert normalize(phi) is phi
+    clo = closure(phi)
+    assert len(clo.for_neg) == 2 * DEPTH + 2
+    assert clo.con_neg == frozenset({Top(), Bot(), A, Not(A)})
+
+
+@pytest.mark.parametrize("left", [True, False])
+def test_deep_formula_chain_needs_no_recursion(left):
+    with _fresh_children() as pool:
+        pool.apply(_deep_formula_chain, (left,))
+
+
+def _deep_negated_inclusion(left: bool) -> None:
+    pad = Exists("r", B)
+    concept = parse_concept(_chain_text(DEPTH, left, "(atom A)", serialize(pad)))
+    assert concept is _chain(DEPTH, left, And, A, pad)
+    assert normalize(concept) is concept
+    # The negation of the inclusion is pushed through every level.
+    D = AtomicConcept("D")
+    nnf = _chain(DEPTH, left, Or, Not(A), Forall("r", Not(B)))
+    assert normalize(NotF(CI(concept, D))) is NotF(CI(Top(), Or(nnf, D)))
+    clo = closure(NotF(CI(Top(), Or(nnf, D))))
+    # The chain and its negation, level by level, plus the leaves, the
+    # pads and their negations, top and bot.
+    assert len(clo.con_neg) == 2 * (DEPTH + 1) + 10
+    assert clo.roles == frozenset({"r"})
+
+
+@pytest.mark.parametrize("left", [True, False])
+def test_deep_negated_inclusion_needs_no_recursion(left):
+    with _fresh_children() as pool:
+        pool.apply(_deep_negated_inclusion, (left,))
+
+
+def _front_end_seconds(depth: int) -> float:
+    """CPU time of parse, normalize and closure of a right-nested chain.
+    The objects that exist before are frozen out of the garbage
+    collector's generations, so its full collections scan only what this
+    run builds."""
+    leaf = "(sub (atom Deep) (some r (atom B)))"
+    text = _chain_text(depth, False, leaf, "(not (sub top (atom A)))")
+    gc.collect()
+    gc.freeze()
+    start = time.process_time()
+    closure(normalize(parse_formula(text)))
+    return time.process_time() - start
+
+
+def test_front_end_time_is_linear_in_depth():
+    # Every run starts in a fresh child from the same tables and heap.
+    # Each ratio is taken within a pair of consecutive runs, so a slow
+    # phase of the host that spans the pair cancels out.
+    ratios = []
+    with _fresh_children() as pool:
+        for _ in range(4):
+            small = pool.apply(_front_end_seconds, (10_000,))
+            ratios.append(pool.apply(_front_end_seconds, (20_000,)) / small)
+    assert statistics.median(ratios) <= 2.5, ratios
+
+
+# -- memo tables -------------------------------------------------------------
+
+def test_normal_form_is_its_own_normal_form():
+    rng = random.Random(43)
+    for _ in range(200):
+        raw = random_raw_formula_any(rng)
+        phi = normalize(raw)
+        assert normalize(phi) is phi
+        assert normalize(raw) is phi
+
+
+def test_closure_is_built_once_for_all_classes(monkeypatch):
+    from nnmdl.tableau import FrameClass, solve
+
+    builds = []
+
+    def counting(phi):
+        builds.append(phi)
+        return build(phi)
+
+    build = syntax._build_closure
+    monkeypatch.setattr(syntax, "_build_closure", counting)
+    phi = parse_formula("(box 1 (sub (atom Once) (some r (atom B))))")
+    results = [solve(phi, frame_class) for frame_class in FrameClass]
+    assert builds == [normalize(phi)]
+    assert len({id(r.completion.closure) for r in results if r.completion}) == 1
+
+
+def test_abstraction_and_solve_share_one_normal_form(monkeypatch):
+    from nnmdl.fragment import prop_abstraction
+    from nnmdl.tableau import FrameClass, solve
+
+    rewrites = []
+
+    def counting(term):
+        rewrites.append(term)
+        return rewrite(term)
+
+    rewrite = syntax._rewrite
+    monkeypatch.setattr(syntax, "_rewrite", counting)
+    phi = parse_formula("(not (box 1 (sub (atom Shared) (atom B))))")
+    abstraction = prop_abstraction(phi)
+    result = solve(phi, FrameClass.E)
+    assert rewrites == [phi]
+    ci = normalize(phi).arg.arg
+    assert abstraction.letter_to_ci == {"p1": ci}
+    assert result.completion.phi is normalize(phi)
