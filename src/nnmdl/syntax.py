@@ -17,20 +17,20 @@ the immutable nodes are safe to share between concurrent solver instances.
 The parser splits text with one compiled token regex and builds terms
 with a table-driven loop on an explicit stack; line and column are worked
 out from a token's offset only when a `ParseError` is raised.  `normalize`
-is a children-first rewrite on an explicit stack, so no walk here recurses
-once per nesting level.  Two memo tables sit next to the intern table
-`_TERMS`: `_NORMAL` maps each term to its normal form (and every normal
-form to itself), `_CLOSURES` maps each formula to its frozen `Closure`.
-Like `_TERMS` they are written only through `dict.setdefault` and hold
-only immutable values, so concurrent callers agree on one entry and
-distinct calls share nothing mutable.
+and `neg_nnf` are children-first rewrites on an explicit stack, so
+neither they nor the parser recurse once per nesting level.  Three memo
+tables sit next to the intern table `_TERMS`: `_NORMAL` maps each term to
+its normal form (and every normal form to itself), `_NEGATIONS` each term
+to its NNF negation, and `_CLOSURES` each formula to its frozen
+`Closure`.  Like `_TERMS` they are written only through `dict.setdefault`
+and hold only immutable values, so concurrent callers agree on one entry
+and distinct calls share nothing mutable.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 from operator import attrgetter, length_hint
 
@@ -402,8 +402,10 @@ def serialize(term: Concept | Formula, sub=None) -> str:
 #: `dict.setdefault` next to `_TERMS`.  Every result also maps to itself.
 _NORMAL: dict[Term, Term] = {}
 
-#: The dual of each connective, restriction and modal operator: a
-#: negation above one moves below its dual.
+#: NNF negations: term -> its `neg_nnf` result, written the same way.
+_NEGATIONS: dict[Term, Term] = {}
+
+#: The dual of each connective, restriction and modal operator.
 _DUAL = {
     And: Or,
     Or: And,
@@ -417,70 +419,74 @@ _DUAL = {
     DiaF: BoxF,
 }
 
-
-def _lead(term) -> tuple:
-    """The role or modality index of a unary node, as a 1-tuple."""
-    return (getattr(term, term._fields[0]),)
+_JUNCTIONS = (And, Or, AndF, OrF)
+_LEAVES = (AtomicConcept, Top, Bot)
 
 
-def _rewrite_step(term):
-    """One rewrite of `term`: either its normal form outright, or
-    (constructor, leading fields, inputs) when the normal form is the
-    constructor applied to the leading fields and the inputs' normal
-    forms; a constructor of None means the one input's normal form."""
-    cls = type(term)
-    if cls in (AtomicConcept, Top, Bot):
-        return term
-    if cls is Not or cls is NotF:
-        arg = term.arg
-        inner = type(arg)
-        if inner is AtomicConcept:
-            return term
-        if inner is Top:
-            return BOT
-        if inner is Bot:
-            return TOP
-        if inner is CI:
-            return (NotF, (), (arg,))
-        if inner is cls:
-            return (None, (), (arg.arg,))
-        if inner in (And, Or, AndF, OrF):
-            return (_DUAL[inner], (), (cls(arg.left), cls(arg.right)))
-        return (_DUAL[inner], _lead(arg), (cls(arg.arg),))
-    if cls is CI:
-        if term.left is TOP:
-            return (CI, (TOP,), (term.right,))
-        return (CI, (TOP,), (Or(Not(term.left), term.right),))
-    if cls in (And, Or, AndF, OrF):
-        return (cls, (), (term.left, term.right))
-    return (cls, _lead(term), (term.arg,))
+def _intern(key: tuple) -> Term:
+    """The node with intern key `key` (constructor, then fields)."""
+    node = _TERMS.get(key)
+    if node is None:
+        node = key[0](*key[1:])
+    return node
+
+
+def _lead(node):
+    """The role or modality index of a unary node."""
+    return node.role if type(node) in (Exists, Forall) else node.index
 
 
 def _rewrite(term):
     """Normal form of `term`, built children first on an explicit stack
-    and recorded in `_NORMAL` for every node on the way."""
+    and recorded in `_NORMAL` for every subterm.  A negation's normal form
+    is the NNF negation of its argument's, so nothing is built but the
+    result, and a node whose children are their own normal forms is its
+    own."""
     memo = _NORMAL
-    stack = [(term, None)]
+    stack = [(term, False)]
     while stack:
-        node, step = stack.pop()
-        if step is None:
+        node, ready = stack.pop()
+        cls = type(node)
+        if not ready:
             if node in memo:
                 continue
-            step = _rewrite_step(node)
-            if type(step) is not tuple:
-                memo.setdefault(node, step)
-                memo.setdefault(step, step)
+            if cls in _LEAVES:
+                memo.setdefault(node, node)
                 continue
-            stack.append((node, step))
-            stack.extend((d, None) for d in step[2] if d not in memo)
+            stack.append((node, True))
+            if cls in _JUNCTIONS or cls is CI:
+                if node.right not in memo:
+                    stack.append((node.right, False))
+                if node.left not in memo:
+                    stack.append((node.left, False))
+            elif node.arg not in memo:
+                stack.append((node.arg, False))
             continue
-        cls, head, inputs = step
-        if cls is None:
-            result = memo[inputs[0]]
+        if cls is Not or cls is NotF:
+            result = neg_nnf(memo[node.arg])
+        elif cls is CI:
+            right = memo[node.right]
+            if node.left is not TOP:
+                right = _intern((Or, neg_nnf(memo[node.left]), right))
+            if right is node.right and node.left is TOP:
+                result = node
+            else:
+                result = _intern((CI, TOP, right))
+        elif cls in _JUNCTIONS:
+            left, right = memo[node.left], memo[node.right]
+            if left is node.left and right is node.right:
+                result = node
+            else:
+                result = _intern((cls, left, right))
         else:
-            result = cls(*head, *[memo[d] for d in inputs])
+            arg = memo[node.arg]
+            if arg is node.arg:
+                result = node
+            else:
+                result = _intern((cls, _lead(node), arg))
         memo.setdefault(node, result)
-        memo.setdefault(result, result)
+        if result is not node:
+            memo.setdefault(result, result)
     return memo[term]
 
 
@@ -501,42 +507,72 @@ def normalize(term: Concept | Formula) -> Concept | Formula:
     return result
 
 
-@lru_cache(maxsize=None)
-def neg_nnf(term):
-    """NNF negation of an NNF term; an involution on both sorts."""
-    if isinstance(term, AtomicConcept):
-        return Not(term)
-    if isinstance(term, Not):
-        return term.arg
-    if isinstance(term, Top):
+def _negation_inputs(node) -> tuple:
+    """The children whose negations the negation of `node` is built from."""
+    cls = type(node)
+    if cls in _JUNCTIONS:
+        return (node.left, node.right)
+    if cls in _DUAL:
+        return (node.arg,)
+    return ()
+
+
+def _negation(node) -> Term | None:
+    """NNF negation of `node` from its children's, or None when one of
+    those is not in `_NEGATIONS` yet."""
+    cls = type(node)
+    if cls is AtomicConcept:
+        return Not(node)
+    if cls is Not or cls is NotF:
+        return node.arg
+    if cls is Top:
         return BOT
-    if isinstance(term, Bot):
+    if cls is Bot:
         return TOP
-    if isinstance(term, And):
-        return Or(neg_nnf(term.left), neg_nnf(term.right))
-    if isinstance(term, Or):
-        return And(neg_nnf(term.left), neg_nnf(term.right))
-    if isinstance(term, Exists):
-        return Forall(term.role, neg_nnf(term.arg))
-    if isinstance(term, Forall):
-        return Exists(term.role, neg_nnf(term.arg))
-    if isinstance(term, Box):
-        return Dia(term.index, neg_nnf(term.arg))
-    if isinstance(term, Dia):
-        return Box(term.index, neg_nnf(term.arg))
-    if isinstance(term, CI):
-        return NotF(term)
-    if isinstance(term, NotF):
-        return term.arg
-    if isinstance(term, AndF):
-        return OrF(neg_nnf(term.left), neg_nnf(term.right))
-    if isinstance(term, OrF):
-        return AndF(neg_nnf(term.left), neg_nnf(term.right))
-    if isinstance(term, BoxF):
-        return DiaF(term.index, neg_nnf(term.arg))
-    if isinstance(term, DiaF):
-        return BoxF(term.index, neg_nnf(term.arg))
-    raise TypeError(f"not a concept or formula: {term!r}")
+    if cls is CI:
+        return NotF(node)
+    memo = _NEGATIONS
+    if cls in _JUNCTIONS:
+        left, right = memo.get(node.left), memo.get(node.right)
+        if left is None or right is None:
+            return None
+        return _intern((_DUAL[cls], left, right))
+    if cls in _DUAL:
+        arg = memo.get(node.arg)
+        if arg is None:
+            return None
+        return _intern((_DUAL[cls], _lead(node), arg))
+    raise TypeError(f"not a concept or formula: {node!r}")
+
+
+def _negate_deep(term) -> Term:
+    """NNF negation of `term`, its subterms' negations built children
+    first on an explicit stack and recorded in `_NEGATIONS`."""
+    memo = _NEGATIONS
+    stack = [(term, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            memo.setdefault(node, _negation(node))
+        elif node not in memo:
+            stack.append((node, True))
+            for child in _negation_inputs(node):
+                if child not in memo:
+                    stack.append((child, False))
+    return memo[term]
+
+
+def neg_nnf(term):
+    """NNF negation of an NNF term; an involution on both sorts.  Kept per
+    interned node; when a child's negation is not kept yet, the subterms
+    are negated children first, so no call recurses."""
+    result = _NEGATIONS.get(term)
+    if result is None:
+        result = _negation(term)
+        if result is None:
+            return _negate_deep(term)
+        result = _NEGATIONS.setdefault(term, result)
+    return result
 
 
 def weight(term: Concept | Formula) -> int:
@@ -614,7 +650,7 @@ _CLOSURES: dict[Formula, Closure] = {}
 def _build_closure(phi: Formula) -> Closure:
     """Closure sets of `phi` in one pass over its subterms.  Subterms come
     children first, so every `neg_nnf` call finds its children's
-    negations cached and recursion stays shallow however deep `phi`."""
+    negations kept and builds one node."""
     concepts: set = set()
     formulas: set = set()
     roles: set = set()
