@@ -419,13 +419,17 @@ def test_front_end_time_is_linear_in_depth():
 
 # -- memo tables -------------------------------------------------------------
 
-def test_normal_form_is_its_own_normal_form():
+def test_normal_forms_are_memoized(monkeypatch):
+    # A second call, on the input or on its normal form, is one lookup.
     rng = random.Random(43)
-    for _ in range(200):
-        raw = random_raw_formula_any(rng)
-        phi = normalize(raw)
+    raws = [random_raw_formula_any(rng) for _ in range(200)]
+    phis = [normalize(raw) for raw in raws]
+    rewrites = []
+    monkeypatch.setattr(syntax, "_rewrite", rewrites.append)
+    for raw, phi in zip(raws, phis):
         assert normalize(phi) is phi
         assert normalize(raw) is phi
+    assert rewrites == []
 
 
 def test_closure_is_built_once_for_all_classes(monkeypatch):
