@@ -7,6 +7,12 @@ computed with the non-incremental engine (full rescans on every step),
 and recomputed once when the search started to backjump: skipped
 alternatives change step counts and traces, while the verdicts and the
 traces of the final branch stayed those of the chronological search.
+
+A second digest hashes only what a change to the search's bookkeeping
+must keep: each verdict and the final branch's trace entries without
+their step numbers.  It was computed before the search learnt to decide
+disjunctions by propagation, and holds every later search to the same
+verdicts and final branches.
 """
 
 import hashlib
@@ -32,6 +38,7 @@ from nnmdl.tableau import SolveOptions, solve
 from corpus import random_normalized_formula
 
 EXPECTED_DIGEST = "bd18a18f78dbf6675b28f8df9e194c2d232530b7e4e3e984920f7d158a4302de"
+EXPECTED_OUTCOME_DIGEST = "e2406ec88a4afa82b828b50381f6e59381e965c4a092ef1312702dc5578e839b"
 
 
 def names(count: int) -> list[str]:
@@ -97,3 +104,22 @@ def search_digest() -> str:
 
 def test_search_digest_is_pinned():
     assert search_digest() == EXPECTED_DIGEST
+
+
+def outcome_digest() -> str:
+    digest = hashlib.sha256()
+    for phi, fc in pinned_inputs():
+        result = solve(phi, fc, SolveOptions(trace=True, extract=False))
+        path = result.trace
+        if path is not None:
+            path = [
+                {key: value for key, value in entry.items() if key != "step"}
+                for entry in path
+            ]
+        digest.update(json.dumps([result.verdict, path], sort_keys=True).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def test_verdicts_and_final_branches_are_pinned():
+    assert outcome_digest() == EXPECTED_OUTCOME_DIGEST
