@@ -575,24 +575,41 @@ def neg_nnf(term):
     return result
 
 
+def _weight_parts(term) -> tuple[int, tuple]:
+    """What a term adds to its weight itself, and the children whose
+    weights it adds."""
+    if isinstance(term, (AtomicConcept, Top, Bot, CI)):
+        return 0, ()
+    if isinstance(term, (Not, NotF)):
+        return 0, (term.arg,)
+    if isinstance(term, (And, Or, AndF, OrF)):
+        return 1, (term.left, term.right)
+    if isinstance(term, (Exists, Forall, Box, Dia, BoxF, DiaF)):
+        return 1, (term.arg,)
+    raise TypeError(f"not a concept or formula: {term!r}")
+
+
 def weight(term: Concept | Formula) -> int:
     """Structural weight: invariant under NNF negation.
 
     Atoms, their negations, top/bot and inclusions weigh 0; restrictions
     and modal operators add 1; binary connectives add 1 plus the weights
-    of both arguments.
+    of both arguments.  Computed children first on an explicit stack, with
+    each distinct subterm weighed once per call; a shared subterm still
+    counts once per occurrence.
     """
-    if isinstance(term, (AtomicConcept, Top, Bot, CI)):
-        return 0
-    if isinstance(term, Not):
-        return weight(term.arg)
-    if isinstance(term, NotF):
-        return weight(term.arg)
-    if isinstance(term, (And, Or, AndF, OrF)):
-        return weight(term.left) + weight(term.right) + 1
-    if isinstance(term, (Exists, Forall, Box, Dia, BoxF, DiaF)):
-        return weight(term.arg) + 1
-    raise TypeError(f"not a concept or formula: {term!r}")
+    weights: dict = {}
+    stack = [term]
+    while stack:
+        top = stack[-1]
+        own, children = _weight_parts(top)
+        missing = [c for c in children if c not in weights]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        weights[top] = own + sum(weights[c] for c in children)
+    return weights[term]
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ import os
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .semantics import FrameClass, NeighbourhoodModel
 from .syntax import (
@@ -154,16 +154,18 @@ class ConstraintSystem:
 @dataclass
 class SolveStats:
     """Counts over a whole search.  `branch_points` counts the branching
-    instances applied, `backtracks` the alternatives tried after a clash
-    and `backjumps` the branch points popped with alternatives untried;
-    these three stay out of `as_dict`, so the CLI's output keeps its
-    shape."""
+    instances applied with a branch point, `forced` the disjunctions
+    decided without one because an alternative was refuted, `backtracks`
+    the alternatives tried after a clash and `backjumps` the branch
+    points popped with alternatives untried; these four stay out of
+    `as_dict`, so the CLI's output keeps its shape."""
 
     rule_applications: dict[str, int] = field(default_factory=dict)
     labels_created: int = 0
     variables_created: int = 0
     steps: int = 0
     branch_points: int = 0
+    forced: int = 0
     backtracks: int = 0
     backjumps: int = 0
 
@@ -557,8 +559,10 @@ def blockers(var: int, system: ConstraintSystem) -> list[int]:
 BranchItem = tuple
 
 
-@dataclass(frozen=True)
-class RuleInstance:
+class RuleInstance(NamedTuple):
+    """One rule application waiting in the agenda: immutable, equal and
+    hashed by its fields."""
+
     rule: str
     label: int
     #: For in-label rules each branch lists items added to `label`; for R_L
@@ -1079,6 +1083,46 @@ def apply(
     return out
 
 
+def _refuter(
+    tableau: CompletionSet, label: int, item: BranchItem
+) -> int | None:
+    """The dependency set of what refutes a disjunct in its label: the
+    stored set of its NNF negation, or 0 for a bottom concept, which
+    clashes on its own.  None while adding it would not clash at once."""
+    system = tableau.systems[label]
+    if item[0] == "formula":
+        key = neg_nnf(item[1])
+        if key not in system.formulas:
+            return None
+    else:
+        concept, var = item[1], item[2]
+        if isinstance(concept, Bot):
+            return 0
+        key = (neg_nnf(concept), var)
+        if key not in system.concepts:
+            return None
+    return tableau.deps.get((label, key), system.deps_base)
+
+
+def _forced_branch(
+    tableau: CompletionSet, inst: RuleInstance
+) -> tuple[int, int] | None:
+    """Boolean constraint propagation for an R_or or R_cup instance: the
+    branch to apply without a branch point and the refuter set of the
+    alternative it skips, or None while both alternatives are live.  With
+    the first disjunct refuted the second is applied, even when it is
+    refuted too and clashes at once; otherwise, with the second refuted,
+    the first."""
+    first, second = inst.branches
+    refuted = _refuter(tableau, inst.label, first[0])
+    if refuted is not None:
+        return 1, refuted
+    refuted = _refuter(tableau, inst.label, second[0])
+    if refuted is not None:
+        return 0, refuted
+    return None
+
+
 def applied_constraints(inst: RuleInstance, branch: int) -> list[str]:
     """Human/trace rendering of what a branch would add (without applying)."""
     out = []
@@ -1237,12 +1281,22 @@ class _Search:
                 return tableau
             # With no branch point open, every set is empty.
             stamp = _premise_deps(tableau, inst) if stack else 0
-            if inst.branch_count > 1:
+            branch = 0
+            forced = (
+                _forced_branch(tableau, inst)
+                if inst.rule in (R_OR, R_SQCUP)
+                else None
+            )
+            if forced is not None:
+                stats.forced += 1
+                branch, refuted = forced
+                stamp |= refuted
+            elif inst.branch_count > 1:
                 stats.branch_points += 1
                 stack.append([tableau, inst, 1, len(path), stamp, 0])
                 tableau = tableau.copy()
                 stamp |= 1 << (len(stack) - 1)
-            self._step(tableau, inst, 0, stamp, path)
+            self._step(tableau, inst, branch, stamp, path)
 
 
 def solve(

@@ -227,7 +227,7 @@ def test_unblocked_variable_gets_its_successor(monkeypatch):
     )
     result = solve(phi, FrameClass.E, SolveOptions(extract=False))
     assert result.verdict == "sat"
-    assert result.stats.steps == 26
+    assert result.stats.steps == 24
     assert checked.parked_then_chosen == 1
 
 
@@ -245,9 +245,9 @@ def test_c_boxes_4_step_and_label_counts():
     result = solve(c_boxes(4), FrameClass.C, SolveOptions(extract=False))
     elapsed = time.perf_counter() - started
     assert result.verdict == "unsat"
-    assert result.stats.steps == 68
+    assert result.stats.steps == 61
     assert result.stats.labels_created == 24
-    print(f"\nc_boxes(4) under C: 68 steps in {elapsed:.2f} s")
+    print(f"\nc_boxes(4) under C: 61 steps in {elapsed:.2f} s")
 
 
 def test_c_boxes_5_unsat_within_the_default_step_cap(monkeypatch):
@@ -257,8 +257,8 @@ def test_c_boxes_5_unsat_within_the_default_step_cap(monkeypatch):
     result = solve(c_boxes(5), FrameClass.C, SolveOptions(extract=False))
     elapsed = time.perf_counter() - started
     assert result.verdict == "unsat"
-    assert result.stats.steps == 89
-    print(f"\nc_boxes(5) under C: 89 steps in {elapsed:.2f} s")
+    assert result.stats.steps == 80
+    print(f"\nc_boxes(5) under C: 80 steps in {elapsed:.2f} s")
 
 
 def test_unit_instance_settled_by_a_label_lacking_its_variable(monkeypatch):
@@ -290,7 +290,7 @@ def test_search_does_not_rescan_the_state(monkeypatch):
     monkeypatch.setattr(tableau, "is_clash", forbidden)
     result = solve(or_chain(30), FrameClass.E, SolveOptions(extract=False))
     assert result.verdict == "sat"
-    assert result.stats.steps == 179
+    assert result.stats.steps == 149
 
 
 def balanced_conjunction(parts):

@@ -196,12 +196,16 @@ def test_branch_label_keeps_its_base_set_across_copies():
 
 
 def test_search_shape_counters():
-    # Each disjunction of or_chain first tries the refuted atom and falls
-    # back to its other side: one backtrack per branch point, no jump.
+    # The first atom of each disjunction of or_chain is refuted when the
+    # disjunction is applied, so each one takes its other side at once:
+    # no branch point, no backtrack.
     stats = solve(or_chain(20), FrameClass.E, SolveOptions(extract=False)).stats
-    assert (stats.branch_points, stats.backtracks, stats.backjumps) == (20, 20, 0)
+    assert (stats.branch_points, stats.backtracks, stats.backjumps) == (0, 0, 0)
+    assert stats.forced == 20
+    # Five disjunctions of c_boxes(3) have both sides refuted.
     stats = solve(c_boxes(3), FrameClass.C, SolveOptions(extract=False)).stats
-    assert (stats.branch_points, stats.backtracks, stats.backjumps) == (10, 16, 3)
+    assert (stats.branch_points, stats.backtracks, stats.backjumps) == (5, 11, 3)
+    assert stats.forced == 5
     # The counters stay out of the stats the CLI prints.
     assert set(stats.as_dict()) == {
         "rule_applications",
@@ -209,3 +213,83 @@ def test_search_shape_counters():
         "variables_created",
         "steps",
     }
+
+
+def atom_pairs(count):
+    """Disjunctions top <= Ai or Bi, which sort before every disjunction
+    of negations or restrictions."""
+    firsts = [AtomicConcept(f"A{i}") for i in range(count)]
+    seconds = [AtomicConcept(f"B{i}") for i in range(count)]
+    return firsts, [CI(TOP, Or(a, b)) for a, b in zip(firsts, seconds)]
+
+
+def test_both_disjuncts_refuted_on_different_branch_points(monkeypatch):
+    # Three choices give x0 A0, A1 and A2; then (not A1 or not A0) has
+    # both sides refuted, by A1 and by A0.  It opens no branch point, and
+    # its clash rests on the first two choices only: the search skips the
+    # third choice's alternative and gives x0 B1.  The newest choice in
+    # the clash's set refutes the disjunct that was skipped, not the one
+    # applied.
+    log = JumpLog(monkeypatch)
+    a, parts = atom_pairs(3)
+    phi = conj(parts + [CI(TOP, Or(Not(a[1]), Not(a[0])))])
+    result = solve(phi, FrameClass.E, SolveOptions(extract=False, trace=True))
+    assert result.verdict == chronological(phi, FrameClass.E) == "sat"
+    third = normalize(parts[2]).right
+    assert [[inst.branches[0][0][1] for inst in skipped] for skipped, _ in log.jumps] == [
+        [third.left]
+    ]
+    assert (result.stats.branch_points, result.stats.forced) == (4, 2)
+    assert result.stats.backjumps == 1
+    final = [entry["added"] for entry in result.trace if entry["rule"] == "R_cup"]
+    assert final == [["(atom A0)(x0)"], ["(atom B1)(x0)"], ["(atom A2)(x0)"], [
+        "(not (atom A1))(x0)"
+    ]]
+
+
+def test_second_disjunct_refuted_then_a_later_clash(monkeypatch):
+    # Two choices give x0 A0 and A1.  (some r bot or not A0) has its
+    # second side refuted by A0, so x0 takes (some r bot) without a
+    # branch point, resting on the first choice.  Its successor's bottom
+    # clashes on that alone: the search jumps past the disjunction and
+    # over the second choice, back to the first.
+    log = JumpLog(monkeypatch)
+    a, parts = atom_pairs(2)
+    phi = conj(parts + [CI(TOP, Or(Exists("r", BOT), Not(a[0])))])
+    result = solve(phi, FrameClass.E, SolveOptions(extract=False, trace=True))
+    assert result.verdict == chronological(phi, FrameClass.E) == "sat"
+    second = normalize(parts[1]).right
+    assert [[inst.branches[0][0][1] for inst in skipped] for skipped, _ in log.jumps] == [
+        [second.left]
+    ]
+    assert result.stats.forced == 1
+    final = [entry["added"] for entry in result.trace if entry["rule"] == "R_cup"]
+    assert final == [["(atom B0)(x0)"], ["(atom A1)(x0)"], ["(not (atom A0))(x0)"]]
+
+
+def test_bottom_disjunct_is_refuted(monkeypatch):
+    # A bottom disjunct is refuted on its own, on either side.  With A0
+    # chosen, (A1 or bot) takes A1, and (bot or not A0) has both sides
+    # refuted and clashes on that choice.  With B0, the first takes A1
+    # again and the second takes not A0: four disjunctions decided
+    # without a branch point.
+    checked = CheckedSearch(monkeypatch)
+    a, parts = atom_pairs(1)
+    phi = conj(
+        parts + [CI(TOP, Or(BOT, Not(a[0]))), CI(TOP, Or(AtomicConcept("A1"), BOT))]
+    )
+    result = solve(phi, FrameClass.E, SolveOptions(extract=False, trace=True))
+    assert checked.clashes == 1
+    assert result.verdict == chronological(phi, FrameClass.E) == "sat"
+    assert (result.stats.branch_points, result.stats.backtracks) == (1, 1)
+    assert result.stats.forced == 4
+    final = [entry["added"] for entry in result.trace if entry["rule"] == "R_cup"]
+    assert sorted(final) == [
+        ["(atom A1)(x0)"], ["(atom B0)(x0)"], ["(not (atom A0))(x0)"]
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 10, 100])
+def test_or_chain_opens_no_branch_point(n):
+    stats = solve(or_chain(n), FrameClass.E, SolveOptions(extract=False)).stats
+    assert (stats.branch_points, stats.forced, stats.backtracks) == (0, n, 0)

@@ -4,9 +4,12 @@ Verdicts, step counts, rule counts and full traces over a seeded corpus
 and three scaling families are hashed together; any change to rule order,
 branch order or bookkeeping changes the digest.  The constant was first
 computed with the non-incremental engine (full rescans on every step),
-and recomputed once when the search started to backjump: skipped
+recomputed when the search started to backjump: skipped
 alternatives change step counts and traces, while the verdicts and the
-traces of the final branch stayed those of the chronological search.
+traces of the final branch stayed those of the chronological search.  It
+was recomputed again when disjunctions with a refuted alternative
+stopped opening branch points: the refuted alternative's step and
+backtrack are gone, which changes step counts and step numbers only.
 
 A second digest hashes only what a change to the search's bookkeeping
 must keep: each verdict and the final branch's trace entries without
@@ -37,7 +40,7 @@ from nnmdl.tableau import SolveOptions, solve
 
 from corpus import random_normalized_formula
 
-EXPECTED_DIGEST = "bd18a18f78dbf6675b28f8df9e194c2d232530b7e4e3e984920f7d158a4302de"
+EXPECTED_DIGEST = "f1400b7b655b9c7be7ecfc663cd274c265b591ea3b6a55729a25af7818e9b97e"
 EXPECTED_OUTCOME_DIGEST = "e2406ec88a4afa82b828b50381f6e59381e965c4a092ef1312702dc5578e839b"
 
 

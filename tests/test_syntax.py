@@ -185,6 +185,12 @@ def test_weight_recurrences():
     assert weight(CI(Top(), Exists("r", A))) == 0
     assert weight(BoxF(1, CI(Top(), A))) == 1
     assert weight(AndF(CI(Top(), A), CI(Top(), B))) == 1
+    # A shared subterm counts once per occurrence.
+    assert weight(And(Exists("r", A), Exists("r", A))) == 3
+    doubled = A
+    for _ in range(64):
+        doubled = Or(doubled, doubled)
+    assert weight(doubled) == 2**64 - 1
 
 
 def test_weight_invariant_under_negation_random():
@@ -389,6 +395,20 @@ def _deep_negated_inclusion(left: bool) -> None:
 def test_deep_negated_inclusion_needs_no_recursion(left):
     with _fresh_children() as pool:
         pool.apply(_deep_negated_inclusion, (left,))
+
+
+def _deep_weight(left: bool) -> None:
+    formulas = _chain(DEPTH, left, AndF, CI(Top(), A), BoxF(1, CI(Top(), B)))
+    assert weight(formulas) == 2 * DEPTH
+    concept = _chain(DEPTH, left, And, Exists("r", A), Not(B))
+    assert weight(concept) == DEPTH + 1
+    assert weight(neg_nnf(concept)) == DEPTH + 1
+
+
+@pytest.mark.parametrize("left", [True, False])
+def test_deep_weight_needs_no_recursion(left):
+    with _fresh_children() as pool:
+        pool.apply(_deep_weight, (left,))
 
 
 def _front_end_seconds(depth: int) -> float:
