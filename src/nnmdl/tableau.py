@@ -13,7 +13,11 @@ depth-first in their given order, so runs are reproducible.  On a clash
 the search backjumps: every constraint carries the set of open branch
 points it depends on, and the search returns straight to the newest
 branch point in the clash's set, skipping the untried alternatives of
-later ones, none of which can avoid that clash.  Rules only
+later ones, none of which can avoid that clash.  A disjunction (R_or,
+R_cup) one of whose alternatives is already refuted in its label, by its
+NNF negation or as a bottom concept, opens no branch point: the other
+alternative is applied as a deterministic step (Boolean constraint
+propagation), resting on what refuted the skipped one.  Rules only
 ever add constraints, every payload stays inside the closure sets of the
 input formula, and the label count is asserted against its theoretical
 budget at every label creation.  A solve call owns its state exclusively;
@@ -1246,6 +1250,17 @@ class _Search:
         with the premise set and the failure set instead of the bit, since
         every earlier alternative failed for the reasons recorded there.
         The trace path is cut back to the entry's length first.
+
+        An R_or or R_cup instance with an alternative whose NNF negation
+        the label holds (or that is a bottom concept) is decided before
+        any branch point is opened: the other alternative, or the second
+        when both are refuted, is applied in place, stamped with the
+        premise set and the skipped alternative's refuter set.  Trying
+        the refuted alternative would clash at once with exactly that set
+        and leave the same stamp on the one that follows, so every later
+        clash returns to the branch point it would have returned to
+        through that failure; the step keeps its alternative's branch
+        index in the trace.
         """
         stats, stack = self.stats, self.stack
         path: list[dict] = []
