@@ -564,8 +564,8 @@ BranchItem = tuple
 
 
 class RuleInstance(NamedTuple):
-    """One rule application waiting in the agenda: immutable, equal and
-    hashed by its fields."""
+    """A rule applicable in one label, with its alternatives; immutable,
+    equal and hashed by its fields."""
 
     rule: str
     label: int
