@@ -1128,13 +1128,15 @@ def _forced_branch(
 
 
 def applied_constraints(inst: RuleInstance, branch: int) -> list[str]:
-    """Human/trace rendering of what a branch would add (without applying)."""
+    """Human/trace rendering of what a branch would add (without applying).
+    Terms are rendered by their cached sort keys, which are their
+    serialized text."""
     out = []
     for item in inst.branches[branch]:
         if item[0] == "formula":
-            out.append(f"{serialize(item[1])}")
+            out.append(sort_key(item[1]))
         elif item[0] == "concept":
-            out.append(f"{serialize(item[1])}(x{item[2]})")
+            out.append(f"{sort_key(item[1])}(x{item[2]})")
         else:
             out.append(f"{item[1]}(x{item[2]}, fresh)")
     return out

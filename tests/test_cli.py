@@ -163,6 +163,37 @@ def test_fragment_solve_constant_domain(capsys):
     assert payload["stats"]["fragment"] is True
 
 
+FRAGMENT_PINS = [
+    # Modal depth 1: decided by queries, which build no valuations.
+    (
+        "C",
+        "(and (box 1 (sub top (atom A))) (dia 1 (not (sub top (atom B)))))",
+        EXIT_SAT,
+        '{"stats": {"domain": "constant", "fragment": true, '
+        '"initial_valuations": 0, "letters": 2, "logic": "C", "rounds": 1, '
+        '"surviving_valuations": 0}, "verdict": "sat"}\n',
+    ),
+    # Modal depth 2: the valuation table, with one elimination round.
+    (
+        "N",
+        "(and (box 1 (box 1 (sub top (atom A)))) (dia 1 (not (sub top top))))",
+        EXIT_UNSAT,
+        '{"stats": {"domain": "constant", "fragment": true, '
+        '"initial_valuations": 16, "letters": 2, "logic": "N", "rounds": 2, '
+        '"surviving_valuations": 8}, "verdict": "unsat"}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("logic, text, exit_code, expected", FRAGMENT_PINS)
+def test_golden_fragment_output(capsys, logic, text, exit_code, expected):
+    code, out, _ = run_cli(
+        capsys, "solve", "--fragment", "--domain", "constant", "--logic", logic, "-e", text
+    )
+    assert code == exit_code
+    assert out == expected
+
+
 def test_constant_domain_without_fragment_rejected(capsys):
     code, _, err = run_cli(
         capsys, "solve", "--domain", "constant", "--logic", "C", "-e", SAT_SIMPLE
@@ -319,6 +350,24 @@ def _chain(depth: int, left: bool) -> str:
 @pytest.mark.parametrize("left", [True, False])
 def test_deep_chain_solves(capsys, left):
     code, out, err = run_cli(capsys, "solve", "-e", _chain(520, left))
+    assert code == EXIT_SAT
+    assert json.loads(out)["verdict"] == "sat"
+    assert err == ""
+
+
+@pytest.mark.parametrize("logic", ["C", "N"])
+def test_deep_chain_fragment_solves(capsys, logic):
+    code, out, err = run_cli(
+        capsys,
+        "solve",
+        "--fragment",
+        "--domain",
+        "constant",
+        "--logic",
+        logic,
+        "-e",
+        _chain(2000, True),
+    )
     assert code == EXIT_SAT
     assert json.loads(out)["verdict"] == "sat"
     assert err == ""

@@ -11,6 +11,7 @@ from nnmdl.fragment import (
     PNot,
     PVar,
     Valuation,
+    _by_table,
     _valuations,
     alc_consistent,
     check_g_fragment,
@@ -22,6 +23,7 @@ from nnmdl.fragment import (
 )
 from nnmdl.oracle import SAT, OracleBounds, brute_force_sat
 from nnmdl.semantics import FrameClass
+from nnmdl import tableau
 from nnmdl.syntax import (
     AndF,
     AtomicConcept,
@@ -37,6 +39,7 @@ from nnmdl.syntax import (
     normalize,
     parse_formula,
 )
+from nnmdl.tableau import solve
 
 from corpus import random_g_formula
 
@@ -227,20 +230,33 @@ def test_fragment_violation_rejected():
         solve_fragment(CI(Top(), Box(1, A)), FrameClass.C)
 
 
-def test_letter_cap():
+def _twenty_letters():
     parts = [
         CI(Top(), AtomicConcept(f"N{i}")) for i in range(20)
     ]
     phi = parts[0]
     for p in parts[1:]:
         phi = AndF(phi, p)
+    return phi
+
+
+def test_letter_cap():
+    # Modal depth 2 goes to the valuation table: 20 letters and 2 boxes.
+    phi = AndF(_twenty_letters(), BoxF(1, BoxF(1, P)))
     with pytest.raises(FragmentCapError):
         solve_fragment(phi, FrameClass.N)
 
 
+@pytest.mark.parametrize("fc", [FrameClass.C, FrameClass.N])
+def test_query_path_is_not_capped(fc):
+    phi = _twenty_letters()
+    result = solve_fragment(phi, fc)
+    assert result.verdict == solve(phi, fc).verdict == "sat"
+
+
 def test_support_shrinks_monotonically():
     phi = AndF(AndF(BoxF(1, P), BoxF(1, Q)), NotF(BoxF(1, AndF(P, Q))))
-    result = solve_fragment(phi, FrameClass.C)
+    result = _by_table(prop_abstraction(phi), FrameClass.C)
     assert len(result.support.members) <= result.initial_valuations
     assert result.rounds <= result.initial_valuations + 1
 
@@ -281,3 +297,85 @@ def test_varying_vs_constant_agreement_recorded():
         f"{disagreements} differ (recorded, not asserted)"
     )
     assert agreements + disagreements == 50
+
+
+# -- the query path (modal depth at most 1) ---------------------------------------------
+
+def _counting_solve(monkeypatch):
+    calls = []
+    inner = tableau.solve
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(tableau, "solve", counted)
+    return calls
+
+
+def test_query_path_result_fields(monkeypatch):
+    calls = _counting_solve(monkeypatch)
+    result = solve_fragment(AndF(BoxF(1, P), DiaF(1, Q)), FrameClass.C)
+    assert result.verdict == "sat"
+    assert (result.rounds, result.initial_valuations) == (1, 0)
+    assert result.support.members == frozenset()
+    assert result.queries == len(calls) > 0
+
+
+def test_table_path_counts_its_queries(monkeypatch):
+    calls = _counting_solve(monkeypatch)
+    result = solve_fragment(BoxF(1, BoxF(1, P)), FrameClass.N)
+    assert result.initial_valuations > 0
+    assert result.queries == len(calls) == 2
+
+
+R = CI(Top(), AtomicConcept("C"))
+
+# Inputs whose C verdict turns on the maximal-subset test: the 0-valued
+# box's body equals a meet of 1-valued bodies, implies only some of them,
+# or implies one that is equivalent to it.
+SUBSET_CASES = [
+    AndF(AndF(AndF(BoxF(1, P), BoxF(1, Q)), BoxF(1, R)), NotF(BoxF(1, AndF(P, Q)))),
+    AndF(BoxF(1, P), NotF(BoxF(1, AndF(P, Q)))),
+    AndF(BoxF(1, AndF(P, Q)), NotF(BoxF(1, P))),
+    AndF(BoxF(1, P), NotF(BoxF(1, AndF(P, P)))),
+    AndF(AndF(BoxF(1, P), BoxF(2, Q)), NotF(BoxF(2, AndF(P, Q)))),
+    OrF(AndF(BoxF(1, P), NotF(BoxF(1, P))), DiaF(1, NotF(CI(Top(), Top())))),
+]
+
+
+@pytest.mark.parametrize("fc", [FrameClass.C, FrameClass.N])
+@pytest.mark.parametrize("index", range(len(SUBSET_CASES)))
+def test_query_path_subset_cases_match_table(index, fc):
+    phi = SUBSET_CASES[index]
+    result = solve_fragment(phi, fc)
+    assert result.initial_valuations == 0
+    assert result.verdict == _by_table(prop_abstraction(phi), fc).verdict
+
+
+def test_query_path_matches_table_on_fragment_corpora():
+    compared = 0
+    for seed in (99120, 61803, 7):
+        rng = random.Random(seed)
+        for _ in range(200):
+            phi = random_g_formula(rng)
+            for fc in (FrameClass.C, FrameClass.N):
+                result = solve_fragment(phi, fc)
+                if result.initial_valuations:
+                    continue
+                reference = _by_table(prop_abstraction(phi), fc)
+                assert result.verdict == reference.verdict, (seed, fc.value, phi)
+                compared += 1
+    assert compared > 600
+
+
+def test_deep_table_input_needs_no_recursion():
+    # A 2,000-level conjunction chain next to a depth-2 box: the table
+    # path, with three atoms.
+    phi = P
+    for _ in range(2000):
+        phi = AndF(phi, P)
+    phi = AndF(phi, BoxF(1, BoxF(1, Q)))
+    assert solve_fragment(phi, FrameClass.C).verdict == "sat"
+    text = serialize_prop(prop_abstraction(phi).prop_formula)
+    assert text.startswith("(and (and ") and text.endswith("(box 1 (box 1 p2)))")

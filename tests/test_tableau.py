@@ -288,6 +288,43 @@ def test_solve_trace_records_path():
     assert all({"step", "rule", "label", "branch", "added"} <= e.keys() for e in result.trace)
 
 
+def _serialized_rendering(inst, branch):
+    out = []
+    for item in inst.branches[branch]:
+        if item[0] == "formula":
+            out.append(serialize(item[1]))
+        elif item[0] == "concept":
+            out.append(f"{serialize(item[1])}(x{item[2]})")
+        else:
+            out.append(f"{item[1]}(x{item[2]}, fresh)")
+    return out
+
+
+def test_traces_render_as_serialized_text(monkeypatch):
+    # Trace entries read each term's cached sort key; on the acceptance
+    # corpus that text equals a fresh `serialize` of the term.
+    import nnmdl.tableau as engine
+
+    rendered = engine.applied_constraints
+    checked = []
+
+    def compared(inst, branch):
+        out = rendered(inst, branch)
+        assert out == _serialized_rendering(inst, branch)
+        checked.append(out)
+        return out
+
+    monkeypatch.setattr(engine, "applied_constraints", compared)
+    rng = random.Random(74453)
+    for _ in range(500):
+        phi = random_normalized_formula(rng)
+        for fc in FrameClass:
+            result = solve(phi, fc, SolveOptions(trace=True, extract=False))
+            if result.trace:
+                assert result.trace[-1]["added"] in checked
+    assert len(checked) > 3000
+
+
 def test_modal_negation_pair_is_an_immediate_clash():
     # The diamond of the negated body is itself the box's NNF negation.
     phi = normalize(AndF(BoxF(1, P), DiaF(1, neg_nnf(P))))
