@@ -208,7 +208,7 @@ def _run_abstract(config: RunConfig) -> int:
     abstraction = prop_abstraction(phi)
     _emit(
         {
-            "formula": serialize_prop(abstraction.prop_formula),
+            "formula": serialize_prop(abstraction),
             "letters": {
                 letter: serialize(abstraction.ci_of(letter))
                 for letter in abstraction.letters

@@ -6,10 +6,18 @@ assignment is an ALC question (answered by the tableau engine on a
 modality-free formula over the inclusions), while the modal structure
 is handled on valuations of the abstraction's subformula closure.
 
+The abstraction is read off the normal form itself: each distinct
+inclusion is a letter, named p1, p2, ... in order of first occurrence,
+and each formula-level box is an atom.  A normal form has negation only
+directly above inclusions, so a disjunction is the negated conjunction
+of its arguments' negations, and a diamond (dia i psi) is the negated
+box atom (box i psi'), where psi' is the NNF negation of psi.  The
+closure is the formula's subformulas together with their NNF negations.
+
 A valuation assigns 0/1 to every member of the closure coherently with
-negation and conjunction.  Starting from all ALC-consistent valuations,
-valuations are discarded when one of their box patterns lacks a witness
-among the survivors:
+negation, conjunction and disjunction.  Starting from all ALC-consistent
+valuations, valuations are discarded when one of their box patterns
+lacks a witness among the survivors:
 
   intersection-closed frames: a non-empty selection of 1-valued boxes
   together with a 0-valued box (of the same modality) needs a surviving
@@ -37,19 +45,19 @@ ALC-consistent letter assignment survives the first round once its boxes
 ask nothing: all 0 under C, all 1 under N.  So the elimination stops
 after one round, and a requirement is witnessed exactly when one
 modality-free formula, the conjunction of its bodies xor the refuted
-body, is ALC-satisfiable.  Under C the 2^|ones| subset requirements of a
-0-valued box z reduce to one test, the maximal-subset argument of
-Lavendhomme & Lucas ("Sequent calculi and decision procedures for weak
-modal systems", Studia Logica 66, 2000): some selection is equivalent to
-z's body exactly when M = {1-valued s : z's body entails s's body} is
-non-empty and the conjunction of M with the negation of z's body is
-unsatisfiable, which takes |ones| + 1 queries.  The distinguished
-world's box values come from a depth-first search that evaluates the
-abstraction three-valued (letters unknown), drops a partial assignment
-once it is false, checks each requirement once its boxes are fixed, and
-answers sat when the abstraction with all box values fixed is
-ALC-satisfiable.  Each query is one tableau call, memoized per formula
-within one `solve_fragment` call.
+body, is ALC-satisfiable; a box body is such a formula already.  Under
+C the 2^|ones| subset requirements of a 0-valued box z reduce to one
+test, the maximal-subset argument of Lavendhomme & Lucas ("Sequent
+calculi and decision procedures for weak modal systems", Studia Logica
+66, 2000): some selection is equivalent to z's body exactly when
+M = {1-valued s : z's body entails s's body} is non-empty and the
+conjunction of M with the negation of z's body is unsatisfiable, which
+takes |ones| + 1 queries.  The distinguished world's box values come
+from a depth-first search that evaluates the abstraction three-valued
+(letters unknown), drops a partial assignment once it is false, checks
+each requirement once its boxes are fixed, and answers sat when the
+abstraction with all box values fixed is ALC-satisfiable.  Each query is
+one tableau call, memoized per formula within one `solve_fragment` call.
 
 Only the intersection-closed and unit classes are decided here; the
 remaining classes are out of scope for this procedure.
@@ -65,15 +73,21 @@ from . import tableau
 from .semantics import FrameClass
 from .syntax import (
     AndF,
+    Box,
     BoxF,
     CI,
+    Dia,
     DiaF,
     Formula,
     NotF,
     OrF,
-    Term,
+    _subterms,
+    closure,
     has_modalised_concept,
+    neg_nnf,
     normalize,
+    postorder,
+    sort_key,
 )
 from .tableau import _nonempty_subsets
 
@@ -92,86 +106,8 @@ class FragmentCapError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Propositional shapes
+# Abstraction
 # ---------------------------------------------------------------------------
-
-class PFormula(Term):
-    __slots__ = ()
-
-
-class PVar(PFormula):
-    __slots__ = _fields = ("name",)
-
-
-class PNot(PFormula):
-    __slots__ = _fields = ("arg",)
-
-
-class PAnd(PFormula):
-    __slots__ = _fields = ("left", "right")
-
-
-class PBox(PFormula):
-    __slots__ = _fields = ("index", "arg")
-
-
-def pnot(psi: PFormula) -> PFormula:
-    """Negation with double negations collapsed."""
-    return psi.arg if isinstance(psi, PNot) else PNot(psi)
-
-
-def _postorder(root: Term, children) -> list:
-    """Distinct nodes under `root`, each after its children and the
-    leftmost first, walked on an explicit stack."""
-    out: list = []
-    seen: set = set()
-    stack = [(root, False)]
-    while stack:
-        top, expanded = stack.pop()
-        if expanded:
-            out.append(top)
-        elif top not in seen:
-            seen.add(top)
-            stack.append((top, True))
-            stack.extend((c, False) for c in reversed(children(top)))
-    return out
-
-
-def _children(psi: PFormula) -> tuple:
-    if isinstance(psi, PAnd):
-        return (psi.left, psi.right)
-    if isinstance(psi, (PNot, PBox)):
-        return (psi.arg,)
-    return ()
-
-
-def _skeleton_children(psi: PFormula) -> tuple:
-    """Children outside box bodies: boxes count as atoms."""
-    return () if isinstance(psi, PBox) else _children(psi)
-
-
-def serialize_prop(psi: PFormula) -> str:
-    out: list[str] = []
-    stack: list = [psi]
-    while stack:
-        top = stack.pop()
-        if isinstance(top, str):
-            out.append(top)
-        elif isinstance(top, PVar):
-            out.append(top.name)
-        elif isinstance(top, PNot):
-            out.append("(not ")
-            stack += (")", top.arg)
-        elif isinstance(top, PAnd):
-            out.append("(and ")
-            stack += (")", top.right, " ", top.left)
-        elif isinstance(top, PBox):
-            out.append(f"(box {top.index} ")
-            stack += (")", top.arg)
-        else:
-            raise TypeError(f"not a propositional formula: {top!r}")
-    return "".join(out)
-
 
 def check_g_fragment(phi: Formula) -> bool:
     """True when no box or diamond occurs inside a concept."""
@@ -180,10 +116,11 @@ def check_g_fragment(phi: Formula) -> bool:
 
 @dataclass(frozen=True)
 class Abstraction:
-    """Propositional skeleton of a formula, one letter per distinct
-    inclusion (syntactic equality after normalization)."""
+    """Propositional skeleton of a formula: its normal form, with one
+    letter per distinct inclusion (syntactic equality after
+    normalization)."""
 
-    prop_formula: PFormula
+    prop_formula: Formula
     letters: tuple[str, ...]
     letter_to_ci: dict[str, CI]
 
@@ -191,47 +128,61 @@ class Abstraction:
         return self.letter_to_ci[letter]
 
 
-def _formula_children(psi: Formula) -> tuple:
-    if isinstance(psi, (AndF, OrF)):
-        return (psi.left, psi.right)
-    if isinstance(psi, (NotF, BoxF, DiaF)):
-        return (psi.arg,)
-    return ()
-
-
 def prop_abstraction(phi: Formula) -> Abstraction:
-    """Replace each inclusion by a letter, numbered in the order of first
-    occurrence; diamonds and disjunctions are expressed through negation
-    and conjunction."""
+    """Name each inclusion of the normal form by a letter, numbered in the
+    order of first occurrence; the walk that finds them rejects a box or
+    diamond inside a concept."""
     phi = normalize(phi)
-    if not check_g_fragment(phi):
-        raise FragmentError("modalised concepts are outside this fragment")
     letters: list[str] = []
     ci_of: dict[str, CI] = {}
-    prop: dict[Formula, PFormula] = {}
-    for psi in _postorder(phi, _formula_children):
-        if isinstance(psi, CI):
+    for term in _subterms(phi):
+        if isinstance(term, (Box, Dia)):
+            raise FragmentError("modalised concepts are outside this fragment")
+        if isinstance(term, CI):
             letter = f"p{len(letters) + 1}"
-            ci_of[letter] = psi
+            ci_of[letter] = term
             letters.append(letter)
-            prop[psi] = PVar(letter)
-        elif isinstance(psi, NotF):
-            prop[psi] = pnot(prop[psi.arg])
-        elif isinstance(psi, AndF):
-            prop[psi] = PAnd(prop[psi.left], prop[psi.right])
-        elif isinstance(psi, OrF):
-            prop[psi] = pnot(PAnd(pnot(prop[psi.left]), pnot(prop[psi.right])))
-        elif isinstance(psi, BoxF):
-            prop[psi] = PBox(psi.index, prop[psi.arg])
+    return Abstraction(phi, tuple(letters), ci_of)
+
+
+def serialize_prop(abstraction: Abstraction) -> str:
+    """The abstraction as text over letters, `not`, `and` and `box`: a
+    disjunction is printed as the negated conjunction of its arguments'
+    negations, a diamond as the negated box of its negated body."""
+    letter = {ci: name for name, ci in abstraction.letter_to_ci.items()}
+    out: list[str] = []
+    stack: list = [abstraction.prop_formula]
+    while stack:
+        top = stack.pop()
+        if isinstance(top, str):
+            out.append(top)
+        elif isinstance(top, CI):
+            out.append(letter[top])
+        elif isinstance(top, NotF):
+            out.append("(not ")
+            stack += (")", top.arg)
+        elif isinstance(top, AndF):
+            out.append("(and ")
+            stack += (")", top.right, " ", top.left)
+        elif isinstance(top, OrF):
+            out.append("(not (and ")
+            stack += ("))", neg_nnf(top.right), " ", neg_nnf(top.left))
+        elif isinstance(top, BoxF):
+            out.append(f"(box {top.index} ")
+            stack += (")", top.arg)
         else:
-            prop[psi] = pnot(PBox(psi.index, pnot(prop[psi.arg])))
-    return Abstraction(prop[phi], tuple(letters), ci_of)
+            out.append(f"(not (box {top.index} ")
+            stack += ("))", neg_nnf(top.arg))
+    return "".join(out)
 
 
-def sub_closure(prop: PFormula) -> frozenset[PFormula]:
-    """Subformulas closed under single negation."""
-    base = _postorder(prop, _children)
-    return frozenset(base).union(pnot(psi) for psi in base)
+def _children(psi: Formula) -> tuple:
+    """Children outside box bodies: boxes and diamonds count as atoms."""
+    if isinstance(psi, (AndF, OrF)):
+        return (psi.left, psi.right)
+    if isinstance(psi, NotF):
+        return (psi.arg,)
+    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +194,9 @@ class Valuation:
     """Coherent 0/1 assignment on a subformula closure, stored as the set
     of members assigned 1."""
 
-    true_members: frozenset[PFormula]
+    true_members: frozenset[Formula]
 
-    def value(self, psi: PFormula) -> int:
+    def value(self, psi: Formula) -> int:
         return 1 if psi in self.true_members else 0
 
 
@@ -271,68 +222,55 @@ def _conjunction(formulas: list[Formula]) -> Formula:
     return out
 
 
-def alc_consistent(
-    assignment: dict[str, int],
-    abstraction: Abstraction,
-    _memo: dict | None = None,
-) -> bool:
+def alc_consistent(assignment: dict[str, int], abstraction: Abstraction) -> bool:
     """Joint ALC satisfiability of the inclusions asserted by a letter
-    assignment and the negations of those refuted.
-
-    Results are memoized by the letter bitmap when a memo dict is
-    supplied.
-    """
-    bitmap = tuple(assignment[letter] for letter in abstraction.letters)
-    if _memo is not None and bitmap in _memo:
-        return _memo[bitmap]
+    assignment and the negations of those refuted."""
     parts: list[Formula] = []
-    for letter, bit in zip(abstraction.letters, bitmap):
+    for letter in abstraction.letters:
         ci = abstraction.ci_of(letter)
-        parts.append(ci if bit else NotF(ci))
-    verdict = _alc_sat(_conjunction(parts))
-    if _memo is not None:
-        _memo[bitmap] = verdict
-    return verdict
+        parts.append(ci if assignment[letter] else NotF(ci))
+    return _alc_sat(_conjunction(parts))
 
 
 def _valuations(
-    abstraction: Abstraction, sub: frozenset[PFormula], memo: dict
+    abstraction: Abstraction, sub: frozenset[Formula]
 ) -> list[Valuation]:
-    """All coherent, per-world ALC-consistent assignments on the closure."""
-    atoms = sorted(
-        (psi for psi in sub if isinstance(psi, (PVar, PBox))),
-        key=serialize_prop,
-    )
-    if len(atoms) >= LETTER_CAP:
+    """All coherent, per-world ALC-consistent assignments on the closure:
+    one ALC query per letter bitmap, the box bitmaps inside it."""
+    boxes = sorted((psi for psi in sub if isinstance(psi, BoxF)), key=sort_key)
+    letters = abstraction.letters
+    if len(letters) + len(boxes) >= LETTER_CAP:
         raise FragmentCapError(
-            f"{len(atoms)} free atoms exceed the enumeration cap of {LETTER_CAP}"
+            f"{len(letters) + len(boxes)} free atoms exceed the enumeration "
+            f"cap of {LETTER_CAP}"
         )
+    atoms = [abstraction.ci_of(letter) for letter in letters] + boxes
     compound = [
         psi
-        for psi in _postorder(abstraction.prop_formula, _children)
-        if isinstance(psi, (PNot, PAnd))
+        for psi in _subterms(abstraction.prop_formula)
+        if isinstance(psi, (NotF, AndF, OrF, DiaF))
     ]
+    negation = {psi: neg_nnf(psi) for psi in atoms + compound}
     out = []
-    for bits in product((0, 1), repeat=len(atoms)):
-        chosen = dict(zip(atoms, bits))
-        letter_bits = {
-            psi.name: bit
-            for psi, bit in chosen.items()
-            if isinstance(psi, PVar)
-        }
-        if not alc_consistent(letter_bits, abstraction, memo):
+    for letter_bits in product((0, 1), repeat=len(letters)):
+        if not alc_consistent(dict(zip(letters, letter_bits)), abstraction):
             continue
-        for psi in compound:
-            if isinstance(psi, PNot):
-                chosen[psi] = 1 - chosen[psi.arg]
-            else:
-                chosen[psi] = chosen[psi.left] & chosen[psi.right]
-        true_members = frozenset(
-            psi
-            for psi in sub
-            if (chosen[psi] if psi in chosen else 1 - chosen[psi.arg])
-        )
-        out.append(Valuation(true_members))
+        for box_bits in product((0, 1), repeat=len(boxes)):
+            value = dict(zip(atoms, letter_bits + box_bits))
+            for psi in compound:
+                cls = type(psi)
+                if cls is NotF:
+                    value[psi] = 1 - value[psi.arg]
+                elif cls is AndF:
+                    value[psi] = value[psi.left] & value[psi.right]
+                elif cls is OrF:
+                    value[psi] = value[psi.left] | value[psi.right]
+                else:
+                    value[psi] = 1 - value[negation[psi]]
+            true_members = frozenset(
+                psi if bit else negation[psi] for psi, bit in value.items()
+            )
+            out.append(Valuation(true_members))
     return out
 
 
@@ -340,19 +278,19 @@ def _valuations(
 # Witness elimination
 # ---------------------------------------------------------------------------
 
-def _boxes_by_index(sub: frozenset[PFormula]) -> dict[int, list[PBox]]:
-    grouped: dict[int, list[PBox]] = {}
+def _boxes_by_index(sub: frozenset[Formula]) -> dict[int, list[BoxF]]:
+    grouped: dict[int, list[BoxF]] = {}
     for psi in sub:
-        if isinstance(psi, PBox):
+        if isinstance(psi, BoxF):
             grouped.setdefault(psi.index, []).append(psi)
     for index in grouped:
-        grouped[index].sort(key=serialize_prop)
+        grouped[index].sort(key=sort_key)
     return grouped
 
 
 def _requirements(
     valuation: Valuation,
-    boxes: dict[int, list[PBox]],
+    boxes: dict[int, list[BoxF]],
     frame_class: FrameClass,
 ):
     """Witness patterns this valuation's box values demand, as pairs
@@ -405,9 +343,8 @@ class FragmentResult:
 def _by_table(abstraction: Abstraction, frame_class: FrameClass) -> FragmentResult:
     """Valuation elimination to its greatest fixpoint; SAT exactly when a
     surviving valuation assigns 1 to the abstraction."""
-    sub = sub_closure(abstraction.prop_formula)
-    memo: dict = {}
-    survivors = _valuations(abstraction, sub, memo)
+    sub = closure(abstraction.prop_formula).for_neg
+    survivors = _valuations(abstraction, sub)
     initial = len(survivors)
     boxes = _boxes_by_index(sub)
     rounds = 0
@@ -436,38 +373,42 @@ def _by_table(abstraction: Abstraction, frame_class: FrameClass) -> FragmentResu
         abstraction,
         rounds,
         initial,
-        len(memo),
+        2 ** len(abstraction.letters),
     )
 
 
-def _rebuild(order: list, ci_of: dict, boxes: dict):
-    """The formula whose root is `order[-1]` (a children-first node list)
-    over the inclusions, with the box values of `boxes` folded in: True or
+def _rebuild(order: list, boxes: dict):
+    """The formula whose root is `order[-1]` (a children-first list of
+    skeleton nodes) with the box values of `boxes` folded in: True or
     False when those values decide it, None when it still depends on a box
     without a value, else a modality-free formula."""
     value: dict = {}
     for psi in order:
-        if isinstance(psi, PVar):
-            out = ci_of[psi.name]
-        elif isinstance(psi, PBox):
+        cls = type(psi)
+        if cls is BoxF:
             bit = boxes.get(psi)
             out = None if bit is None else bit == 1
-        elif isinstance(psi, PNot):
-            arg = value[psi.arg]
-            if arg is None:
-                out = None
-            else:
-                out = not arg if isinstance(arg, bool) else NotF(arg)
-        else:
+        elif cls is DiaF:
+            bit = boxes.get(neg_nnf(psi))
+            out = None if bit is None else bit == 0
+        elif cls is AndF or cls is OrF:
+            # False decides a conjunction and True a disjunction; the
+            # other constant drops out.
+            decides = cls is OrF
+            drops = not decides
             left, right = value[psi.left], value[psi.right]
-            if left is False or right is False:
-                out = False
-            elif left is True or right is True:
-                out = right if left is True else left
+            if left is decides or right is decides:
+                out = decides
+            elif left is drops:
+                out = right
+            elif right is drops:
+                out = left
             elif left is None or right is None:
                 out = None
             else:
-                out = AndF(left, right)
+                out = cls(left, right)
+        else:  # an inclusion or a negated one
+            out = psi
         value[psi] = out
     return value[order[-1]]
 
@@ -476,11 +417,11 @@ def _by_queries(
     abstraction: Abstraction,
     frame_class: FrameClass,
     skeleton: list,
-    bodies: dict,
+    boxes: list,
 ) -> FragmentResult:
     """Modal depth at most 1: the box values of the distinguished world by
     depth-first search, every requirement and the final check by ALC
-    queries (see the module docstring)."""
+    queries on the box bodies (see the module docstring)."""
     memo: dict[Formula, bool] = {}
 
     def sat(chi: Formula) -> bool:
@@ -489,9 +430,7 @@ def _by_queries(
             verdict = memo[chi] = _alc_sat(chi)
         return verdict
 
-    ci_of = abstraction.letter_to_ci
-    body = {b: _rebuild(order, ci_of, {}) for b, order in bodies.items()}
-    boxes = sorted(body, key=attrgetter("index"))
+    boxes = sorted(boxes, key=attrgetter("index"))
     start = [0] * len(boxes)
     for i in range(1, len(boxes)):
         same = boxes[i - 1].index == boxes[i].index
@@ -502,22 +441,22 @@ def _by_queries(
         b, bit = boxes[i], value[boxes[i]]
         group = boxes[start[i] : i + 1]
         if frame_class is FrameClass.N:
-            z = body[b]
-            if not bit and not sat(NotF(z)):
+            z = b.arg
+            if not bit and not sat(neg_nnf(z)):
                 return False
             return all(
                 value[s] == bit
-                or sat(OrF(AndF(body[s], NotF(z)), AndF(NotF(body[s]), z)))
+                or sat(OrF(AndF(s.arg, neg_nnf(z)), AndF(neg_nnf(s.arg), z)))
                 for s in group[:-1]
             )
         if i + 1 < len(boxes) and start[i + 1] == start[i]:
             return True
-        ones = [body[s] for s in group if value[s]]
+        ones = [s.arg for s in group if value[s]]
         for z in group:
             if value[z]:
                 continue
-            meets = [s for s in ones if not sat(AndF(body[z], NotF(s)))]
-            if meets and not sat(AndF(_conjunction(meets), NotF(body[z]))):
+            meets = [s for s in ones if not sat(AndF(z.arg, neg_nnf(s)))]
+            if meets and not sat(AndF(_conjunction(meets), neg_nnf(z.arg))):
                 return False
         return True
 
@@ -526,7 +465,7 @@ def _by_queries(
     stack: list[dict] = [{}]
     while stack:
         value = stack.pop()
-        folded = _rebuild(skeleton, ci_of, value)
+        folded = _rebuild(skeleton, value)
         if folded is False or (value and not witnessed(len(value) - 1, value)):
             continue
         if len(value) == len(boxes):
@@ -550,12 +489,16 @@ def solve_fragment(phi: Formula, frame_class: FrameClass) -> FragmentResult:
             f"fragment procedure decides classes C and N, not {frame_class.value}"
         )
     abstraction = prop_abstraction(phi)
-    skeleton = _postorder(abstraction.prop_formula, _skeleton_children)
-    bodies = {
-        psi: _postorder(psi.arg, _children)
-        for psi in skeleton
-        if isinstance(psi, PBox)
-    }
-    if any(isinstance(t, PBox) for order in bodies.values() for t in order):
+    skeleton = postorder(abstraction.prop_formula, _children)
+    modal = [psi for psi in skeleton if isinstance(psi, (BoxF, DiaF))]
+    if any(
+        isinstance(t, (BoxF, DiaF))
+        for psi in modal
+        for t in postorder(psi.arg, _children)
+    ):
         return _by_table(abstraction, frame_class)
-    return _by_queries(abstraction, frame_class, skeleton, bodies)
+    # A diamond's atom is the box of its negated body.
+    boxes = dict.fromkeys(
+        psi if isinstance(psi, BoxF) else neg_nnf(psi) for psi in modal
+    )
+    return _by_queries(abstraction, frame_class, skeleton, list(boxes))

@@ -547,18 +547,14 @@ def _negation(node) -> Term | None:
 
 def _negate_deep(term) -> Term:
     """NNF negation of `term`, its subterms' negations built children
-    first on an explicit stack and recorded in `_NEGATIONS`."""
+    first and recorded in `_NEGATIONS`."""
     memo = _NEGATIONS
-    stack = [(term, False)]
-    while stack:
-        node, ready = stack.pop()
-        if ready:
-            memo.setdefault(node, _negation(node))
-        elif node not in memo:
-            stack.append((node, True))
-            for child in _negation_inputs(node):
-                if child not in memo:
-                    stack.append((child, False))
+
+    def missing(node) -> list:
+        return [c for c in _negation_inputs(node) if c not in memo]
+
+    for node in postorder(term, missing):
+        memo.setdefault(node, _negation(node))
     return memo[term]
 
 
@@ -594,21 +590,20 @@ def weight(term: Concept | Formula) -> int:
 
     Atoms, their negations, top/bot and inclusions weigh 0; restrictions
     and modal operators add 1; binary connectives add 1 plus the weights
-    of both arguments.  Computed children first on an explicit stack, with
-    each distinct subterm weighed once per call; a shared subterm still
-    counts once per occurrence.
+    of both arguments.  Computed children first, with each distinct
+    subterm weighed once per call; a shared subterm still counts once per
+    occurrence.
     """
+    parts: dict = {}
+
+    def children(node) -> tuple:
+        parts[node] = own_and_children = _weight_parts(node)
+        return own_and_children[1]
+
     weights: dict = {}
-    stack = [term]
-    while stack:
-        top = stack[-1]
-        own, children = _weight_parts(top)
-        missing = [c for c in children if c not in weights]
-        if missing:
-            stack.extend(missing)
-            continue
-        stack.pop()
-        weights[top] = own + sum(weights[c] for c in children)
+    for node in postorder(term, children):
+        own, kids = parts[node]
+        weights[node] = own + sum(weights[c] for c in kids)
     return weights[term]
 
 
@@ -633,26 +628,34 @@ class Closure:
         return len(self.con_neg) + len(self.for_neg) + len(self.roles)
 
 
-def _subterms(term: Concept | Formula) -> list:
-    """Distinct subterms of a term, both sides of every inclusion
-    included, each listed after its own subterms.  Built with an explicit
-    stack, so deep terms need no recursion."""
+#: Marks, on a `postorder` stack, that the node below it is complete.
+_EXIT = object()
+
+
+def postorder(root: Term, children) -> list:
+    """Distinct nodes under `root`, `root` included, each listed after the
+    nodes `children` gives for it, the leftmost first.  Walked on an
+    explicit stack, so deep terms need no recursion."""
     out: list = []
     seen: set = set()
-    stack = [(term, False)]
+    stack: list = [root]
+    pop, push, emit = stack.pop, stack.append, out.append
     while stack:
-        top, expanded = stack.pop()
-        if expanded:
-            out.append(top)
+        top = pop()
+        if top is _EXIT:
+            emit(pop())
         elif top not in seen:
             seen.add(top)
-            stack.append((top, True))
-            stack.extend((c, False) for c in _children(top))
+            push(top)
+            push(_EXIT)
+            stack.extend(reversed(children(top)))
     return out
 
 
-def subformulas(phi: Formula) -> set[Formula]:
-    return {t for t in _subterms(phi) if isinstance(t, Formula)}
+def _subterms(term: Concept | Formula) -> list:
+    """Distinct subterms of a term, both sides of every inclusion
+    included, each listed after its own subterms."""
+    return postorder(term, _children)
 
 
 def formula_concepts(phi: Formula) -> set[Concept]:
@@ -711,21 +714,18 @@ def _children(term: Concept | Formula) -> tuple:
 _cached_key = attrgetter("_sort_key")
 
 
+def _unkeyed_children(term: Concept | Formula) -> list:
+    return [c for c in _children(term) if c._sort_key is None]
+
+
 def sort_key(term: Concept | Formula) -> str:
     """Stable canonical ordering key for deterministic iteration: the
     serialized term.  Each key is stored on its node and built children
-    first from the children's stored keys, with an explicit stack, so
-    each subterm is rendered once and deep terms need no recursion."""
+    first from the children's stored keys, so each subterm is rendered
+    once and deep terms need no recursion."""
     key = term._sort_key
     if key is None:
-        stack = [term]
-        while stack:
-            top = stack[-1]
-            missing = [c for c in _children(top) if c._sort_key is None]
-            if missing:
-                stack.extend(missing)
-                continue
-            stack.pop()
-            object.__setattr__(top, "_sort_key", serialize(top, _cached_key))
+        for node in postorder(term, _unkeyed_children):
+            object.__setattr__(node, "_sort_key", serialize(node, _cached_key))
         key = term._sort_key
     return key

@@ -221,7 +221,6 @@ class CompletionSet:
     __slots__ = (
         "systems",
         "label_order",
-        "label_pos",
         "next_label",
         "next_var",
         "phi",
@@ -240,7 +239,6 @@ class CompletionSet:
     def __init__(self, phi: Formula, phi_closure: Closure):
         self.systems: dict[int, ConstraintSystem] = {}
         self.label_order: list[int] = []
-        self.label_pos: dict[int, int] = {}
         self.next_label = 0
         self.next_var = 0
         self.phi = phi
@@ -259,7 +257,6 @@ class CompletionSet:
         dup = CompletionSet(self.phi, self.closure)
         dup.systems = {n: s.copy() for n, s in self.systems.items()}
         dup.label_order = list(self.label_order)
-        dup.label_pos = dict(self.label_pos)
         dup.next_label = self.next_label
         dup.next_var = self.next_var
         dup.clash = self.clash
@@ -284,7 +281,6 @@ class CompletionSet:
         self.next_label += 1
         system = ConstraintSystem(label, self.stamp)
         self.systems[label] = system
-        self.label_pos[label] = len(self.label_order)
         self.label_order.append(label)
         return system
 
@@ -406,7 +402,7 @@ class CompletionSet:
         search the key determines the instance (rule, label and flattened
         items fix the branches), and adds push each instance once, when its
         last premise arrives, so no two entries tie."""
-        heappush(self.agenda, (_instance_key(inst, self.label_pos), inst))
+        heappush(self.agenda, (_instance_key(inst), inst))
 
     def _formula_added(self, system: ConstraintSystem, psi: Formula) -> None:
         """Push the instances whose last premise is this new formula."""
@@ -606,10 +602,12 @@ def _item_key(item: BranchItem):
     return (2, sort_key(item[3]), item[2], item[1])
 
 
-def _instance_key(inst: RuleInstance, label_pos: dict[int, int]):
+def _instance_key(inst: RuleInstance):
+    """Labels are allocated 0, 1, 2, ... and never removed, so a label is
+    also its position in `label_order`."""
     return (
         _PRIORITY[inst.rule],
-        label_pos[inst.label],
+        inst.label,
         inst.rule,
         tuple(_item_key(i) for b in inst.branches for i in b),
     )
@@ -885,13 +883,12 @@ def find_applicable(
     Reference implementation, regenerating every instance from the whole
     state: the search takes `next_instance` instead, and the tests check
     at every step that its choice is this list's head."""
-    label_pos = {n: i for i, n in enumerate(tableau.label_order)}
     instances: list[RuleInstance] = []
     for label in tableau.label_order:
         system = tableau.systems[label]
         instances.extend(_label_instances(tableau, system))
         instances.extend(_modal_instances(tableau, system, frame_class))
-    instances.sort(key=lambda inst: _instance_key(inst, label_pos))
+    instances.sort(key=_instance_key)
     return instances
 
 

@@ -6,20 +6,14 @@ from nnmdl.fragment import (
     _has_witness,
     FragmentCapError,
     FragmentError,
-    PAnd,
-    PBox,
-    PNot,
-    PVar,
     Valuation,
     _by_table,
     _valuations,
     alc_consistent,
     check_g_fragment,
-    pnot,
     prop_abstraction,
     serialize_prop,
     solve_fragment,
-    sub_closure,
 )
 from nnmdl.oracle import SAT, OracleBounds, brute_force_sat
 from nnmdl.semantics import FrameClass
@@ -36,6 +30,8 @@ from nnmdl.syntax import (
     NotF,
     OrF,
     Top,
+    closure,
+    neg_nnf,
     normalize,
     parse_formula,
 )
@@ -67,12 +63,14 @@ def test_nested_concept_diamond_rejected():
 def test_identical_inclusions_share_a_letter():
     abstraction = prop_abstraction(AndF(P, BoxF(1, P)))
     assert abstraction.letters == ("p1",)
-    assert abstraction.prop_formula == PAnd(PVar("p1"), PBox(1, PVar("p1")))
+    assert abstraction.prop_formula == AndF(P, BoxF(1, P))
+    assert serialize_prop(abstraction) == "(and p1 (box 1 p1))"
 
 
 def test_negated_inclusion():
     abstraction = prop_abstraction(NotF(P))
-    assert abstraction.prop_formula == PNot(PVar("p1"))
+    assert abstraction.prop_formula == NotF(P)
+    assert serialize_prop(abstraction) == "(not p1)"
     assert abstraction.ci_of("p1") == P
 
 
@@ -84,7 +82,8 @@ def test_distinct_inclusions_get_distinct_letters():
 
 def test_diamond_expressed_with_box_and_negation():
     abstraction = prop_abstraction(DiaF(1, P))
-    assert abstraction.prop_formula == PNot(PBox(1, PNot(PVar("p1"))))
+    assert abstraction.prop_formula == DiaF(1, P)
+    assert serialize_prop(abstraction) == "(not (box 1 (not p1)))"
 
 
 def test_abstraction_rejects_modalised_concepts():
@@ -94,10 +93,10 @@ def test_abstraction_rejects_modalised_concepts():
 
 def test_sub_closure_closed_under_single_negation():
     abstraction = prop_abstraction(AndF(BoxF(1, P), Q))
-    sub = sub_closure(abstraction.prop_formula)
+    sub = closure(abstraction.prop_formula).for_neg
     for psi in sub:
-        assert pnot(psi) in sub
-    assert PBox(1, PVar("p1")) in sub
+        assert neg_nnf(psi) in sub
+    assert BoxF(1, P) in sub
 
 
 # -- per-world consistency ---------------------------------------------------------
@@ -128,12 +127,16 @@ def test_refuting_a_valid_inclusion_is_inconsistent():
 
 def _valuation(sub, true_atoms):
     def truth(psi):
-        if isinstance(psi, (PVar, PBox)):
+        if isinstance(psi, (CI, BoxF)):
             return psi in true_atoms
-        if isinstance(psi, PNot):
+        if isinstance(psi, NotF):
             return not truth(psi.arg)
-        if isinstance(psi, PAnd):
+        if isinstance(psi, AndF):
             return truth(psi.left) and truth(psi.right)
+        if isinstance(psi, OrF):
+            return truth(psi.left) or truth(psi.right)
+        if isinstance(psi, DiaF):
+            return not truth(neg_nnf(psi))
         raise AssertionError(psi)
 
     return Valuation(frozenset(psi for psi in sub if truth(psi)))
@@ -143,31 +146,34 @@ def _letter(abstraction, ci):
     (letter,) = [
         name for name in abstraction.letters if abstraction.ci_of(name) == ci
     ]
-    return PVar(letter)
+    return abstraction.ci_of(letter)
 
 
 def test_eval_bool_negation_and_conjunction():
     abstraction = prop_abstraction(AndF(P, Q))
-    sub = sub_closure(abstraction.prop_formula)
+    sub = closure(abstraction.prop_formula).for_neg
     p, q = _letter(abstraction, P), _letter(abstraction, Q)
     (v,) = [
         v
-        for v in _valuations(abstraction, sub, {})
+        for v in _valuations(abstraction, sub)
         if v.value(p) == 1 and v.value(q) == 0
     ]
-    assert v.value(PNot(p)) == 0
-    assert v.value(PNot(q)) == 1
-    assert v.value(PAnd(p, q)) == 0
-    assert v.value(PNot(PAnd(p, q))) == 1
+    assert v.value(NotF(p)) == 0
+    assert v.value(NotF(q)) == 1
+    assert v.value(AndF(p, q)) == 0
+    assert v.value(neg_nnf(AndF(p, q))) == 1
 
 
 def test_eval_bool_three_literal_witness_table():
     # (P and not Q) or R, abstracted to not(not(p and not q) and not r)
     R = CI(Top(), AtomicConcept("C"))
     abstraction = prop_abstraction(OrF(AndF(P, NotF(Q)), R))
-    sub = sub_closure(abstraction.prop_formula)
+    assert serialize_prop(abstraction) == (
+        "(not (and (not (and p1 (not p2))) (not p3)))"
+    )
+    sub = closure(abstraction.prop_formula).for_neg
     p, q, r = (_letter(abstraction, ci) for ci in (P, Q, R))
-    valuations = _valuations(abstraction, sub, {})
+    valuations = _valuations(abstraction, sub)
     assert len(valuations) == 8
     for v in valuations:
         expected = (v.value(p) and not v.value(q)) or v.value(r)
@@ -186,14 +192,15 @@ WITNESS_TABLE = [
 
 def test_has_witness_table():
     abstraction = prop_abstraction(AndF(AndF(P, Q), CI(Top(), Not(A))))
-    sub = sub_closure(abstraction.prop_formula)
+    sub = closure(abstraction.prop_formula).for_neg
+    ci_of = abstraction.ci_of
     valuations = {}
     for bits in range(8):
         name = f"{bits:03b}"
-        atoms = {PVar(f"p{i + 1}") for i, c in enumerate(name) if c == "1"}
+        atoms = {ci_of(f"p{i + 1}") for i, c in enumerate(name) if c == "1"}
         valuations[name] = _valuation(sub, atoms)
     for bodies, refuted, witnesses in WITNESS_TABLE:
-        req = (tuple(PVar(b) for b in bodies), PVar(refuted))
+        req = (tuple(ci_of(b) for b in bodies), ci_of(refuted))
         for name, v in valuations.items():
             assert _has_witness(req, [v], {}) == (name in witnesses), (req, name)
         assert not _has_witness(req, [], {})
@@ -376,5 +383,5 @@ def test_deep_table_input_needs_no_recursion():
         phi = AndF(phi, P)
     phi = AndF(phi, BoxF(1, BoxF(1, Q)))
     assert solve_fragment(phi, FrameClass.C).verdict == "sat"
-    text = serialize_prop(prop_abstraction(phi).prop_formula)
+    text = serialize_prop(prop_abstraction(phi))
     assert text.startswith("(and (and ") and text.endswith("(box 1 (box 1 p2)))")

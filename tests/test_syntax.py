@@ -8,7 +8,6 @@ import time
 import pytest
 
 from nnmdl import syntax
-from nnmdl.fragment import PAnd, PBox, PNot, PVar
 from nnmdl.syntax import (
     And,
     AndF,
@@ -302,14 +301,6 @@ def test_repr_names_the_fields():
     assert repr(BoxF(1, CI(Top(), A))) == (
         "BoxF(index=1, arg=CI(left=Top(), right=AtomicConcept(name='A')))"
     )
-
-
-def test_fragment_terms_are_interned():
-    assert PAnd(PVar("p1"), PNot(PBox(1, PVar("p2")))) is PAnd(
-        PVar("p1"), PNot(PBox(1, PVar("p2")))
-    )
-    assert PVar("A") is not AtomicConcept("A")
-    assert PVar("A") != AtomicConcept("A")
 
 
 def test_threads_building_equal_terms_get_one_object():
