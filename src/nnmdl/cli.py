@@ -23,21 +23,10 @@ import sys
 from dataclasses import dataclass
 
 from .extraction import validate
-from .fragment import (
-    FragmentCapError,
-    FragmentError,
-    prop_abstraction,
-    serialize_prop,
-    solve_fragment,
-)
-from .oracle import (
-    SAT,
-    BoundsTooLargeError,
-    OracleBounds,
-    brute_force_sat,
-)
+from .fragment import prop_abstraction, serialize_prop, solve_fragment
+from .oracle import SAT, OracleBounds, brute_force_sat
 from .semantics import FrameClass, NeighbourhoodModel
-from .syntax import ParseError, normalize, parse_formula, serialize
+from .syntax import normalize, parse_formula, serialize
 from .tableau import EngineError, SolveOptions, StepCapError, solve
 
 EXIT_SAT = 0
@@ -81,6 +70,17 @@ class RunConfig:
                 "--fragment decides constant-domain satisfiability; "
                 "pass --domain constant"
             )
+        if self.fragment:
+            # The fragment procedure writes no model, streams no trace and
+            # takes no step cap or validation switch.
+            for flag, given in (
+                ("--model-out", self.model_out is not None),
+                ("--trace", self.trace),
+                ("--cap-steps", self.cap_steps is not None),
+                ("--no-validate", not self.validate_flag),
+            ):
+                if given:
+                    raise UsageError(f"{flag} has no effect with --fragment")
 
 
 class UsageError(ValueError):
@@ -114,8 +114,6 @@ def _stats_payload(config: RunConfig, extra: dict) -> dict:
 def _run_solve(config: RunConfig) -> int:
     phi = _load_formula(config)
     if config.fragment:
-        if config.model_out:
-            raise UsageError("the fragment procedure does not produce models")
         result = solve_fragment(phi, config.logic)
         _emit(
             {
@@ -319,16 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return run(config_from_args(args))
-    except (
-        UsageError,
-        ParseError,
-        FragmentError,
-        FragmentCapError,
-        BoundsTooLargeError,
-        EngineError,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    except (ValueError, EngineError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
     except Exception as exc:

@@ -68,28 +68,20 @@ def floors_ceilings(
     var: int | None = None,
 ) -> TruthApproximation:
     """Bracket of a term: floor collects labels asserting it (at the given
-    variable for concepts), the ceiling drops labels asserting its negation."""
-    if isinstance(term, Concept) and var is None:
-        raise ValueError("concept terms need a variable")
-    labels = tableau.label_order
-    negated = neg_nnf(term)
+    variable for concepts), the ceiling drops labels asserting its negation.
+    Both are read from the state's `holders` masks."""
+    key, neg_key = term, neg_nnf(term)
     if isinstance(term, Concept):
-        floor = frozenset(
-            n for n in labels if (term, var) in tableau.systems[n].concepts
-        )
-        ceil = frozenset(
-            n
-            for n in labels
-            if (negated, var) not in tableau.systems[n].concepts
-        )
-    else:
-        floor = frozenset(
-            n for n in labels if term in tableau.systems[n].formulas
-        )
-        ceil = frozenset(
-            n for n in labels if negated not in tableau.systems[n].formulas
-        )
-    return TruthApproximation(floor, ceil)
+        if var is None:
+            raise ValueError("concept terms need a variable")
+        key, neg_key = (key, var), (neg_key, var)
+    holds = tableau.holders.get(key, 0)
+    refuted = tableau.holders.get(neg_key, 0)
+    labels = range(len(tableau.systems))
+    return TruthApproximation(
+        frozenset(n for n in labels if holds >> n & 1),
+        frozenset(n for n in labels if not refuted >> n & 1),
+    )
 
 
 def _box_bodies(system: ConstraintSystem, index: int):
@@ -118,8 +110,7 @@ def extract_model(
     """
     if tableau.clash:
         raise ValueError("completion set has a clash")
-    labels = tableau.label_order
-    world_ids = tuple(str(n) for n in labels)
+    world_ids = tuple(str(n) for n in range(len(tableau.systems)))
     full = frozenset(world_ids)
     modalities = sorted(
         {c.index for c in tableau.closure.con_neg if isinstance(c, Box)}
@@ -137,8 +128,7 @@ def extract_model(
         }
     )
     role_names = sorted(tableau.closure.roles)
-    for n in labels:
-        system = tableau.systems[n]
+    for n, system in enumerate(tableau.systems):
         world = str(n)
         variables = sorted(system.variables)
         if not variables:
@@ -177,8 +167,8 @@ def extract_model(
     neighbourhoods: dict[int, dict[str, Windows]] = {}
     for index in modalities:
         per_world: dict[str, Windows] = {}
-        for n in labels:
-            bodies = _box_bodies(tableau.systems[n], index)
+        for n, system in enumerate(tableau.systems):
+            bodies = _box_bodies(system, index)
             if frame_class is FrameClass.C:
                 # The windows of every non-empty selection, grown one body
                 # at a time: the selections with the next body are the

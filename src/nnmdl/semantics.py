@@ -150,6 +150,21 @@ class NeighbourhoodModel:
         if not self.worlds:
             raise ValueError("model has no worlds")
         ws = self.world_set()
+        keyed = [
+            ("domains", self.domains),
+            ("concepts", self.concepts),
+            ("roles", self.roles),
+            *(
+                (f"neighbourhoods of modality {index}", per_world)
+                for index, per_world in self.neighbourhoods.items()
+            ),
+        ]
+        for name, per_world in keyed:
+            for w in per_world:
+                if w not in ws:
+                    raise ValueError(
+                        f"{name} has an entry for unknown world {w!r}"
+                    )
         for w in self.worlds:
             if not self.domains.get(w):
                 raise ValueError(f"world {w!r} has an empty domain")

@@ -658,11 +658,6 @@ def _subterms(term: Concept | Formula) -> list:
     return postorder(term, _children)
 
 
-def formula_concepts(phi: Formula) -> set[Concept]:
-    """All concepts occurring in phi (both sides of every inclusion)."""
-    return {t for t in _subterms(phi) if isinstance(t, Concept)}
-
-
 #: Closures: formula -> its `Closure`, written through `dict.setdefault`.
 _CLOSURES: dict[Formula, Closure] = {}
 
@@ -698,9 +693,7 @@ def closure(phi: Formula) -> Closure:
 
 def has_modalised_concept(phi: Formula) -> bool:
     """True when a box or diamond occurs at concept level."""
-    return any(
-        isinstance(c, (Box, Dia)) for c in formula_concepts(phi)
-    )
+    return any(isinstance(t, (Box, Dia)) for t in _subterms(phi))
 
 
 def _children(term: Concept | Formula) -> tuple:

@@ -23,29 +23,31 @@ input formula, and the label count is asserted against its theoretical
 budget at every label creation.  A solve call owns its state exclusively;
 distinct calls share nothing mutable.
 
-The search is incremental.  Every constraint added to a completion set
-pushes the rule instances it completes onto an agenda, a heap ordered by
-the same canonical key that `find_applicable` sorts by, and sets the
-state's clash flag when its NNF negation is already present (or it is a
-bottom concept).  The next instance is the agenda's head once stale heads
-have been dropped; an R_exists instance that is only blocked is parked
-until its variable's concept set grows.  The search extends the state in
-place, copies it only at a branch point (every alternative but the last
-works on a copy of the saved state) and keeps its branch points on an
-explicit stack.  `find_applicable`, `is_clash` and `apply` recompute from
-the whole state; they are the references the agenda, the clash flag and
-the in-place extension are tested against, and the tests build a
-chronological search from them to check backjumping's verdicts.
-Whether an R_L instance is already realized is read from an index
-mapping each constraint to the labels holding it, as an int with one bit
-per label; `find_applicable` rescans the labels instead.
+The search is incremental.  A completion set is built for one frame
+class, which fixes the shape of R_L for the whole run.  From its first
+constraint on, every add pushes the rule instances it completes onto an
+agenda, a heap ordered by the same canonical key that `find_applicable`
+sorts by, and sets the state's clash flag when its NNF negation is
+already present (or it is a bottom concept).  The next instance is the
+agenda's head once stale heads have been dropped; an R_exists instance
+that is only blocked is parked until its variable's concept set grows.
+The search extends the state in place, copies it only at a branch point
+(every alternative but the last works on a copy of the saved state) and
+keeps its branch points on an explicit stack.  `find_applicable`,
+`is_clash` and `apply` recompute from the whole state, for any class;
+they are the references the agenda, the clash flag and the in-place
+extension are tested against, and the tests build a chronological search
+from them to check backjumping's verdicts.  Whether an R_L instance is
+already realized is read from an index mapping each constraint to the
+labels holding it, as an int with one bit per label; `find_applicable`
+rescans the labels instead.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import chain, combinations
 from typing import Callable, Iterable, NamedTuple
 
@@ -187,14 +189,17 @@ class SolveStats:
 
 
 class CompletionSet:
-    """Union of labelled constraint systems plus allocation counters.
+    """Union of labelled constraint systems plus allocation counters, for
+    one frame class.
 
     Carries the normalized input formula and its closure so payload
-    membership and label budgets can be checked.  Variables are ordered
-    by their integer creation index (a global counter), which realizes
-    the well-order used by freshness and blocking.
+    membership and label budgets can be checked.  Labels are allocated
+    0, 1, 2, ... and never removed, so `systems` is indexed by label.
+    Variables are ordered by their integer creation index (a global
+    counter), which realizes the well-order used by freshness and
+    blocking.
 
-    Every add keeps four derived pieces of state current.  `clash` is set
+    Every add keeps the derived state below current.  `clash` is set
     once a label holds some constraint with its NNF negation, or a bottom
     concept; rules only add, so it stays set.  `holders` maps each formula
     and each (concept, variable) pair present anywhere to an int whose bit
@@ -211,77 +216,68 @@ class CompletionSet:
     label n stores a set; the premises of an instance in any other label
     all have the label's base set.
     `clash_deps` is the union of the sets of the first pair of clashing
-    constraints (a bottom concept's own set).  For the frame class of the
-    last `next_instance` call, `agenda` is a heap of (key, instance) pairs
-    holding every applicable rule instance, possibly with stale ones in
-    between, and `parked` holds, per (label, variable), the R_exists
-    instances found blocked.
+    constraints (a bottom concept's own set).  `agenda` is a heap of
+    (key, instance) pairs holding every applicable rule instance of the
+    state's frame class, possibly with stale ones in between, and
+    `parked` holds, per (label, variable), the R_exists instances found
+    blocked.
     """
 
     __slots__ = (
         "systems",
-        "label_order",
-        "next_label",
         "next_var",
         "phi",
         "closure",
+        "frame_class",
         "clash",
         "clash_deps",
         "holders",
         "deps",
         "stamped",
         "stamp",
-        "frame_class",
         "agenda",
         "parked",
     )
 
-    def __init__(self, phi: Formula, phi_closure: Closure):
-        self.systems: dict[int, ConstraintSystem] = {}
-        self.label_order: list[int] = []
-        self.next_label = 0
+    def __init__(
+        self, phi: Formula, phi_closure: Closure, frame_class: FrameClass
+    ):
+        self.systems: list[ConstraintSystem] = []
         self.next_var = 0
         self.phi = phi
         self.closure = phi_closure
+        self.frame_class = frame_class
         self.clash = False
         self.clash_deps = 0
         self.holders: dict[Formula | tuple[Concept, int], int] = {}
         self.deps: dict[tuple[int, object], int] = {}
         self.stamped = 0
         self.stamp = 0
-        self.frame_class: FrameClass | None = None
         self.agenda: list[tuple] = []
         self.parked: dict[tuple[int, int], list[tuple]] = {}
 
     def copy(self) -> "CompletionSet":
-        dup = CompletionSet(self.phi, self.closure)
-        dup.systems = {n: s.copy() for n, s in self.systems.items()}
-        dup.label_order = list(self.label_order)
-        dup.next_label = self.next_label
+        dup = CompletionSet(self.phi, self.closure, self.frame_class)
+        dup.systems = [s.copy() for s in self.systems]
         dup.next_var = self.next_var
         dup.clash = self.clash
         dup.clash_deps = self.clash_deps
         dup.holders = dict(self.holders)
         dup.deps = dict(self.deps)
         dup.stamped = self.stamped
-        dup.frame_class = self.frame_class
         dup.agenda = list(self.agenda)
         dup.parked = {k: list(v) for k, v in self.parked.items()}
         return dup
 
     # -- allocation ---------------------------------------------------------
 
-    def new_label(self, frame_class: FrameClass) -> ConstraintSystem:
-        bound = label_budget(self.closure.fg_size, frame_class)
-        if len(self.label_order) + 1 > bound:
-            raise EngineError(
-                f"label budget exceeded: {len(self.label_order) + 1} > {bound}"
-            )
-        label = self.next_label
-        self.next_label += 1
+    def new_label(self) -> ConstraintSystem:
+        label = len(self.systems)
+        bound = label_budget(self.closure.fg_size, self.frame_class)
+        if label + 1 > bound:
+            raise EngineError(f"label budget exceeded: {label + 1} > {bound}")
         system = ConstraintSystem(label, self.stamp)
-        self.systems[label] = system
-        self.label_order.append(label)
+        self.systems.append(system)
         return system
 
     def new_variable(self) -> int:
@@ -304,8 +300,7 @@ class CompletionSet:
         neg = neg_nnf(psi)
         if neg in system.formulas:
             self._clash_with(system, neg)
-        if self.frame_class is not None:
-            self._formula_added(system, psi)
+        self._formula_added(system, psi)
 
     def add_concept(self, label: int, concept: Concept, var: int) -> None:
         if concept not in self.closure.con_neg:
@@ -325,14 +320,13 @@ class CompletionSet:
             self._stamp_with(label, (role, x, y))
         self._add_variable(system, x)
         self._add_variable(system, y)
-        if self.frame_class is not None:
-            for concept, source in system.concepts:
-                if (
-                    source == x
-                    and isinstance(concept, Forall)
-                    and concept.role == role
-                ):
-                    self._push(_forall_instance(system.label, concept, y))
+        for concept, source in system.concepts:
+            if (
+                source == x
+                and isinstance(concept, Forall)
+                and concept.role == role
+            ):
+                self._push(_forall_instance(system.label, concept, y))
 
     def _add_variable(self, system: ConstraintSystem, var: int) -> None:
         """Make a variable occur in a label, asserting top on it."""
@@ -340,10 +334,9 @@ class CompletionSet:
             return
         system.variables.add(var)
         self._put_concept(system, TOP, var)
-        if self.frame_class is not None:
-            for psi in system.formulas:
-                if isinstance(psi, CI):
-                    self._push(_eq_instance(system.label, psi, var))
+        for psi in system.formulas:
+            if isinstance(psi, CI):
+                self._push(_eq_instance(system.label, psi, var))
 
     def _put_concept(
         self, system: ConstraintSystem, concept: Concept, var: int
@@ -362,8 +355,7 @@ class CompletionSet:
             neg = (neg_nnf(concept), var)
             if neg in system.concepts:
                 self._clash_with(system, neg)
-        if self.frame_class is not None:
-            self._concept_added(system, concept, var)
+        self._concept_added(system, concept, var)
 
     def _stamp_with(self, label: int, key) -> None:
         self.deps[(label, key)] = self.stamp
@@ -379,23 +371,6 @@ class CompletionSet:
             )
 
     # -- agenda -------------------------------------------------------------
-
-    def seed_agenda(self, frame_class: FrameClass) -> None:
-        """Rebuild the agenda for a frame class from the whole state."""
-        self.frame_class = frame_class
-        self.agenda = []
-        self.parked = {}
-        # A new formula or concept pairs with every variable, role and
-        # modal premise already present, so replaying them covers all.
-        for label in self.label_order:
-            system = self.systems[label]
-            for psi in system.formulas:
-                self._formula_added(system, psi)
-            for concept, var in system.concepts:
-                self._concept_added(system, concept, var)
-        # Replaying every premise pairs each box with each diamond twice.
-        self.agenda = list(dict(self.agenda).items())
-        heapify(self.agenda)
 
     def _push(self, inst: "RuleInstance") -> None:
         """Queue a candidate under its `find_applicable` sort key.  Within one
@@ -494,10 +469,11 @@ def label_budget(fg_size: int, frame_class: FrameClass) -> int:
     return fg_size * fg_size
 
 
-def init(phi: Formula) -> CompletionSet:
-    """Initial completion set: the formula and one domain seed at label 0."""
-    tableau = CompletionSet(phi, closure(phi))
-    system = tableau.new_label(FrameClass.E)
+def init(phi: Formula, frame_class: FrameClass) -> CompletionSet:
+    """Initial completion set for a frame class: the formula and one domain
+    seed at label 0."""
+    tableau = CompletionSet(phi, closure(phi), frame_class)
+    system = tableau.new_label()
     tableau.add_formula(system.label, phi)
     tableau._add_variable(system, tableau.new_variable())
     return tableau
@@ -514,7 +490,7 @@ def is_clash(tableau: CompletionSet) -> bool:
     Reference implementation, rescanning the whole state: the search reads
     the `clash` flag that every add maintains, and the tests check that
     flag against this function at every step."""
-    for system in tableau.systems.values():
+    for system in tableau.systems:
         for psi in system.formulas:
             if neg_nnf(psi) in system.formulas:
                 return True
@@ -569,7 +545,6 @@ class RuleInstance(NamedTuple):
     #: every branch is added to a fresh label allocated at application time.
     #: R_exists and R_neq allocate one fresh variable per application.
     branches: tuple[tuple[BranchItem, ...], ...]
-    frame_class: FrameClass | None = None
     #: Unit-class diamond-alone instances on a concept carry the premise
     #: variable: an empty branch (a label the variable is absent from) is an
     #: alternative, and any existing label without the variable already
@@ -604,7 +579,7 @@ def _item_key(item: BranchItem):
 
 def _instance_key(inst: RuleInstance):
     """Labels are allocated 0, 1, 2, ... and never removed, so a label is
-    also its position in `label_order`."""
+    also its position in `systems`."""
     return (
         _PRIORITY[inst.rule],
         inst.label,
@@ -636,7 +611,7 @@ def _holds_in(system: ConstraintSystem, item: BranchItem) -> bool:
 def _some_branch_realized(
     tableau: CompletionSet, branches: tuple[tuple[BranchItem, ...], ...]
 ) -> bool:
-    for system in tableau.systems.values():
+    for system in tableau.systems:
         for branch in branches:
             if all(_holds_in(system, item) for item in branch):
                 return True
@@ -703,7 +678,7 @@ def _modal_instance(
         branches += tuple(
             (_neg_item(g), _neg_item(delta_item)) for g in gamma_items
         )
-    return RuleInstance(R_L, label, branches, frame_class=frame_class)
+    return RuleInstance(R_L, label, branches)
 
 
 def _unit_instance(label: int, delta_item: BranchItem) -> RuleInstance:
@@ -712,15 +687,9 @@ def _unit_instance(label: int, delta_item: BranchItem) -> RuleInstance:
     from (varying domains), so such an instance offers an empty branch and
     is settled by any label lacking the variable."""
     if delta_item[0] == "formula":
-        return RuleInstance(
-            R_L, label, ((delta_item,),), frame_class=FrameClass.N
-        )
+        return RuleInstance(R_L, label, ((delta_item,),))
     return RuleInstance(
-        R_L,
-        label,
-        ((delta_item,), ()),
-        frame_class=FrameClass.N,
-        absent_variable=delta_item[2],
+        R_L, label, ((delta_item,), ()), absent_variable=delta_item[2]
     )
 
 
@@ -741,7 +710,7 @@ def _settled_by_scan(tableau: CompletionSet, inst: RuleInstance) -> bool:
     if _some_branch_realized(tableau, filled):
         return True
     return inst.absent_variable is not None and any(
-        inst.absent_variable not in s.variables for s in tableau.systems.values()
+        inst.absent_variable not in s.variables for s in tableau.systems
     )
 
 
@@ -765,7 +734,7 @@ def _settled(tableau: CompletionSet, inst: RuleInstance) -> bool:
     var = inst.absent_variable
     if var is None:
         return False
-    every_label = (1 << tableau.next_label) - 1
+    every_label = (1 << len(tableau.systems)) - 1
     return bool(every_label & ~holders.get((TOP, var), 0))
 
 
@@ -884,8 +853,7 @@ def find_applicable(
     state: the search takes `next_instance` instead, and the tests check
     at every step that its choice is this list's head."""
     instances: list[RuleInstance] = []
-    for label in tableau.label_order:
-        system = tableau.systems[label]
+    for system in tableau.systems:
         instances.extend(_label_instances(tableau, system))
         instances.extend(_modal_instances(tableau, system, frame_class))
     instances.sort(key=_instance_key)
@@ -900,61 +868,51 @@ def is_complete(tableau: CompletionSet, frame_class: FrameClass) -> bool:
 # Rule application
 # ---------------------------------------------------------------------------
 
-def _check_not_stale(tableau: CompletionSet, inst: RuleInstance) -> None:
-    if inst.rule == R_L:
-        if _settled(tableau, inst):
-            raise StaleInstanceError(f"{inst.rule} already realized by a label")
-        return
+def _stale(tableau: CompletionSet, inst: RuleInstance) -> bool:
+    """The instance's application condition no longer holds: an R_L
+    instance is settled, an in-label rule's conclusions (any alternative,
+    for a disjunction) are present, R_neq's witness exists, or R_exists's
+    variable is witnessed or blocked."""
+    rule = inst.rule
+    if rule == R_L:
+        return _settled(tableau, inst)
     system = tableau.systems[inst.label]
-    if inst.rule in (R_AND, R_SQCAP, R_EQ, R_FORALL):
-        branch = inst.branches[0]
-        if all(_holds_in(system, item) for item in branch):
-            raise StaleInstanceError(f"{inst.rule} conclusions already present")
-    elif inst.rule in (R_OR, R_SQCUP):
-        if any(
+    if rule in (R_AND, R_SQCAP, R_EQ, R_FORALL):
+        return all(_holds_in(system, item) for item in inst.branches[0])
+    if rule in (R_OR, R_SQCUP):
+        return any(
             _holds_in(system, item) for branch in inst.branches for item in branch
-        ):
-            raise StaleInstanceError(f"{inst.rule} some alternative present")
-    elif inst.rule == R_NEQ:
+        )
+    if rule == R_NEQ:
         negated = inst.branches[0][0][1]
-        if any(c == negated for c, _ in system.concepts):
-            raise StaleInstanceError("R_neq witness already present")
-    elif inst.rule == R_EXISTS:
-        _, role, var, target = inst.branches[0][0]
-        if blockers(var, system) or _witnessed(system, role, var, target):
-            raise StaleInstanceError("R_exists witness present or variable blocked")
+        return any(c == negated for c, _ in system.concepts)
+    _, role, var, target = inst.branches[0][0]  # R_exists
+    return bool(blockers(var, system)) or _witnessed(system, role, var, target)
 
 
-def next_instance(
-    tableau: CompletionSet, frame_class: FrameClass
-) -> RuleInstance | None:
+def next_instance(tableau: CompletionSet) -> RuleInstance | None:
     """Remove and return the least applicable rule instance, in the order
-    of `find_applicable`, or None when the state is saturated.
+    of `find_applicable` for the state's frame class, or None when the
+    state is saturated.
 
     Stale heads are dropped for good: rules only add constraints, so an
     instance that has fired or been realized stays so.  The one condition
     that can lapse is blocking, so an R_exists head that is blocked but not
-    witnessed is parked until its variable's concept set grows.  The agenda
-    is built from the whole state on the first call for a frame class and
-    kept current by every add after that.  The returned instance is stale
-    once any of its branches is added, so it leaves the agenda here.
+    witnessed is parked until its variable's concept set grows.  The
+    returned instance is stale once any of its branches is added, so it
+    leaves the agenda here.
     """
-    if tableau.frame_class is not frame_class:
-        tableau.seed_agenda(frame_class)
     agenda = tableau.agenda
     while agenda:
         entry = heappop(agenda)
         inst = entry[1]
-        try:
-            _check_not_stale(tableau, inst)
-        except StaleInstanceError:
-            if inst.rule == R_EXISTS:
-                _, role, var, target = inst.branches[0][0]
-                system = tableau.systems[inst.label]
-                if not _witnessed(system, role, var, target):
-                    tableau.parked.setdefault((inst.label, var), []).append(entry)
-            continue
-        return inst
+        if not _stale(tableau, inst):
+            return inst
+        if inst.rule == R_EXISTS:
+            _, role, var, target = inst.branches[0][0]
+            system = tableau.systems[inst.label]
+            if not _witnessed(system, role, var, target):
+                tableau.parked.setdefault((inst.label, var), []).append(entry)
     return None
 
 
@@ -1043,7 +1001,7 @@ def _extend(tableau: CompletionSet, inst: RuleInstance, branch: int) -> None:
     them.
     """
     if inst.rule == R_L:
-        system = tableau.new_label(inst.frame_class or FrameClass.E)
+        system = tableau.new_label()
         for item in inst.branches[branch]:
             if item[0] == "formula":
                 tableau.add_formula(system.label, item[1])
@@ -1078,7 +1036,8 @@ def apply(
     state in place and copies only at branch points."""
     if not 0 <= branch < inst.branch_count:
         raise ValueError(f"branch {branch} out of range")
-    _check_not_stale(tableau, inst)
+    if _stale(tableau, inst):
+        raise StaleInstanceError(f"{inst.rule} instance no longer applicable")
     out = tableau.copy()
     _extend(out, inst, branch)
     return out
@@ -1185,8 +1144,7 @@ def _step_cap(options: SolveOptions) -> tuple[int, str | None]:
 
 
 class _Search:
-    def __init__(self, frame_class: FrameClass, options: SolveOptions):
-        self.frame_class = frame_class
+    def __init__(self, options: SolveOptions):
         self.options = options
         self.cap, self.cap_setting = _step_cap(options)
         self.stats = SolveStats()
@@ -1206,11 +1164,11 @@ class _Search:
         streamed and appended to the path only when someone listens."""
         if self.stats.steps >= self.cap:
             raise StepCapError(self.cap, self.cap_setting)
-        labels, variables = len(tableau.label_order), tableau.next_var
+        labels, variables = len(tableau.systems), tableau.next_var
         tableau.stamp = stamp
         _extend(tableau, inst, branch)
         self.stats.count(inst.rule)
-        self.stats.labels_created += len(tableau.label_order) - labels
+        self.stats.labels_created += len(tableau.systems) - labels
         self.stats.variables_created += tableau.next_var - variables
         on_step = self.options.on_step
         if self.options.trace or on_step is not None:
@@ -1288,7 +1246,7 @@ class _Search:
                     stamp = premises | failed
                 self._step(tableau, inst, branch, stamp, path)
                 continue
-            inst = next_instance(tableau, self.frame_class)
+            inst = next_instance(tableau)
             if inst is None:
                 if self.options.trace:
                     self.trace = path
@@ -1335,8 +1293,8 @@ def solve(
     if options is None:
         options = SolveOptions()
     phi = normalize(phi)
-    search = _Search(frame_class, options)
-    final = search.run(init(phi))
+    search = _Search(options)
+    final = search.run(init(phi, frame_class))
     if final is None:
         return SolveResult("unsat", None, None, None, search.stats)
     model = None

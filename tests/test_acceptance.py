@@ -90,9 +90,9 @@ def corpus_results():
             oracle = brute_force_sat(phi, fc)
             if result.verdict == "sat":
                 completion = result.completion
-                labels = len(completion.label_order)
+                labels = len(completion.systems)
                 max_constraints = max(
-                    s.constraint_count() for s in completion.systems.values()
+                    s.constraint_count() for s in completion.systems
                 )
                 ok = validate(result.model, phi, fc)
                 model = result.model

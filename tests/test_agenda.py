@@ -69,10 +69,10 @@ class CheckedSearch:
         monkeypatch.setattr(tableau._Search, "_step", self.step_wrapper())
         monkeypatch.setattr(tableau, "_premise_keys", self.premise_keys)
 
-    def next_instance(self, state, frame_class):
+    def next_instance(self, state):
         assert not is_clash(state)
-        expected = find_applicable(state, frame_class)
-        inst = self.real_next(state, frame_class)
+        expected = find_applicable(state, state.frame_class)
+        inst = self.real_next(state)
         assert inst == (expected[0] if expected else None)
         self.choices += 1
         self.parked_then_chosen += inst in self.parked
@@ -104,7 +104,7 @@ class CheckedSearch:
             open_bits = (1 << len(search.stack)) - 1
             assert all(deps & ~open_bits == 0 for deps in state.deps.values())
             assert all(
-                s.deps_base & ~open_bits == 0 for s in state.systems.values()
+                s.deps_base & ~open_bits == 0 for s in state.systems
             )
             if state.clash:
                 assert state.clash_deps & ~open_bits == 0
@@ -142,7 +142,7 @@ class CheckedSearch:
 def holders_from_systems(state):
     """The `holders` index recomputed from the label sets."""
     masks = {}
-    for label, system in state.systems.items():
+    for label, system in enumerate(state.systems):
         for key in chain(system.formulas, system.concepts):
             masks[key] = masks.get(key, 0) | 1 << label
     return masks
@@ -152,7 +152,7 @@ def constraint_keys(state):
     """Every constraint of the state as its (label, key) in `deps`."""
     return {
         (label, key)
-        for label, system in state.systems.items()
+        for label, system in enumerate(state.systems)
         for key in chain(system.formulas, system.concepts, system.roles)
     }
 
@@ -166,7 +166,7 @@ def clash_unions(state):
     """The union of the stored dependency sets of each clashing pair (a
     bottom concept's own set)."""
     unions = set()
-    for label, system in state.systems.items():
+    for label, system in enumerate(state.systems):
         for psi in system.formulas:
             if neg_nnf(psi) in system.formulas:
                 unions.add(
@@ -276,10 +276,10 @@ def test_unit_instance_settled_by_a_label_lacking_its_variable(monkeypatch):
 
 def test_agenda_seeded_from_a_hand_built_state():
     phi = AndF(CI(TOP, AtomicConcept("A")), CI(TOP, AtomicConcept("B")))
-    state = init(phi)
+    state = init(phi, FrameClass.E)
     state.add_concept(0, AtomicConcept("A"), 0)
     expected = find_applicable(state, FrameClass.E)
-    assert next_instance(state, FrameClass.E) == expected[0]
+    assert next_instance(state) == expected[0]
 
 
 def test_search_does_not_rescan_the_state(monkeypatch):

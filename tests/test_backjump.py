@@ -55,7 +55,7 @@ A, B, C = AtomicConcept("A"), AtomicConcept("B"), AtomicConcept("C")
 
 def chronological(phi, frame_class) -> str:
     """Verdict of depth-first search trying every alternative in order."""
-    pending = [init(normalize(phi))]
+    pending = [init(normalize(phi), frame_class)]
     while pending:
         state = pending.pop()
         if is_clash(state):

@@ -114,6 +114,44 @@ def test_validate_rejects_unsupplemented_model(capsys, tmp_path):
     assert json.loads(out)["valid"] is False
 
 
+@pytest.mark.parametrize(
+    "logic, field, stray",
+    [
+        ("M", "concepts", {"w9": {"A": []}}),
+        ("N", "neighbourhoods", {"1": {"w": [["w"]], "w9": [["w"]]}}),
+    ],
+)
+def test_validate_rejects_entries_for_unknown_worlds(
+    capsys, tmp_path, logic, field, stray
+):
+    # Neither is an engine defect, and a stray neighbourhood must not be
+    # dropped into a verdict.
+    model = {
+        "worlds": ["w"],
+        "domains": {"w": ["d"]},
+        "concepts": {"w": {"A": ["d"]}},
+        "roles": {},
+        "neighbourhoods": {"1": {"w": [["w"]]}},
+    }
+    model[field].update(stray)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run_cli(
+        capsys,
+        "validate",
+        "--logic",
+        logic,
+        "--model",
+        str(path),
+        "-e",
+        "(box 1 (sub top (atom A)))",
+    )
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith(f"error: {field}")
+    assert err.endswith(" has an entry for unknown world 'w9'\n")
+
+
 def test_oracle_reports_bounded_unsat(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--logic", "E", "-e", UNSAT_E)
     assert code == EXIT_UNSAT
@@ -216,6 +254,34 @@ def test_constant_domain_fragment_needs_c_or_n(capsys):
     )
     assert code == EXIT_ERROR
     assert "C and N" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--model-out", "m.json"],
+        ["--trace"],
+        ["--cap-steps", "5"],
+        ["--cap-steps", "0"],
+        ["--no-validate"],
+    ],
+)
+def test_fragment_rejects_flags_it_would_ignore(capsys, flags):
+    code, out, err = run_cli(
+        capsys,
+        "solve",
+        "--fragment",
+        "--domain",
+        "constant",
+        "--logic",
+        "C",
+        "-e",
+        SAT_SIMPLE,
+        *flags,
+    )
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == f"error: {flags[0]} has no effect with --fragment\n"
 
 
 def test_parse_error_exit_code(capsys):

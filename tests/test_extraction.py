@@ -2,13 +2,19 @@ import random
 
 import pytest
 
-from nnmdl.extraction import extract_model, floors_ceilings, validate
+from nnmdl.extraction import (
+    TruthApproximation,
+    extract_model,
+    floors_ceilings,
+    validate,
+)
 from nnmdl.semantics import FrameClass, check_frame_class, satisfies
 from nnmdl.syntax import (
     AndF,
     AtomicConcept,
     BoxF,
     CI,
+    Concept,
     DiaF,
     Exists,
     NotF,
@@ -19,6 +25,7 @@ from nnmdl.syntax import (
 from nnmdl.tableau import SolveOptions, solve
 
 from corpus import random_normalized_formula
+from test_acceptance import CORPUS_SEED, CORPUS_SIZE
 
 A = AtomicConcept("A")
 B = AtomicConcept("B")
@@ -37,7 +44,7 @@ def completed(phi, fc):
 def test_floor_equals_ceiling_when_everywhere_asserted():
     tableau = completed(P, FrameClass.E)
     approx = floors_ceilings(tableau, P)
-    labels = frozenset(tableau.label_order)
+    labels = frozenset(range(len(tableau.systems)))
     assert approx.floor == labels
     assert approx.ceil == labels
 
@@ -46,13 +53,13 @@ def test_unasserted_term_has_empty_floor_full_ceiling():
     tableau = completed(P, FrameClass.E)
     approx = floors_ceilings(tableau, Q)
     assert approx.floor == frozenset()
-    assert approx.ceil == frozenset(tableau.label_order)
+    assert approx.ceil == frozenset(range(len(tableau.systems)))
 
 
 def test_two_label_floors_from_modal_run():
     phi = AndF(BoxF(1, P), DiaF(1, P))
     tableau = completed(phi, FrameClass.E)
-    assert len(tableau.label_order) == 2
+    assert len(tableau.systems) == 2
     approx = floors_ceilings(tableau, P)
     assert approx.floor == frozenset({1})
     assert approx.ceil == frozenset({0, 1})
@@ -77,6 +84,53 @@ def test_floor_within_ceiling_on_corpus():
         for psi in tableau.closure.for_neg:
             approx = floors_ceilings(tableau, psi)
             assert approx.floor <= approx.ceil
+
+
+def scanned_bracket(tableau, term, var=None):
+    """`floors_ceilings` recomputed label by label from the label sets,
+    independent of the `holders` index it reads."""
+    labels = range(len(tableau.systems))
+    negated = neg_nnf(term)
+    if isinstance(term, Concept):
+        floor = frozenset(
+            n for n in labels if (term, var) in tableau.systems[n].concepts
+        )
+        ceil = frozenset(
+            n
+            for n in labels
+            if (negated, var) not in tableau.systems[n].concepts
+        )
+    else:
+        floor = frozenset(
+            n for n in labels if term in tableau.systems[n].formulas
+        )
+        ceil = frozenset(
+            n for n in labels if negated not in tableau.systems[n].formulas
+        )
+    return TruthApproximation(floor, ceil)
+
+
+def test_floors_ceilings_match_a_label_scan_on_acceptance_corpus():
+    rng = random.Random(CORPUS_SEED)
+    states = 0
+    for _ in range(CORPUS_SIZE):
+        phi = random_normalized_formula(rng)
+        for fc in FrameClass:
+            result = solve(phi, fc, SolveOptions(extract=False))
+            if result.verdict != "sat":
+                continue
+            tableau = result.completion
+            states += 1
+            for psi in tableau.closure.for_neg:
+                assert floors_ceilings(tableau, psi) == scanned_bracket(
+                    tableau, psi
+                )
+            for concept in tableau.closure.con_neg:
+                for var in range(tableau.next_var):
+                    assert floors_ceilings(
+                        tableau, concept, var
+                    ) == scanned_bracket(tableau, concept, var)
+    assert states > CORPUS_SIZE
 
 
 # -- extraction ------------------------------------------------------------------
@@ -130,7 +184,7 @@ def test_extraction_refuses_clashed_state():
     from nnmdl.syntax import Not
     from nnmdl.tableau import init
 
-    tableau = init(normalize(P))
+    tableau = init(normalize(P), FrameClass.E)
     tableau.add_concept(0, A, 0)
     tableau.add_concept(0, Not(A), 0)
     with pytest.raises(ValueError, match="clash"):

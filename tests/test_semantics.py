@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -314,3 +315,29 @@ def test_invariant_rejects_bad_extension():
     model = make_model(["w"], {"w": {"d"}}, concepts={"w": {"A": {"zzz"}}})
     with pytest.raises(ValueError, match="exceeds the domain"):
         model.check_invariants()
+
+
+#: A one-world model, and for each world-keyed field an entry to put under
+#: a world the model does not have.
+ONE_WORLD = {
+    "worlds": ["w"],
+    "domains": {"w": ["d"]},
+    "concepts": {"w": {"A": ["d"]}},
+    "roles": {"w": {"r": []}},
+    "neighbourhoods": {"1": {"w": [["w"]]}},
+}
+STRAY_ENTRIES = {
+    "domains": ["d"],
+    "concepts": {"A": []},
+    "roles": {"r": []},
+    "neighbourhoods": [],
+}
+
+
+@pytest.mark.parametrize("field", sorted(STRAY_ENTRIES))
+def test_from_json_rejects_entries_for_unknown_worlds(field):
+    data = json.loads(json.dumps(ONE_WORLD))
+    per_world = data[field]["1"] if field == "neighbourhoods" else data[field]
+    per_world["w9"] = STRAY_ENTRIES[field]
+    with pytest.raises(ValueError, match="unknown world 'w9'"):
+        NeighbourhoodModel.from_json_dict(data)

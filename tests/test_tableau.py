@@ -56,15 +56,15 @@ Q = CI(Top(), B)
 
 def test_init_holds_formula_and_domain_seed():
     phi = normalize(P)
-    tableau = init(phi)
-    assert tableau.label_order == [0]
+    tableau = init(phi, FrameClass.E)
+    assert len(tableau.systems) == 1
     system = tableau.systems[0]
     assert system.formulas == {phi}
     assert system.concepts == {(TOP, 0)}
 
 
 def test_clash_same_label():
-    tableau = init(normalize(P))
+    tableau = init(normalize(P), FrameClass.E)
     tableau.add_concept(0, A, 0)
     tableau.add_concept(0, Not(A), 0)
     assert is_clash(tableau)
@@ -72,8 +72,8 @@ def test_clash_same_label():
 
 def test_no_clash_across_labels():
     phi = normalize(AndF(BoxF(1, P), DiaF(1, P)))
-    tableau = init(phi)
-    system = tableau.new_label(FrameClass.E)
+    tableau = init(phi, FrameClass.E)
+    system = tableau.new_label()
     tableau.add_concept(0, A, 0)
     var = tableau.new_variable()
     tableau.add_concept(system.label, Not(A), var)
@@ -82,7 +82,7 @@ def test_no_clash_across_labels():
 
 def test_bottom_concept_is_a_clash():
     phi = normalize(CI(Top(), Bot_c := Not(Top())))
-    tableau = init(phi)
+    tableau = init(phi, FrameClass.E)
     from nnmdl.syntax import BOT
 
     tableau.add_concept(0, BOT, 0)
@@ -91,7 +91,7 @@ def test_bottom_concept_is_a_clash():
 
 def test_blocking_subset_and_order():
     phi = normalize(CI(Top(), Exists("r", A)))
-    tableau = init(phi)
+    tableau = init(phi, FrameClass.E)
     system = tableau.systems[0]
     tableau.add_concept(0, A, 0)
     var = tableau.new_variable()
@@ -103,13 +103,13 @@ def test_blocking_subset_and_order():
 
 def test_find_applicable_single_conjunction():
     phi = normalize(AndF(P, Q))
-    instances = find_applicable(init(phi), FrameClass.E)
+    instances = find_applicable(init(phi, FrameClass.E), FrameClass.E)
     assert [inst.rule for inst in instances] == [R_AND]
 
 
 def test_modal_rule_shapes_per_class():
     phi = normalize(AndF(BoxF(1, P), DiaF(1, Q)))
-    tableau = init(phi)
+    tableau = init(phi, FrameClass.E)
     tableau.add_formula(0, BoxF(1, P))
     tableau.add_formula(0, DiaF(1, Q))
     modal_m = [
@@ -131,7 +131,7 @@ def test_modal_rule_shapes_per_class():
 
 def test_intersection_class_enumerates_box_subsets():
     phi = normalize(AndF(AndF(BoxF(1, P), BoxF(1, Q)), DiaF(1, CI(Top(), Top()))))
-    tableau = init(phi)
+    tableau = init(phi, FrameClass.C)
     tableau.add_formula(0, BoxF(1, P))
     tableau.add_formula(0, BoxF(1, Q))
     tableau.add_formula(0, DiaF(1, CI(Top(), Top())))
@@ -142,7 +142,7 @@ def test_intersection_class_enumerates_box_subsets():
 
 def test_apply_conjunction_of_concepts():
     phi = normalize(CI(Top(), And(A, B)))
-    tableau = init(phi)
+    tableau = init(phi, FrameClass.E)
     tableau.add_concept(0, And(A, B), 0)
     inst = next(
         i for i in find_applicable(tableau, FrameClass.E) if i.rule == R_SQCAP
@@ -156,7 +156,7 @@ def test_apply_conjunction_of_concepts():
 
 def test_apply_refuted_inclusion_allocates_fresh_variable():
     phi = normalize(NotF(P))
-    tableau = init(phi)
+    tableau = init(phi, FrameClass.E)
     inst = next(
         i for i in find_applicable(tableau, FrameClass.E) if i.rule == R_NEQ
     )
@@ -168,14 +168,14 @@ def test_apply_refuted_inclusion_allocates_fresh_variable():
 
 def test_apply_modal_rule_negated_branch():
     phi = normalize(AndF(BoxF(1, P), DiaF(1, Q)))
-    tableau = init(phi)
+    tableau = init(phi, FrameClass.E)
     tableau.add_formula(0, BoxF(1, P))
     tableau.add_formula(0, DiaF(1, Q))
     inst = next(
         i for i in find_applicable(tableau, FrameClass.E) if i.rule == R_L
     )
     out = apply(tableau, inst, 1)
-    fresh = out.label_order[-1]
+    fresh = len(out.systems) - 1
     assert fresh == 1
     assert neg_nnf(P) in out.systems[fresh].formulas
     assert neg_nnf(Q) in out.systems[fresh].formulas
@@ -185,7 +185,7 @@ def test_apply_modal_rule_negated_branch():
 
 def test_apply_stale_instance_rejected():
     phi = normalize(AndF(P, Q))
-    tableau = init(phi)
+    tableau = init(phi, FrameClass.E)
     inst = find_applicable(tableau, FrameClass.E)[0]
     out = apply(tableau, inst, 0)
     with pytest.raises(StaleInstanceError):
@@ -194,7 +194,7 @@ def test_apply_stale_instance_rejected():
 
 def test_apply_branch_out_of_range():
     phi = normalize(AndF(P, Q))
-    tableau = init(phi)
+    tableau = init(phi, FrameClass.E)
     inst = find_applicable(tableau, FrameClass.E)[0]
     with pytest.raises(ValueError, match="out of range"):
         apply(tableau, inst, 5)
@@ -202,7 +202,7 @@ def test_apply_branch_out_of_range():
 
 def test_completeness_checks():
     phi = normalize(CI(Top(), A))
-    tableau = init(phi)
+    tableau = init(phi, FrameClass.E)
     assert not is_complete(tableau, FrameClass.E)  # R_eq pending
     inst = find_applicable(tableau, FrameClass.E)[0]
     assert inst.rule == R_EQ
@@ -213,12 +213,12 @@ def test_completeness_checks():
 def test_trivial_inclusion_complete_immediately():
     # top(x) is already present, so the inclusion's conclusion needs nothing
     phi = normalize(CI(Top(), Top()))
-    assert is_complete(init(phi), FrameClass.E)
+    assert is_complete(init(phi, FrameClass.E), FrameClass.E)
 
 
 def test_pending_conjunction_not_complete():
     phi = normalize(AndF(P, Q))
-    assert not is_complete(init(phi), FrameClass.E)
+    assert not is_complete(init(phi, FrameClass.E), FrameClass.E)
 
 
 def test_diamond_without_boxes_complete_under_e():
@@ -226,7 +226,7 @@ def test_diamond_without_boxes_complete_under_e():
     result = solve(phi, FrameClass.E)
     assert result.verdict == "sat"
     assert is_complete(result.completion, FrameClass.E)
-    assert len(result.completion.label_order) == 1
+    assert len(result.completion.systems) == 1
 
 
 # -- solve ---------------------------------------------------------------------
@@ -328,7 +328,7 @@ def test_traces_render_as_serialized_text(monkeypatch):
 def test_modal_negation_pair_is_an_immediate_clash():
     # The diamond of the negated body is itself the box's NNF negation.
     phi = normalize(AndF(BoxF(1, P), DiaF(1, neg_nnf(P))))
-    tableau = init(phi)
+    tableau = init(phi, FrameClass.E)
     out = apply(tableau, find_applicable(tableau, FrameClass.E)[0], 0)
     assert is_clash(out)
 
@@ -376,9 +376,8 @@ def test_monotone_growth_and_closure_membership():
     for _ in range(30):
         phi = random_normalized_formula(rng)
         clo = closure(phi)
-        tableau = init(phi)
         for fc in FrameClass:
-            state = tableau.copy()
+            state = init(phi, fc)
             for _ in range(60):
                 if is_clash(state):
                     break
@@ -387,12 +386,12 @@ def test_monotone_growth_and_closure_membership():
                     break
                 before = {
                     n: state.systems[n].constraint_count()
-                    for n in state.label_order
+                    for n in range(len(state.systems))
                 }
                 state = apply(state, instances[0], 0)
                 for n, count in before.items():
                     assert state.systems[n].constraint_count() >= count
-                for system in state.systems.values():
+                for system in state.systems:
                     for psi in system.formulas:
                         assert psi in clo.for_neg
                     for concept, _ in system.concepts:
