@@ -40,15 +40,12 @@ from .syntax import (
     Box,
     BoxF,
     Concept,
-    Exists,
-    Forall,
     Formula,
     neg_nnf,
-    sort_key,
 )
 from .tableau import (
     CompletionSet,
-    ConstraintSystem,
+    _modal_premises,
     blockers,
 )
 
@@ -82,19 +79,6 @@ def floors_ceilings(
         frozenset(n for n in labels if holds >> n & 1),
         frozenset(n for n in labels if not refuted >> n & 1),
     )
-
-
-def _box_bodies(system: ConstraintSystem, index: int):
-    """(body, variable-or-None) of each box constraint with this modality."""
-    bodies = []
-    for psi in system.formulas:
-        if isinstance(psi, BoxF) and psi.index == index:
-            bodies.append((psi.arg, None))
-    for concept, var in system.concepts:
-        if isinstance(concept, Box) and concept.index == index:
-            bodies.append((concept.arg, var))
-    bodies.sort(key=lambda b: (sort_key(b[0]), -1 if b[1] is None else b[1]))
-    return bodies
 
 
 def extract_model(
@@ -149,45 +133,50 @@ def extract_model(
                         per_role[role].add((f"x{var}", f"x{y}"))
         role_ext[world] = {r: frozenset(pairs) for r, pairs in per_role.items()}
 
-    # Brackets of each box body, as world ids; the C loop revisits a body
-    # in every selection that contains it.
-    brackets: dict[tuple, tuple[frozenset[str], frozenset[str]]] = {}
+    # Brackets of each box body, as world ids, keyed by its branch item
+    # (the formula, or the (concept, variable) pair); the C loop revisits a
+    # body in every selection that contains it.
+    brackets: dict[object, tuple[frozenset[str], frozenset[str]]] = {}
 
-    def bracket(body, var):
-        pair = brackets.get((body, var))
+    def bracket(item):
+        pair = brackets.get(item)
         if pair is None:
-            approx = floors_ceilings(tableau, body, var)
+            if isinstance(item, Formula):
+                approx = floors_ceilings(tableau, item)
+            else:
+                approx = floors_ceilings(tableau, *item)
             pair = (
                 frozenset(str(n) for n in approx.floor),
                 frozenset(str(n) for n in approx.ceil),
             )
-            brackets[(body, var)] = pair
+            brackets[item] = pair
         return pair
 
-    neighbourhoods: dict[int, dict[str, Windows]] = {}
-    for index in modalities:
-        per_world: dict[str, Windows] = {}
-        for n, system in enumerate(tableau.systems):
-            bodies = _box_bodies(system, index)
+    neighbourhoods: dict[int, dict[str, Windows]] = {
+        index: {} for index in modalities
+    }
+    for n, system in enumerate(tableau.systems):
+        boxes, _ = _modal_premises(system)
+        for index in modalities:
+            items = boxes.get(index, ())
             if frame_class is FrameClass.C:
                 # The windows of every non-empty selection, grown one body
                 # at a time: the selections with the next body are the
                 # earlier ones' windows met with its bracket, plus its own.
                 windows = {}
-                for body, var in bodies:
-                    body_floor, body_ceil = bracket(body, var)
+                for item in items:
+                    body_floor, body_ceil = bracket(item)
                     grown = {(body_floor, body_ceil): None}
                     for floor, ceil in windows:
                         grown[(floor & body_floor, ceil & body_ceil)] = None
                     windows.update(grown)
             elif frame_class is FrameClass.M:
-                windows = [(bracket(body, var)[0], full) for body, var in bodies]
+                windows = [(bracket(item)[0], full) for item in items]
             else:  # E and N share the bracketed shape
-                windows = [bracket(body, var) for body, var in bodies]
+                windows = [bracket(item) for item in items]
                 if frame_class is FrameClass.N:
                     windows.append((full, full))
-            per_world[str(n)] = Windows(windows)
-        neighbourhoods[index] = per_world
+            neighbourhoods[index][str(n)] = Windows(windows)
 
     model = NeighbourhoodModel(
         worlds=world_ids,

@@ -211,7 +211,7 @@ def _alc_sat(chi: Formula) -> bool:
     """ALC satisfiability of a modality-free formula: only the tableau's
     in-label rules fire.  `tableau.solve` is looked up at each call, so a
     wrapper installed on it sees every query."""
-    options = tableau.SolveOptions(extract=False, validate=False)
+    options = tableau.SolveOptions(extract=False)
     return tableau.solve(chi, FrameClass.E, options).verdict == "sat"
 
 

@@ -23,6 +23,11 @@ input formula, and the label count is asserted against its theoretical
 budget at every label creation.  A solve call owns its state exclusively;
 distinct calls share nothing mutable.
 
+A constraint has one name throughout: the formula psi, the pair (C, x)
+or the triple (role, x, y).  Rule instances list what their branches add
+by that name, and the `holders` and `deps` indexes of `CompletionSet`
+key on it, so an instance is read against either index as it stands.
+
 The search is incremental.  A completion set is built for one frame
 class, which fixes the shape of R_L for the whole run.  From its first
 constraint on, every add pushes the rule instances it completes onto an
@@ -37,10 +42,11 @@ keeps its branch points on an explicit stack.  `find_applicable`,
 `is_clash` and `apply` recompute from the whole state, for any class;
 they are the references the agenda, the clash flag and the in-place
 extension are tested against, and the tests build a chronological search
-from them to check backjumping's verdicts.  Whether an R_L instance is
-already realized is read from an index mapping each constraint to the
-labels holding it, as an int with one bit per label; `find_applicable`
-rescans the labels instead.
+from them to check backjumping's verdicts.  `find_applicable` builds R_L
+instances only when no in-label instance applies, since R_L comes last.
+Whether an R_L instance is already realized is read from an index
+mapping each constraint to the labels holding it, as an int with one bit
+per label; `find_applicable` rescans the labels instead.
 """
 
 from __future__ import annotations
@@ -208,7 +214,8 @@ class CompletionSet:
     dependency set a constraint was first added with: an int with bit i
     set when the constraint rests on the choice made at branch point i of
     the search stack.  The key is the formula, the (concept, variable)
-    pair or the (role, x, y) triple.  Every add stamps its constraint with
+    pair or the (role, x, y) triple; a rule instance's branch items are
+    these same keys, so both indexes are read with them directly.  Every add stamps its constraint with
     `stamp`, which the search sets before each extension.  A set equal to
     its label's `deps_base` is not stored, so the map stays empty while
     no branch point is open, and a label created by a branch stores only
@@ -375,8 +382,10 @@ class CompletionSet:
     def _push(self, inst: "RuleInstance") -> None:
         """Queue a candidate under its `find_applicable` sort key.  Within one
         search the key determines the instance (rule, label and flattened
-        items fix the branches), and adds push each instance once, when its
-        last premise arrives, so no two entries tie."""
+        items fix the branches), so entries that tie hold equal instances.
+        Adds push an instance when its last premise arrives, which is once
+        except for R_L: equal bodies under two modality indices complete
+        the same instance once per index."""
         heappush(self.agenda, (_instance_key(inst), inst))
 
     def _formula_added(self, system: ConstraintSystem, psi: Formula) -> None:
@@ -388,9 +397,9 @@ class CompletionSet:
             for var in system.variables:
                 self._push(_eq_instance(system.label, psi, var))
         elif isinstance(psi, BoxF):
-            self._box_added(system, psi.index, _formula_item(psi.arg))
+            self._box_added(system, psi.index, psi.arg)
         elif isinstance(psi, DiaF):
-            self._diamond_added(system, psi.index, _formula_item(psi.arg))
+            self._diamond_added(system, psi.index, psi.arg)
 
     def _concept_added(
         self, system: ConstraintSystem, concept: Concept, var: int
@@ -407,13 +416,9 @@ class CompletionSet:
                 if role == concept.role and x == var:
                     self._push(_forall_instance(label, concept, y))
         elif isinstance(concept, Box):
-            self._box_added(
-                system, concept.index, _concept_item(concept.arg, var)
-            )
+            self._box_added(system, concept.index, (concept.arg, var))
         elif isinstance(concept, Dia):
-            self._diamond_added(
-                system, concept.index, _concept_item(concept.arg, var)
-            )
+            self._diamond_added(system, concept.index, (concept.arg, var))
         parked = self.parked.pop((label, var), None)
         if parked:
             for entry in parked:
@@ -428,15 +433,9 @@ class CompletionSet:
         diamonds = dias.get(index)
         if not diamonds:
             return
-        if self.frame_class is FrameClass.C:
-            others = [item for item in boxes[index] if item != box_item]
-            gammas = (
-                tuple(sorted(subset + (box_item,), key=_item_key))
-                for subset in chain(((),), _nonempty_subsets(others))
-            )
-        else:
-            gammas = ((box_item,),)
-        for gamma_items in gammas:
+        for gamma_items in _box_choices(boxes[index], self.frame_class):
+            if box_item not in gamma_items:
+                continue
             for delta_item in diamonds:
                 self._push(
                     _modal_instance(
@@ -529,10 +528,12 @@ def blockers(var: int, system: ConstraintSystem) -> list[int]:
 # ---------------------------------------------------------------------------
 
 #: A branch item targets the instance's fresh label (rule R_L) or its own
-#: label: ("formula", psi), ("concept", C, var), or the R_exists descriptor
-#: ("exists", role, var, target-concept) whose witness is allocated on
-#: application.
-BranchItem = tuple
+#: label.  It is the constraint itself, as `holders` and `deps` key it: a
+#: formula psi, or a (concept, variable) pair, whose variable is -1 for the
+#: witness R_neq allocates on application.  R_exists alone has the
+#: descriptor ("exists", role, var, target-concept) instead, whose witness
+#: is allocated on application.
+BranchItem = Formula | tuple
 
 
 class RuleInstance(NamedTuple):
@@ -544,12 +545,9 @@ class RuleInstance(NamedTuple):
     #: For in-label rules each branch lists items added to `label`; for R_L
     #: every branch is added to a fresh label allocated at application time.
     #: R_exists and R_neq allocate one fresh variable per application.
+    #: N's diamond-alone instance on a concept body ends with an empty
+    #: branch: a label its body's variable is absent from.
     branches: tuple[tuple[BranchItem, ...], ...]
-    #: Unit-class diamond-alone instances on a concept carry the premise
-    #: variable: an empty branch (a label the variable is absent from) is an
-    #: alternative, and any existing label without the variable already
-    #: settles the instance.
-    absent_variable: int | None = None
 
     @property
     def branch_count(self) -> int:
@@ -570,10 +568,10 @@ _PRIORITY = {
 
 
 def _item_key(item: BranchItem):
-    if item[0] == "formula":
-        return (0, sort_key(item[1]), -1, "")
-    if item[0] == "concept":
-        return (1, sort_key(item[1]), item[2], "")
+    if isinstance(item, Formula):
+        return (0, sort_key(item), -1, "")
+    if len(item) == 2:
+        return (1, sort_key(item[0]), item[1], "")
     return (2, sort_key(item[3]), item[2], item[1])
 
 
@@ -588,24 +586,14 @@ def _instance_key(inst: RuleInstance):
     )
 
 
-def _formula_item(psi: Formula) -> BranchItem:
-    return ("formula", psi)
-
-
-def _concept_item(concept: Concept, var: int) -> BranchItem:
-    return ("concept", concept, var)
-
-
 def _neg_item(item: BranchItem) -> BranchItem:
-    if item[0] == "formula":
-        return ("formula", neg_nnf(item[1]))
-    return ("concept", neg_nnf(item[1]), item[2])
+    if isinstance(item, Formula):
+        return neg_nnf(item)
+    return (neg_nnf(item[0]), item[1])
 
 
 def _holds_in(system: ConstraintSystem, item: BranchItem) -> bool:
-    if item[0] == "formula":
-        return item[1] in system.formulas
-    return (item[1], item[2]) in system.concepts
+    return item in system.formulas or item in system.concepts
 
 
 def _some_branch_realized(
@@ -625,28 +613,18 @@ def _premise_instance(
     and R_neq for a formula; R_cap, R_cup and R_exists for a concept on
     `var`.  None for premises that pair with others or create nothing."""
     if isinstance(term, AndF):
-        return RuleInstance(
-            R_AND, label, ((_formula_item(term.left), _formula_item(term.right)),)
-        )
+        return RuleInstance(R_AND, label, ((term.left, term.right),))
     if isinstance(term, OrF):
-        return RuleInstance(
-            R_OR, label, ((_formula_item(term.left),), (_formula_item(term.right),))
-        )
+        return RuleInstance(R_OR, label, ((term.left,), (term.right,)))
     if isinstance(term, NotF):
-        return RuleInstance(
-            R_NEQ, label, ((_concept_item(neg_nnf(term.arg.right), -1),),)
-        )
+        return RuleInstance(R_NEQ, label, (((neg_nnf(term.arg.right), -1),),))
     if isinstance(term, And):
         return RuleInstance(
-            R_SQCAP,
-            label,
-            ((_concept_item(term.left, var), _concept_item(term.right, var)),),
+            R_SQCAP, label, (((term.left, var), (term.right, var)),)
         )
     if isinstance(term, Or):
         return RuleInstance(
-            R_SQCUP,
-            label,
-            ((_concept_item(term.left, var),), (_concept_item(term.right, var),)),
+            R_SQCUP, label, (((term.left, var),), ((term.right, var),))
         )
     if isinstance(term, Exists):
         return RuleInstance(
@@ -656,11 +634,11 @@ def _premise_instance(
 
 
 def _eq_instance(label: int, psi: CI, var: int) -> RuleInstance:
-    return RuleInstance(R_EQ, label, ((_concept_item(psi.right, var),),))
+    return RuleInstance(R_EQ, label, (((psi.right, var),),))
 
 
 def _forall_instance(label: int, concept: Forall, y: int) -> RuleInstance:
-    return RuleInstance(R_FORALL, label, ((_concept_item(concept.arg, y),),))
+    return RuleInstance(R_FORALL, label, (((concept.arg, y),),))
 
 
 def _modal_instance(
@@ -686,11 +664,9 @@ def _unit_instance(label: int, delta_item: BranchItem) -> RuleInstance:
     body the demand is met just as well by a world its variable is absent
     from (varying domains), so such an instance offers an empty branch and
     is settled by any label lacking the variable."""
-    if delta_item[0] == "formula":
+    if isinstance(delta_item, Formula):
         return RuleInstance(R_L, label, ((delta_item,),))
-    return RuleInstance(
-        R_L, label, ((delta_item,), ()), absent_variable=delta_item[2]
-    )
+    return RuleInstance(R_L, label, ((delta_item,), ()))
 
 
 def _box_choices(box_list: list, frame_class: FrameClass) -> Iterable[tuple]:
@@ -703,15 +679,17 @@ def _box_choices(box_list: list, frame_class: FrameClass) -> Iterable[tuple]:
 
 def _settled_by_scan(tableau: CompletionSet, inst: RuleInstance) -> bool:
     """An R_L instance is settled by a label realizing one of its non-empty
-    branches, or, with an absent variable, by any label lacking it.
+    branches, or, with an empty branch, by any label lacking its body's
+    variable.
 
     Reference for `_settled`, scanning every label."""
     filled = tuple(b for b in inst.branches if b)
     if _some_branch_realized(tableau, filled):
         return True
-    return inst.absent_variable is not None and any(
-        inst.absent_variable not in s.variables for s in tableau.systems
-    )
+    if inst.branches[-1]:
+        return False
+    var = inst.branches[0][0][1]
+    return any(var not in s.variables for s in tableau.systems)
 
 
 def _settled(tableau: CompletionSet, inst: RuleInstance) -> bool:
@@ -725,15 +703,14 @@ def _settled(tableau: CompletionSet, inst: RuleInstance) -> bool:
             continue
         shared = -1
         for item in branch:
-            key = item[1] if item[0] == "formula" else (item[1], item[2])
-            shared &= holders.get(key, 0)
+            shared &= holders.get(item, 0)
             if not shared:
                 break
         else:
             return True
-    var = inst.absent_variable
-    if var is None:
+    if inst.branches[-1]:
         return False
+    var = inst.branches[0][0][1]
     every_label = (1 << len(tableau.systems)) - 1
     return bool(every_label & ~holders.get((TOP, var), 0))
 
@@ -796,18 +773,14 @@ def _modal_premises(system: ConstraintSystem):
     dias: dict[int, list[BranchItem]] = {}
     for psi in system.formulas:
         if isinstance(psi, BoxF):
-            boxes.setdefault(psi.index, []).append(_formula_item(psi.arg))
+            boxes.setdefault(psi.index, []).append(psi.arg)
         elif isinstance(psi, DiaF):
-            dias.setdefault(psi.index, []).append(_formula_item(psi.arg))
+            dias.setdefault(psi.index, []).append(psi.arg)
     for concept, var in system.concepts:
         if isinstance(concept, Box):
-            boxes.setdefault(concept.index, []).append(
-                _concept_item(concept.arg, var)
-            )
+            boxes.setdefault(concept.index, []).append((concept.arg, var))
         elif isinstance(concept, Dia):
-            dias.setdefault(concept.index, []).append(
-                _concept_item(concept.arg, var)
-            )
+            dias.setdefault(concept.index, []).append((concept.arg, var))
     for items in (*boxes.values(), *dias.values()):
         items.sort(key=_item_key)
     return boxes, dias
@@ -846,16 +819,21 @@ def _modal_instances(
 def find_applicable(
     tableau: CompletionSet, frame_class: FrameClass
 ) -> list[RuleInstance]:
-    """All rule instances whose premises and application condition hold,
-    ordered by rule priority and a canonical key.
+    """The rule instances whose premises and application condition hold,
+    ordered by rule priority and a canonical key: every in-label instance
+    or, when there is none, every R_L instance.  R_L has the lowest
+    priority, so the head is the least instance of the whole state, and
+    the list is empty exactly when the state is saturated.
 
-    Reference implementation, regenerating every instance from the whole
+    Reference implementation, regenerating the instances from the whole
     state: the search takes `next_instance` instead, and the tests check
     at every step that its choice is this list's head."""
     instances: list[RuleInstance] = []
     for system in tableau.systems:
         instances.extend(_label_instances(tableau, system))
-        instances.extend(_modal_instances(tableau, system, frame_class))
+    if not instances:
+        for system in tableau.systems:
+            instances.extend(_modal_instances(tableau, system, frame_class))
     instances.sort(key=_instance_key)
     return instances
 
@@ -884,7 +862,7 @@ def _stale(tableau: CompletionSet, inst: RuleInstance) -> bool:
             _holds_in(system, item) for branch in inst.branches for item in branch
         )
     if rule == R_NEQ:
-        negated = inst.branches[0][0][1]
+        negated = inst.branches[0][0][0]
         return any(c == negated for c, _ in system.concepts)
     _, role, var, target = inst.branches[0][0]  # R_exists
     return bool(blockers(var, system)) or _witnessed(system, role, var, target)
@@ -918,9 +896,10 @@ def next_instance(tableau: CompletionSet) -> RuleInstance | None:
 
 def _modal_premise(index: int, item: BranchItem, box: bool):
     """The `deps` key of the box (or diamond) of this index around a body."""
-    if item[0] == "formula":
-        return (BoxF if box else DiaF)(index, item[1])
-    return ((Box if box else Dia)(index, item[1]), item[2])
+    if isinstance(item, Formula):
+        return (BoxF if box else DiaF)(index, item)
+    concept, var = item
+    return ((Box if box else Dia)(index, concept), var)
 
 
 def _premise_keys(system: ConstraintSystem, inst: RuleInstance) -> list:
@@ -935,23 +914,25 @@ def _premise_keys(system: ConstraintSystem, inst: RuleInstance) -> list:
     rule = inst.rule
     first = inst.branches[0]
     if rule == R_EQ:
-        _, concept, var = first[0]
+        concept, var = first[0]
         return [CI(TOP, concept), (TOP, var)]
     if rule == R_AND:
-        return [AndF(first[0][1], first[1][1])]
+        return [AndF(*first)]
     if rule == R_SQCAP:
-        return [(And(first[0][1], first[1][1]), first[0][2])]
+        (left, var), (right, _) = first
+        return [(And(left, right), var)]
     if rule == R_SQCUP:
-        return [(Or(first[0][1], inst.branches[1][0][1]), first[0][2])]
+        (left, var), (right, _) = first[0], inst.branches[1][0]
+        return [(Or(left, right), var)]
     if rule == R_OR:
-        return [OrF(first[0][1], inst.branches[1][0][1])]
+        return [OrF(first[0], inst.branches[1][0])]
     if rule == R_EXISTS:
         _, role, var, target = first[0]
         return [(Exists(role, target), var)]
     if rule == R_NEQ:
-        return [NotF(CI(TOP, neg_nnf(first[0][1])))]
+        return [NotF(CI(TOP, neg_nnf(first[0][0])))]
     if rule == R_FORALL:
-        _, concept, y = first[0]
+        concept, y = first[0]
         keys = []
         for role, x, z in system.roles:
             if z == y and (Forall(role, concept), x) in system.concepts:
@@ -959,23 +940,12 @@ def _premise_keys(system: ConstraintSystem, inst: RuleInstance) -> list:
         return keys
     # R_L: the diamond is the first branch's last item, the boxes the rest.
     *gamma, delta = first
-    if delta[0] == "formula":
-        indices = {
-            psi.index
-            for psi in system.formulas
-            if isinstance(psi, DiaF) and psi.arg is delta[1]
-        }
-    else:
-        indices = {
-            c.index
-            for c, var in system.concepts
-            if var == delta[2] and isinstance(c, Dia) and c.arg is delta[1]
-        }
+    boxes, dias = _modal_premises(system)
     keys = []
-    for index in indices:
-        boxes = [_modal_premise(index, g, True) for g in gamma]
-        if all(k in system.formulas or k in system.concepts for k in boxes):
-            keys += boxes
+    for index, bodies in dias.items():
+        held = boxes.get(index, ())
+        if delta in bodies and all(g in held for g in gamma):
+            keys += [_modal_premise(index, g, True) for g in gamma]
             keys.append(_modal_premise(index, delta, False))
     return keys
 
@@ -1000,32 +970,26 @@ def _extend(tableau: CompletionSet, inst: RuleInstance, branch: int) -> None:
     are seeded with a domain variable when the branch puts no variable in
     them.
     """
-    if inst.rule == R_L:
-        system = tableau.new_label()
-        for item in inst.branches[branch]:
-            if item[0] == "formula":
-                tableau.add_formula(system.label, item[1])
-            else:
-                tableau.add_concept(system.label, item[1], item[2])
-        if not system.variables:
-            # Domains are non-empty: labels reached only through formula
-            # constraints still describe a world with at least one element.
-            tableau._add_variable(system, tableau.new_variable())
+    rule, items = inst.rule, inst.branches[branch]
+    if rule == R_EXISTS:
+        _, role, var, target = items[0]
+        fresh = tableau.new_variable()
+        tableau.add_role(inst.label, role, var, fresh)
+        tableau.add_concept(inst.label, target, fresh)
         return
-    label = inst.label
-    for item in inst.branches[branch]:
-        if item[0] == "formula":
-            tableau.add_formula(label, item[1])
-        elif item[0] == "concept":
-            var = item[2]
-            if var == -1:  # R_neq allocates its witness here
-                var = tableau.new_variable()
-            tableau.add_concept(label, item[1], var)
-        else:  # ("exists", role, var, target)
-            _, role, var, target = item
-            fresh = tableau.new_variable()
-            tableau.add_role(label, role, var, fresh)
-            tableau.add_concept(label, target, fresh)
+    if rule == R_NEQ:
+        tableau.add_concept(inst.label, items[0][0], tableau.new_variable())
+        return
+    system = tableau.new_label() if rule == R_L else tableau.systems[inst.label]
+    for item in items:
+        if isinstance(item, Formula):
+            tableau.add_formula(system.label, item)
+        else:
+            tableau.add_concept(system.label, *item)
+    if not system.variables:
+        # Domains are non-empty: a fresh label reached only through formula
+        # constraints still describes a world with at least one element.
+        tableau._add_variable(system, tableau.new_variable())
 
 
 def apply(
@@ -1049,18 +1013,12 @@ def _refuter(
     """The dependency set of what refutes a disjunct in its label: the
     stored set of its NNF negation, or 0 for a bottom concept, which
     clashes on its own.  None while adding it would not clash at once."""
+    if isinstance(item, tuple) and isinstance(item[0], Bot):
+        return 0
     system = tableau.systems[label]
-    if item[0] == "formula":
-        key = neg_nnf(item[1])
-        if key not in system.formulas:
-            return None
-    else:
-        concept, var = item[1], item[2]
-        if isinstance(concept, Bot):
-            return 0
-        key = (neg_nnf(concept), var)
-        if key not in system.concepts:
-            return None
+    key = _neg_item(item)
+    if not _holds_in(system, key):
+        return None
     return tableau.deps.get((label, key), system.deps_base)
 
 
@@ -1089,10 +1047,10 @@ def applied_constraints(inst: RuleInstance, branch: int) -> list[str]:
     serialized text."""
     out = []
     for item in inst.branches[branch]:
-        if item[0] == "formula":
-            out.append(sort_key(item[1]))
-        elif item[0] == "concept":
-            out.append(f"{sort_key(item[1])}(x{item[2]})")
+        if isinstance(item, Formula):
+            out.append(sort_key(item))
+        elif len(item) == 2:
+            out.append(f"{sort_key(item[0])}(x{item[1]})")
         else:
             out.append(f"{item[1]}(x{item[2]}, fresh)")
     return out

@@ -35,6 +35,8 @@ from nnmdl.syntax import (
 )
 from nnmdl.tableau import (
     R_EXISTS,
+    R_L,
+    R_NEQ,
     SolveOptions,
     blockers,
     find_applicable,
@@ -83,6 +85,12 @@ class CheckedSearch:
         self.real_extend(state, inst, branch)
         assert state.clash == is_clash(state)
         assert state.holders == holders_from_systems(state)
+        if inst.rule not in (R_EXISTS, R_NEQ):
+            # Branch items are the index keys of what they add: R_L's to
+            # its fresh label, the others' to their own.
+            label = len(state.systems) - 1 if inst.rule == R_L else inst.label
+            for item in inst.branches[branch]:
+                assert state.holders[item] >> label & 1
         self.clashes += state.clash
 
     def settled(self, state, inst):

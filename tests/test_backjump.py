@@ -42,6 +42,7 @@ from nnmdl.tableau import (
     find_applicable,
     init,
     is_clash,
+    next_instance,
     solve,
 )
 
@@ -172,10 +173,40 @@ def test_backjump_skips_a_unit_instance_empty_branch(monkeypatch):
     ])
     assert verdict(phi, FrameClass.N) == chronological(phi, FrameClass.N)
     assert any(
-        inst.absent_variable is not None
+        not inst.branches[-1]  # the unit instance's empty branch
         for skipped, _ in log.jumps
         for inst in skipped
     )
+
+
+def test_equal_bodies_under_two_indices_tie_on_equal_instances():
+    # Under E, box 1 and box 2 both have the body P, and dia 1 and dia 2
+    # both Q: the R_L instance for (P, Q) is completed once per index, so
+    # it sits on the agenda twice under one key.  A chronological search
+    # over the incremental engine checks every state it visits: entries
+    # with equal keys hold equal instances.
+    P, Q = CI(TOP, A), CI(TOP, B)
+    phi = AndF(AndF(BoxF(1, P), BoxF(2, P)), AndF(DiaF(1, Q), DiaF(2, Q)))
+    ties, found = 0, "unsat"
+    pending = [init(normalize(phi), FrameClass.E)]
+    while pending:
+        state = pending.pop()
+        by_key = {}
+        for key, inst in state.agenda:
+            assert by_key.setdefault(key, inst) == inst
+        ties += len(state.agenda) - len(by_key)
+        if state.clash:
+            continue
+        inst = next_instance(state)
+        if inst is None:
+            found = "sat"
+            break
+        for branch in reversed(range(inst.branch_count)):
+            child = state.copy()
+            tableau._extend(child, inst, branch)
+            pending.append(child)
+    assert ties
+    assert found == chronological(phi, FrameClass.E) == "sat"
 
 
 def test_branch_label_keeps_its_base_set_across_copies():
@@ -226,7 +257,7 @@ def atom_pairs(count):
 def skipped_disjuncts(log: JumpLog) -> list:
     """Per backjump, the first disjunct of each branch point it popped
     untried."""
-    return [[inst.branches[0][0][1] for inst in skipped] for skipped, _ in log.jumps]
+    return [[inst.branches[0][0][0] for inst in skipped] for skipped, _ in log.jumps]
 
 
 def disjuncts_taken(result) -> list:

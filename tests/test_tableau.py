@@ -132,6 +132,8 @@ def test_modal_rule_shapes_per_class():
 def test_intersection_class_enumerates_box_subsets():
     phi = normalize(AndF(AndF(BoxF(1, P), BoxF(1, Q)), DiaF(1, CI(Top(), Top()))))
     tableau = init(phi, FrameClass.C)
+    # R_L instances are listed once no in-label instance applies.
+    tableau.add_formula(0, AndF(BoxF(1, P), BoxF(1, Q)))
     tableau.add_formula(0, BoxF(1, P))
     tableau.add_formula(0, BoxF(1, Q))
     tableau.add_formula(0, DiaF(1, CI(Top(), Top())))
@@ -291,10 +293,10 @@ def test_solve_trace_records_path():
 def _serialized_rendering(inst, branch):
     out = []
     for item in inst.branches[branch]:
-        if item[0] == "formula":
-            out.append(serialize(item[1]))
-        elif item[0] == "concept":
-            out.append(f"{serialize(item[1])}(x{item[2]})")
+        if not isinstance(item, tuple):  # a formula
+            out.append(serialize(item))
+        elif len(item) == 2:  # a (concept, variable) pair
+            out.append(f"{serialize(item[0])}(x{item[1]})")
         else:
             out.append(f"{item[1]}(x{item[2]}, fresh)")
     return out
