@@ -20,11 +20,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .extraction import validate
 from .fragment import prop_abstraction, serialize_prop, solve_fragment
-from .oracle import SAT, OracleBounds, brute_force_sat
+from .oracle import (
+    DEFAULT_MAX_DOMAIN,
+    DEFAULT_MAX_WORLDS,
+    SAT,
+    OracleBounds,
+    brute_force_sat,
+)
 from .semantics import FrameClass, NeighbourhoodModel
 from .syntax import normalize, parse_formula, serialize
 from .tableau import EngineError, SolveOptions, StepCapError, solve
@@ -32,55 +37,6 @@ from .tableau import EngineError, SolveOptions, StepCapError, solve
 EXIT_SAT = 0
 EXIT_UNSAT = 1
 EXIT_ERROR = 2
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    logic: FrameClass = FrameClass.E
-    domain_mode: str = "varying"
-    fragment: bool = False
-    text: str | None = None
-    path: str | None = None
-    model_path: str | None = None
-    model_out: str | None = None
-    trace: bool = False
-    validate_flag: bool = True
-    max_worlds: int = 2
-    max_domain: int = 2
-    cap_steps: int | None = None
-
-    def check(self) -> None:
-        if self.domain_mode == "constant" and self.subcommand == "solve":
-            if not self.fragment:
-                raise UsageError(
-                    "constant-domain solving is only decided for the fragment "
-                    "without modalised concepts; pass --fragment"
-                )
-            if self.logic not in (FrameClass.C, FrameClass.N):
-                raise UsageError(
-                    "constant-domain fragment solving supports logics C and N"
-                )
-        if self.cap_steps is not None and self.cap_steps < 0:
-            raise UsageError(
-                f"--cap-steps must be a non-negative integer, got {self.cap_steps}"
-            )
-        if self.fragment and self.domain_mode != "constant":
-            raise UsageError(
-                "--fragment decides constant-domain satisfiability; "
-                "pass --domain constant"
-            )
-        if self.fragment:
-            # The fragment procedure writes no model, streams no trace and
-            # takes no step cap or validation switch.
-            for flag, given in (
-                ("--model-out", self.model_out is not None),
-                ("--trace", self.trace),
-                ("--cap-steps", self.cap_steps is not None),
-                ("--no-validate", not self.validate_flag),
-            ):
-                if given:
-                    raise UsageError(f"{flag} has no effect with --fragment")
 
 
 class UsageError(ValueError):
@@ -91,43 +47,70 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _load_formula(config: RunConfig):
-    if config.text is not None and config.path is not None:
+def _load_formula(args: argparse.Namespace):
+    if args.expr is not None and args.file is not None:
         raise UsageError("pass either -e or --file, not both")
-    if config.text is not None:
-        return parse_formula(config.text)
-    if config.path is not None:
-        with open(config.path, "r", encoding="utf-8") as handle:
+    if args.expr is not None:
+        return parse_formula(args.expr)
+    if args.file is not None:
+        with open(args.file, "r", encoding="utf-8") as handle:
             return parse_formula(handle.read())
     raise UsageError("no formula given; pass -e or --file")
 
 
-def _stats_payload(config: RunConfig, extra: dict) -> dict:
-    payload = {
-        "logic": config.logic.value,
-        "domain": config.domain_mode,
-    }
-    payload.update(extra)
-    return payload
+def _check_solve_usage(args: argparse.Namespace) -> None:
+    """The flag combinations `solve` rejects, in the order they are
+    reported; checked before the formula is read."""
+    if args.domain == "constant":
+        if not args.fragment:
+            raise UsageError(
+                "constant-domain solving is only decided for the fragment "
+                "without modalised concepts; pass --fragment"
+            )
+        if args.logic not in ("C", "N"):
+            raise UsageError(
+                "constant-domain fragment solving supports logics C and N"
+            )
+    if args.cap_steps is not None and args.cap_steps < 0:
+        raise UsageError(
+            f"--cap-steps must be a non-negative integer, got {args.cap_steps}"
+        )
+    if args.fragment and args.domain != "constant":
+        raise UsageError(
+            "--fragment decides constant-domain satisfiability; "
+            "pass --domain constant"
+        )
+    if args.fragment:
+        # The fragment procedure writes no model, streams no trace and
+        # takes no step cap or validation switch.
+        for flag, given in (
+            ("--model-out", args.model_out is not None),
+            ("--trace", args.trace),
+            ("--cap-steps", args.cap_steps is not None),
+            ("--no-validate", args.no_validate),
+        ):
+            if given:
+                raise UsageError(f"{flag} has no effect with --fragment")
 
 
-def _run_solve(config: RunConfig) -> int:
-    phi = _load_formula(config)
-    if config.fragment:
-        result = solve_fragment(phi, config.logic)
+def _run_solve(args: argparse.Namespace) -> int:
+    _check_solve_usage(args)
+    phi = _load_formula(args)
+    logic = FrameClass(args.logic)
+    if args.fragment:
+        result = solve_fragment(phi, logic)
         _emit(
             {
                 "verdict": result.verdict,
-                "stats": _stats_payload(
-                    config,
-                    {
-                        "fragment": True,
-                        "letters": len(result.abstraction.letters),
-                        "initial_valuations": result.initial_valuations,
-                        "surviving_valuations": len(result.support.members),
-                        "rounds": result.rounds,
-                    },
-                ),
+                "stats": {
+                    "logic": args.logic,
+                    "domain": args.domain,
+                    "fragment": True,
+                    "letters": len(result.abstraction.letters),
+                    "initial_valuations": result.initial_valuations,
+                    "surviving_valuations": len(result.support.members),
+                    "rounds": result.rounds,
+                },
             }
         )
         return EXIT_SAT if result.verdict == "sat" else EXIT_UNSAT
@@ -139,70 +122,72 @@ def _run_solve(config: RunConfig) -> int:
     # Every sat answer is extracted and re-checked; --model-out only
     # decides whether the model is also written.
     options = SolveOptions(
-        validate=config.validate_flag,
-        step_cap=config.cap_steps,
-        on_step=stream if config.trace else None,
+        validate=not args.no_validate,
+        step_cap=args.cap_steps,
+        on_step=stream if args.trace else None,
     )
     try:
-        result = solve(phi, config.logic, options)
+        result = solve(phi, logic, options)
     except StepCapError as exc:
-        if config.cap_steps is None:
+        if args.cap_steps is None:
             raise
         raise StepCapError(exc.cap, "--cap-steps") from None
-    stats = result.stats.as_dict()
     _emit(
         {
             "verdict": result.verdict,
-            "stats": _stats_payload(config, {"fragment": False, **stats}),
+            "stats": {
+                "logic": args.logic,
+                "domain": args.domain,
+                "fragment": False,
+                **result.stats.as_dict(),
+            },
         }
     )
-    if result.verdict == "sat" and config.model_out:
-        with open(config.model_out, "w", encoding="utf-8") as handle:
+    if result.verdict == "sat" and args.model_out:
+        with open(args.model_out, "w", encoding="utf-8") as handle:
             handle.write(result.model.to_json() + "\n")
     return EXIT_SAT if result.verdict == "sat" else EXIT_UNSAT
 
 
-def _run_oracle(config: RunConfig) -> int:
-    phi = _load_formula(config)
+def _run_oracle(args: argparse.Namespace) -> int:
+    phi = _load_formula(args)
     bounds = OracleBounds(
-        max_worlds=config.max_worlds,
-        max_domain=config.max_domain,
-        domain_mode=config.domain_mode,
+        max_worlds=args.max_worlds,
+        max_domain=args.max_domain,
+        domain_mode=args.domain,
     )
-    result = brute_force_sat(phi, config.logic, bounds)
-    payload = {
-        "verdict": result.verdict,
-        "stats": _stats_payload(
-            config,
-            {
+    result = brute_force_sat(phi, FrameClass(args.logic), bounds)
+    _emit(
+        {
+            "verdict": result.verdict,
+            "stats": {
+                "logic": args.logic,
+                "domain": args.domain,
                 "models_checked": result.models_checked,
-                "max_worlds": config.max_worlds,
-                "max_domain": config.max_domain,
+                "max_worlds": args.max_worlds,
+                "max_domain": args.max_domain,
             },
-        ),
-        "model": result.model.to_json_dict() if result.model else None,
-        "world": result.world,
-    }
-    _emit(payload)
-    if result.verdict == SAT and config.model_out and result.model:
-        with open(config.model_out, "w", encoding="utf-8") as handle:
+            "model": result.model.to_json_dict() if result.model else None,
+            "world": result.world,
+        }
+    )
+    if result.verdict == SAT and args.model_out and result.model:
+        with open(args.model_out, "w", encoding="utf-8") as handle:
             handle.write(result.model.to_json() + "\n")
     return EXIT_SAT if result.verdict == SAT else EXIT_UNSAT
 
 
-def _run_validate(config: RunConfig) -> int:
-    phi = _load_formula(config)
-    if not config.model_path:
-        raise UsageError("validate needs --model <path>")
-    with open(config.model_path, "r", encoding="utf-8") as handle:
+def _run_validate(args: argparse.Namespace) -> int:
+    phi = _load_formula(args)
+    with open(args.model, "r", encoding="utf-8") as handle:
         model = NeighbourhoodModel.from_json(handle.read())
-    ok = validate(model, phi, config.logic)
-    _emit({"valid": ok, "logic": config.logic.value})
+    ok = validate(model, phi, FrameClass(args.logic))
+    _emit({"valid": ok, "logic": args.logic})
     return EXIT_SAT if ok else EXIT_UNSAT
 
 
-def _run_abstract(config: RunConfig) -> int:
-    phi = _load_formula(config)
+def _run_abstract(args: argparse.Namespace) -> int:
+    phi = _load_formula(args)
     abstraction = prop_abstraction(phi)
     _emit(
         {
@@ -215,20 +200,6 @@ def _run_abstract(config: RunConfig) -> int:
         }
     )
     return EXIT_SAT
-
-
-def run(config: RunConfig) -> int:
-    """Execute one configuration; returns the process exit status."""
-    config.check()
-    if config.subcommand == "solve":
-        return _run_solve(config)
-    if config.subcommand == "oracle":
-        return _run_oracle(config)
-    if config.subcommand == "validate":
-        return _run_validate(config)
-    if config.subcommand == "abstract":
-        return _run_abstract(config)
-    raise UsageError(f"unknown subcommand {config.subcommand!r}")
 
 
 def _add_formula_args(parser: argparse.ArgumentParser) -> None:
@@ -255,6 +226,8 @@ def _add_domain_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; each subcommand's namespace carries its
+    handler as `handler`."""
     parser = argparse.ArgumentParser(
         prog="nnmdl",
         description="satisfiability for non-normal modal description logics",
@@ -262,6 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_solve = sub.add_parser("solve", help="decide satisfiability")
+    p_solve.set_defaults(handler=_run_solve)
     _add_logic_arg(p_solve)
     _add_domain_arg(p_solve)
     _add_formula_args(p_solve)
@@ -276,47 +250,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--cap-steps", type=int, default=None)
 
     p_oracle = sub.add_parser("oracle", help="brute-force bounded models")
+    p_oracle.set_defaults(handler=_run_oracle)
     _add_logic_arg(p_oracle)
     _add_domain_arg(p_oracle)
     _add_formula_args(p_oracle)
-    p_oracle.add_argument("--max-worlds", type=int, default=2)
-    p_oracle.add_argument("--max-domain", type=int, default=2)
+    p_oracle.add_argument("--max-worlds", type=int, default=DEFAULT_MAX_WORLDS)
+    p_oracle.add_argument("--max-domain", type=int, default=DEFAULT_MAX_DOMAIN)
     p_oracle.add_argument("--model-out", help="write the first witness here")
 
     p_validate = sub.add_parser("validate", help="check a stored model")
+    p_validate.set_defaults(handler=_run_validate)
     _add_logic_arg(p_validate)
     _add_formula_args(p_validate)
     p_validate.add_argument("--model", required=True, help="model JSON path")
 
     p_abstract = sub.add_parser("abstract", help="propositional abstraction")
+    p_abstract.set_defaults(handler=_run_abstract)
     _add_formula_args(p_abstract)
 
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        logic=FrameClass(getattr(args, "logic", "E")),
-        domain_mode=getattr(args, "domain", "varying"),
-        fragment=getattr(args, "fragment", False),
-        text=args.expr,
-        path=args.file,
-        model_path=getattr(args, "model", None),
-        model_out=getattr(args, "model_out", None),
-        trace=getattr(args, "trace", False),
-        validate_flag=not getattr(args, "no_validate", False),
-        max_worlds=getattr(args, "max_worlds", 2),
-        max_domain=getattr(args, "max_domain", 2),
-        cap_steps=getattr(args, "cap_steps", None),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line; returns the process exit status."""
+    args = build_parser().parse_args(argv)
     try:
-        return run(config_from_args(args))
+        return args.handler(args)
     except (ValueError, EngineError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR

@@ -133,24 +133,17 @@ def extract_model(
                         per_role[role].add((f"x{var}", f"x{y}"))
         role_ext[world] = {r: frozenset(pairs) for r, pairs in per_role.items()}
 
-    # Brackets of each box body, as world ids, keyed by its branch item
-    # (the formula, or the (concept, variable) pair); the C loop revisits a
-    # body in every selection that contains it.
-    brackets: dict[object, tuple[frozenset[str], frozenset[str]]] = {}
-
-    def bracket(item):
-        pair = brackets.get(item)
-        if pair is None:
-            if isinstance(item, Formula):
-                approx = floors_ceilings(tableau, item)
-            else:
-                approx = floors_ceilings(tableau, *item)
-            pair = (
-                frozenset(str(n) for n in approx.floor),
-                frozenset(str(n) for n in approx.ceil),
-            )
-            brackets[item] = pair
-        return pair
+    def bracket(item) -> tuple[frozenset[str], frozenset[str]]:
+        """Floor and ceiling of a box body, as world ids, from its branch
+        item (the formula, or the (concept, variable) pair)."""
+        if isinstance(item, Formula):
+            approx = floors_ceilings(tableau, item)
+        else:
+            approx = floors_ceilings(tableau, *item)
+        return (
+            frozenset(str(n) for n in approx.floor),
+            frozenset(str(n) for n in approx.ceil),
+        )
 
     neighbourhoods: dict[int, dict[str, Windows]] = {
         index: {} for index in modalities

@@ -229,6 +229,11 @@ class NeighbourhoodModel:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NeighbourhoodModel":
+        if not isinstance(data, dict):
+            raise ValueError("model file is not a JSON object")
+        for field in ("worlds", "domains"):
+            if field not in data:
+                raise ValueError(f"model has no {field!r} field")
         model = cls(
             worlds=tuple(data["worlds"]),
             constant_domain=bool(data.get("constant_domain", False)),
@@ -268,7 +273,6 @@ class Evaluator:
     def __init__(self, model: NeighbourhoodModel):
         self.model = model
         self._concept_memo: dict[tuple[str, Concept], frozenset[str]] = {}
-        self._formula_memo: dict[tuple[str, Formula], bool] = {}
         self._concept_set_memo: dict[tuple[str, Concept], frozenset[str]] = {}
         self._formula_set_memo: dict[Formula, frozenset[str]] = {}
 
@@ -347,32 +351,25 @@ class Evaluator:
     def holds(self, world: str, phi: Formula) -> bool:
         if world not in self.model.domains:
             raise ValueError(f"unknown world {world!r}")
-        key = (world, phi)
-        cached = self._formula_memo.get(key)
-        if cached is not None:
-            return cached
         if isinstance(phi, CI):
-            out = self.concept_ext(world, phi.left) <= self.concept_ext(
+            return self.concept_ext(world, phi.left) <= self.concept_ext(
                 world, phi.right
             )
-        elif isinstance(phi, NotF):
-            out = not self.holds(world, phi.arg)
-        elif isinstance(phi, AndF):
-            out = self.holds(world, phi.left) and self.holds(world, phi.right)
-        elif isinstance(phi, OrF):
-            out = self.holds(world, phi.left) or self.holds(world, phi.right)
-        elif isinstance(phi, BoxF):
-            out = self.formula_truth_set(phi.arg) in self._neighbourhood(
+        if isinstance(phi, NotF):
+            return not self.holds(world, phi.arg)
+        if isinstance(phi, AndF):
+            return self.holds(world, phi.left) and self.holds(world, phi.right)
+        if isinstance(phi, OrF):
+            return self.holds(world, phi.left) or self.holds(world, phi.right)
+        if isinstance(phi, BoxF):
+            return self.formula_truth_set(phi.arg) in self._neighbourhood(
                 phi.index, world
             )
-        elif isinstance(phi, DiaF):
-            out = self.formula_truth_set(NotF(phi.arg)) not in self._neighbourhood(
+        if isinstance(phi, DiaF):
+            return self.formula_truth_set(NotF(phi.arg)) not in self._neighbourhood(
                 phi.index, world
             )
-        else:
-            raise TypeError(f"not a formula: {phi!r}")
-        self._formula_memo[key] = out
-        return out
+        raise TypeError(f"not a formula: {phi!r}")
 
     def formula_truth_set(self, phi: Formula) -> frozenset[str]:
         cached = self._formula_set_memo.get(phi)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import islice
-from operator import attrgetter, length_hint
+from operator import length_hint
 
 #: The one intern table: (class, *fields) -> the node with those fields.
 _TERMS: dict[tuple, Term] = {}
@@ -351,47 +351,44 @@ def parse_concept(text: str) -> Concept:
     return _parse(text, _CONCEPT)
 
 
-def serialize(term: Concept | Formula, sub=None) -> str:
+#: Per node class, the node's text as a tuple of strings and children.
+_PARTS = {
+    Top: lambda t: ("top",),
+    Bot: lambda t: ("bot",),
+    AtomicConcept: lambda t: (f"(atom {t.name})",),
+    Not: lambda t: ("(not ", t.arg, ")"),
+    And: lambda t: ("(and ", t.left, " ", t.right, ")"),
+    Or: lambda t: ("(or ", t.left, " ", t.right, ")"),
+    Exists: lambda t: (f"(some {t.role} ", t.arg, ")"),
+    Forall: lambda t: (f"(all {t.role} ", t.arg, ")"),
+    Box: lambda t: (f"(box {t.index} ", t.arg, ")"),
+    Dia: lambda t: (f"(dia {t.index} ", t.arg, ")"),
+    CI: lambda t: ("(sub ", t.left, " ", t.right, ")"),
+    NotF: lambda t: ("(not ", t.arg, ")"),
+    AndF: lambda t: ("(and ", t.left, " ", t.right, ")"),
+    OrF: lambda t: ("(or ", t.left, " ", t.right, ")"),
+    BoxF: lambda t: (f"(box {t.index} ", t.arg, ")"),
+    DiaF: lambda t: (f"(dia {t.index} ", t.arg, ")"),
+}
+
+
+def serialize(term: Concept | Formula) -> str:
     """Render a concept or formula; parse_formula/parse_concept invert this.
 
-    Children are rendered with `sub`, by default serialize itself;
-    sort_key passes the keys already stored on the children.
-    """
-    if sub is None:
-        sub = serialize
-    if isinstance(term, Top):
-        return "top"
-    if isinstance(term, Bot):
-        return "bot"
-    if isinstance(term, AtomicConcept):
-        return f"(atom {term.name})"
-    if isinstance(term, Not):
-        return f"(not {sub(term.arg)})"
-    if isinstance(term, And):
-        return f"(and {sub(term.left)} {sub(term.right)})"
-    if isinstance(term, Or):
-        return f"(or {sub(term.left)} {sub(term.right)})"
-    if isinstance(term, Exists):
-        return f"(some {term.role} {sub(term.arg)})"
-    if isinstance(term, Forall):
-        return f"(all {term.role} {sub(term.arg)})"
-    if isinstance(term, Box):
-        return f"(box {term.index} {sub(term.arg)})"
-    if isinstance(term, Dia):
-        return f"(dia {term.index} {sub(term.arg)})"
-    if isinstance(term, CI):
-        return f"(sub {sub(term.left)} {sub(term.right)})"
-    if isinstance(term, NotF):
-        return f"(not {sub(term.arg)})"
-    if isinstance(term, AndF):
-        return f"(and {sub(term.left)} {sub(term.right)})"
-    if isinstance(term, OrF):
-        return f"(or {sub(term.left)} {sub(term.right)})"
-    if isinstance(term, BoxF):
-        return f"(box {term.index} {sub(term.arg)})"
-    if isinstance(term, DiaF):
-        return f"(dia {term.index} {sub(term.arg)})"
-    raise TypeError(f"not a concept or formula: {term!r}")
+    The text is emitted left to right from an explicit stack of pending
+    strings and subterms, so deep terms need no recursion and no
+    subterm's text is built apart from the whole."""
+    if term.__class__ not in _PARTS:
+        raise TypeError(f"not a concept or formula: {term!r}")
+    out: list[str] = []
+    stack: list = [term]
+    while stack:
+        top = stack.pop()
+        if top.__class__ is str:
+            out.append(top)
+        else:
+            stack.extend(reversed(_PARTS[top.__class__](top)))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -704,9 +701,6 @@ def _children(term: Concept | Formula) -> tuple:
     return (term.arg,)
 
 
-_cached_key = attrgetter("_sort_key")
-
-
 def _unkeyed_children(term: Concept | Formula) -> list:
     return [c for c in _children(term) if c._sort_key is None]
 
@@ -719,6 +713,10 @@ def sort_key(term: Concept | Formula) -> str:
     key = term._sort_key
     if key is None:
         for node in postorder(term, _unkeyed_children):
-            object.__setattr__(node, "_sort_key", serialize(node, _cached_key))
+            text = [
+                p if p.__class__ is str else p._sort_key
+                for p in _PARTS[node.__class__](node)
+            ]
+            object.__setattr__(node, "_sort_key", "".join(text))
         key = term._sort_key
     return key

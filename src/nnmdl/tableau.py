@@ -796,12 +796,11 @@ def _nonempty_subsets(items: list) -> Iterable[tuple]:
 
 
 def _modal_instances(
-    tableau: CompletionSet,
-    system: ConstraintSystem,
-    frame_class: FrameClass,
+    tableau: CompletionSet, system: ConstraintSystem
 ) -> Iterable[RuleInstance]:
     boxes, dias = _modal_premises(system)
     label = system.label
+    frame_class = tableau.frame_class
     for index, dia_list in sorted(dias.items()):
         box_list = boxes.get(index, [])
         for delta_item in dia_list:
@@ -816,9 +815,7 @@ def _modal_instances(
                     yield inst
 
 
-def find_applicable(
-    tableau: CompletionSet, frame_class: FrameClass
-) -> list[RuleInstance]:
+def find_applicable(tableau: CompletionSet) -> list[RuleInstance]:
     """The rule instances whose premises and application condition hold,
     ordered by rule priority and a canonical key: every in-label instance
     or, when there is none, every R_L instance.  R_L has the lowest
@@ -833,13 +830,13 @@ def find_applicable(
         instances.extend(_label_instances(tableau, system))
     if not instances:
         for system in tableau.systems:
-            instances.extend(_modal_instances(tableau, system, frame_class))
+            instances.extend(_modal_instances(tableau, system))
     instances.sort(key=_instance_key)
     return instances
 
 
-def is_complete(tableau: CompletionSet, frame_class: FrameClass) -> bool:
-    return not find_applicable(tableau, frame_class)
+def is_complete(tableau: CompletionSet) -> bool:
+    return not find_applicable(tableau)
 
 
 # ---------------------------------------------------------------------------
@@ -870,8 +867,7 @@ def _stale(tableau: CompletionSet, inst: RuleInstance) -> bool:
 
 def next_instance(tableau: CompletionSet) -> RuleInstance | None:
     """Remove and return the least applicable rule instance, in the order
-    of `find_applicable` for the state's frame class, or None when the
-    state is saturated.
+    of `find_applicable`, or None when the state is saturated.
 
     Stale heads are dropped for good: rules only add constraints, so an
     instance that has fired or been realized stays so.  The one condition

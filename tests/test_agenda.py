@@ -73,7 +73,7 @@ class CheckedSearch:
 
     def next_instance(self, state):
         assert not is_clash(state)
-        expected = find_applicable(state, state.frame_class)
+        expected = find_applicable(state)
         inst = self.real_next(state)
         assert inst == (expected[0] if expected else None)
         self.choices += 1
@@ -286,7 +286,7 @@ def test_agenda_seeded_from_a_hand_built_state():
     phi = AndF(CI(TOP, AtomicConcept("A")), CI(TOP, AtomicConcept("B")))
     state = init(phi, FrameClass.E)
     state.add_concept(0, AtomicConcept("A"), 0)
-    expected = find_applicable(state, FrameClass.E)
+    expected = find_applicable(state)
     assert next_instance(state) == expected[0]
 
 

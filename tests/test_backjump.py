@@ -61,7 +61,7 @@ def chronological(phi, frame_class) -> str:
         state = pending.pop()
         if is_clash(state):
             continue
-        applicable = find_applicable(state, frame_class)
+        applicable = find_applicable(state)
         if not applicable:
             return "sat"
         inst = applicable[0]

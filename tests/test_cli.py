@@ -455,3 +455,34 @@ def test_formula_from_file(capsys, tmp_path):
     path.write_text(UNSAT_E)
     code, out, _ = run_cli(capsys, "solve", "--file", str(path))
     assert code == EXIT_UNSAT
+
+
+@pytest.mark.parametrize("left", [True, False])
+def test_deep_chain_abstract(capsys, left):
+    # `serialize` renders on an explicit stack, so the input echo of a
+    # chain far past the recursion limit needs no Python frames per level.
+    text = _chain(2000, left)
+    code, out, err = run_cli(capsys, "abstract", "-e", text)
+    assert code == EXIT_SAT
+    assert json.loads(out)["input"] == text
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ([], "model file is not a JSON object"),
+        ({"domains": {"w": ["d"]}}, "model has no 'worlds' field"),
+        ({"worlds": ["w"]}, "model has no 'domains' field"),
+    ],
+)
+def test_validate_rejects_malformed_model_file(capsys, tmp_path, document, message):
+    # Bad input, not an engine defect: the message names the problem.
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(
+        capsys, "validate", "--model", str(path), "-e", SAT_SIMPLE
+    )
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == f"error: {message}\n"

@@ -103,28 +103,26 @@ def test_blocking_subset_and_order():
 
 def test_find_applicable_single_conjunction():
     phi = normalize(AndF(P, Q))
-    instances = find_applicable(init(phi, FrameClass.E), FrameClass.E)
+    instances = find_applicable(init(phi, FrameClass.E))
     assert [inst.rule for inst in instances] == [R_AND]
 
 
 def test_modal_rule_shapes_per_class():
     phi = normalize(AndF(BoxF(1, P), DiaF(1, Q)))
-    tableau = init(phi, FrameClass.E)
-    tableau.add_formula(0, BoxF(1, P))
-    tableau.add_formula(0, DiaF(1, Q))
-    modal_m = [
-        i for i in find_applicable(tableau, FrameClass.M) if i.rule == R_L
-    ]
+
+    def modal(frame_class):
+        tableau = init(phi, frame_class)
+        tableau.add_formula(0, BoxF(1, P))
+        tableau.add_formula(0, DiaF(1, Q))
+        return [i for i in find_applicable(tableau) if i.rule == R_L]
+
+    modal_m = modal(FrameClass.M)
     assert len(modal_m) == 1
     assert modal_m[0].branch_count == 1
-    modal_e = [
-        i for i in find_applicable(tableau, FrameClass.E) if i.rule == R_L
-    ]
+    modal_e = modal(FrameClass.E)
     assert len(modal_e) == 1
     assert modal_e[0].branch_count == 2
-    modal_n = [
-        i for i in find_applicable(tableau, FrameClass.N) if i.rule == R_L
-    ]
+    modal_n = modal(FrameClass.N)
     # paired shape plus the diamond-only unit shape
     assert sorted(i.branch_count for i in modal_n) == [1, 2]
 
@@ -137,7 +135,7 @@ def test_intersection_class_enumerates_box_subsets():
     tableau.add_formula(0, BoxF(1, P))
     tableau.add_formula(0, BoxF(1, Q))
     tableau.add_formula(0, DiaF(1, CI(Top(), Top())))
-    modal = [i for i in find_applicable(tableau, FrameClass.C) if i.rule == R_L]
+    modal = [i for i in find_applicable(tableau) if i.rule == R_L]
     assert len(modal) == 3  # {P}, {Q}, {P, Q} each with the diamond
     assert sorted(i.branch_count for i in modal) == [2, 2, 3]
 
@@ -147,7 +145,7 @@ def test_apply_conjunction_of_concepts():
     tableau = init(phi, FrameClass.E)
     tableau.add_concept(0, And(A, B), 0)
     inst = next(
-        i for i in find_applicable(tableau, FrameClass.E) if i.rule == R_SQCAP
+        i for i in find_applicable(tableau) if i.rule == R_SQCAP
     )
     out = apply(tableau, inst, 0)
     assert (A, 0) in out.systems[0].concepts
@@ -160,7 +158,7 @@ def test_apply_refuted_inclusion_allocates_fresh_variable():
     phi = normalize(NotF(P))
     tableau = init(phi, FrameClass.E)
     inst = next(
-        i for i in find_applicable(tableau, FrameClass.E) if i.rule == R_NEQ
+        i for i in find_applicable(tableau) if i.rule == R_NEQ
     )
     out = apply(tableau, inst, 0)
     assert (Not(A), 1) in out.systems[0].concepts
@@ -174,7 +172,7 @@ def test_apply_modal_rule_negated_branch():
     tableau.add_formula(0, BoxF(1, P))
     tableau.add_formula(0, DiaF(1, Q))
     inst = next(
-        i for i in find_applicable(tableau, FrameClass.E) if i.rule == R_L
+        i for i in find_applicable(tableau) if i.rule == R_L
     )
     out = apply(tableau, inst, 1)
     fresh = len(out.systems) - 1
@@ -188,7 +186,7 @@ def test_apply_modal_rule_negated_branch():
 def test_apply_stale_instance_rejected():
     phi = normalize(AndF(P, Q))
     tableau = init(phi, FrameClass.E)
-    inst = find_applicable(tableau, FrameClass.E)[0]
+    inst = find_applicable(tableau)[0]
     out = apply(tableau, inst, 0)
     with pytest.raises(StaleInstanceError):
         apply(out, inst, 0)
@@ -197,7 +195,7 @@ def test_apply_stale_instance_rejected():
 def test_apply_branch_out_of_range():
     phi = normalize(AndF(P, Q))
     tableau = init(phi, FrameClass.E)
-    inst = find_applicable(tableau, FrameClass.E)[0]
+    inst = find_applicable(tableau)[0]
     with pytest.raises(ValueError, match="out of range"):
         apply(tableau, inst, 5)
 
@@ -205,29 +203,29 @@ def test_apply_branch_out_of_range():
 def test_completeness_checks():
     phi = normalize(CI(Top(), A))
     tableau = init(phi, FrameClass.E)
-    assert not is_complete(tableau, FrameClass.E)  # R_eq pending
-    inst = find_applicable(tableau, FrameClass.E)[0]
+    assert not is_complete(tableau)  # R_eq pending
+    inst = find_applicable(tableau)[0]
     assert inst.rule == R_EQ
     out = apply(tableau, inst, 0)
-    assert is_complete(out, FrameClass.E)
+    assert is_complete(out)
 
 
 def test_trivial_inclusion_complete_immediately():
     # top(x) is already present, so the inclusion's conclusion needs nothing
     phi = normalize(CI(Top(), Top()))
-    assert is_complete(init(phi, FrameClass.E), FrameClass.E)
+    assert is_complete(init(phi, FrameClass.E))
 
 
 def test_pending_conjunction_not_complete():
     phi = normalize(AndF(P, Q))
-    assert not is_complete(init(phi, FrameClass.E), FrameClass.E)
+    assert not is_complete(init(phi, FrameClass.E))
 
 
 def test_diamond_without_boxes_complete_under_e():
     phi = normalize(DiaF(1, NotF(CI(Top(), Top()))))
     result = solve(phi, FrameClass.E)
     assert result.verdict == "sat"
-    assert is_complete(result.completion, FrameClass.E)
+    assert is_complete(result.completion)
     assert len(result.completion.systems) == 1
 
 
@@ -331,7 +329,7 @@ def test_modal_negation_pair_is_an_immediate_clash():
     # The diamond of the negated body is itself the box's NNF negation.
     phi = normalize(AndF(BoxF(1, P), DiaF(1, neg_nnf(P))))
     tableau = init(phi, FrameClass.E)
-    out = apply(tableau, find_applicable(tableau, FrameClass.E)[0], 0)
+    out = apply(tableau, find_applicable(tableau)[0], 0)
     assert is_clash(out)
 
 
@@ -383,7 +381,7 @@ def test_monotone_growth_and_closure_membership():
             for _ in range(60):
                 if is_clash(state):
                     break
-                instances = find_applicable(state, fc)
+                instances = find_applicable(state)
                 if not instances:
                     break
                 before = {
