@@ -1,11 +1,12 @@
 """Countermodel construction from a saturated, clash-free completion set.
 
 Worlds are the labels; each label's domain is its occurring variables.
-A constraint asserted at a label fixes membership from below, while the
-absence of its negation leaves room above: the floor/ceiling pair of a
-term brackets every admissible truth set.  Each neighbourhood collection
-is stored as a union of windows [floor, ceil] (a `Windows`), one per
-frame-class rule:
+The concept names and modality indices the model interprets are the
+closure's `atoms` and `modalities`.  A constraint asserted at a label
+fixes membership from below, while the absence of its negation leaves
+room above: the floor/ceiling pair of a term brackets every admissible
+truth set.  Each neighbourhood collection is stored as a union of
+windows [floor, ceil] (a `Windows`), one per frame-class rule:
 
   E  one window per asserted box body: its floor and ceiling;
   M  one window per asserted box body: its floor up to the full world
@@ -16,16 +17,20 @@ frame-class rule:
      union, so the collection is closed under binary intersection);
   N  as for E, plus the window [W, W] of the full world set.
 
-Nothing is enumerated: a window of slack k stands for 2^k sets, which
-are expanded only when the model is iterated, measured or exported.
+Each bracket is read straight from the state's `holders` masks as world
+ids.  Nothing is enumerated: a window of slack k stands for 2^k sets,
+which are expanded only when the model is iterated, measured or exported.
 
 Role edges at a label are the asserted ones, plus edges lent to a blocked
-variable by each variable that blocks it.  The construction is a pure
+variable by each variable that blocks it; a label without role
+constraints has none to lend.  Models are immutable, so they share their
+sets: every empty extension is one object.  The construction is a pure
 function of the completion set and safe to run concurrently.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .semantics import (
@@ -35,19 +40,13 @@ from .semantics import (
     check_frame_class,
     satisfies,
 )
-from .syntax import (
-    AtomicConcept,
-    Box,
-    BoxF,
-    Concept,
-    Formula,
-    neg_nnf,
-)
-from .tableau import (
-    CompletionSet,
-    _modal_premises,
-    blockers,
-)
+from .syntax import AtomicConcept, Concept, Formula, neg_nnf
+from .tableau import CompletionSet, _modal_premises, blockers
+
+
+#: Every empty extension: an extracted model is immutable, so its empty
+#: sets are one object rather than a fresh frozenset each.
+_EMPTY: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -59,6 +58,32 @@ class TruthApproximation:
     ceil: frozenset[int]
 
 
+def _members(mask: int, names: Sequence) -> frozenset:
+    """The entries of `names` at the positions whose bit is set in `mask`."""
+    if not mask:
+        return _EMPTY
+    return frozenset([name for n, name in enumerate(names) if mask >> n & 1])
+
+
+def _bracket(
+    holders: dict, item, names: Sequence, full: frozenset
+) -> tuple[frozenset, frozenset]:
+    """Floor and ceiling of a branch item (a formula, or a (concept,
+    variable) pair) as the entries of `names` indexed by label: the labels
+    whose `holders` mask holds the item, and all but those holding its
+    negation.  `full` is the set of all of `names`."""
+    if item.__class__ is tuple:
+        term, var = item
+        negated = (neg_nnf(term), var)
+    else:
+        negated = neg_nnf(item)
+    refuted = holders.get(negated, 0)
+    return (
+        _members(holders.get(item, 0), names),
+        _members(~refuted, names) if refuted else full,
+    )
+
+
 def floors_ceilings(
     tableau: CompletionSet,
     term: Concept | Formula,
@@ -67,17 +92,14 @@ def floors_ceilings(
     """Bracket of a term: floor collects labels asserting it (at the given
     variable for concepts), the ceiling drops labels asserting its negation.
     Both are read from the state's `holders` masks."""
-    key, neg_key = term, neg_nnf(term)
+    item = term
     if isinstance(term, Concept):
         if var is None:
             raise ValueError("concept terms need a variable")
-        key, neg_key = (key, var), (neg_key, var)
-    holds = tableau.holders.get(key, 0)
-    refuted = tableau.holders.get(neg_key, 0)
+        item = (term, var)
     labels = range(len(tableau.systems))
     return TruthApproximation(
-        frozenset(n for n in labels if holds >> n & 1),
-        frozenset(n for n in labels if not refuted >> n & 1),
+        *_bracket(tableau.holders, item, labels, frozenset(labels))
     )
 
 
@@ -96,80 +118,68 @@ def extract_model(
         raise ValueError("completion set has a clash")
     world_ids = tuple(str(n) for n in range(len(tableau.systems)))
     full = frozenset(world_ids)
-    modalities = sorted(
-        {c.index for c in tableau.closure.con_neg if isinstance(c, Box)}
-        | {f.index for f in tableau.closure.for_neg if isinstance(f, BoxF)}
-    )
+    atoms = tableau.closure.atoms
+    modalities = tableau.closure.modalities
+    role_names = sorted(tableau.closure.roles)
+    holders = tableau.holders
 
     domains = {}
     concept_ext: dict[str, dict[str, frozenset[str]]] = {}
     role_ext: dict[str, dict[str, frozenset[tuple[str, str]]]] = {}
-    atom_names = sorted(
-        {
-            c.name
-            for c in tableau.closure.con_neg
-            if isinstance(c, AtomicConcept)
-        }
-    )
-    role_names = sorted(tableau.closure.roles)
-    for n, system in enumerate(tableau.systems):
-        world = str(n)
-        variables = sorted(system.variables)
-        if not variables:
-            raise ValueError(f"label {n} has no variables")
-        domains[world] = frozenset(f"x{v}" for v in variables)
-        members: dict[str, list[str]] = {a: [] for a in atom_names}
-        for c, v in system.concepts:
-            if isinstance(c, AtomicConcept):
-                members[c.name].append(f"x{v}")
-        concept_ext[world] = {a: frozenset(xs) for a, xs in members.items()}
-        per_role: dict[str, set[tuple[str, str]]] = {r: set() for r in role_names}
-        for role, x, y in system.roles:
-            per_role[role].add((f"x{x}", f"x{y}"))
-        for var in variables:
-            for z in blockers(var, system):
-                for role, x, y in system.roles:
-                    if x == z:
-                        per_role[role].add((f"x{var}", f"x{y}"))
-        role_ext[world] = {r: frozenset(pairs) for r, pairs in per_role.items()}
-
-    def bracket(item) -> tuple[frozenset[str], frozenset[str]]:
-        """Floor and ceiling of a box body, as world ids, from its branch
-        item (the formula, or the (concept, variable) pair)."""
-        if isinstance(item, Formula):
-            approx = floors_ceilings(tableau, item)
-        else:
-            approx = floors_ceilings(tableau, *item)
-        return (
-            frozenset(str(n) for n in approx.floor),
-            frozenset(str(n) for n in approx.ceil),
-        )
-
     neighbourhoods: dict[int, dict[str, Windows]] = {
         index: {} for index in modalities
     }
-    for n, system in enumerate(tableau.systems):
+    for world, system in zip(world_ids, tableau.systems):
+        if not system.variables:
+            raise ValueError(f"label {world} has no variables")
+        names = {v: f"x{v}" for v in system.variables}
+        domains[world] = frozenset(names.values())
+        members: dict[str, list[str]] = {}
+        for c, v in system.concepts:
+            if c.__class__ is AtomicConcept:
+                members.setdefault(c.name, []).append(names[v])
+        concept_ext[world] = {
+            a: frozenset(members[a]) if a in members else _EMPTY for a in atoms
+        }
+        per_role: dict[str, set[tuple[str, str]]] = {}
+        if system.roles:
+            for role, x, y in system.roles:
+                per_role.setdefault(role, set()).add((names[x], names[y]))
+            # A blocked variable borrows the edges of each that blocks it.
+            for var in system.variables:
+                for z in blockers(var, system):
+                    for role, x, y in system.roles:
+                        if x == z:
+                            per_role[role].add((names[var], names[y]))
+        role_ext[world] = {
+            r: frozenset(per_role[r]) if r in per_role else _EMPTY
+            for r in role_names
+        }
+        if not modalities:
+            continue
         boxes, _ = _modal_premises(system)
         for index in modalities:
-            items = boxes.get(index, ())
+            brackets = [
+                _bracket(holders, item, world_ids, full)
+                for item in boxes.get(index, ())
+            ]
             if frame_class is FrameClass.C:
                 # The windows of every non-empty selection, grown one body
                 # at a time: the selections with the next body are the
                 # earlier ones' windows met with its bracket, plus its own.
                 windows = {}
-                for item in items:
-                    body_floor, body_ceil = bracket(item)
+                for body_floor, body_ceil in brackets:
                     grown = {(body_floor, body_ceil): None}
                     for floor, ceil in windows:
                         grown[(floor & body_floor, ceil & body_ceil)] = None
                     windows.update(grown)
             elif frame_class is FrameClass.M:
-                windows = [(bracket(item)[0], full) for item in items]
+                windows = [(floor, full) for floor, _ in brackets]
             else:  # E and N share the bracketed shape
-                windows = [bracket(item) for item in items]
+                windows = brackets
                 if frame_class is FrameClass.N:
                     windows.append((full, full))
-            neighbourhoods[index][str(n)] = Windows(windows)
+            neighbourhoods[index][world] = Windows(windows)
 
     model = NeighbourhoodModel(
         worlds=world_ids,

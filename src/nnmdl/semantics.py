@@ -234,6 +234,19 @@ class NeighbourhoodModel:
         for field in ("worlds", "domains"):
             if field not in data:
                 raise ValueError(f"model has no {field!r} field")
+        for field, shape in _EXPORTED_SHAPES.items():
+            if field in data and not _has_shape(data[field], shape):
+                raise ValueError(
+                    f"model field {field!r} is not {_describe(shape)}"
+                )
+        for index in data.get("neighbourhoods", {}):
+            try:
+                int(index)
+            except ValueError:
+                raise ValueError(
+                    f"model field 'neighbourhoods' has modality index "
+                    f"{index!r}, which is not an integer"
+                ) from None
         model = cls(
             worlds=tuple(data["worlds"]),
             constant_domain=bool(data.get("constant_domain", False)),
@@ -265,6 +278,44 @@ class NeighbourhoodModel:
     @classmethod
     def from_json(cls, text: str) -> "NeighbourhoodModel":
         return cls.from_json_dict(json.loads(text))
+
+
+#: Each field of an exported model, outermost container first: a JSON
+#: "object" (keyed by world, or by modality index outermost in
+#: neighbourhoods), a "list", and at the leaves a "string" or a "pair"
+#: (a list of two strings).
+_EXPORTED_SHAPES = {
+    "worlds": ("list", "string"),
+    "domains": ("object", "list", "string"),
+    "concepts": ("object", "object", "list", "string"),
+    "roles": ("object", "object", "list", "pair"),
+    "neighbourhoods": ("object", "object", "list", "list", "string"),
+}
+
+
+def _has_shape(value, shape: tuple[str, ...]) -> bool:
+    kind, inner = shape[0], shape[1:]
+    if kind == "string":
+        return isinstance(value, str)
+    if kind == "pair":
+        return (
+            isinstance(value, list)
+            and len(value) == 2
+            and all(isinstance(part, str) for part in value)
+        )
+    if kind == "list":
+        return isinstance(value, list) and all(
+            _has_shape(item, inner) for item in value
+        )
+    return isinstance(value, dict) and all(
+        _has_shape(item, inner) for item in value.values()
+    )
+
+
+def _describe(shape: tuple[str, ...]) -> str:
+    """'an object of lists of strings' for ("object", "list", "string")."""
+    head = "an object" if shape[0] == "object" else f"a {shape[0]}"
+    return " of ".join([head, *(f"{kind}s" for kind in shape[1:])])
 
 
 class Evaluator:

@@ -613,12 +613,16 @@ class Closure:
     """Subterm closure of a normalized formula, closed under NNF negation.
 
     fg_size is the combined size of the three components and bounds the
-    solver's label and constraint budgets.
+    solver's label and constraint budgets.  `atoms` lists the concept
+    names and `modalities` the modality indices that occur, both sorted:
+    the signature an extracted model interprets.
     """
 
     con_neg: frozenset[Concept]
     for_neg: frozenset[Formula]
     roles: frozenset[str]
+    atoms: tuple[str, ...]
+    modalities: tuple[int, ...]
 
     @property
     def fg_size(self) -> int:
@@ -666,6 +670,8 @@ def _build_closure(phi: Formula) -> Closure:
     concepts: set = set()
     formulas: set = set()
     roles: set = set()
+    atoms: set = set()
+    modalities: set = set()
     for term in _subterms(phi):
         cls = type(term)
         if issubclass(cls, Concept):
@@ -673,10 +679,22 @@ def _build_closure(phi: Formula) -> Closure:
             concepts.add(neg_nnf(term))
             if cls is Exists or cls is Forall:
                 roles.add(term.role)
+            elif cls is AtomicConcept:
+                atoms.add(term.name)
+            elif cls is Box or cls is Dia:
+                modalities.add(term.index)
         else:
             formulas.add(term)
             formulas.add(neg_nnf(term))
-    return Closure(frozenset(concepts), frozenset(formulas), frozenset(roles))
+            if cls is BoxF or cls is DiaF:
+                modalities.add(term.index)
+    return Closure(
+        frozenset(concepts),
+        frozenset(formulas),
+        frozenset(roles),
+        tuple(sorted(atoms)),
+        tuple(sorted(modalities)),
+    )
 
 
 def closure(phi: Formula) -> Closure:

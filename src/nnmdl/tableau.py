@@ -1253,13 +1253,18 @@ def solve(
         return SolveResult("unsat", None, None, None, search.stats)
     model = None
     if options.extract:
-        from .extraction import extract_model, validate
-
-        model = extract_model(final, frame_class)
-        if options.validate and not validate(model, phi, frame_class):
+        model = extraction.extract_model(final, frame_class)
+        if options.validate and not extraction.validate(
+            model, phi, frame_class
+        ):
             raise EngineError(
                 "extracted model failed validation; "
                 "the saturated state does not satisfy its own formula"
             )
     trace = search.trace if options.trace else None
     return SolveResult("sat", final, model, trace, search.stats)
+
+
+# Bound last: `extraction` imports from this module, and it is looked up
+# when `solve` runs.
+from . import extraction  # noqa: E402

@@ -11,6 +11,7 @@ fires, and N's unit instance with its empty branch.
 """
 
 import random
+from functools import reduce
 
 import pytest
 
@@ -34,10 +35,12 @@ from nnmdl.syntax import (
     OrF,
     TOP,
     normalize,
+    serialize,
 )
 from nnmdl.tableau import (
     R_EXISTS,
     SolveOptions,
+    StepCapError,
     apply,
     find_applicable,
     init,
@@ -46,18 +49,24 @@ from nnmdl.tableau import (
     solve,
 )
 
-from corpus import random_normalized_formula
+from corpus import random_concept, random_normalized_formula
 from test_acceptance import CORPUS_SEED, CORPUS_SIZE
 from test_agenda import CheckedSearch
 from test_search_pin import c_boxes, conj, or_chain
 
 A, B, C = AtomicConcept("A"), AtomicConcept("B"), AtomicConcept("C")
+D = AtomicConcept("D")
 
 
-def chronological(phi, frame_class) -> str:
-    """Verdict of depth-first search trying every alternative in order."""
+def chronological(phi, frame_class, cap=None) -> str | None:
+    """Verdict of depth-first search trying every alternative in order,
+    or None once it has popped more than `cap` states."""
     pending = [init(normalize(phi), frame_class)]
+    popped = 0
     while pending:
+        popped += 1
+        if cap is not None and popped > cap:
+            return None
         state = pending.pop()
         if is_clash(state):
             continue
@@ -131,6 +140,72 @@ def test_corpus_verdicts_match_chronological_search():
             assert verdict(phi, fc) == chronological(phi, fc)
             compared += 1
     assert compared == 2 * CORPUS_SIZE * 4
+
+
+#: The inclusion differential: its seeds, formulas per seed, the
+#: engine's step cap and the reference's cap on popped states.  An input
+#: past either cap is counted, not compared.
+MIX_SEEDS = (2, 3, 6)
+MIX_SIZE = 400
+MIX_STEP_CAP = 300
+MIX_REFERENCE_CAP = 200
+
+
+def inclusion_mix(rng: random.Random):
+    """The conjunction (with probability 0.2, the disjunction) of 4-9
+    inclusions top <= C, each negated with probability 0.2; each C is a
+    concept of depth 3 over A-D and the role r."""
+    join = OrF if rng.random() < 0.2 else AndF
+    parts = []
+    for _ in range(rng.randint(4, 9)):
+        part = CI(TOP, random_concept(rng, 3, ("A", "B", "C", "D")))
+        parts.append(NotF(part) if rng.random() < 0.2 else part)
+    return reduce(join, parts)
+
+
+def test_inclusion_mix_verdicts_match_chronological_search():
+    # Disjunctions under role restrictions, many of them decided without
+    # a branch point, at every element and successor: a dependency set
+    # that is too small lets a backjump skip a branch point it must retry,
+    # which shows here as a verdict that differs.
+    options = SolveOptions(extract=False, step_cap=MIX_STEP_CAP)
+    compared = capped = 0
+    for seed in MIX_SEEDS:
+        rng = random.Random(seed)
+        for _ in range(MIX_SIZE):
+            phi = inclusion_mix(rng)
+            try:
+                found = solve(phi, FrameClass.E, options).verdict
+            except StepCapError:
+                capped += 1
+                continue
+            expected = chronological(phi, FrameClass.E, MIX_REFERENCE_CAP)
+            if expected is None:
+                capped += 1
+                continue
+            assert found == expected, serialize(phi)
+            compared += 1
+    print(f"inclusion mix: {compared} compared, {capped} capped")
+    assert compared + capped == len(MIX_SEEDS) * MIX_SIZE
+    assert capped <= compared // 20
+
+
+def test_forced_step_rests_on_its_refuter():
+    # Sat in 60 steps with 5 backjumps.  The successors' disjunctions
+    # are mostly decided without a branch point: a bottom disjunct is
+    # refuted on its own, and A by not A.  The answer needs each such
+    # step's set to hold the set of what refuted the skipped disjunct;
+    # without it, a backjump skips a branch point it must retry and the
+    # search answers unsat.
+    phi = conj([
+        CI(TOP, Forall("r", D)),
+        NotF(CI(TOP, Exists("r", BOT))),
+        CI(TOP, Exists("r", Or(Not(A), BOT))),
+        CI(TOP, Forall("r", Or(A, B))),
+    ])
+    result = solve(phi, FrameClass.E, SolveOptions(extract=False))
+    assert result.verdict == chronological(phi, FrameClass.E) == "sat"
+    assert result.stats.backjumps > 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -216,7 +291,7 @@ def test_branch_label_keeps_its_base_set_across_copies():
     # through the label's base set, read after the disjunction's branch
     # point copied the state; the search must return to the outer R_L
     # alternative that refutes its bodies.
-    D, E = AtomicConcept("D"), AtomicConcept("E")
+    E = AtomicConcept("E")
     inner = AndF(
         BoxF(1, CI(TOP, A)), DiaF(1, NotF(CI(TOP, And(A, A))))
     )

@@ -474,6 +474,23 @@ def test_deep_chain_abstract(capsys, left):
         ([], "model file is not a JSON object"),
         ({"domains": {"w": ["d"]}}, "model has no 'worlds' field"),
         ({"worlds": ["w"]}, "model has no 'domains' field"),
+        (
+            {"worlds": ["w"], "domains": []},
+            "model field 'domains' is not an object of lists of strings",
+        ),
+        (
+            {"worlds": 5, "domains": {}},
+            "model field 'worlds' is not a list of strings",
+        ),
+        (
+            {"worlds": ["w"], "domains": {"w": ["d"]}, "neighbourhoods": 3},
+            "model field 'neighbourhoods' is not an object of objects of "
+            "lists of lists of strings",
+        ),
+        (
+            {"worlds": ["w"], "domains": {"w": 7}},
+            "model field 'domains' is not an object of lists of strings",
+        ),
     ],
 )
 def test_validate_rejects_malformed_model_file(capsys, tmp_path, document, message):

@@ -13,8 +13,10 @@ from nnmdl.syntax import (
     AndF,
     AtomicConcept,
     Bot,
+    Box,
     BoxF,
     CI,
+    Dia,
     DiaF,
     Exists,
     Forall,
@@ -213,6 +215,19 @@ def test_closure_of_plain_inclusion():
 def test_closure_collects_roles():
     phi = BoxF(1, CI(Top(), Exists("r", A)))
     assert closure(phi).roles == frozenset({"r"})
+
+
+def test_closure_signature_matches_a_scan_of_its_sets():
+    # `atoms` and `modalities` come from the walk that builds the sets.
+    rng = random.Random(29)
+    for _ in range(300):
+        clo = closure(normalize(random_raw_formula_any(rng)))
+        atoms = {c.name for c in clo.con_neg if isinstance(c, AtomicConcept)}
+        modal = (Box, Dia, BoxF, DiaF)
+        terms = clo.con_neg | clo.for_neg
+        indices = {t.index for t in terms if isinstance(t, modal)}
+        assert clo.atoms == tuple(sorted(atoms))
+        assert clo.modalities == tuple(sorted(indices))
 
 
 def test_closure_closed_under_negation_and_subterms():
@@ -419,12 +434,15 @@ def _front_end_seconds(depth: int) -> float:
 def test_front_end_time_is_linear_in_depth():
     # Every run starts in a fresh child from the same tables and heap.
     # Each ratio is taken within a pair of consecutive runs, so a slow
-    # phase of the host that spans the pair cancels out.
+    # phase of the host that spans the pair cancels out; the pairs
+    # alternate which depth runs first, so a phase that starts or ends
+    # inside a pair favours neither depth.
     ratios = []
     with _fresh_children() as pool:
-        for _ in range(4):
-            small = pool.apply(_front_end_seconds, (10_000,))
-            ratios.append(pool.apply(_front_end_seconds, (20_000,)) / small)
+        for pair in range(8):
+            depths = (10_000, 20_000) if pair % 2 == 0 else (20_000, 10_000)
+            seconds = {d: pool.apply(_front_end_seconds, (d,)) for d in depths}
+            ratios.append(seconds[20_000] / seconds[10_000])
     assert statistics.median(ratios) <= 2.5, ratios
 
 
