@@ -3,13 +3,8 @@ import random
 import pytest
 
 from nnmdl.fragment import (
-    _has_witness,
     FragmentCapError,
     FragmentError,
-    Valuation,
-    _by_table,
-    _valuations,
-    alc_consistent,
     check_g_fragment,
     prop_abstraction,
     serialize_prop,
@@ -37,6 +32,13 @@ from nnmdl.syntax import (
 )
 
 from corpus import random_g_formula
+from fragment_table import (
+    Valuation,
+    _by_table,
+    _has_witness,
+    _valuations,
+    alc_consistent,
+)
 
 A = AtomicConcept("A")
 B = AtomicConcept("B")
