@@ -11,7 +11,6 @@ from .extraction import extract_model, floors_ceilings, validate
 from .fragment import (
     Abstraction,
     FragmentResult,
-    alc_consistent,
     check_g_fragment,
     prop_abstraction,
     solve_fragment,
@@ -77,7 +76,6 @@ __all__ = [
     "SolveResult",
     "Windows",
     "add_unit",
-    "alc_consistent",
     "brute_force_sat",
     "check_frame_class",
     "check_g_fragment",

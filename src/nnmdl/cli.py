@@ -276,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, EngineError, FileNotFoundError) as exc:
+    except (ValueError, EngineError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
     except Exception as exc:

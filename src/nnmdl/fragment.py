@@ -4,7 +4,7 @@ The decision procedure abstracts each concept inclusion to a propositional
 letter and splits the work in two: per-world consistency of a letter
 assignment is an ALC question (answered by the tableau engine on a
 modality-free formula over the inclusions), while the modal structure
-is handled on valuations of the abstraction's subformula closure.
+is handled on the box values of the abstraction.
 
 The abstraction is read off the normal form itself: each distinct
 inclusion is a letter, named p1, p2, ... in order of first occurrence,
@@ -28,36 +28,46 @@ lacks a witness among the survivors:
   refuting its body, and a 1/0-valued pair needs a surviving valuation
   separating the two bodies.
 
-The elimination shrinks monotonically, so it reaches its greatest fixpoint
-in at most |V0| rounds; the formula is satisfiable exactly when a survivor
-assigns 1 to the whole abstraction.  Survivor valuations need not satisfy
-the abstraction themselves: only the final check imposes that, since
+The elimination shrinks monotonically, so it reaches its greatest
+fixpoint; the formula is satisfiable exactly when a survivor assigns 1
+to the whole abstraction.  Survivor valuations need not satisfy the
+abstraction themselves: only the final check imposes that, since
 witnesses describe other worlds than the distinguished one.
 
-Two paths decide this.  The table path builds every valuation and runs
-the elimination; it serves formulas of modal depth 2 or more and is the
-tests' reference.  It refuses abstractions with LETTER_CAP free atoms
-(letters and boxes) or more; the cap applies to the table only.
+One procedure decides this at every modal depth without building a
+valuation.  A requirement asks for a survivor that makes one formula
+true: the conjunction of its bodies xor the refuted body, or a box body
+itself.  Such a formula mentions only the inner boxes, the box atoms
+that occur inside some box body.  The survivors are the ALC-consistent
+letter assignments paired with the surviving box vectors, so a
+requirement is witnessed exactly when, for some vector of P, the
+projection of the surviving box vectors onto the inner boxes, the
+formula with that vector's values folded in is true or ALC-satisfiable.
+The elimination therefore runs in rounds on P alone.  P starts as all
+2^k vectors over the k inner boxes; a round keeps a vector when some
+values of the other boxes meet every requirement, read over the current
+P, and the rounds stop once one keeps every vector.  Every requirement
+needs a 0-valued box, so the all-ones vector always stays.  Without
+inner boxes (modal depth at most 1), P is the one empty vector, there is
+no round to run, and a requirement is one ALC query.  The list of 2^k
+vectors is the only one the procedure builds, so more than
+INNER_BOX_CAP inner boxes are refused before it is built.
 
-The query path serves modal depth at most 1, where no box body holds a
-box.  A witness then depends on its letters only, and every
-ALC-consistent letter assignment survives the first round once its boxes
-ask nothing: all 0 under C, all 1 under N.  So the elimination stops
-after one round, and a requirement is witnessed exactly when one
-modality-free formula, the conjunction of its bodies xor the refuted
-body, is ALC-satisfiable; a box body is such a formula already.  Under
-C the 2^|ones| subset requirements of a 0-valued box z reduce to one
-test, the maximal-subset argument of Lavendhomme & Lucas ("Sequent
+Under C the 2^|ones| subset requirements of a 0-valued box z reduce to
+one test, the maximal-subset argument of Lavendhomme & Lucas ("Sequent
 calculi and decision procedures for weak modal systems", Studia Logica
-66, 2000): some selection is equivalent to z's body exactly when
-M = {1-valued s : z's body entails s's body} is non-empty and the
-conjunction of M with the negation of z's body is unsatisfiable, which
-takes |ones| + 1 queries.  The distinguished world's box values come
-from a depth-first search that evaluates the abstraction three-valued
-(letters unknown), drops a partial assignment once it is false, checks
-each requirement once its boxes are fixed, and answers sat when the
-abstraction with all box values fixed is ALC-satisfiable.  Each query is
-one tableau call, memoized per formula within one `solve_fragment` call.
+66, 2000), which is plain set reasoning over the survivors: some
+selection is equivalent to z's body on every survivor exactly when
+M = {1-valued s : z's body entails s's body on every survivor} is
+non-empty and no survivor satisfies the conjunction of M with the
+negation of z's body, which takes |ones| + 1 witness tests.  Box values
+come from a depth-first search that checks each requirement once its
+boxes are fixed.  A round's search fixes the inner boxes to the vector
+it tests; the final search, for the distinguished world, evaluates the
+abstraction three-valued (letters unknown), drops a partial assignment
+once it is false, and answers sat when the abstraction with all box
+values fixed is ALC-satisfiable.  Each query is one tableau call,
+memoized per formula within one `solve_fragment` call.
 
 Only the intersection-closed and unit classes are decided here; the
 remaining classes are out of scope for this procedure.
@@ -66,7 +76,6 @@ remaining classes are out of scope for this procedure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from operator import attrgetter
 
 from . import tableau
@@ -82,19 +91,16 @@ from .syntax import (
     NotF,
     OrF,
     _subterms,
-    closure,
     has_modalised_concept,
     neg_nnf,
     normalize,
     postorder,
-    sort_key,
 )
-from .tableau import _nonempty_subsets
 
-#: At this many free atoms (letters and boxes of the abstraction) the 2^n
-#: assignment enumeration of the table path is refused instead of
-#: attempted.
-LETTER_CAP = 20
+#: More inner boxes than this are refused before any vector is built: the
+#: elimination rounds keep a list of the 2^k value vectors of the k inner
+#: boxes.
+INNER_BOX_CAP = 15
 
 
 class FragmentError(ValueError):
@@ -102,7 +108,7 @@ class FragmentError(ValueError):
 
 
 class FragmentCapError(ValueError):
-    """The abstraction has too many free atoms to enumerate assignments."""
+    """The abstraction has too many inner boxes to enumerate their values."""
 
 
 # ---------------------------------------------------------------------------
@@ -185,26 +191,12 @@ def _children(psi: Formula) -> tuple:
     return ()
 
 
-# ---------------------------------------------------------------------------
-# Valuations
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Valuation:
-    """Coherent 0/1 assignment on a subformula closure, stored as the set
-    of members assigned 1."""
-
-    true_members: frozenset[Formula]
-
-    def value(self, psi: Formula) -> int:
-        return 1 if psi in self.true_members else 0
-
-
 @dataclass(frozen=True)
 class SupportSet:
-    """Valuations surviving the witness elimination."""
+    """Surviving valuations: always empty, since the procedure builds no
+    valuation."""
 
-    members: frozenset[Valuation]
+    members: frozenset
 
 
 def _alc_sat(chi: Formula) -> bool:
@@ -222,159 +214,19 @@ def _conjunction(formulas: list[Formula]) -> Formula:
     return out
 
 
-def alc_consistent(assignment: dict[str, int], abstraction: Abstraction) -> bool:
-    """Joint ALC satisfiability of the inclusions asserted by a letter
-    assignment and the negations of those refuted."""
-    parts: list[Formula] = []
-    for letter in abstraction.letters:
-        ci = abstraction.ci_of(letter)
-        parts.append(ci if assignment[letter] else NotF(ci))
-    return _alc_sat(_conjunction(parts))
-
-
-def _valuations(
-    abstraction: Abstraction, sub: frozenset[Formula]
-) -> list[Valuation]:
-    """All coherent, per-world ALC-consistent assignments on the closure:
-    one ALC query per letter bitmap, the box bitmaps inside it."""
-    boxes = sorted((psi for psi in sub if isinstance(psi, BoxF)), key=sort_key)
-    letters = abstraction.letters
-    if len(letters) + len(boxes) >= LETTER_CAP:
-        raise FragmentCapError(
-            f"{len(letters) + len(boxes)} free atoms exceed the enumeration "
-            f"cap of {LETTER_CAP}"
-        )
-    atoms = [abstraction.ci_of(letter) for letter in letters] + boxes
-    compound = [
-        psi
-        for psi in _subterms(abstraction.prop_formula)
-        if isinstance(psi, (NotF, AndF, OrF, DiaF))
-    ]
-    negation = {psi: neg_nnf(psi) for psi in atoms + compound}
-    out = []
-    for letter_bits in product((0, 1), repeat=len(letters)):
-        if not alc_consistent(dict(zip(letters, letter_bits)), abstraction):
-            continue
-        for box_bits in product((0, 1), repeat=len(boxes)):
-            value = dict(zip(atoms, letter_bits + box_bits))
-            for psi in compound:
-                cls = type(psi)
-                if cls is NotF:
-                    value[psi] = 1 - value[psi.arg]
-                elif cls is AndF:
-                    value[psi] = value[psi.left] & value[psi.right]
-                elif cls is OrF:
-                    value[psi] = value[psi.left] | value[psi.right]
-                else:
-                    value[psi] = 1 - value[negation[psi]]
-            true_members = frozenset(
-                psi if bit else negation[psi] for psi, bit in value.items()
-            )
-            out.append(Valuation(true_members))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Witness elimination
-# ---------------------------------------------------------------------------
-
-def _boxes_by_index(sub: frozenset[Formula]) -> dict[int, list[BoxF]]:
-    grouped: dict[int, list[BoxF]] = {}
-    for psi in sub:
-        if isinstance(psi, BoxF):
-            grouped.setdefault(psi.index, []).append(psi)
-    for index in grouped:
-        grouped[index].sort(key=sort_key)
-    return grouped
-
-
-def _requirements(
-    valuation: Valuation,
-    boxes: dict[int, list[BoxF]],
-    frame_class: FrameClass,
-):
-    """Witness patterns this valuation's box values demand, as pairs
-    (bodies, refuted): a survivor must give the conjunction of `bodies`
-    (true when empty) a different value from `refuted`."""
-    for index, group in sorted(boxes.items()):
-        ones = [b for b in group if valuation.value(b) == 1]
-        zeros = [b for b in group if valuation.value(b) == 0]
-        if frame_class is FrameClass.N:
-            for b in zeros:
-                yield ((), b.arg)
-            for b1 in ones:
-                for b2 in zeros:
-                    yield ((b1.arg,), b2.arg)
-        else:  # intersection-closed
-            for chosen in _nonempty_subsets(ones):
-                for b2 in zeros:
-                    yield (tuple(b.arg for b in chosen), b2.arg)
-
-
-def _has_witness(
-    requirement,
-    survivors: list[Valuation],
-    cache: dict,
-) -> bool:
-    hit = cache.get(requirement)
-    if hit is not None:
-        return hit
-    bodies, refuted = requirement
-    answer = any(
-        all(v.value(body) for body in bodies) != v.value(refuted)
-        for v in survivors
-    )
-    cache[requirement] = answer
-    return answer
-
-
 @dataclass
 class FragmentResult:
     verdict: str  # "sat" | "unsat"
-    #: Surviving valuations; empty on the query path, which builds none.
+    #: Surviving valuations; empty, as no valuation is built.
     support: SupportSet
     abstraction: Abstraction
+    #: Elimination rounds over the inner-box vectors; 1 when none is
+    #: eliminated.
     rounds: int
+    #: Valuations built: always 0.
     initial_valuations: int
-    #: Tableau calls made, on either path.
+    #: Tableau calls made.
     queries: int
-
-
-def _by_table(abstraction: Abstraction, frame_class: FrameClass) -> FragmentResult:
-    """Valuation elimination to its greatest fixpoint; SAT exactly when a
-    surviving valuation assigns 1 to the abstraction."""
-    sub = closure(abstraction.prop_formula).for_neg
-    survivors = _valuations(abstraction, sub)
-    initial = len(survivors)
-    boxes = _boxes_by_index(sub)
-    rounds = 0
-    while True:
-        rounds += 1
-        cache: dict = {}
-        kept = [
-            v
-            for v in survivors
-            if all(
-                _has_witness(req, survivors, cache)
-                for req in _requirements(v, boxes, frame_class)
-            )
-        ]
-        if len(kept) == len(survivors):
-            break
-        survivors = kept
-    verdict = (
-        "sat"
-        if any(v.value(abstraction.prop_formula) == 1 for v in survivors)
-        else "unsat"
-    )
-    return FragmentResult(
-        verdict,
-        SupportSet(frozenset(survivors)),
-        abstraction,
-        rounds,
-        initial,
-        2 ** len(abstraction.letters),
-    )
 
 
 def _rebuild(order: list, boxes: dict):
@@ -413,22 +265,64 @@ def _rebuild(order: list, boxes: dict):
     return value[order[-1]]
 
 
+def _atom(psi: Formula) -> BoxF:
+    """The box atom of a modal node: a diamond's is the box of its negated
+    body."""
+    return psi if isinstance(psi, BoxF) else neg_nnf(psi)
+
+
+def _inner_boxes(modal: list) -> list:
+    """The box atoms inside the bodies of the modal nodes `modal`, and in
+    turn inside the bodies of the modal nodes found there."""
+    found: dict = {}
+    stack = list(modal)
+    while stack:
+        for psi in postorder(stack.pop().arg, _children):
+            if isinstance(psi, (BoxF, DiaF)):
+                atom = _atom(psi)
+                if atom not in found:
+                    found[atom] = None
+                    stack.append(psi)
+    return list(found)
+
+
 def _by_queries(
     abstraction: Abstraction,
     frame_class: FrameClass,
     skeleton: list,
     boxes: list,
+    inner: list,
 ) -> FragmentResult:
-    """Modal depth at most 1: the box values of the distinguished world by
-    depth-first search, every requirement and the final check by ALC
-    queries on the box bodies (see the module docstring)."""
+    """Elimination rounds over the inner-box vectors, then the box values
+    of the distinguished world by depth-first search, every requirement
+    read over the surviving vectors (see the module docstring)."""
     memo: dict[Formula, bool] = {}
 
-    def sat(chi: Formula) -> bool:
+    def alc(chi: Formula) -> bool:
         verdict = memo.get(chi)
         if verdict is None:
             verdict = memo[chi] = _alc_sat(chi)
         return verdict
+
+    vectors: list[dict] = [{}]
+    for b in inner:
+        vectors = [{**v, b: bit} for v in vectors for bit in (0, 1)]
+    witnessed_by: dict[Formula, bool] = {}
+
+    def over_vectors(chi: Formula) -> bool:
+        """Some surviving vector, folded into chi, makes it True or
+        ALC-satisfiable."""
+        hit = witnessed_by.get(chi)
+        if hit is None:
+            order = postorder(chi, _children)
+            hit = witnessed_by[chi] = any(
+                folded is True or (folded is not False and alc(folded))
+                for folded in (_rebuild(order, v) for v in vectors)
+            )
+        return hit
+
+    # Without inner boxes the one vector is empty and folds nothing.
+    sat = over_vectors if inner else alc
 
     boxes = sorted(boxes, key=attrgetter("index"))
     start = [0] * len(boxes)
@@ -461,29 +355,49 @@ def _by_queries(
         return True
 
     asks_nothing = 1 if frame_class is FrameClass.N else 0
-    verdict = "unsat"
-    stack: list[dict] = [{}]
-    while stack:
-        value = stack.pop()
-        folded = _rebuild(skeleton, value)
-        if folded is False or (value and not witnessed(len(value) - 1, value)):
-            continue
-        if len(value) == len(boxes):
-            if folded is True or sat(folded):
-                verdict = "sat"
-                break
-            continue
-        b = boxes[len(value)]
-        stack.append({**value, b: 1 - asks_nothing})
-        stack.append({**value, b: asks_nothing})
+
+    def search(forced: dict, fold: bool) -> bool:
+        """Some box values that agree with `forced` meet every requirement
+        and, with `fold`, make the abstraction ALC-satisfiable."""
+        stack: list[dict] = [{}]
+        while stack:
+            value = stack.pop()
+            if fold:
+                folded = _rebuild(skeleton, value)
+                if folded is False:
+                    continue
+            if value and not witnessed(len(value) - 1, value):
+                continue
+            if len(value) == len(boxes):
+                if not fold or folded is True or alc(folded):
+                    return True
+                continue
+            b = boxes[len(value)]
+            if b in forced:
+                stack.append({**value, b: forced[b]})
+            else:
+                stack.append({**value, b: 1 - asks_nothing})
+                stack.append({**value, b: asks_nothing})
+        return False
+
+    # Every requirement needs a 0-valued box, so the all-ones vector
+    # stays without a search; without inner boxes it is the only vector.
+    rounds = 1
+    while inner:
+        kept = [v for v in vectors if all(v.values()) or search(v, False)]
+        if len(kept) == len(vectors):
+            break
+        vectors = kept
+        witnessed_by.clear()
+        rounds += 1
+    verdict = "sat" if search({}, True) else "unsat"
     return FragmentResult(
-        verdict, SupportSet(frozenset()), abstraction, 1, 0, len(memo)
+        verdict, SupportSet(frozenset()), abstraction, rounds, 0, len(memo)
     )
 
 
 def solve_fragment(phi: Formula, frame_class: FrameClass) -> FragmentResult:
-    """Constant-domain satisfiability through the abstraction: by queries
-    at modal depth at most 1, by the valuation table from depth 2 on."""
+    """Constant-domain satisfiability through the abstraction."""
     if frame_class not in (FrameClass.C, FrameClass.N):
         raise ValueError(
             f"fragment procedure decides classes C and N, not {frame_class.value}"
@@ -491,14 +405,10 @@ def solve_fragment(phi: Formula, frame_class: FrameClass) -> FragmentResult:
     abstraction = prop_abstraction(phi)
     skeleton = postorder(abstraction.prop_formula, _children)
     modal = [psi for psi in skeleton if isinstance(psi, (BoxF, DiaF))]
-    if any(
-        isinstance(t, (BoxF, DiaF))
-        for psi in modal
-        for t in postorder(psi.arg, _children)
-    ):
-        return _by_table(abstraction, frame_class)
-    # A diamond's atom is the box of its negated body.
-    boxes = dict.fromkeys(
-        psi if isinstance(psi, BoxF) else neg_nnf(psi) for psi in modal
-    )
-    return _by_queries(abstraction, frame_class, skeleton, list(boxes))
+    inner = _inner_boxes(modal)
+    if len(inner) > INNER_BOX_CAP:
+        raise FragmentCapError(
+            f"{len(inner)} inner boxes exceed the cap of {INNER_BOX_CAP}"
+        )
+    boxes = list(dict.fromkeys([*map(_atom, modal), *inner]))
+    return _by_queries(abstraction, frame_class, skeleton, boxes, inner)

@@ -239,14 +239,26 @@ class NeighbourhoodModel:
                 raise ValueError(
                     f"model field {field!r} is not {_describe(shape)}"
                 )
-        for index in data.get("neighbourhoods", {}):
+        seen: set[str] = set()
+        for w in data["worlds"]:
+            if w in seen:
+                raise ValueError(f"model field 'worlds' lists world {w!r} twice")
+            seen.add(w)
+        keys: dict[int, str] = {}
+        for key in data.get("neighbourhoods", {}):
             try:
-                int(index)
+                index = int(key)
             except ValueError:
                 raise ValueError(
                     f"model field 'neighbourhoods' has modality index "
-                    f"{index!r}, which is not an integer"
+                    f"{key!r}, which is not an integer"
                 ) from None
+            if index in keys:
+                raise ValueError(
+                    f"model field 'neighbourhoods' has modality indices "
+                    f"{keys[index]!r} and {key!r}, which are the same integer"
+                )
+            keys[index] = key
         model = cls(
             worlds=tuple(data["worlds"]),
             constant_domain=bool(data.get("constant_domain", False)),

@@ -1,0 +1,112 @@
+"""Bad input is never an internal error.
+
+Model files exported by `solve` for seeded sat answers are damaged (a
+field dropped, a field or one of its entries given another JSON type,
+the text truncated) and run through `validate`; formula texts are
+truncated or have one keyword swapped for another and run through
+`solve` and `abstract`.  Every run must exit 0, 1 or 2, and none may
+report an internal error, which the CLI keeps for engine defects.
+"""
+
+import json
+import random
+
+from nnmdl.cli import EXIT_ERROR, EXIT_SAT, main
+from nnmdl.syntax import serialize
+
+from corpus import random_normalized_formula
+
+RETYPED = [None, 0, 2.5, True, "w0", [], {}, [None], {"w0": None}, [[0]]]
+KEYWORDS = (
+    "sub", "not", "and", "or", "box", "dia", "some", "all", "atom", "top", "bot"
+)
+TEXTS_PER_LOGIC = 3
+
+
+def _run(capsys, argv: list) -> tuple[int, str]:
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+def _sat_texts() -> list[tuple[str, str]]:
+    """(logic, text) for seeded formulas whose sat answers are exported."""
+    out = []
+    rng = random.Random(2024)
+    for logic in ("E", "M", "C", "N"):
+        for _ in range(TEXTS_PER_LOGIC):
+            out.append((logic, serialize(random_normalized_formula(rng))))
+    return out
+
+
+def _damaged(document: dict):
+    """Each field dropped, each field retyped, and each field's first
+    entry retyped."""
+    for field in document:
+        yield {k: v for k, v in document.items() if k != field}
+        for value in RETYPED:
+            yield {**document, field: value}
+        inner = document[field]
+        if isinstance(inner, dict) and inner:
+            key = next(iter(inner))
+            for value in RETYPED:
+                yield {**document, field: {**inner, key: value}}
+        elif isinstance(inner, list) and inner:
+            for value in RETYPED:
+                yield {**document, field: [value, *inner[1:]]}
+
+
+def _texts(text: str):
+    """The text cut at eight places, and each keyword occurrence swapped
+    for the next keyword."""
+    for cut in range(1, len(text), max(1, len(text) // 8)):
+        yield text[:cut]
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    for i, token in enumerate(tokens):
+        if token in KEYWORDS:
+            swapped = KEYWORDS[(KEYWORDS.index(token) + 1) % len(KEYWORDS)]
+            yield " ".join([*tokens[:i], swapped, *tokens[i + 1 :]])
+
+
+def test_damaged_input_is_never_an_internal_error(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("NNMDL_CAP_STEPS", raising=False)
+    model_path = tmp_path / "model.json"
+    damaged_path = tmp_path / "damaged.json"
+    runs = exported = 0
+    failures = []
+
+    def check(argv):
+        nonlocal runs
+        code, err = _run(capsys, argv)
+        runs += 1
+        if code not in (0, 1, 2) or "internal error:" in err:
+            failures.append((argv, code, err))
+
+    for logic, text in _sat_texts():
+        code, _ = _run(
+            capsys,
+            ["solve", "--logic", logic, "-e", text, "--model-out", str(model_path)],
+        )
+        if code == EXIT_SAT:
+            exported += 1
+            document = json.loads(model_path.read_text())
+            raw = model_path.read_text()
+            damaged = [json.dumps(d) for d in _damaged(document)]
+            damaged += [raw[:cut] for cut in range(0, len(raw), max(1, len(raw) // 8))]
+            for content in damaged:
+                damaged_path.write_text(content)
+                check(["validate", "--logic", logic, "--model", str(damaged_path), "-e", text])
+        for broken in _texts(text):
+            check(["solve", "--logic", logic, "--cap-steps", "200", "-e", broken])
+            check(["abstract", "-e", broken])
+    for argv in (
+        ["validate", "-e", "(sub top top)", "--model", str(tmp_path)],
+        ["solve", "--file", str(tmp_path)],
+        ["abstract", "--file", str(tmp_path)],
+    ):
+        code, err = _run(capsys, argv)
+        runs += 1
+        assert code == EXIT_ERROR and err.startswith("error: "), (argv, err)
+        assert "internal error:" not in err
+    assert exported >= 6
+    assert runs > 1000
+    assert failures == []

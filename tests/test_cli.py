@@ -211,14 +211,14 @@ FRAGMENT_PINS = [
         '"initial_valuations": 0, "letters": 2, "logic": "C", "rounds": 1, '
         '"surviving_valuations": 0}, "verdict": "sat"}\n',
     ),
-    # Modal depth 2: the valuation table, with one elimination round.
+    # Modal depth 2: one inner box, and a round that eliminates nothing.
     (
         "N",
         "(and (box 1 (box 1 (sub top (atom A)))) (dia 1 (not (sub top top))))",
         EXIT_UNSAT,
         '{"stats": {"domain": "constant", "fragment": true, '
-        '"initial_valuations": 16, "letters": 2, "logic": "N", "rounds": 2, '
-        '"surviving_valuations": 8}, "verdict": "unsat"}\n',
+        '"initial_valuations": 0, "letters": 2, "logic": "N", "rounds": 1, '
+        '"surviving_valuations": 0}, "verdict": "unsat"}\n',
     ),
 ]
 
@@ -491,6 +491,19 @@ def test_deep_chain_abstract(capsys, left):
             {"worlds": ["w"], "domains": {"w": 7}},
             "model field 'domains' is not an object of lists of strings",
         ),
+        (
+            {"worlds": ["w", "w"], "domains": {"w": ["d"]}},
+            "model field 'worlds' lists world 'w' twice",
+        ),
+        (
+            {
+                "worlds": ["w"],
+                "domains": {"w": ["d"]},
+                "neighbourhoods": {" 1": {"w": [["w"]]}, "1": {"w": []}},
+            },
+            "model field 'neighbourhoods' has modality indices ' 1' and '1', "
+            "which are the same integer",
+        ),
     ],
 )
 def test_validate_rejects_malformed_model_file(capsys, tmp_path, document, message):
@@ -503,3 +516,39 @@ def test_validate_rejects_malformed_model_file(capsys, tmp_path, document, messa
     assert code == EXIT_ERROR
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_directory_as_formula_file_is_bad_input(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "solve", "--file", str(tmp_path))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error: ") and "internal error" not in err
+
+
+def test_directory_as_model_file_is_bad_input(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "validate", "-e", SAT_SIMPLE, "--model", str(tmp_path)
+    )
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error: ") and "internal error" not in err
+
+
+def test_inner_box_cap_is_bad_input(capsys, monkeypatch):
+    # The cap is checked before the 2^k vectors would be built.
+    from nnmdl import fragment
+
+    def refuse(*args):
+        raise AssertionError("the procedure ran past the cap")
+
+    monkeypatch.setattr(fragment, "_by_queries", refuse)
+    boxes = [f"(box 1 (box 1 (sub top (atom A{i}))))" for i in range(16)]
+    text = boxes[0]
+    for box in boxes[1:]:
+        text = f"(and {text} {box})"
+    code, out, err = run_cli(
+        capsys, "solve", "--fragment", "--domain", "constant", "--logic", "C", "-e", text
+    )
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == "error: 16 inner boxes exceed the cap of 15\n"

@@ -15,7 +15,7 @@ import json
 
 from nnmdl.cli import main
 
-EXPECTED_DIGEST = "8ee0f81fc68d9b186bdaca7149df17c94d85d7b83b77dff7b6bcb716188ffb72"
+EXPECTED_DIGEST = "06e269e859704ca4b26812b71120c8cd76e98b98b351068168f34eaa3a2c51ce"
 
 UNSAT_E = "(and (box 1 (sub top (atom A))) (dia 1 (not (sub top (atom A)))))"
 UNSAT_N = "(dia 1 (not (sub top top)))"

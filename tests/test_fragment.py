@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
 
 from nnmdl.fragment import (
+    INNER_BOX_CAP,
     FragmentCapError,
     FragmentError,
     check_g_fragment,
@@ -21,6 +23,7 @@ from nnmdl.syntax import (
     CI,
     Dia,
     DiaF,
+    Formula,
     Not,
     NotF,
     OrF,
@@ -248,18 +251,31 @@ def _twenty_letters():
     return phi
 
 
-def test_letter_cap():
-    # Modal depth 2 goes to the valuation table: 20 letters and 2 boxes.
-    phi = AndF(_twenty_letters(), BoxF(1, BoxF(1, P)))
-    with pytest.raises(FragmentCapError):
+def nested(n: int) -> Formula:
+    """(box 1 (box 1 (sub top Ai))) for i < n and (dia 1 (dia 1 (sub top
+    An))), conjoined: sat, with n + 1 inner boxes."""
+    phi = DiaF(1, DiaF(1, CI(Top(), AtomicConcept(f"A{n}"))))
+    for i in reversed(range(n)):
+        phi = AndF(BoxF(1, BoxF(1, CI(Top(), AtomicConcept(f"A{i}")))), phi)
+    return phi
+
+
+def test_inner_box_cap():
+    phi = nested(INNER_BOX_CAP)
+    with pytest.raises(
+        FragmentCapError,
+        match=f"^{INNER_BOX_CAP + 1} inner boxes exceed the cap of {INNER_BOX_CAP}$",
+    ):
         solve_fragment(phi, FrameClass.N)
 
 
 @pytest.mark.parametrize("fc", [FrameClass.C, FrameClass.N])
 def test_query_path_is_not_capped(fc):
-    phi = _twenty_letters()
-    result = solve_fragment(phi, fc)
-    assert result.verdict == tableau.solve(phi, fc).verdict == "sat"
+    # Letters are never enumerated: 20 letters, alone and next to a
+    # depth-2 box.
+    for phi in (_twenty_letters(), AndF(_twenty_letters(), BoxF(1, BoxF(1, P)))):
+        result = solve_fragment(phi, fc)
+        assert result.verdict == tableau.solve(phi, fc).verdict == "sat"
 
 
 def test_support_shrinks_monotonically():
@@ -333,7 +349,6 @@ def test_query_path_result_fields(monkeypatch):
 def test_table_path_counts_its_queries(monkeypatch):
     calls = _counting_solve(monkeypatch)
     result = solve_fragment(BoxF(1, BoxF(1, P)), FrameClass.N)
-    assert result.initial_valuations > 0
     assert result.queries == len(calls) == 2
 
 
@@ -369,17 +384,15 @@ def test_query_path_matches_table_on_fragment_corpora():
             phi = random_g_formula(rng)
             for fc in (FrameClass.C, FrameClass.N):
                 result = solve_fragment(phi, fc)
-                if result.initial_valuations:
-                    continue
                 reference = _by_table(prop_abstraction(phi), fc)
                 assert result.verdict == reference.verdict, (seed, fc.value, phi)
                 compared += 1
-    assert compared > 600
+    assert compared == 1200
 
 
 def test_deep_table_input_needs_no_recursion():
-    # A 2,000-level conjunction chain next to a depth-2 box: the table
-    # path, with three atoms.
+    # A 2,000-level conjunction chain next to a depth-2 box, which holds
+    # one inner box.
     phi = P
     for _ in range(2000):
         phi = AndF(phi, P)
@@ -387,3 +400,50 @@ def test_deep_table_input_needs_no_recursion():
     assert solve_fragment(phi, FrameClass.C).verdict == "sat"
     text = serialize_prop(prop_abstraction(phi))
     assert text.startswith("(and (and ") and text.endswith("(box 1 (box 1 p2)))")
+
+
+# -- every modal depth -------------------------------------------------------------------
+
+def _dia_chain(k: int) -> Formula:
+    phi = NotF(CI(Top(), Top()))
+    for _ in range(k):
+        phi = DiaF(1, phi)
+    return phi
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_each_level_of_a_refutation_chain_takes_a_round(k):
+    # Under N a 0-valued box needs a witness refuting its body.  Round j
+    # eliminates the vectors in which the j-fold box of top is 0, so a single
+    # round answers sat from k = 3.
+    result = solve_fragment(_dia_chain(k), FrameClass.N)
+    assert (result.verdict, result.rounds) == ("unsat", k)
+
+
+@pytest.mark.parametrize("max_depth", [2, 3, 4])
+def test_every_modal_depth_matches_table(max_depth):
+    # random_g_formula nests up to max_depth + 1 modalities.
+    rng = random.Random(2718 + max_depth)
+    checks = 0
+    for _ in range(400):
+        phi = random_g_formula(rng, max_depth=max_depth)
+        abstraction = prop_abstraction(phi)
+        for fc in (FrameClass.C, FrameClass.N):
+            reference = _by_table(abstraction, fc)
+            result = solve_fragment(phi, fc)
+            assert result.verdict == reference.verdict, (fc.value, phi)
+            checks += 1
+    assert checks == 800
+
+
+@pytest.mark.parametrize("fc", [FrameClass.C, FrameClass.N])
+@pytest.mark.parametrize("n", range(5, 9))
+def test_nested_boxes_past_the_table(n, fc):
+    # The valuation table holds 2^(3n + 3) valuations here and refuses
+    # from n = 6.
+    phi = nested(n)
+    started = time.perf_counter()
+    result = solve_fragment(phi, fc)
+    elapsed = time.perf_counter() - started
+    assert result.verdict == tableau.solve(phi, fc).verdict == "sat"
+    assert elapsed < 1.0

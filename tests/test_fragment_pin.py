@@ -33,7 +33,7 @@ from fragment_table import _by_table
 SEEDS = (99120, 61803, 7)
 PER_SEED = 200
 
-EXPECTED_DIGEST = "aff611d8ea0c4297a0e4201758ea11cb59c5b53a77e0c9c1c8f09bd039b2156a"
+EXPECTED_DIGEST = "7516d936bef3d2d820941fb9f50af47e742e5294a8f73fa29e6b1517d11fd02f"
 VERDICTS_DIGEST = "793316ede7ecc3cf7b0d947df1f3f4f68054436b1e6b0f34e843f511cfaa38f5"
 
 SEARCH_STATS = ("initial_valuations", "surviving_valuations", "rounds")
