@@ -36,22 +36,22 @@ witnesses describe other worlds than the distinguished one.
 
 One procedure decides this at every modal depth without building a
 valuation.  A requirement asks for a survivor that makes one formula
-true: the conjunction of its bodies xor the refuted body, or a box body
-itself.  Such a formula mentions only the inner boxes, the box atoms
-that occur inside some box body.  The survivors are the ALC-consistent
-letter assignments paired with the surviving box vectors, so a
-requirement is witnessed exactly when, for some vector of P, the
-projection of the surviving box vectors onto the inner boxes, the
-formula with that vector's values folded in is true or ALC-satisfiable.
-The elimination therefore runs in rounds on P alone.  P starts as all
-2^k vectors over the k inner boxes; a round keeps a vector when some
-values of the other boxes meet every requirement, read over the current
-P, and the rounds stop once one keeps every vector.  Every requirement
-needs a 0-valued box, so the all-ones vector always stays.  Without
-inner boxes (modal depth at most 1), P is the one empty vector, there is
-no round to run, and a requirement is one ALC query.  The list of 2^k
-vectors is the only one the procedure builds, so more than
-INNER_BOX_CAP inner boxes are refused before it is built.
+true: the conjunction of its bodies xor the refuted body, or the
+negation of a body.  Such a formula mentions only the inner boxes, the
+box atoms that occur inside some box body.  The survivors are the
+ALC-consistent letter assignments paired with the surviving box vectors,
+so they act only through P, the surviving vectors' values on the inner
+boxes: a requirement is witnessed exactly when the formula, with the
+values of some vector of P folded in, is true or ALC-satisfiable.  The
+elimination therefore runs in rounds on P alone.  P starts as all 2^k
+vectors over the k inner boxes; a round keeps a vector when some values
+of the other boxes meet every requirement, read over the current P, and
+the rounds stop once one keeps every vector.  Every requirement needs a
+0-valued box, so the all-ones vector always stays.  Without inner boxes
+(modal depth at most 1), P is the one empty vector, there is no round to
+run, and a requirement is one ALC query.  The list of 2^k vectors is the
+only one the procedure builds, so more than INNER_BOX_CAP inner boxes
+are refused before it is built.
 
 Under C the 2^|ones| subset requirements of a 0-valued box z reduce to
 one test, the maximal-subset argument of Lavendhomme & Lucas ("Sequent

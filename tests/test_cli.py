@@ -6,6 +6,7 @@ from nnmdl import cli, tableau
 from nnmdl.cli import EXIT_ERROR, EXIT_SAT, EXIT_UNSAT, main
 from nnmdl.syntax import serialize
 
+from test_fragment import nested
 from test_search_pin import c_boxes
 
 UNSAT_E = "(and (box 1 (sub top (atom A))) (dia 1 (not (sub top (atom A)))))"
@@ -542,10 +543,7 @@ def test_inner_box_cap_is_bad_input(capsys, monkeypatch):
         raise AssertionError("the procedure ran past the cap")
 
     monkeypatch.setattr(fragment, "_by_queries", refuse)
-    boxes = [f"(box 1 (box 1 (sub top (atom A{i}))))" for i in range(16)]
-    text = boxes[0]
-    for box in boxes[1:]:
-        text = f"(and {text} {box})"
+    text = serialize(nested(15))
     code, out, err = run_cli(
         capsys, "solve", "--fragment", "--domain", "constant", "--logic", "C", "-e", text
     )

@@ -414,8 +414,8 @@ def _dia_chain(k: int) -> Formula:
 @pytest.mark.parametrize("k", range(1, 6))
 def test_each_level_of_a_refutation_chain_takes_a_round(k):
     # Under N a 0-valued box needs a witness refuting its body.  Round j
-    # eliminates the vectors in which the j-fold box of top is 0, so a single
-    # round answers sat from k = 3.
+    # eliminates the vectors in which the j-fold box of top is 0, so a
+    # single round answers sat from k = 3.
     result = solve_fragment(_dia_chain(k), FrameClass.N)
     assert (result.verdict, result.rounds) == ("unsat", k)
 
