@@ -38,7 +38,8 @@ agenda's head once stale heads have been dropped; an R_exists instance
 that is only blocked is parked until its variable's concept set grows.
 The search extends the state in place, copies it only at a branch point
 (every alternative but the last works on a copy of the saved state) and
-keeps its branch points on an explicit stack.  `find_applicable`,
+keeps its branch points on an explicit stack.  A copy shares each
+label's system until a state first writes that label.  `find_applicable`,
 `is_clash` and `apply` recompute from the whole state, for any class;
 they are the references the agenda, the clash flag and the in-place
 extension are tested against, and the tests build a chronological search
@@ -227,11 +228,14 @@ class CompletionSet:
     (key, instance) pairs holding every applicable rule instance of the
     state's frame class, possibly with stale ones in between, and
     `parked` holds, per (label, variable), the R_exists instances found
-    blocked.
+    blocked.  `owned` has bit n set when this state may write label n's
+    system in place: `copy` shares the systems and clears both sides'
+    bits, and `_own` copies a shared system before its first write.
     """
 
     __slots__ = (
         "systems",
+        "owned",
         "next_var",
         "phi",
         "closure",
@@ -250,6 +254,7 @@ class CompletionSet:
         self, phi: Formula, phi_closure: Closure, frame_class: FrameClass
     ):
         self.systems: list[ConstraintSystem] = []
+        self.owned = 0
         self.next_var = 0
         self.phi = phi
         self.closure = phi_closure
@@ -264,8 +269,10 @@ class CompletionSet:
         self.parked: dict[tuple[int, int], list[tuple]] = {}
 
     def copy(self) -> "CompletionSet":
+        """An independent copy; see `owned` for what it shares."""
         dup = CompletionSet(self.phi, self.closure, self.frame_class)
-        dup.systems = [s.copy() for s in self.systems]
+        dup.systems = list(self.systems)
+        self.owned = 0
         dup.next_var = self.next_var
         dup.clash = self.clash
         dup.clash_deps = self.clash_deps
@@ -285,6 +292,7 @@ class CompletionSet:
             raise EngineError(f"label budget exceeded: {label + 1} > {bound}")
         system = ConstraintSystem(label, self.stamp)
         self.systems.append(system)
+        self.owned |= 1 << label
         return system
 
     def new_variable(self) -> int:
@@ -294,12 +302,20 @@ class CompletionSet:
 
     # -- mutation -----------------------------------------------------------
 
+    def _own(self, label: int) -> ConstraintSystem:
+        """The label's system, copied first if this state shares it."""
+        system = self.systems[label]
+        if not self.owned >> label & 1:
+            system = self.systems[label] = system.copy()
+            self.owned |= 1 << label
+        return system
+
     def add_formula(self, label: int, psi: Formula) -> None:
         if psi not in self.closure.for_neg:
             raise EngineError(f"formula outside closure: {serialize(psi)}")
-        system = self.systems[label]
-        if psi in system.formulas:
+        if psi in self.systems[label].formulas:
             return
+        system = self._own(label)
         system.formulas.add(psi)
         self.holders[psi] = self.holders.get(psi, 0) | 1 << label
         if self.stamp != system.deps_base:
@@ -312,16 +328,19 @@ class CompletionSet:
     def add_concept(self, label: int, concept: Concept, var: int) -> None:
         if concept not in self.closure.con_neg:
             raise EngineError(f"concept outside closure: {serialize(concept)}")
-        system = self.systems[label]
+        # Pairs come with their variable, so a present pair is complete.
+        if (concept, var) in self.systems[label].concepts:
+            return
+        system = self._own(label)
         self._put_concept(system, concept, var)
         self._add_variable(system, var)
 
     def add_role(self, label: int, role: str, x: int, y: int) -> None:
         if role not in self.closure.roles:
             raise EngineError(f"role outside closure: {role}")
-        system = self.systems[label]
-        if (role, x, y) in system.roles:
+        if (role, x, y) in self.systems[label].roles:
             return
+        system = self._own(label)
         system.roles.add((role, x, y))
         if self.stamp != system.deps_base:
             self._stamp_with(label, (role, x, y))
@@ -336,7 +355,8 @@ class CompletionSet:
                 self._push(_forall_instance(system.label, concept, y))
 
     def _add_variable(self, system: ConstraintSystem, var: int) -> None:
-        """Make a variable occur in a label, asserting top on it."""
+        """Make a variable occur in a system this state owns, asserting
+        top on it."""
         if var in system.variables:
             return
         system.variables.add(var)
@@ -348,6 +368,7 @@ class CompletionSet:
     def _put_concept(
         self, system: ConstraintSystem, concept: Concept, var: int
     ) -> None:
+        """Add a pair to a system this state owns."""
         pair = (concept, var)
         if pair in system.concepts:
             return
@@ -976,24 +997,25 @@ def _extend(tableau: CompletionSet, inst: RuleInstance, branch: int) -> None:
     if rule == R_NEQ:
         tableau.add_concept(inst.label, items[0][0], tableau.new_variable())
         return
-    system = tableau.new_label() if rule == R_L else tableau.systems[inst.label]
+    label = tableau.new_label().label if rule == R_L else inst.label
     for item in items:
         if isinstance(item, Formula):
-            tableau.add_formula(system.label, item)
+            tableau.add_formula(label, item)
         else:
-            tableau.add_concept(system.label, *item)
-    if not system.variables:
+            tableau.add_concept(label, *item)
+    if not tableau.systems[label].variables:
         # Domains are non-empty: a fresh label reached only through formula
         # constraints still describes a world with at least one element.
-        tableau._add_variable(system, tableau.new_variable())
+        tableau._add_variable(tableau._own(label), tableau.new_variable())
 
 
 def apply(
     tableau: CompletionSet, inst: RuleInstance, branch: int
 ) -> CompletionSet:
     """New completion set with the chosen branch's constraints added; the
-    input is left untouched.  Reference for the search, which extends its
-    state in place and copies only at branch points."""
+    input is left untouched, as the copy owns none of its systems.
+    Reference for the search, which extends its state in place and copies
+    only at branch points."""
     if not 0 <= branch < inst.branch_count:
         raise ValueError(f"branch {branch} out of range")
     if _stale(tableau, inst):

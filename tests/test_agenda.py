@@ -47,7 +47,7 @@ from nnmdl.tableau import (
 )
 
 from corpus import random_normalized_formula
-from test_search_pin import c_boxes, or_chain
+from test_search_pin import box_dia, c_boxes, or_chain
 
 
 class CheckedSearch:
@@ -65,6 +65,7 @@ class CheckedSearch:
         self.parked_then_chosen = 0
         self.clashes = 0
         self.settled_by_absence = 0
+        self.saved: dict[int, tuple] = {}  # id(frame): (frame, snapshot)
         monkeypatch.setattr(tableau, "next_instance", self.next_instance)
         monkeypatch.setattr(tableau, "_extend", self.extend)
         monkeypatch.setattr(tableau, "_settled", self.settled)
@@ -105,8 +106,10 @@ class CheckedSearch:
         checked = self
 
         def step(search, state, inst, branch, stamp, path):
+            checked.snapshot_new_frames(search.stack)
             before = constraint_keys(state)
             checked.real_step(search, state, inst, branch, stamp, path)
+            checked.check_saved_states(search.stack)
             for label, key in constraint_keys(state) - before:
                 assert stored_set(state, label, key) == stamp
             open_bits = (1 << len(search.stack)) - 1
@@ -119,6 +122,25 @@ class CheckedSearch:
                 assert state.clash_deps in clash_unions(state)
 
         return step
+
+    def snapshot_new_frames(self, stack):
+        """Record the saved state of each frame pushed since the last step,
+        before any step has run on a copy of it."""
+        saved = {}
+        for frame in stack:
+            entry = self.saved.get(id(frame))
+            if entry is None or entry[0] is not frame:
+                entry = (frame, label_contents(frame[0]))
+            saved[id(frame)] = entry
+        self.saved = saved
+
+    def check_saved_states(self, stack):
+        """Copies share label systems with the states they were copied
+        from: a step on a copy must leave every saved state as it was."""
+        for frame in stack:
+            entry = self.saved.get(id(frame))
+            if entry is not None and entry[0] is frame:
+                assert label_contents(frame[0]) == entry[1]
 
     def premise_keys(self, system, inst):
         """Every rebuilt premise is a constraint the label holds."""
@@ -147,6 +169,27 @@ class CheckedSearch:
         assert len(keys) == len(set(keys))
 
 
+class CopyCount:
+    """Counts label-system copies: a branch point shares its labels with
+    the saved state, and a step copies only a shared label it writes."""
+
+    def __init__(self, monkeypatch):
+        self.copies = 0
+        real_copy = tableau.ConstraintSystem.copy
+
+        def copy(system):
+            self.copies += 1
+            return real_copy(system)
+
+        monkeypatch.setattr(tableau.ConstraintSystem, "copy", copy)
+
+    def solve(self, phi, frame_class):
+        """Solve without extraction; the result and the copies it made."""
+        self.copies = 0
+        result = solve(phi, frame_class, SolveOptions(extract=False))
+        return result, self.copies
+
+
 def holders_from_systems(state):
     """The `holders` index recomputed from the label sets."""
     masks = {}
@@ -154,6 +197,19 @@ def holders_from_systems(state):
         for key in chain(system.formulas, system.concepts):
             masks[key] = masks.get(key, 0) | 1 << label
     return masks
+
+
+def label_contents(state):
+    """Each label's formulas, concepts, roles and variables, as values."""
+    return [
+        (
+            frozenset(s.formulas),
+            frozenset(s.concepts),
+            frozenset(s.roles),
+            frozenset(s.variables),
+        )
+        for s in state.systems
+    ]
 
 
 def constraint_keys(state):
@@ -200,6 +256,28 @@ def test_agenda_matches_find_applicable_on_corpus(monkeypatch):
             solve(phi, fc, SolveOptions(extract=False))
     assert checked.choices > 1500
     assert checked.parked  # blocked R_exists instances were parked
+
+
+def test_a_step_copies_at_most_one_label_system(monkeypatch):
+    # Each step writes one label, so it copies at most one shared system.
+    counted = CopyCount(monkeypatch)
+    rng = random.Random(4242)
+    formulas = [random_normalized_formula(rng) for _ in range(300)]
+    for phi in formulas:
+        for fc in FrameClass:
+            result, copies = counted.solve(phi, fc)
+            assert copies <= result.stats.steps
+
+
+def test_box_dia_branch_points_copy_no_label_system(monkeypatch):
+    # Every R_L alternative writes only the label it creates; copying each
+    # label at each of the 12 branch points made 78 copies.
+    counted = CopyCount(monkeypatch)
+    for fc in (FrameClass.E, FrameClass.N):
+        result, copies = counted.solve(box_dia(12), fc)
+        assert result.verdict == "sat"
+        assert result.stats.branch_points == 12
+        assert copies == 0
 
 
 def test_clash_flag_on_formula_and_concept_pairs(monkeypatch):

@@ -51,7 +51,7 @@ from nnmdl.tableau import (
 
 from corpus import random_concept, random_normalized_formula
 from test_acceptance import CORPUS_SEED, CORPUS_SIZE
-from test_agenda import CheckedSearch
+from test_agenda import CheckedSearch, CopyCount
 from test_search_pin import c_boxes, conj, or_chain
 
 A, B, C = AtomicConcept("A"), AtomicConcept("B"), AtomicConcept("C")
@@ -188,6 +188,18 @@ def test_inclusion_mix_verdicts_match_chronological_search():
     print(f"inclusion mix: {compared} compared, {capped} capped")
     assert compared + capped == len(MIX_SEEDS) * MIX_SIZE
     assert capped <= compared // 20
+
+
+def test_label_heavy_mix_input_copies_at_most_one_system_per_step(monkeypatch):
+    # Formula 60 of seed 3: 644 labels and 1,624 branch points.  Copying
+    # every label at each branch point made 524,216 system copies here.
+    rng = random.Random(3)
+    for _ in range(61):
+        phi = inclusion_mix(rng)
+    result, copies = CopyCount(monkeypatch).solve(phi, FrameClass.E)
+    assert result.verdict == "sat"
+    assert result.stats.steps == 2657
+    assert copies <= result.stats.steps
 
 
 def test_forced_step_rests_on_its_refuter():

@@ -47,6 +47,8 @@ from nnmdl.tableau import (
 )
 
 from corpus import random_normalized_formula
+from test_agenda import label_contents
+from test_search_pin import box_dia
 
 A = AtomicConcept("A")
 B = AtomicConcept("B")
@@ -152,6 +154,39 @@ def test_apply_conjunction_of_concepts():
     assert (B, 0) in out.systems[0].concepts
     # application is pure: the input is untouched
     assert (A, 0) not in tableau.systems[0].concepts
+
+
+def test_copy_shares_only_the_labels_neither_side_writes():
+    # box_dia(2) under E ends with three labels; the input formula lies
+    # in the closure and neither fresh label holds it.
+    source = solve(box_dia(2), FrameClass.E, SolveOptions(extract=False)).completion
+    assert len(source.systems) == 3
+    dup = source.copy()
+    before = label_contents(source)
+    dup.add_formula(1, source.phi)
+    assert label_contents(source) == before
+    copied = label_contents(dup)
+    source.add_formula(2, source.phi)
+    assert label_contents(dup) == copied
+    assert source.phi in dup.systems[1].formulas
+    assert source.phi in source.systems[2].formulas
+    assert dup.systems[0] is source.systems[0]
+    assert dup.systems[1] is not source.systems[1]
+    assert dup.systems[2] is not source.systems[2]
+
+
+def test_apply_existential_leaves_its_input_untouched():
+    # R_exists adds a role before anything else: the copy must not write
+    # the label it shares with the input.
+    state = init(normalize(CI(Top(), Exists("r", A))), FrameClass.E)
+    inst = find_applicable(state)[0]
+    while inst.rule != R_EXISTS:
+        state = apply(state, inst, 0)
+        inst = find_applicable(state)[0]
+    before = label_contents(state)
+    out = apply(state, inst, 0)
+    assert label_contents(state) == before
+    assert out.systems[0].roles == {("r", 0, 1)}
 
 
 def test_apply_refuted_inclusion_allocates_fresh_variable():
