@@ -289,7 +289,11 @@ class NeighbourhoodModel:
 
     @classmethod
     def from_json(cls, text: str) -> "NeighbourhoodModel":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"model file is not JSON: {exc}") from exc
+        return cls.from_json_dict(data)
 
 
 #: Each field of an exported model, outermost container first: a JSON

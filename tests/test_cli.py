@@ -519,6 +519,19 @@ def test_validate_rejects_malformed_model_file(capsys, tmp_path, document, messa
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("text", ["", '{"worlds": ["w"], "domains": {'])
+def test_validate_names_a_model_file_that_is_not_json(capsys, tmp_path, text):
+    # An empty or truncated file: the message says what the file is not.
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    code, out, err = run_cli(
+        capsys, "validate", "--model", str(path), "-e", SAT_SIMPLE
+    )
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error: model file is not JSON: ")
+
+
 def test_directory_as_formula_file_is_bad_input(capsys, tmp_path):
     code, out, err = run_cli(capsys, "solve", "--file", str(tmp_path))
     assert code == EXIT_ERROR
