@@ -15,19 +15,24 @@ Models are walked as int bitmasks.  A world set is the int whose bit i is
 w{i}; a collection is an int over the 2^W world-set indices, so alpha
 belongs to it when `coll >> alpha & 1`; an element set is an int over
 d0, d1, ...  A concept's value is a tuple of per-world element masks and
-a formula's value is the mask of the worlds where it holds.  The formula
-is compiled once per world count and domain sizes into one closure per
-subterm.  The subterms without a modal operator at or below them are
-evaluated once per ALC skeleton (domains, concepts, roles); only the
-modal layer above them is evaluated again for each neighbourhood choice.
-Only a witness is decoded into a `NeighbourhoodModel`.
+a formula's value is the mask of the worlds where it holds.
+
+A call walks the formula once, for its signature and for all of its
+evaluation that does not depend on the shape (world count and domain
+sizes); a shape then only binds one closure per step.  Subterms without a
+modal operator at or below them are evaluated once per ALC skeleton
+(domains, concepts, roles), and only the modal layer above them once per
+neighbourhood choice.  Only the witness is decoded into a
+`NeighbourhoodModel`, from its own masks, by the `_decode` that
+`enumerate_models` uses for every model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator
+from operator import and_, or_, xor
+from typing import Callable, Iterator, NamedTuple
 
 from .semantics import (
     FrameClass,
@@ -53,8 +58,6 @@ from .syntax import (
     Or,
     OrF,
     Top,
-    _children,
-    _subterms,
 )
 
 DEFAULT_MAX_WORLDS = 2
@@ -65,8 +68,6 @@ SAT = "sat"
 UNSAT_WITHIN_BOUNDS = "unsat-within-bounds"
 
 _SIGNATURE_LIMITS = (3, 2, 2)  # concept names, role names, modalities
-
-_MODAL = (Box, Dia, BoxF, DiaF)
 
 
 class BoundsTooLargeError(ValueError):
@@ -106,16 +107,85 @@ class OracleResult:
     models_checked: int
 
 
-def _signature(nodes: list) -> Signature:
-    return Signature(
-        tuple(sorted({t.name for t in nodes if isinstance(t, AtomicConcept)})),
-        tuple(sorted({t.role for t in nodes if isinstance(t, (Exists, Forall))})),
-        max((t.index for t in nodes if isinstance(t, _MODAL)), default=0),
-    )
+# Tiers: what a subterm's value depends on besides the shape.
+_SKELETON, _NEIGHBOURHOODS = 0, 1
+
+
+class _Plan(NamedTuple):
+    """The shape-independent part of a formula's evaluation.
+
+    `steps` holds per tier the steps (slot, builder, node, child slots) in
+    evaluation order; a concept-level box or diamond's truth sets take the
+    slot just before its own.  `bound` holds the upper-bound steps over
+    the formulas of tier _NEIGHBOURHOODS: (slot, position of the and/or
+    step in steps[_NEIGHBOURHOODS], or None for every world)."""
+
+    steps: tuple[list, list]
+    bound: list
+    root: int
+    root_tier: int
+    names: dict[str, int]
+    roles: dict[str, int]
+
+
+def _compile(phi: Formula) -> tuple[Signature, _Plan]:
+    """The signature of `phi` and its plan, from one children-first walk
+    on an explicit stack: a node gets its slot once its children have
+    theirs, the left one first."""
+    slot: dict = {}
+    tiers: list[int] = []
+    steps: tuple[list, list] = ([], [])
+    bound: list = []
+    names, roles, modalities = set(), set(), 0
+    stack = [phi]
+    while stack:
+        node = stack[-1]
+        if node in slot:
+            stack.pop()
+            continue
+        cls = node.__class__
+        if cls in _BINARY:
+            a, b = slot.get(node.left), slot.get(node.right)
+            if a is None or b is None:
+                stack += node.right, node.left
+                continue
+            kids, tier = (a, b), tiers[a] | tiers[b]
+        elif cls in _LEAVES:
+            kids, tier = (), _SKELETON
+            if cls is AtomicConcept:
+                names.add(node.name)
+        else:
+            a = slot.get(node.arg)
+            if a is None:
+                stack.append(node.arg)
+                continue
+            kids, tier = (a,), tiers[a]
+            if cls is Exists or cls is Forall:
+                roles.add(node.role)
+            elif cls in _MODAL:
+                if cls is Box or cls is Dia:
+                    # Truth sets, evaluated in the tier of the argument.
+                    steps[tier].append((len(tiers), _truth_sets, node, kids))
+                    kids = (len(tiers),)
+                    tiers.append(tier)
+                tier = _NEIGHBOURHOODS
+                modalities = max(modalities, node.index)
+        stack.pop()
+        i = slot[node] = len(tiers)
+        if tier == _NEIGHBOURHOODS and issubclass(cls, Formula):
+            andor = cls is AndF or cls is OrF
+            bound.append((i, len(steps[tier]) if andor else None))
+        steps[tier].append((i, _BUILDERS[cls], node, kids))
+        tiers.append(tier)
+    names, roles = tuple(sorted(names)), tuple(sorted(roles))
+    root = slot[phi]
+    index = {x: k for k, x in enumerate(names)}, {x: k for k, x in enumerate(roles)}
+    plan = _Plan(steps, bound, root, tiers[root], *index)
+    return Signature(names, roles, modalities), plan
 
 
 def formula_signature(phi: Formula) -> Signature:
-    return _signature(_subterms(phi))
+    return _compile(phi)[0]
 
 
 def _check_signature(signature: Signature) -> None:
@@ -136,18 +206,17 @@ def _size_combos(bounds: OracleBounds, wcount: int) -> list[tuple[int, ...]]:
 
 def count_candidates(signature: Signature, bounds: OracleBounds) -> int:
     """Size of the raw enumeration space (before any frame-class filter)."""
+    n_names, n_roles = len(signature.concept_names), len(signature.role_names)
+    # Extensions over one world, per domain size.
+    sizes = range(1, bounds.max_domain + 1)
+    ext = [2 ** (s * n_names + s * s * n_roles) for s in sizes]
     total = 0
-    n_names = len(signature.concept_names)
-    n_roles = len(signature.role_names)
     for wcount in range(1, bounds.max_worlds + 1):
-        collections = 2 ** (2**wcount)
-        nbhd = collections ** (wcount * signature.modalities)
-        for sizes in _size_combos(bounds, wcount):
-            ext = 1
-            for s in sizes:
-                ext *= 2 ** (s * n_names)
-                ext *= 2 ** (s * s * n_roles)
-            total += ext * nbhd
+        if bounds.domain_mode == "constant":
+            skeletons = sum(x**wcount for x in ext)
+        else:
+            skeletons = sum(ext) ** wcount
+        total += skeletons * 2 ** (2**wcount * wcount * signature.modalities)
     return total
 
 
@@ -159,11 +228,14 @@ def _members(mask: int, items) -> frozenset:
     return frozenset(x for i, x in enumerate(items) if mask >> i & 1)
 
 
-def _world_sets(wcount: int) -> list[frozenset[str]]:
-    """World sets by index: index alpha holds w{i} when bit i is set."""
-    worlds = [f"w{i}" for i in range(wcount)]
-    return [_members(alpha, worlds) for alpha in range(1 << wcount)]
-
+_WORLDS = tuple(f"w{i}" for i in range(2 * DEFAULT_MAX_WORLDS))
+_ELEMENTS = tuple(f"d{i}" for i in range(2 * DEFAULT_MAX_DOMAIN))
+#: World sets by index: index alpha holds w{i} when bit i is set.
+_WORLD_SETS = tuple(_members(alpha, _WORLDS) for alpha in range(1 << len(_WORLDS)))
+#: Per domain size s, the element pairs by bit: bit d * s + e is (d{d}, d{e}).
+_PAIRS = tuple(
+    tuple(product(_ELEMENTS[:s], repeat=2)) for s in range(len(_ELEMENTS) + 1)
+)
 
 #: (world count, frame class) -> the admitted collections, ascending.
 #: Entries are deterministic, so threads that race on one only compute it
@@ -176,28 +248,21 @@ def _class_collections(wcount: int, frame_class: FrameClass) -> tuple[int, ...]:
     key = (wcount, frame_class)
     cached = _COLLECTIONS.get(key)
     if cached is None:
-        sets = _world_sets(wcount)
+        sets = _WORLD_SETS[: 1 << wcount]
         full = sets[-1]
-        admitted = []
-        for coll in range(1 << len(sets)):
-            collection = _members(coll, sets)
-            if frame_class is FrameClass.M and not supplemented_collection(
-                collection, full
-            ):
-                continue
-            if frame_class is FrameClass.C and not intersection_closed_collection(
-                collection
-            ):
-                continue
-            if frame_class is FrameClass.N and full not in collection:
-                continue
-            admitted.append(coll)
-        cached = _COLLECTIONS[key] = tuple(admitted)
+        admits = {
+            FrameClass.E: lambda collection: True,
+            FrameClass.M: lambda collection: supplemented_collection(collection, full),
+            FrameClass.C: intersection_closed_collection,
+            FrameClass.N: lambda collection: full in collection,
+        }[frame_class]
+        cached = _COLLECTIONS[key] = tuple(
+            coll for coll in range(1 << len(sets)) if admits(_members(coll, sets))
+        )
     return cached
 
 
-@dataclass(frozen=True)
-class _Shape:
+class _Shape(NamedTuple):
     """World count and domain sizes, and the models built on them.
 
     A skeleton is one concept mask per (world, name) axis, axis (w{j},
@@ -205,18 +270,20 @@ class _Shape:
     axis, laid out the same way; bit d * size + e of a pair mask stands
     for (d{d}, d{e}).  A skeleton's models are its neighbourhood choices:
     one admitted collection per (modality, world) axis, axis (i, w{j}) at
-    (i - 1) * wcount + j.  Both are walked in `product` order."""
+    (i - 1) * wcount + j, of `axes`.  Both are walked in `product` order."""
 
     wcount: int
     sizes: tuple[int, ...]
-    n_names: int
-    n_roles: int
+    signature: Signature
+    constant: bool
     collections: tuple[int, ...]
     axes: int
 
     def skeletons(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        concepts = [range(1 << s) for s in self.sizes for _ in range(self.n_names)]
-        roles = [range(1 << s * s) for s in self.sizes for _ in range(self.n_roles)]
+        n_names = len(self.signature.concept_names)
+        n_roles = len(self.signature.role_names)
+        concepts = [range(1 << s) for s in self.sizes for _ in range(n_names)]
+        roles = [range(1 << s * s) for s in self.sizes for _ in range(n_roles)]
         return product(product(*concepts), product(*roles))
 
     def choices(self) -> Iterator[tuple[int, ...]]:
@@ -225,8 +292,8 @@ class _Shape:
     @property
     def skeleton_count(self) -> int:
         return 2 ** (
-            sum(self.sizes) * self.n_names
-            + sum(s * s for s in self.sizes) * self.n_roles
+            sum(self.sizes) * len(self.signature.concept_names)
+            + sum(s * s for s in self.sizes) * len(self.signature.role_names)
         )
 
     @property
@@ -237,17 +304,12 @@ class _Shape:
 def _shapes(
     signature: Signature, bounds: OracleBounds, frame_class: FrameClass
 ) -> Iterator[_Shape]:
+    constant = bounds.domain_mode == "constant"
     for wcount in range(1, bounds.max_worlds + 1):
         collections = _class_collections(wcount, frame_class)
         for sizes in _size_combos(bounds, wcount):
-            yield _Shape(
-                wcount,
-                sizes,
-                len(signature.concept_names),
-                len(signature.role_names),
-                collections,
-                wcount * signature.modalities,
-            )
+            axes = wcount * signature.modalities
+            yield _Shape(wcount, sizes, signature, constant, collections, axes)
 
 
 def count_models(
@@ -282,76 +344,57 @@ def _cached_members(cache: dict, mask: int, items) -> frozenset:
     return members
 
 
-class _Decoder:
-    """Turns the mask points of one shape into models.
+def _extensions(names, masks, worlds) -> dict:
+    """Per world, the set of each name under the skeleton's masks; see
+    `_decode` for `worlds`."""
+    return {
+        w: {a: _cached_members(cache, m, items) for a, m in zip(names, masks[lo:hi])}
+        for w, lo, hi, cache, items in worlds
+    }
 
-    Each set is decoded once and shared by every model that holds it, and
-    consecutive skeletons with the same concepts share their concept
-    extensions; treat the models as immutable."""
 
-    def __init__(self, signature: Signature, constant: bool, shape: _Shape):
-        self.signature = signature
-        self.constant = constant
-        self.worlds = tuple(f"w{i}" for i in range(shape.wcount))
-        self.sets = _world_sets(shape.wcount)
-        self.elements = [tuple(f"d{i}" for i in range(s)) for s in shape.sizes]
-        self.pairs = [
-            tuple((d, e) for d in els for e in els) for els in self.elements
-        ]
-        self.domains = {
-            w: frozenset(els) for w, els in zip(self.worlds, self.elements)
-        }
-        # Decoded sets by mask: per world for elements and pairs.
-        self.element_sets: list[dict] = [{} for _ in shape.sizes]
-        self.pair_sets: list[dict] = [{} for _ in shape.sizes]
-        self.collections: dict[int, frozenset[frozenset[str]]] = {}
-        # Per modality index, (world, position of its axis in a choice).
-        self.axes = [
-            (i, [(w, (i - 1) * shape.wcount + j) for j, w in enumerate(self.worlds)])
-            for i in range(1, signature.modalities + 1)
-        ]
-        self._concepts: tuple = (None, None)  # last concept masks, extensions
-
-    def _extensions(self, masks, names, sets, items) -> dict:
-        return {
-            w: {
-                a: _cached_members(sets[j], masks[j * len(names) + k], items[j])
-                for k, a in enumerate(names)
-            }
-            for j, w in enumerate(self.worlds)
-        }
-
-    def skeleton(self, concepts: tuple[int, ...], roles: tuple[int, ...]):
-        """The concept and role extensions of a skeleton."""
-        if concepts != self._concepts[0]:
-            self._concepts = concepts, self._extensions(
-                concepts,
-                self.signature.concept_names,
-                self.element_sets,
-                self.elements,
+def _decode(shape: _Shape, skeletons) -> Iterator[NeighbourhoodModel]:
+    """The models of the shape at the given skeletons (concept masks, role
+    masks, choices), one per choice, in order.  Each set is decoded once
+    and shared by every model that holds it, and consecutive skeletons
+    with the same concept masks share their concept extensions; treat the
+    models as immutable."""
+    signature, wcount, sizes = shape.signature, shape.wcount, shape.sizes
+    worlds = _WORLDS[:wcount]
+    domains = {w: frozenset(_ELEMENTS[:s]) for w, s in zip(worlds, sizes)}
+    # Per world of each kind: its name, the slice of the masks, the sets
+    # decoded so far by mask, and the items a mask's bits stand for.
+    nc, nr = len(signature.concept_names), len(signature.role_names)
+    by_index = list(enumerate(worlds))
+    concept_worlds = [(w, j * nc, j * nc + nc, {}, _ELEMENTS) for j, w in by_index]
+    role_worlds = [(w, j * nr, j * nr + nr, {}, _PAIRS[sizes[j]]) for j, w in by_index]
+    collections: dict = {}
+    # Per modality index, (world, position of its axis in a choice).
+    axes = [
+        (i, [(w, (i - 1) * wcount + j) for j, w in enumerate(worlds)])
+        for i in range(1, signature.modalities + 1)
+    ]
+    last_concepts = None
+    for concepts, roles, choices in skeletons:
+        if concepts != last_concepts:
+            last_concepts = concepts
+            concept_ext = _extensions(signature.concept_names, concepts, concept_worlds)
+        role_ext = _extensions(signature.role_names, roles, role_worlds)
+        for choice in choices:
+            yield NeighbourhoodModel(
+                worlds=worlds,
+                constant_domain=shape.constant,
+                domains=domains,
+                concepts=concept_ext,
+                roles=role_ext,
+                neighbourhoods={
+                    i: {
+                        w: _cached_members(collections, choice[k], _WORLD_SETS)
+                        for w, k in per_world
+                    }
+                    for i, per_world in axes
+                },
             )
-        roles_ext = self._extensions(
-            roles, self.signature.role_names, self.pair_sets, self.pairs
-        )
-        return self._concepts[1], roles_ext
-
-    def model(self, skeleton, choice: tuple[int, ...]) -> NeighbourhoodModel:
-        concepts, roles = skeleton
-        collections, sets = self.collections, self.sets
-        return NeighbourhoodModel(
-            worlds=self.worlds,
-            constant_domain=self.constant,
-            domains=self.domains,
-            concepts=concepts,
-            roles=roles,
-            neighbourhoods={
-                i: {
-                    w: _cached_members(collections, choice[axis], sets)
-                    for w, axis in axes
-                }
-                for i, axes in self.axes
-            },
-        )
 
 
 def enumerate_models(
@@ -366,110 +409,52 @@ def enumerate_models(
     Models share the sets and dictionaries they have in common; treat
     them as immutable.
     """
-    constant = bounds.domain_mode == "constant"
     for shape in _mask_space(signature, bounds, frame_class):
-        decoder = _Decoder(signature, constant, shape)
-        for concepts, roles in shape.skeletons():
-            skeleton = decoder.skeleton(concepts, roles)
-            for choice in shape.choices():
-                yield decoder.model(skeleton, choice)
+        skeletons = shape.skeletons()
+        yield from _decode(shape, ((c, r, shape.choices()) for c, r in skeletons))
 
 
 # ---------------------------------------------------------------------------
 # Evaluation on masks
 # ---------------------------------------------------------------------------
 
-# Tiers: what a subterm's value depends on besides the shape.
-_SKELETON, _NEIGHBOURHOODS = 0, 1
-
-
-def _layout(nodes: list) -> list[tuple]:
-    """(node, child slots, tier) per subterm, in `_subterms` order: tier
-    _NEIGHBOURHOODS with a modal operator at or below the node, else
-    _SKELETON."""
-    slot = {node: i for i, node in enumerate(nodes)}
-    layout = []
-    for node in nodes:
-        kids = tuple([slot[c] for c in _children(node)])
-        tier = _NEIGHBOURHOODS if isinstance(node, _MODAL) else _SKELETON
-        for k in kids:
-            tier = max(tier, layout[k][2])
-        layout.append((node, kids, tier))
-    return layout
-
-
 class _Program:
-    """A formula compiled for one shape.
+    """A plan bound to one shape.
 
-    `vals` holds one value per subterm, in layout order, plus one slot of
-    per-element truth sets for every concept-level box or diamond.
-    `sweep` computes the values of tier _SKELETON once per skeleton and
-    those of tier _NEIGHBOURHOODS once per neighbourhood choice.  Before a
-    skeleton's choices, `vals` first receives an upper bound of where each
-    formula of tier _NEIGHBOURHOODS can hold (every world at a modal
-    operator, negation or inclusion; the and/or of the children's values
-    or bounds above them); a root bound of no world settles the sweep
-    without a choice.
+    `vals` holds one value per plan slot, the root's last.  `sweep` computes the values of
+    tier _SKELETON once per skeleton and those of tier _NEIGHBOURHOODS
+    once per neighbourhood choice.  Before a skeleton's choices, `vals`
+    first receives an upper bound of where each formula of tier
+    _NEIGHBOURHOODS can hold (every world at a modal operator, negation
+    or inclusion; the and/or of the children's values or bounds above
+    them); a root bound of no world settles the sweep without a choice.
     """
 
-    def __init__(self, layout: list[tuple], signature: Signature, shape: _Shape):
-        sizes = shape.sizes
+    def __init__(self, plan: _Plan, shape: _Shape):
+        self.plan = plan
         self.shape = shape
         self.full = (1 << shape.wcount) - 1
-        self.doms = tuple((1 << s) - 1 for s in sizes)
+        self.doms = tuple([(1 << s) - 1 for s in shape.sizes])
         self.worlds = range(shape.wcount)
-        self.elements = range(max(sizes))
-        # Worlds whose domain holds element d.
-        self.presence = tuple(
-            sum(1 << w for w in self.worlds if sizes[w] > d) for d in self.elements
-        )
-        self.names = {a: k for k, a in enumerate(signature.concept_names)}
-        self.role_index = {r: k for k, r in enumerate(signature.role_names)}
-        self.vals: list = [None] * len(layout)
+        self.vals: list = [None] * (plan.root + 1)
         self.nbhd = [0] * shape.axes
         self.skeleton: list = [(), ()]  # concept masks, role rows
-        self.tiers = [tier for _, _, tier in layout]
-        self.steps: tuple[list, list] = ([], [])
-        self.bound: list = []  # upper-bound steps over tier _NEIGHBOURHOODS
-        for i, (node, kids, tier) in enumerate(layout):
-            fn = _BUILDERS[type(node)](self, node, kids)
-            self.steps[tier].append((i, fn))
-            if tier == _NEIGHBOURHOODS and isinstance(node, Formula):
-                bound = fn if isinstance(node, (AndF, OrF)) else self._full
-                self.bound.append((i, bound))
-        self.root = len(layout) - 1
-        self.root_tier = layout[-1][2]
-
-    def _full(self) -> int:
-        return self.full
-
-    def _run(self, steps) -> None:
-        vals = self.vals
-        for i, fn in steps:
-            vals[i] = fn()
-
-    def add_truth_sets(self, arg: int, negate: bool) -> int:
-        """A slot that holds, per element d, the worlds whose value of
-        slot arg holds d, or, negated, the worlds whose domain holds d and
-        whose value does not; evaluated in the tier of arg."""
-        vals, elements, worlds, presence = (
-            self.vals, self.elements, self.worlds, self.presence
+        # Per role row of a skeleton: its pair mask's axis, the shifts of
+        # its elements' successor masks, and the domain mask.
+        n_roles = len(plan.roles)
+        self.rows = [
+            (w * n_roles + k, [s * d for d in range(s)], (1 << s) - 1)
+            for w, s in enumerate(shape.sizes)
+            for k in range(n_roles)
+        ]
+        self.steps = tuple(
+            [(i, build(self, node, kids)) for i, build, node, kids in tier]
+            for tier in plan.steps
         )
-
-        def fn():
-            x = vals[arg]
-            out = []
-            for d in elements:
-                t = 0
-                for w in worlds:
-                    if x[w] >> d & 1:
-                        t |= 1 << w
-                out.append(presence[d] & ~t if negate else t)
-            return out
-
-        vals.append(None)
-        self.steps[self.tiers[arg]].append((len(vals) - 1, fn))
-        return len(vals) - 1
+        modal, full = self.steps[_NEIGHBOURHOODS], self.full
+        self.bound = [
+            (i, (lambda: full) if j is None else modal[j][1]) for i, j in plan.bound
+        ]
 
     def sweep(
         self, concepts: tuple[int, ...], roles: tuple[int, ...]
@@ -477,26 +462,25 @@ class _Program:
         """The first neighbourhood choice under which the formula holds
         somewhere in this skeleton: (its 1-based position in the sweep, the
         choice, the worlds where it holds), or None."""
-        shape, vals, root = self.shape, self.vals, self.root
-        rows = []
-        for w, s in enumerate(shape.sizes):
-            low = (1 << s) - 1
-            for k in range(shape.n_roles):
-                pairs = roles[w * shape.n_roles + k]
-                rows.append(tuple(pairs >> s * d & low for d in range(s)))
+        vals, root = self.vals, self.plan.root
         self.skeleton[0] = concepts
-        self.skeleton[1] = rows
-        self._run(self.steps[_SKELETON])
-        if self.root_tier < _NEIGHBOURHOODS:
+        self.skeleton[1] = [
+            tuple([roles[axis] >> shift & low for shift in shifts])
+            for axis, shifts, low in self.rows
+        ]
+        for i, fn in self.steps[_SKELETON]:
+            vals[i] = fn()
+        if self.plan.root_tier < _NEIGHBOURHOODS:
             # No choice changes the verdict: the first one decides it.
             if vals[root]:
-                return 1, next(shape.choices()), vals[root]
+                return 1, next(self.shape.choices()), vals[root]
             return None
-        self._run(self.bound)
+        for i, fn in self.bound:
+            vals[i] = fn()
         if not vals[root]:
             return None
         nbhd, steps = self.nbhd, self.steps[_NEIGHBOURHOODS]
-        for position, choice in enumerate(shape.choices(), 1):
+        for position, choice in enumerate(self.shape.choices(), 1):
             nbhd[:] = choice
             for i, fn in steps:
                 vals[i] = fn()
@@ -509,40 +493,32 @@ class _Program:
 # that computes the node's value from the values in program.vals.
 
 def _atomic(p: _Program, node, kids) -> Callable:
-    skeleton, n_names = p.skeleton, len(p.names)
-    axes = [w * n_names + p.names[node.name] for w in p.worlds]
+    skeleton, n_names = p.skeleton, len(p.plan.names)
+    axes = [w * n_names + p.plan.names[node.name] for w in p.worlds]
     return lambda: tuple([skeleton[0][i] for i in axes])
 
 
-def _top(p: _Program, node, kids) -> Callable:
-    doms = p.doms
-    return lambda: doms
-
-
-def _bot(p: _Program, node, kids) -> Callable:
-    zeros = (0,) * len(p.worlds)
-    return lambda: zeros
+def _constant(p: _Program, node, kids) -> Callable:
+    value = p.doms if node.__class__ is Top else (0,) * len(p.worlds)
+    return lambda: value
 
 
 def _not(p: _Program, node, kids) -> Callable:
+    # A concept's element mask at a world lies within the world's domain
+    # mask, so the complement there is the exclusive or.
     vals, doms, (a,) = p.vals, p.doms, kids
-    return lambda: tuple([m & ~x for m, x in zip(doms, vals[a])])
+    return lambda: tuple(map(xor, doms, vals[a]))
 
 
-def _and(p: _Program, node, kids) -> Callable:
-    vals, (a, b) = p.vals, kids
-    return lambda: tuple([x & y for x, y in zip(vals[a], vals[b])])
-
-
-def _or(p: _Program, node, kids) -> Callable:
-    vals, (a, b) = p.vals, kids
-    return lambda: tuple([x | y for x, y in zip(vals[a], vals[b])])
+def _and_or(p: _Program, node, kids) -> Callable:
+    vals, (a, b), op = p.vals, kids, and_ if node.__class__ is And else or_
+    return lambda: tuple(map(op, vals[a], vals[b]))
 
 
 def _restriction(p: _Program, node, kids) -> Callable:
     vals, skeleton, doms, worlds, (a,) = p.vals, p.skeleton, p.doms, p.worlds, kids
-    n_roles, k = len(p.role_index), p.role_index[node.role]
-    universal = isinstance(node, Forall)
+    n_roles, k = len(p.plan.roles), p.plan.roles[node.role]
+    universal = node.__class__ is Forall
 
     def fn():
         x = vals[a]
@@ -562,11 +538,34 @@ def _restriction(p: _Program, node, kids) -> Callable:
     return fn
 
 
+def _truth_sets(p: _Program, node, kids) -> Callable:
+    """Per element d, the worlds whose value of the argument holds d; under
+    a diamond, those whose domain holds d and whose value does not."""
+    negate = node.__class__ is Dia
+    vals, worlds, (arg,) = p.vals, p.worlds, kids
+    sizes = p.shape.sizes
+    elements = range(max(sizes))
+    # Worlds whose domain holds element d.
+    presence = [sum([1 << w for w in worlds if sizes[w] > d]) for d in elements]
+
+    def fn():
+        x = vals[arg]
+        out = []
+        for d in elements:
+            t = 0
+            for w in worlds:
+                if x[w] >> d & 1:
+                    t |= 1 << w
+            out.append(presence[d] & ~t if negate else t)
+        return out
+
+    return fn
+
+
 def _concept_modal(p: _Program, node, kids) -> Callable:
     # A diamond tests the truth set of the negated argument.
-    negate = isinstance(node, Dia)
-    vals, nbhd = p.vals, p.nbhd
-    t = p.add_truth_sets(kids[0], negate)
+    negate = node.__class__ is Dia
+    vals, nbhd, (t,) = p.vals, p.nbhd, kids
     wcount = len(p.worlds)
     per_world = [
         ((node.index - 1) * wcount + w, range(p.shape.sizes[w])) for w in p.worlds
@@ -606,19 +605,16 @@ def _not_f(p: _Program, node, kids) -> Callable:
     return lambda: full & ~vals[a]
 
 
-def _and_f(p: _Program, node, kids) -> Callable:
+def _and_or_f(p: _Program, node, kids) -> Callable:
     vals, (a, b) = p.vals, kids
-    return lambda: vals[a] & vals[b]
-
-
-def _or_f(p: _Program, node, kids) -> Callable:
-    vals, (a, b) = p.vals, kids
+    if node.__class__ is AndF:
+        return lambda: vals[a] & vals[b]
     return lambda: vals[a] | vals[b]
 
 
 def _formula_modal(p: _Program, node, kids) -> Callable:
     # A diamond tests the truth set of the negated argument.
-    negate = isinstance(node, DiaF)
+    negate = node.__class__ is DiaF
     vals, nbhd, full, (a,) = p.vals, p.nbhd, p.full, kids
     wcount = len(p.worlds)
     per_world = [((node.index - 1) * wcount + w, 1 << w) for w in p.worlds]
@@ -636,22 +632,26 @@ def _formula_modal(p: _Program, node, kids) -> Callable:
 
 _BUILDERS = {
     AtomicConcept: _atomic,
-    Top: _top,
-    Bot: _bot,
+    Top: _constant,
+    Bot: _constant,
     Not: _not,
-    And: _and,
-    Or: _or,
+    And: _and_or,
+    Or: _and_or,
     Exists: _restriction,
     Forall: _restriction,
     Box: _concept_modal,
     Dia: _concept_modal,
     CI: _inclusion,
     NotF: _not_f,
-    AndF: _and_f,
-    OrF: _or_f,
+    AndF: _and_or_f,
+    OrF: _and_or_f,
     BoxF: _formula_modal,
     DiaF: _formula_modal,
 }
+
+_LEAVES = frozenset((Top, Bot, AtomicConcept))
+_BINARY = frozenset((And, Or, CI, AndF, OrF))
+_MODAL = frozenset((Box, Dia, BoxF, DiaF))
 
 
 def brute_force_sat(
@@ -669,20 +669,17 @@ def brute_force_sat(
     """
     if bounds is None:
         bounds = OracleBounds()
-    nodes = _subterms(phi)
-    signature = _signature(nodes)
-    layout = _layout(nodes)
+    signature, plan = _compile(phi)
     checked = 0
     for shape in _mask_space(signature, bounds, frame_class):
-        program = _Program(layout, signature, shape)
+        program = _Program(plan, shape)
         for concepts, roles in shape.skeletons():
             hit = program.sweep(concepts, roles)
             if hit is None:
                 checked += shape.sweep_size
                 continue
             position, choice, holds = hit
-            decoder = _Decoder(signature, bounds.domain_mode == "constant", shape)
-            model = decoder.model(decoder.skeleton(concepts, roles), choice)
+            model = next(_decode(shape, [(concepts, roles, [choice])]))
             world = model.worlds[(holds & -holds).bit_length() - 1]
             return OracleResult(SAT, model, world, checked + position)
     return OracleResult(UNSAT_WITHIN_BOUNDS, None, None, checked)

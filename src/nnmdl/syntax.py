@@ -14,17 +14,18 @@ the same class and fields returns the one existing object, so equal terms
 are identical, equality and hashing cost constant time at any depth, and
 the immutable nodes are safe to share between concurrent solver instances.
 
-The parser splits text with one compiled token regex and builds terms
-with a table-driven loop on an explicit stack; line and column are worked
-out from a token's offset only when a `ParseError` is raised.  `normalize`
-and `neg_nnf` are children-first rewrites on an explicit stack, so
-neither they nor the parser recurse once per nesting level.  Three memo
-tables sit next to the intern table `_TERMS`: `_NORMAL` maps each term to
-its normal form (and every normal form to itself), `_NEGATIONS` each term
-to its NNF negation, and `_CLOSURES` each formula to its frozen
-`Closure`.  Like `_TERMS` they are written only through `dict.setdefault`
-and hold only immutable values, so concurrent callers agree on one entry
-and distinct calls share nothing mutable.
+The parser splits text at whitespace once the parentheses are spaced
+out, and builds terms with a table-driven loop on an explicit stack; line
+and column are worked out from a token's offset, with the token regex,
+only when a `ParseError` is raised.  `normalize` and `neg_nnf` are
+children-first rewrites on an explicit stack, so neither they nor the
+parser recurse once per nesting level.  Three memo tables sit next to the
+intern table `_TERMS`: `_NORMAL` maps each term to its normal form (and
+every normal form to itself), `_NEGATIONS` each term to its NNF negation,
+and `_CLOSURES` each formula to its frozen `Closure`.  Like `_TERMS` they
+are written only through `dict.setdefault` and hold only immutable
+values, so concurrent callers agree on one entry and distinct calls share
+nothing mutable.
 """
 
 from __future__ import annotations
@@ -182,8 +183,14 @@ class ParseError(ValueError):
 
 
 #: One token: a parenthesis, or a maximal run of anything else that is
-#: not whitespace (`\s` is exactly `str.isspace`).
+#: not whitespace (`\s` is exactly `str.isspace`).  Used for offsets.
 _TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
+def _tokens(text: str) -> list[str]:
+    """The tokens `_TOKEN` finds in `text`: `str.split` splits exactly
+    where `str.isspace` holds, once the parentheses are spaced out."""
+    return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
 class _BadToken(Exception):
@@ -282,7 +289,7 @@ def _parse(text: str, sort: int):
     arguments have sort `sort`; the bottom frame only collects the
     result.  A complete key is looked up in `_TERMS` first, so a node
     that exists costs one dict lookup."""
-    tokens = _TOKEN.findall(text)
+    tokens = _tokens(text)
     rest = iter(tokens)
     terms = _TERMS
     stack: list[tuple] = []

@@ -1,7 +1,9 @@
 import random
+from itertools import islice
 
 import pytest
 
+from nnmdl import oracle
 from nnmdl.oracle import (
     SAT,
     UNSAT_WITHIN_BOUNDS,
@@ -14,7 +16,12 @@ from nnmdl.oracle import (
     enumerate_models,
     formula_signature,
 )
-from nnmdl.semantics import FrameClass, check_frame_class, satisfies
+from nnmdl.semantics import (
+    FrameClass,
+    NeighbourhoodModel,
+    check_frame_class,
+    satisfies,
+)
 from nnmdl.syntax import (
     AndF,
     AtomicConcept,
@@ -29,6 +36,7 @@ from nnmdl.syntax import (
 )
 
 from corpus import random_normalized_formula, random_raw_formula_any
+from test_oracle_pin import pinned_calls
 
 P = CI(Top(), AtomicConcept("A"))
 
@@ -263,3 +271,53 @@ def test_mask_evaluation_matches_reference_evaluator():
             assert result.world == world
             assert result.model == model
     assert 0 < hits < cases
+
+
+# -- the witness decode against enumeration -----------------------------------
+
+def witness_calls():
+    """A seeded slice of the oracle pin's calls, which cover every class
+    with varying domains and C and N with constant domains."""
+    return random.Random(19).sample(list(pinned_calls()), 150)
+
+
+def test_witness_is_the_enumerated_model_at_its_count():
+    covered = set()
+    for phi, fc, bounds in witness_calls():
+        result = brute_force_sat(phi, fc, bounds)
+        if result.verdict != SAT:
+            continue
+        covered.add((fc, bounds.domain_mode))
+        models = enumerate_models(formula_signature(phi), bounds, fc)
+        model = next(islice(models, result.models_checked - 1, None))
+        assert result.model.to_json() == model.to_json(), (phi, fc, bounds)
+        first = next(w for w in model.worlds if satisfies(model, w, phi))
+        assert result.world == first, (phi, fc, bounds)
+    assert covered == {(fc, "varying") for fc in FrameClass} | {
+        (FrameClass.C, "constant"),
+        (FrameClass.N, "constant"),
+    }
+
+
+@pytest.mark.parametrize(
+    "text, verdict, checked",
+    [
+        ("(and (sub top (some r (atom A))) (not (sub top (atom A))))", SAT, 26),
+        (
+            "(and (box 1 (sub top (atom A))) (dia 1 (not (sub top (atom A)))))",
+            UNSAT_WITHIN_BOUNDS,
+            9240,
+        ),
+    ],
+)
+def test_only_the_witness_is_decoded(monkeypatch, text, verdict, checked):
+    built = []
+
+    def counting(**fields):
+        built.append(fields)
+        return NeighbourhoodModel(**fields)
+
+    monkeypatch.setattr(oracle, "NeighbourhoodModel", counting)
+    result = brute_force_sat(parse_formula(text), FrameClass.E)
+    assert (result.verdict, result.models_checked) == (verdict, checked)
+    assert len(built) == (1 if verdict == SAT else 0)

@@ -2,6 +2,7 @@ import gc
 import multiprocessing
 import random
 import statistics
+import sys
 import threading
 import time
 
@@ -123,6 +124,21 @@ def test_parse_error_text_and_position(parse, text, message):
     assert str(err.value) == message
     line, column, _ = message.split(":", 2)
     assert (err.value.line, err.value.column) == (int(line), int(column))
+
+
+def test_split_tokens_equal_the_token_regex():
+    # The parser splits with str.split; error positions come from _TOKEN.
+    # Both must cut text at the same places: at every whitespace character
+    # and around parentheses, and nowhere else.
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    texts = ["", "()", ")(", "(sub top (atom A))", "((a)b)c", "a\u200bb\ufeffc\x00"]
+    for ch in spaces:
+        texts += [ch, f"a{ch}b", f"({ch})", f"{ch}(sub{ch}top{ch}(atom A)){ch}{ch}"]
+    rng = random.Random(5)
+    alphabet = spaces + list("()ab_1") + ["\u200b", "\ufeff", "\x00", "\u00e9"]
+    texts += ["".join(rng.choices(alphabet, k=rng.randrange(30))) for _ in range(2000)]
+    for text in texts:
+        assert syntax._tokens(text) == syntax._TOKEN.findall(text), repr(text)
 
 
 # -- serialization ----------------------------------------------------------
