@@ -19,12 +19,21 @@ a formula's value is the mask of the worlds where it holds.
 
 A call walks the formula once, for its signature and for all of its
 evaluation that does not depend on the shape (world count and domain
-sizes); a shape then only binds one closure per step.  Subterms without a
-modal operator at or below them are evaluated once per ALC skeleton
-(domains, concepts, roles), and only the modal layer above them once per
+sizes).  What depends only on the shapes is built once per process, in
+one table keyed by the signature's size, the bounds and the class: each
+shape's mask ranges, collections, domain masks and decode templates.  A
+shape then only binds one closure per step.  Subterms without a modal
+operator at or below them are evaluated once per ALC skeleton (domains,
+concepts, roles), and only the modal layer above them once per
 neighbourhood choice.  Only the witness is decoded into a
 `NeighbourhoodModel`, from its own masks, by the `_decode` that
 `enumerate_models` uses for every model.
+
+A formula without a modal operator is decided on the one-world shapes
+alone.  Its value at a world depends only on that world's domain,
+concepts and roles, so it holds at a world of a k-world model exactly
+when it holds in the one-world model made of that world, and every
+one-world model comes before every larger one.
 """
 
 from __future__ import annotations
@@ -198,12 +207,6 @@ def _check_signature(signature: Signature) -> None:
         raise ValueError(f"too many modalities: {signature.modalities}")
 
 
-def _size_combos(bounds: OracleBounds, wcount: int) -> list[tuple[int, ...]]:
-    if bounds.domain_mode == "constant":
-        return [(s,) * wcount for s in range(1, bounds.max_domain + 1)]
-    return list(product(range(1, bounds.max_domain + 1), repeat=wcount))
-
-
 def count_candidates(signature: Signature, bounds: OracleBounds) -> int:
     """Size of the raw enumeration space (before any frame-class filter)."""
     n_names, n_roles = len(signature.concept_names), len(signature.role_names)
@@ -230,40 +233,11 @@ def _members(mask: int, items) -> frozenset:
 
 _WORLDS = tuple(f"w{i}" for i in range(2 * DEFAULT_MAX_WORLDS))
 _ELEMENTS = tuple(f"d{i}" for i in range(2 * DEFAULT_MAX_DOMAIN))
-#: World sets by index: index alpha holds w{i} when bit i is set.
-_WORLD_SETS = tuple(_members(alpha, _WORLDS) for alpha in range(1 << len(_WORLDS)))
-#: Per domain size s, the element pairs by bit: bit d * s + e is (d{d}, d{e}).
-_PAIRS = tuple(
-    tuple(product(_ELEMENTS[:s], repeat=2)) for s in range(len(_ELEMENTS) + 1)
-)
-
-#: (world count, frame class) -> the admitted collections, ascending.
-#: Entries are deterministic, so threads that race on one only compute it
-#: twice.
-_COLLECTIONS: dict[tuple[int, FrameClass], tuple[int, ...]] = {}
-
-
-def _class_collections(wcount: int, frame_class: FrameClass) -> tuple[int, ...]:
-    """Every collection over wcount worlds that the class admits."""
-    key = (wcount, frame_class)
-    cached = _COLLECTIONS.get(key)
-    if cached is None:
-        sets = _WORLD_SETS[: 1 << wcount]
-        full = sets[-1]
-        admits = {
-            FrameClass.E: lambda collection: True,
-            FrameClass.M: lambda collection: supplemented_collection(collection, full),
-            FrameClass.C: intersection_closed_collection,
-            FrameClass.N: lambda collection: full in collection,
-        }[frame_class]
-        cached = _COLLECTIONS[key] = tuple(
-            coll for coll in range(1 << len(sets)) if admits(_members(coll, sets))
-        )
-    return cached
 
 
 class _Shape(NamedTuple):
-    """World count and domain sizes, and the models built on them.
+    """The models of one world count and one domain size per world, and
+    what evaluating a formula or decoding a model reads of them.
 
     A skeleton is one concept mask per (world, name) axis, axis (w{j},
     name k) at j * len(names) + k, and one pair mask per (world, role)
@@ -273,43 +247,140 @@ class _Shape(NamedTuple):
     (i - 1) * wcount + j, of `axes`.  Both are walked in `product` order."""
 
     wcount: int
-    sizes: tuple[int, ...]
-    signature: Signature
-    constant: bool
+    ranges: tuple  # the concept axes' mask ranges, the role axes'
     collections: tuple[int, ...]
     axes: int
+    sweep_size: int
+    models: int  # skeletons times sweep size
+    # The world set; each world's domain mask and bit; per element d, the
+    # worlds whose domain holds it; per role axis, the shifts of its
+    # elements' successor masks and its domain mask; per name, its axes;
+    # per modality, each world's (axis, element range, bit, name).
+    full: int
+    doms: tuple[int, ...]
+    bits: tuple[int, ...]
+    presence: tuple[int, ...]
+    rows: tuple
+    name_axes: tuple
+    modal_axes: tuple
+    # The decode templates: see `_decode`.
+    decode: tuple
 
     def skeletons(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        n_names = len(self.signature.concept_names)
-        n_roles = len(self.signature.role_names)
-        concepts = [range(1 << s) for s in self.sizes for _ in range(n_names)]
-        roles = [range(1 << s * s) for s in self.sizes for _ in range(n_roles)]
+        concepts, roles = self.ranges
         return product(product(*concepts), product(*roles))
 
     def choices(self) -> Iterator[tuple[int, ...]]:
         return product(self.collections, repeat=self.axes)
 
-    @property
-    def skeleton_count(self) -> int:
-        return 2 ** (
-            sum(self.sizes) * len(self.signature.concept_names)
-            + sum(s * s for s in self.sizes) * len(self.signature.role_names)
+
+def _shape(sizes, constant, n_names, n_roles, modalities, world_sets, collections):
+    wcount, worlds = len(sizes), _WORLDS[: len(sizes)]
+    indexes, axes = range(wcount), wcount * modalities
+    sweep_size = len(collections) ** axes
+    skeletons = 2 ** (sum(sizes) * n_names + sum(s * s for s in sizes) * n_roles)
+    # Per world, the element pairs by bit: bit d * size + e is (d{d}, d{e}).
+    pairs = [tuple(product(_ELEMENTS[:s], repeat=2)) for s in sizes]
+    by_index = list(enumerate(worlds))
+    return _Shape(
+        wcount,
+        ranges=(
+            tuple(range(1 << s) for s in sizes for _ in range(n_names)),
+            tuple(range(1 << s * s) for s in sizes for _ in range(n_roles)),
+        ),
+        collections=collections, axes=axes,
+        sweep_size=sweep_size, models=skeletons * sweep_size,
+        full=(1 << wcount) - 1,
+        doms=tuple((1 << s) - 1 for s in sizes),
+        bits=tuple(1 << w for w in indexes),
+        presence=tuple(
+            sum(1 << w for w in indexes if sizes[w] > d) for d in range(max(sizes))
+        ),
+        rows=tuple(
+            (w * n_roles + k, tuple(s * d for d in range(s)), (1 << s) - 1)
+            for w, s in enumerate(sizes)
+            for k in range(n_roles)
+        ),
+        name_axes=tuple(
+            tuple(w * n_names + k for w in indexes) for k in range(n_names)
+        ),
+        modal_axes=tuple(
+            tuple((m + w, range(sizes[w]), 1 << w, worlds[w]) for w in indexes)
+            for m in range(0, axes, wcount)
+        ),
+        decode=(
+            worlds,
+            constant,
+            world_sets,
+            tuple((w, frozenset(_ELEMENTS[:s])) for w, s in zip(worlds, sizes)),
+            tuple((w, j * n_names, (j + 1) * n_names, _ELEMENTS) for j, w in by_index),
+            tuple((w, j * n_roles, (j + 1) * n_roles, pairs[j]) for j, w in by_index),
+        ),
+    )
+
+
+def _admitted(sets: tuple[frozenset, ...], frame_class: FrameClass) -> tuple[int, ...]:
+    """Every collection over the world sets that the class admits, ascending."""
+    full = sets[-1]
+    admits = {
+        FrameClass.E: lambda collection: True,
+        FrameClass.M: lambda collection: supplemented_collection(collection, full),
+        FrameClass.C: intersection_closed_collection,
+        FrameClass.N: lambda collection: full in collection,
+    }[frame_class]
+    return tuple(coll for coll in range(1 << len(sets)) if admits(_members(coll, sets)))
+
+
+def _build_space(key: tuple) -> tuple[_Shape, ...]:
+    """The shapes of a bounded space in enumeration order: world count,
+    then domain sizes."""
+    n_names, n_roles, modalities, max_worlds, max_domain, domain_mode, frame_class = key
+    sizes, constant = range(1, max_domain + 1), domain_mode == "constant"
+    shapes: list[_Shape] = []
+    for wcount in range(1, max_worlds + 1):
+        world_sets = tuple(_members(alpha, _WORLDS) for alpha in range(1 << wcount))
+        # Without a modality a skeleton has one model and no collection.
+        collections = _admitted(world_sets, frame_class) if modalities else ()
+        if constant:
+            combos = [(s,) * wcount for s in sizes]
+        else:
+            combos = product(sizes, repeat=wcount)
+        shapes += [
+            _shape(c, constant, n_names, n_roles, modalities, world_sets, collections)
+            for c in combos
+        ]
+    return tuple(shapes)
+
+
+#: (concept names, role names, modalities, max_worlds, max_domain, domain
+#: mode, frame class) -> (raw candidate count, shapes) of the bounded space.
+#: Only keys within _SIGNATURE_LIMITS and the OracleBounds ranges get an
+#: entry, so the table stays finite.  Threads that race on a missing entry
+#: may both build it; setdefault keeps the first, and both use it.
+_SPACES: dict[tuple, tuple[int, tuple[_Shape, ...]]] = {}
+
+
+def _mask_space(
+    signature: Signature, bounds: OracleBounds, frame_class: FrameClass, cap=None
+) -> tuple[_Shape, ...]:
+    """The shapes of the bounded space, from the table entry built on first
+    use.  A space of more raw candidates than `cap` raises
+    BoundsTooLargeError, before its entry is built."""
+    key = (
+        len(signature.concept_names), len(signature.role_names), signature.modalities,
+        bounds.max_worlds, bounds.max_domain, bounds.domain_mode, frame_class,
+    )
+    entry = _SPACES.get(key)
+    if entry is None:
+        _check_signature(signature)
+    candidates = count_candidates(signature, bounds) if entry is None else entry[0]
+    if cap is not None and candidates > cap:
+        raise BoundsTooLargeError(
+            f"{candidates} candidate models exceed the cap of {cap}"
         )
-
-    @property
-    def sweep_size(self) -> int:
-        return len(self.collections) ** self.axes
-
-
-def _shapes(
-    signature: Signature, bounds: OracleBounds, frame_class: FrameClass
-) -> Iterator[_Shape]:
-    constant = bounds.domain_mode == "constant"
-    for wcount in range(1, bounds.max_worlds + 1):
-        collections = _class_collections(wcount, frame_class)
-        for sizes in _size_combos(bounds, wcount):
-            axes = wcount * signature.modalities
-            yield _Shape(wcount, sizes, signature, constant, collections, axes)
+    if entry is None:
+        entry = _SPACES.setdefault(key, (candidates, _build_space(key)))
+    return entry[1]
 
 
 def count_models(
@@ -317,24 +388,7 @@ def count_models(
 ) -> int:
     """Number of models within bounds whose frame lies in the class: the
     models_checked of a sweep that finds no witness."""
-    return sum(
-        shape.skeleton_count * shape.sweep_size
-        for shape in _shapes(signature, bounds, frame_class)
-    )
-
-
-def _mask_space(
-    signature: Signature, bounds: OracleBounds, frame_class: FrameClass
-) -> Iterator[_Shape]:
-    """The shapes within bounds, in enumeration order: each shape's
-    skeletons, and each skeleton's neighbourhood choices, follow it."""
-    _check_signature(signature)
-    candidates = count_candidates(signature, bounds)
-    if candidates > bounds.candidate_cap:
-        raise BoundsTooLargeError(
-            f"{candidates} candidate models exceed the cap of {bounds.candidate_cap}"
-        )
-    return _shapes(signature, bounds, frame_class)
+    return sum(shape.models for shape in _mask_space(signature, bounds, frame_class))
 
 
 def _cached_members(cache: dict, mask: int, items) -> frozenset:
@@ -349,31 +403,27 @@ def _extensions(names, masks, worlds) -> dict:
     `_decode` for `worlds`."""
     return {
         w: {a: _cached_members(cache, m, items) for a, m in zip(names, masks[lo:hi])}
-        for w, lo, hi, cache, items in worlds
+        for w, lo, hi, items, cache in worlds
     }
 
 
-def _decode(shape: _Shape, skeletons) -> Iterator[NeighbourhoodModel]:
+def _decode(
+    shape: _Shape, signature: Signature, skeletons
+) -> Iterator[NeighbourhoodModel]:
     """The models of the shape at the given skeletons (concept masks, role
     masks, choices), one per choice, in order.  Each set is decoded once
     and shared by every model that holds it, and consecutive skeletons
     with the same concept masks share their concept extensions; treat the
     models as immutable."""
-    signature, wcount, sizes = shape.signature, shape.wcount, shape.sizes
-    worlds = _WORLDS[:wcount]
-    domains = {w: frozenset(_ELEMENTS[:s]) for w, s in zip(worlds, sizes)}
-    # Per world of each kind: its name, the slice of the masks, the sets
-    # decoded so far by mask, and the items a mask's bits stand for.
-    nc, nr = len(signature.concept_names), len(signature.role_names)
-    by_index = list(enumerate(worlds))
-    concept_worlds = [(w, j * nc, j * nc + nc, {}, _ELEMENTS) for j, w in by_index]
-    role_worlds = [(w, j * nr, j * nr + nr, {}, _PAIRS[sizes[j]]) for j, w in by_index]
+    # The world names, the world sets by index (index alpha holds w{i} when
+    # bit i is set) and (world, domain) pairs; per world of each kind, its
+    # name, the slice of the masks and the items a mask's bits stand for.
+    worlds, constant, world_sets, domains, concept_worlds, role_worlds = shape.decode
+    domains = dict(domains)
+    # With the sets decoded so far by mask, per world.
+    concept_worlds = [(*world, {}) for world in concept_worlds]
+    role_worlds = [(*world, {}) for world in role_worlds]
     collections: dict = {}
-    # Per modality index, (world, position of its axis in a choice).
-    axes = [
-        (i, [(w, (i - 1) * wcount + j) for j, w in enumerate(worlds)])
-        for i in range(1, signature.modalities + 1)
-    ]
     last_concepts = None
     for concepts, roles, choices in skeletons:
         if concepts != last_concepts:
@@ -383,16 +433,16 @@ def _decode(shape: _Shape, skeletons) -> Iterator[NeighbourhoodModel]:
         for choice in choices:
             yield NeighbourhoodModel(
                 worlds=worlds,
-                constant_domain=shape.constant,
+                constant_domain=constant,
                 domains=domains,
                 concepts=concept_ext,
                 roles=role_ext,
                 neighbourhoods={
                     i: {
-                        w: _cached_members(collections, choice[k], _WORLD_SETS)
-                        for w, k in per_world
+                        w: _cached_members(collections, choice[k], world_sets)
+                        for k, _, _, w in per_world
                     }
-                    for i, per_world in axes
+                    for i, per_world in enumerate(shape.modal_axes, 1)
                 },
             )
 
@@ -407,11 +457,13 @@ def enumerate_models(
     Models are produced up to the fixed naming w0.. / d0.. (domains are
     prefixes of the element pool; no further isomorphism pruning).
     Models share the sets and dictionaries they have in common; treat
-    them as immutable.
+    them as immutable.  The walk covers every shape, also for a
+    signature without modalities, so it is the reference that
+    `brute_force_sat`'s one-world rule is tested against.
     """
-    for shape in _mask_space(signature, bounds, frame_class):
-        skeletons = shape.skeletons()
-        yield from _decode(shape, ((c, r, shape.choices()) for c, r in skeletons))
+    for shape in _mask_space(signature, bounds, frame_class, bounds.candidate_cap):
+        skeletons = ((c, r, shape.choices()) for c, r in shape.skeletons())
+        yield from _decode(shape, signature, skeletons)
 
 
 # ---------------------------------------------------------------------------
@@ -433,25 +485,14 @@ class _Program:
     def __init__(self, plan: _Plan, shape: _Shape):
         self.plan = plan
         self.shape = shape
-        self.full = (1 << shape.wcount) - 1
-        self.doms = tuple([(1 << s) - 1 for s in shape.sizes])
-        self.worlds = range(shape.wcount)
         self.vals: list = [None] * (plan.root + 1)
         self.nbhd = [0] * shape.axes
         self.skeleton: list = [(), ()]  # concept masks, role rows
-        # Per role row of a skeleton: its pair mask's axis, the shifts of
-        # its elements' successor masks, and the domain mask.
-        n_roles = len(plan.roles)
-        self.rows = [
-            (w * n_roles + k, [s * d for d in range(s)], (1 << s) - 1)
-            for w, s in enumerate(shape.sizes)
-            for k in range(n_roles)
-        ]
         self.steps = tuple(
             [(i, build(self, node, kids)) for i, build, node, kids in tier]
             for tier in plan.steps
         )
-        modal, full = self.steps[_NEIGHBOURHOODS], self.full
+        modal, full = self.steps[_NEIGHBOURHOODS], shape.full
         self.bound = [
             (i, (lambda: full) if j is None else modal[j][1]) for i, j in plan.bound
         ]
@@ -466,15 +507,13 @@ class _Program:
         self.skeleton[0] = concepts
         self.skeleton[1] = [
             tuple([roles[axis] >> shift & low for shift in shifts])
-            for axis, shifts, low in self.rows
+            for axis, shifts, low in self.shape.rows
         ]
         for i, fn in self.steps[_SKELETON]:
             vals[i] = fn()
-        if self.plan.root_tier < _NEIGHBOURHOODS:
-            # No choice changes the verdict: the first one decides it.
-            if vals[root]:
-                return 1, next(self.shape.choices()), vals[root]
-            return None
+        if self.plan.root_tier == _SKELETON:
+            # No modal operator, so the one choice is the empty one.
+            return (1, (), vals[root]) if vals[root] else None
         for i, fn in self.bound:
             vals[i] = fn()
         if not vals[root]:
@@ -493,20 +532,19 @@ class _Program:
 # that computes the node's value from the values in program.vals.
 
 def _atomic(p: _Program, node, kids) -> Callable:
-    skeleton, n_names = p.skeleton, len(p.plan.names)
-    axes = [w * n_names + p.plan.names[node.name] for w in p.worlds]
+    skeleton, axes = p.skeleton, p.shape.name_axes[p.plan.names[node.name]]
     return lambda: tuple([skeleton[0][i] for i in axes])
 
 
 def _constant(p: _Program, node, kids) -> Callable:
-    value = p.doms if node.__class__ is Top else (0,) * len(p.worlds)
+    value = p.shape.doms if node.__class__ is Top else (0,) * p.shape.wcount
     return lambda: value
 
 
 def _not(p: _Program, node, kids) -> Callable:
     # A concept's element mask at a world lies within the world's domain
     # mask, so the complement there is the exclusive or.
-    vals, doms, (a,) = p.vals, p.doms, kids
+    vals, doms, (a,) = p.vals, p.shape.doms, kids
     return lambda: tuple(map(xor, doms, vals[a]))
 
 
@@ -516,7 +554,8 @@ def _and_or(p: _Program, node, kids) -> Callable:
 
 
 def _restriction(p: _Program, node, kids) -> Callable:
-    vals, skeleton, doms, worlds, (a,) = p.vals, p.skeleton, p.doms, p.worlds, kids
+    vals, skeleton, doms, (a,) = p.vals, p.skeleton, p.shape.doms, kids
+    worlds = range(p.shape.wcount)
     n_roles, k = len(p.plan.roles), p.plan.roles[node.role]
     universal = node.__class__ is Forall
 
@@ -542,21 +581,18 @@ def _truth_sets(p: _Program, node, kids) -> Callable:
     """Per element d, the worlds whose value of the argument holds d; under
     a diamond, those whose domain holds d and whose value does not."""
     negate = node.__class__ is Dia
-    vals, worlds, (arg,) = p.vals, p.worlds, kids
-    sizes = p.shape.sizes
-    elements = range(max(sizes))
-    # Worlds whose domain holds element d.
-    presence = [sum([1 << w for w in worlds if sizes[w] > d]) for d in elements]
+    vals, (arg,), presence = p.vals, kids, p.shape.presence
+    worlds = range(p.shape.wcount)
 
     def fn():
         x = vals[arg]
         out = []
-        for d in elements:
+        for d, present in enumerate(presence):
             t = 0
             for w in worlds:
                 if x[w] >> d & 1:
                     t |= 1 << w
-            out.append(presence[d] & ~t if negate else t)
+            out.append(present & ~t if negate else t)
         return out
 
     return fn
@@ -566,15 +602,12 @@ def _concept_modal(p: _Program, node, kids) -> Callable:
     # A diamond tests the truth set of the negated argument.
     negate = node.__class__ is Dia
     vals, nbhd, (t,) = p.vals, p.nbhd, kids
-    wcount = len(p.worlds)
-    per_world = [
-        ((node.index - 1) * wcount + w, range(p.shape.sizes[w])) for w in p.worlds
-    ]
+    per_world = p.shape.modal_axes[node.index - 1]
 
     def fn():
         ts = vals[t]
         out = []
-        for axis, dom in per_world:
+        for axis, dom, _, _ in per_world:
             coll = nbhd[axis]
             m = 0
             for d in dom:
@@ -587,8 +620,7 @@ def _concept_modal(p: _Program, node, kids) -> Callable:
 
 
 def _inclusion(p: _Program, node, kids) -> Callable:
-    vals, (a, b) = p.vals, kids
-    bits = [1 << w for w in p.worlds]
+    vals, (a, b), bits = p.vals, kids, p.shape.bits
 
     def fn():
         out = 0
@@ -601,7 +633,7 @@ def _inclusion(p: _Program, node, kids) -> Callable:
 
 
 def _not_f(p: _Program, node, kids) -> Callable:
-    vals, full, (a,) = p.vals, p.full, kids
+    vals, full, (a,) = p.vals, p.shape.full, kids
     return lambda: full & ~vals[a]
 
 
@@ -615,14 +647,13 @@ def _and_or_f(p: _Program, node, kids) -> Callable:
 def _formula_modal(p: _Program, node, kids) -> Callable:
     # A diamond tests the truth set of the negated argument.
     negate = node.__class__ is DiaF
-    vals, nbhd, full, (a,) = p.vals, p.nbhd, p.full, kids
-    wcount = len(p.worlds)
-    per_world = [((node.index - 1) * wcount + w, 1 << w) for w in p.worlds]
+    vals, nbhd, full, (a,) = p.vals, p.nbhd, p.shape.full, kids
+    per_world = p.shape.modal_axes[node.index - 1]
 
     def fn():
         ts = full & ~vals[a] if negate else vals[a]
         out = 0
-        for axis, bit in per_world:
+        for axis, _, bit, _ in per_world:
             if (nbhd[axis] >> ts & 1) != negate:
                 out |= bit
         return out
@@ -664,14 +695,24 @@ def brute_force_sat(
     The signature enumerated is the one actually occurring in the
     formula.  Stops at the first witness, the first world (in world
     order) of the first model that satisfies the formula; models_checked
-    counts the models walked up to and including it.  The negative
-    verdict is explicitly bounds-relative.
+    counts the models walked up to and including it, and a sweep that
+    finds none counts the whole space.  The negative verdict is
+    explicitly bounds-relative.  A formula without a modal operator is
+    swept over the one-world shapes only (see the module docstring), and
+    the later shapes count as checked; verdict, witness and count are
+    those of the full walk.
     """
     if bounds is None:
         bounds = OracleBounds()
     signature, plan = _compile(phi)
+    space = shapes = _mask_space(signature, bounds, frame_class, bounds.candidate_cap)
+    if plan.root_tier == _SKELETON:
+        # No modal operator: a world's value is the one it has in the
+        # one-world model made of it alone, and the one-world shapes, one
+        # per domain size, come first.
+        shapes = space[: bounds.max_domain]
     checked = 0
-    for shape in _mask_space(signature, bounds, frame_class):
+    for shape in shapes:
         program = _Program(plan, shape)
         for concepts, roles in shape.skeletons():
             hit = program.sweep(concepts, roles)
@@ -679,7 +720,9 @@ def brute_force_sat(
                 checked += shape.sweep_size
                 continue
             position, choice, holds = hit
-            model = next(_decode(shape, [(concepts, roles, [choice])]))
+            model = next(_decode(shape, signature, [(concepts, roles, [choice])]))
             world = model.worlds[(holds & -holds).bit_length() - 1]
             return OracleResult(SAT, model, world, checked + position)
-    return OracleResult(UNSAT_WITHIN_BOUNDS, None, None, checked)
+    return OracleResult(
+        UNSAT_WITHIN_BOUNDS, None, None, sum(shape.models for shape in space)
+    )

@@ -1,4 +1,5 @@
 import random
+import threading
 from itertools import islice
 
 import pytest
@@ -321,3 +322,135 @@ def test_only_the_witness_is_decoded(monkeypatch, text, verdict, checked):
     result = brute_force_sat(parse_formula(text), FrameClass.E)
     assert (result.verdict, result.models_checked) == (verdict, checked)
     assert len(built) == (1 if verdict == SAT else 0)
+
+
+# -- the one-world rule -------------------------------------------------------
+
+#: Modality-free formulas with a role: the first witness needs two
+#: elements, or no model within bounds satisfies the formula.
+ONE_WORLD_FORMULAS = (
+    "(and (sub top (some r (atom A))) (not (sub top (atom A))))",
+    "(and (sub top (some r top)) (sub top (all r bot)))",
+    "(and (sub top (some r (atom A))) (sub top (all r (not (atom A)))))",
+)
+#: Largest space walked per (formula, bounds).
+ONE_WORLD_BUDGET = 20_000
+
+
+def modality_free_cases():
+    """(formula, class, bounds): the fixed formulas, then seeded corpus
+    formulas without a modal operator, at two worlds and two elements in
+    both domain modes, where the space fits the budget.  Without a
+    modality the class admits every model, so the classes take turns."""
+    formulas = [parse_formula(text) for text in ONE_WORLD_FORMULAS]
+    rng = random.Random(20)
+    while len(formulas) < 40 + len(ONE_WORLD_FORMULAS):
+        phi = random_normalized_formula(rng)
+        if formula_signature(phi).modalities == 0:
+            formulas.append(phi)
+    classes = list(FrameClass)
+    for n, phi in enumerate(formulas):
+        for mode in ("varying", "constant"):
+            bounds = OracleBounds(max_worlds=2, max_domain=2, domain_mode=mode)
+            fc = classes[n % len(classes)]
+            if count_models(formula_signature(phi), bounds, fc) <= ONE_WORLD_BUDGET:
+                yield phi, fc, bounds
+
+
+def test_one_world_rule_matches_the_reference_walk():
+    with_roles = unsat = 0
+    for phi, fc, bounds in modality_free_cases():
+        model, world, walked = reference_walk(phi, fc, bounds)
+        result = brute_force_sat(phi, fc, bounds)
+        assert result.models_checked == walked, (phi, bounds)
+        assert (result.model, result.world) == (model, world), (phi, bounds)
+        # No model of two worlds satisfies a formula that no one-world
+        # model satisfies: the walk covers them all before it gives up.
+        assert model is None or len(model.worlds) == 1, (phi, bounds)
+        if model is None:
+            assert result.verdict == UNSAT_WITHIN_BOUNDS
+            assert walked == count_models(formula_signature(phi), bounds, fc)
+            unsat += 1
+        with_roles += bool(formula_signature(phi).role_names)
+    assert with_roles >= 10 and unsat >= 10
+
+
+def test_modality_free_sweep_builds_one_world_programs_only(monkeypatch):
+    built = []
+    program = oracle._Program
+
+    def counting(plan, shape):
+        built.append(shape.wcount)
+        return program(plan, shape)
+
+    monkeypatch.setattr(oracle, "_Program", counting)
+    phi = parse_formula(ONE_WORLD_FORMULAS[2])
+    result = brute_force_sat(phi, FrameClass.E)
+    assert result.verdict == UNSAT_WITHIN_BOUNDS
+    signature = formula_signature(phi)
+    assert result.models_checked == count_models(signature, OracleBounds(), FrameClass.E)
+    # One program per one-world shape: one per domain size.
+    assert built == [1, 1]
+
+
+# -- the table of bounded spaces ----------------------------------------------
+
+def test_space_table_grows_with_signature_sizes_not_names(monkeypatch):
+    monkeypatch.setattr(oracle, "_SPACES", {})
+    for i in range(50):
+        text = f"(and (sub top (atom A{i})) (not (sub top (atom B{i}))))"
+        assert brute_force_sat(parse_formula(text), FrameClass.E).verdict == SAT
+    assert len(oracle._SPACES) == 1
+
+
+def test_candidate_cap_holds_with_and_without_an_entry(monkeypatch):
+    monkeypatch.setattr(oracle, "_SPACES", {})
+    phi = parse_formula("(sub top (some r (atom A)))")
+    candidates = count_candidates(formula_signature(phi), OracleBounds())
+    tight = OracleBounds(candidate_cap=candidates - 1)
+    with pytest.raises(BoundsTooLargeError):
+        brute_force_sat(phi, FrameClass.E, tight)
+    assert not oracle._SPACES  # a refused space gets no entry
+    assert brute_force_sat(phi, FrameClass.E).verdict == SAT
+    with pytest.raises(BoundsTooLargeError):
+        brute_force_sat(phi, FrameClass.E, tight)
+    exact = OracleBounds(candidate_cap=candidates)
+    assert brute_force_sat(phi, FrameClass.E, exact).verdict == SAT
+
+
+def test_threads_filling_one_entry_share_it(monkeypatch):
+    monkeypatch.setattr(oracle, "_SPACES", {})
+    both_missed = threading.Barrier(2, timeout=10)
+    build = oracle._build_space
+
+    def build_after_both_missed(*args):
+        space = build(*args)
+        both_missed.wait()
+        return space
+
+    monkeypatch.setattr(oracle, "_build_space", build_after_both_missed)
+    signature = Signature(("A",), ("r",), 1)
+    spaces = []
+
+    def fill():
+        spaces.append(oracle._mask_space(signature, OracleBounds(), FrameClass.C))
+
+    threads = [threading.Thread(target=fill) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(spaces) == 2 and spaces[0] is spaces[1]
+    (entry,) = oracle._SPACES.values()
+    assert entry[1] is spaces[0]
+
+
+# -- known defects --------------------------------------------------------------
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: prefix domains")
+def test_an_element_may_miss_a_world():
+    # Sat under N (`solve` finds a validated model), but every enumerated
+    # varying domain is a prefix d0..d{s-1}, so d0 is in every world.
+    phi = parse_formula("(sub top (dia 1 bot))")
+    assert brute_force_sat(phi, FrameClass.N).verdict == SAT
