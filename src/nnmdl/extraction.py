@@ -34,19 +34,16 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .semantics import (
+    EMPTY,
     FrameClass,
     NeighbourhoodModel,
     Windows,
     check_frame_class,
+    mask_members,
     satisfies,
 )
 from .syntax import AtomicConcept, Concept, Formula, neg_nnf
 from .tableau import CompletionSet, _modal_premises, blockers
-
-
-#: Every empty extension: an extracted model is immutable, so its empty
-#: sets are one object rather than a fresh frozenset each.
-_EMPTY: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -56,13 +53,6 @@ class TruthApproximation:
 
     floor: frozenset[int]
     ceil: frozenset[int]
-
-
-def _members(mask: int, names: Sequence) -> frozenset:
-    """The entries of `names` at the positions whose bit is set in `mask`."""
-    if not mask:
-        return _EMPTY
-    return frozenset([name for n, name in enumerate(names) if mask >> n & 1])
 
 
 def _bracket(
@@ -79,8 +69,8 @@ def _bracket(
         negated = neg_nnf(item)
     refuted = holders.get(negated, 0)
     return (
-        _members(holders.get(item, 0), names),
-        _members(~refuted, names) if refuted else full,
+        mask_members(holders.get(item, 0), names),
+        mask_members(~refuted, names) if refuted else full,
     )
 
 
@@ -139,7 +129,7 @@ def extract_model(
             if c.__class__ is AtomicConcept:
                 members.setdefault(c.name, []).append(names[v])
         concept_ext[world] = {
-            a: frozenset(members[a]) if a in members else _EMPTY for a in atoms
+            a: frozenset(members[a]) if a in members else EMPTY for a in atoms
         }
         per_role: dict[str, set[tuple[str, str]]] = {}
         if system.roles:
@@ -152,7 +142,7 @@ def extract_model(
                         if x == z:
                             per_role[role].add((names[var], names[y]))
         role_ext[world] = {
-            r: frozenset(per_role[r]) if r in per_role else _EMPTY
+            r: frozenset(per_role[r]) if r in per_role else EMPTY
             for r in role_names
         }
         if not modalities:

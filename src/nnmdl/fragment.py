@@ -91,7 +91,7 @@ from .syntax import (
     NotF,
     OrF,
     _subterms,
-    has_modalised_concept,
+    child_terms,
     neg_nnf,
     normalize,
     postorder,
@@ -117,7 +117,7 @@ class FragmentCapError(ValueError):
 
 def check_g_fragment(phi: Formula) -> bool:
     """True when no box or diamond occurs inside a concept."""
-    return not has_modalised_concept(phi)
+    return not any(type(t) in (Box, Dia) for t in _subterms(phi))
 
 
 @dataclass(frozen=True)
@@ -182,13 +182,10 @@ def serialize_prop(abstraction: Abstraction) -> str:
     return "".join(out)
 
 
-def _children(psi: Formula) -> tuple:
-    """Children outside box bodies: boxes and diamonds count as atoms."""
-    if isinstance(psi, (AndF, OrF)):
-        return (psi.left, psi.right)
-    if isinstance(psi, NotF):
-        return (psi.arg,)
-    return ()
+def _outside_boxes(psi: Formula) -> tuple:
+    """Children outside box bodies and inclusions: boxes, diamonds and
+    inclusions count as atoms."""
+    return child_terms(psi) if type(psi) in (AndF, OrF, NotF) else ()
 
 
 @dataclass(frozen=True)
@@ -277,7 +274,7 @@ def _inner_boxes(modal: list) -> list:
     found: dict = {}
     stack = list(modal)
     while stack:
-        for psi in postorder(stack.pop().arg, _children):
+        for psi in postorder(stack.pop().arg, _outside_boxes):
             if isinstance(psi, (BoxF, DiaF)):
                 atom = _atom(psi)
                 if atom not in found:
@@ -314,7 +311,7 @@ def _by_queries(
         ALC-satisfiable."""
         hit = witnessed_by.get(chi)
         if hit is None:
-            order = postorder(chi, _children)
+            order = postorder(chi, _outside_boxes)
             hit = witnessed_by[chi] = any(
                 folded is True or (folded is not False and alc(folded))
                 for folded in (_rebuild(order, v) for v in vectors)
@@ -403,7 +400,7 @@ def solve_fragment(phi: Formula, frame_class: FrameClass) -> FragmentResult:
             f"fragment procedure decides classes C and N, not {frame_class.value}"
         )
     abstraction = prop_abstraction(phi)
-    skeleton = postorder(abstraction.prop_formula, _children)
+    skeleton = postorder(abstraction.prop_formula, _outside_boxes)
     modal = [psi for psi in skeleton if isinstance(psi, (BoxF, DiaF))]
     inner = _inner_boxes(modal)
     if len(inner) > INNER_BOX_CAP:

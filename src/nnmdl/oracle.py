@@ -47,6 +47,7 @@ from .semantics import (
     FrameClass,
     NeighbourhoodModel,
     intersection_closed_collection,
+    mask_members,
     supplemented_collection,
 )
 from .syntax import (
@@ -227,10 +228,6 @@ def count_candidates(signature: Signature, bounds: OracleBounds) -> int:
 # The mask space
 # ---------------------------------------------------------------------------
 
-def _members(mask: int, items) -> frozenset:
-    return frozenset(x for i, x in enumerate(items) if mask >> i & 1)
-
-
 _WORLDS = tuple(f"w{i}" for i in range(2 * DEFAULT_MAX_WORLDS))
 _ELEMENTS = tuple(f"d{i}" for i in range(2 * DEFAULT_MAX_DOMAIN))
 
@@ -328,7 +325,7 @@ def _admitted(sets: tuple[frozenset, ...], frame_class: FrameClass) -> tuple[int
         FrameClass.C: intersection_closed_collection,
         FrameClass.N: lambda collection: full in collection,
     }[frame_class]
-    return tuple(coll for coll in range(1 << len(sets)) if admits(_members(coll, sets)))
+    return tuple(coll for coll in range(1 << len(sets)) if admits(mask_members(coll, sets)))
 
 
 def _build_space(key: tuple) -> tuple[_Shape, ...]:
@@ -338,7 +335,7 @@ def _build_space(key: tuple) -> tuple[_Shape, ...]:
     sizes, constant = range(1, max_domain + 1), domain_mode == "constant"
     shapes: list[_Shape] = []
     for wcount in range(1, max_worlds + 1):
-        world_sets = tuple(_members(alpha, _WORLDS) for alpha in range(1 << wcount))
+        world_sets = tuple(mask_members(alpha, _WORLDS) for alpha in range(1 << wcount))
         # Without a modality a skeleton has one model and no collection.
         collections = _admitted(world_sets, frame_class) if modalities else ()
         if constant:
@@ -394,7 +391,7 @@ def count_models(
 def _cached_members(cache: dict, mask: int, items) -> frozenset:
     members = cache.get(mask)
     if members is None:
-        members = cache[mask] = _members(mask, items)
+        members = cache[mask] = mask_members(mask, items)
     return members
 
 

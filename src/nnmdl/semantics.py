@@ -19,7 +19,7 @@ and is the only reading implemented.
 from __future__ import annotations
 
 import json
-from collections.abc import Set
+from collections.abc import Sequence, Set
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
@@ -67,6 +67,18 @@ class FrameClass(str, Enum):
 
 class ModelTooLargeError(ValueError):
     """Raised when a check would enumerate subsets of too many worlds."""
+
+
+#: The empty set every decoded empty mask shares: models are immutable,
+#: so their empty sets are one object rather than a fresh frozenset each.
+EMPTY: frozenset = frozenset()
+
+
+def mask_members(mask: int, items: Sequence) -> frozenset:
+    """The entries of `items` at the positions whose bit is set in `mask`."""
+    if not mask:
+        return EMPTY
+    return frozenset([item for n, item in enumerate(items) if mask >> n & 1])
 
 
 class Windows(Set):

@@ -14,12 +14,19 @@ the same class and fields returns the one existing object, so equal terms
 are identical, equality and hashing cost constant time at any depth, and
 the immutable nodes are safe to share between concurrent solver instances.
 
+A node's child terms are written once, in the class-keyed table
+`_CHILDREN`; a value whose class has no row is not a term (`child_terms`
+raises `TypeError`).  `postorder` lists the distinct nodes under a root
+children first, reading that table unless given its own `children`:
+closure, sort keys, weights, deep negation and the fragment all walk with
+it.  Only the hot rewrite loops of `normalize` and `neg_nnf` read fields
+directly.
+
 The parser splits text at whitespace once the parentheses are spaced
 out, and builds terms with a table-driven loop on an explicit stack; line
 and column are worked out from a token's offset, with the token regex,
-only when a `ParseError` is raised.  `normalize` and `neg_nnf` are
-children-first rewrites on an explicit stack, so neither they nor the
-parser recurse once per nesting level.  Three memo tables sit next to the
+only when a `ParseError` is raised.  Neither the parser, the rewrites nor
+the walks recurse once per nesting level.  Three memo tables sit next to the
 intern table `_TERMS`: `_NORMAL` maps each term to its normal form (and
 every normal form to itself), `_NEGATIONS` each term to its NNF negation,
 and `_CLOSURES` each formula to its frozen `Closure`.  Like `_TERMS` they
@@ -168,6 +175,53 @@ class DiaF(Formula):
 TOP = Top()
 BOT = Bot()
 
+#: Per node class, the node's child terms, leftmost first: its fields
+#: that hold terms, in `_fields` order.
+_CHILDREN = {
+    **dict.fromkeys((AtomicConcept, Top, Bot), lambda t: ()),
+    **dict.fromkeys(
+        (Not, Exists, Forall, Box, Dia, NotF, BoxF, DiaF), lambda t: (t.arg,)
+    ),
+    **dict.fromkeys((And, Or, CI, AndF, OrF), lambda t: (t.left, t.right)),
+}
+
+
+def child_terms(term: Concept | Formula) -> tuple:
+    """The child terms of `term`, from `_CHILDREN`; a value that is not a
+    concept or formula raises `TypeError`."""
+    try:
+        of = _CHILDREN[term.__class__]
+    except KeyError:
+        raise TypeError(f"not a concept or formula: {term!r}") from None
+    return of(term)
+
+
+#: Marks, on a `postorder` stack, that the node below it is complete.
+_EXIT = object()
+
+
+def postorder(root: Term, children=None) -> list:
+    """Distinct nodes under `root`, `root` included, each listed after the
+    nodes `children` gives for it (by default its child terms), the
+    leftmost first.  Walked on an explicit stack, so deep terms need no
+    recursion."""
+    if children is None:
+        children = child_terms
+    out: list = []
+    seen: set = set()
+    stack: list = [root]
+    pop, push, emit = stack.pop, stack.append, out.append
+    while stack:
+        top = pop()
+        if top is _EXIT:
+            emit(pop())
+        elif top not in seen:
+            seen.add(top)
+            push(top)
+            push(_EXIT)
+            stack.extend(reversed(children(top)))
+    return out
+
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -198,9 +252,12 @@ class _BadToken(Exception):
 
 
 def _modality_index(token: str) -> int:
-    if not token.isdigit():
+    if not (token.isascii() and token.isdigit()):
         raise _BadToken(f"expected modality index, found '{token}'")
-    value = int(token)
+    try:
+        value = int(token)
+    except ValueError:  # more digits than `int` converts
+        raise _BadToken("modality index has too many digits") from None
     if value < 1:
         raise _BadToken("modality index must be at least 1")
     return value
@@ -385,8 +442,7 @@ def serialize(term: Concept | Formula) -> str:
     The text is emitted left to right from an explicit stack of pending
     strings and subterms, so deep terms need no recursion and no
     subterm's text is built apart from the whole."""
-    if term.__class__ not in _PARTS:
-        raise TypeError(f"not a concept or formula: {term!r}")
+    child_terms(term)  # a non-term raises TypeError here
     out: list[str] = []
     stack: list = [term]
     while stack:
@@ -507,18 +563,9 @@ def normalize(term: Concept | Formula) -> Concept | Formula:
     """
     result = _NORMAL.get(term)
     if result is None:
+        child_terms(term)  # a non-term raises TypeError here
         result = _rewrite(term)
     return result
-
-
-def _negation_inputs(node) -> tuple:
-    """The children whose negations the negation of `node` is built from."""
-    cls = type(node)
-    if cls in _JUNCTIONS:
-        return (node.left, node.right)
-    if cls in _DUAL:
-        return (node.arg,)
-    return ()
 
 
 def _negation(node) -> Term | None:
@@ -555,7 +602,10 @@ def _negate_deep(term) -> Term:
     memo = _NEGATIONS
 
     def missing(node) -> list:
-        return [c for c in _negation_inputs(node) if c not in memo]
+        # A negation is built from its children's when its class has a dual.
+        if node.__class__ not in _DUAL:
+            return []
+        return [c for c in _CHILDREN[node.__class__](node) if c not in memo]
 
     for node in postorder(term, missing):
         memo.setdefault(node, _negation(node))
@@ -575,39 +625,20 @@ def neg_nnf(term):
     return result
 
 
-def _weight_parts(term) -> tuple[int, tuple]:
-    """What a term adds to its weight itself, and the children whose
-    weights it adds."""
-    if isinstance(term, (AtomicConcept, Top, Bot, CI)):
-        return 0, ()
-    if isinstance(term, (Not, NotF)):
-        return 0, (term.arg,)
-    if isinstance(term, (And, Or, AndF, OrF)):
-        return 1, (term.left, term.right)
-    if isinstance(term, (Exists, Forall, Box, Dia, BoxF, DiaF)):
-        return 1, (term.arg,)
-    raise TypeError(f"not a concept or formula: {term!r}")
-
-
 def weight(term: Concept | Formula) -> int:
     """Structural weight: invariant under NNF negation.
 
     Atoms, their negations, top/bot and inclusions weigh 0; restrictions
     and modal operators add 1; binary connectives add 1 plus the weights
-    of both arguments.  Computed children first, with each distinct
-    subterm weighed once per call; a shared subterm still counts once per
-    occurrence.
+    of both arguments: a node adds 1 when its class has a dual.  Computed
+    children first, with each distinct subterm weighed once per call; a
+    shared subterm still counts once per occurrence.
     """
-    parts: dict = {}
-
-    def children(node) -> tuple:
-        parts[node] = own_and_children = _weight_parts(node)
-        return own_and_children[1]
-
     weights: dict = {}
-    for node in postorder(term, children):
-        own, kids = parts[node]
-        weights[node] = own + sum(weights[c] for c in kids)
+    for node in postorder(term):
+        cls = node.__class__
+        kids = () if cls is CI else _CHILDREN[cls](node)
+        weights[node] = (cls in _DUAL) + sum([weights[c] for c in kids])
     return weights[term]
 
 
@@ -636,34 +667,10 @@ class Closure:
         return len(self.con_neg) + len(self.for_neg) + len(self.roles)
 
 
-#: Marks, on a `postorder` stack, that the node below it is complete.
-_EXIT = object()
-
-
-def postorder(root: Term, children) -> list:
-    """Distinct nodes under `root`, `root` included, each listed after the
-    nodes `children` gives for it, the leftmost first.  Walked on an
-    explicit stack, so deep terms need no recursion."""
-    out: list = []
-    seen: set = set()
-    stack: list = [root]
-    pop, push, emit = stack.pop, stack.append, out.append
-    while stack:
-        top = pop()
-        if top is _EXIT:
-            emit(pop())
-        elif top not in seen:
-            seen.add(top)
-            push(top)
-            push(_EXIT)
-            stack.extend(reversed(children(top)))
-    return out
-
-
 def _subterms(term: Concept | Formula) -> list:
     """Distinct subterms of a term, both sides of every inclusion
     included, each listed after its own subterms."""
-    return postorder(term, _children)
+    return postorder(term)
 
 
 #: Closures: formula -> its `Closure`, written through `dict.setdefault`.
@@ -713,23 +720,6 @@ def closure(phi: Formula) -> Closure:
     return result
 
 
-def has_modalised_concept(phi: Formula) -> bool:
-    """True when a box or diamond occurs at concept level."""
-    return any(isinstance(t, (Box, Dia)) for t in _subterms(phi))
-
-
-def _children(term: Concept | Formula) -> tuple:
-    if isinstance(term, (And, Or, CI, AndF, OrF)):
-        return (term.left, term.right)
-    if isinstance(term, (Top, Bot, AtomicConcept)):
-        return ()
-    return (term.arg,)
-
-
-def _unkeyed_children(term: Concept | Formula) -> list:
-    return [c for c in _children(term) if c._sort_key is None]
-
-
 def sort_key(term: Concept | Formula) -> str:
     """Stable canonical ordering key for deterministic iteration: the
     serialized term.  Each key is stored on its node and built children
@@ -737,7 +727,11 @@ def sort_key(term: Concept | Formula) -> str:
     once and deep terms need no recursion."""
     key = term._sort_key
     if key is None:
-        for node in postorder(term, _unkeyed_children):
+
+        def unkeyed(node) -> list:
+            return [c for c in child_terms(node) if c._sort_key is None]
+
+        for node in postorder(term, unkeyed):
             text = [
                 p if p.__class__ is str else p._sort_key
                 for p in _PARTS[node.__class__](node)

@@ -163,6 +163,7 @@ def inclusion_mix(rng: random.Random):
     return reduce(join, parts)
 
 
+@pytest.mark.slow
 def test_inclusion_mix_verdicts_match_chronological_search():
     # Disjunctions under role restrictions, many of them decided without
     # a branch point, at every element and successor: a dependency set
@@ -220,7 +221,7 @@ def test_forced_step_rests_on_its_refuter():
     assert result.stats.backjumps > 0
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, pytest.param(4, marks=pytest.mark.slow)])
 def test_c_boxes_verdicts_match_chronological_search(n):
     # Chronological search takes 50, 593 and 17,624 steps here.
     assert verdict(c_boxes(n), FrameClass.C) == "unsat"

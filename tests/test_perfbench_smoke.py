@@ -5,9 +5,12 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+@pytest.mark.slow
 def test_perfbench_smoke():
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "smoke.py")],

@@ -27,17 +27,20 @@ from nnmdl.syntax import (
     Or,
     OrF,
     ParseError,
+    Term,
     Top,
+    child_terms,
     closure,
     neg_nnf,
     normalize,
     parse_concept,
     parse_formula,
+    postorder,
     serialize,
     weight,
 )
 
-from corpus import random_raw_formula_any
+from corpus import random_concept, random_raw_formula_any
 
 A = AtomicConcept("A")
 B = AtomicConcept("B")
@@ -104,6 +107,12 @@ PARSE_ERRORS = [
     (parse_concept, "(some 1r top)", "1:7: expected role name, found '1r'"),
     (parse_formula, "(box 0 (sub top top))", "1:6: modality index must be at least 1"),
     (parse_formula, "(dia x (sub top top))", "1:6: expected modality index, found 'x'"),
+    (parse_formula, "(box \u00b2 (sub top top))", "1:6: expected modality index, found '\u00b2'"),
+    (
+        parse_formula,
+        "(box " + "1" * 5000 + " (sub top top))",
+        "1:6: modality index has too many digits",
+    ),
     (parse_formula, "(sub top (atom A)", "1:17: unexpected end of input"),
     (parse_formula, "(sub top top top)", "1:14: expected ')', found 'top'"),
     (parse_formula, "(sub top top) top", "1:15: trailing input 'top'"),
@@ -215,6 +224,83 @@ def test_weight_invariant_under_negation_random():
     for _ in range(1000):
         phi = normalize(random_raw_formula_any(rng))
         assert weight(phi) == weight(neg_nnf(phi))
+
+
+@pytest.mark.parametrize("function", [weight, neg_nnf, serialize, closure, normalize])
+def test_a_non_term_is_a_type_error(function):
+    with pytest.raises(TypeError, match="^not a concept or formula: 42$"):
+        function(42)
+
+
+# -- walks ------------------------------------------------------------------
+
+def _field_children(term) -> tuple:
+    """The fields of `term` that hold terms, in `_fields` order."""
+    values = (getattr(term, name) for name in term._fields)
+    return tuple(v for v in values if isinstance(v, Term))
+
+
+def _recursive_postorder(root, children) -> list:
+    """Reference walk: each distinct node once, after its children."""
+    out, seen = [], set()
+
+    def visit(node):
+        if node not in seen:
+            seen.add(node)
+            for child in children(node):
+                visit(child)
+            out.append(node)
+
+    visit(root)
+    return out
+
+
+def _shared_terms(rng: random.Random) -> list:
+    """Random concepts and formulas, some with a subterm used twice."""
+    concept = random_concept(rng, 3)
+    phi = random_raw_formula_any(rng)
+    return [
+        concept,
+        And(concept, Exists("r", concept)),
+        phi,
+        AndF(phi, BoxF(1, NotF(phi))),
+        CI(concept, Or(Not(concept), concept)),
+    ]
+
+
+def test_postorder_matches_a_recursive_walk():
+    # Both sides of an inclusion are walked by default; the custom walk
+    # stops at inclusions and takes children rightmost first.
+    def custom(term) -> tuple:
+        return () if type(term) is CI else _field_children(term)[::-1]
+
+    rng = random.Random(21)
+    terms = [t for _ in range(100) for t in _shared_terms(rng)]
+    assert len(terms) == 500
+    for term in terms:
+        assert postorder(term) == _recursive_postorder(term, _field_children)
+        assert postorder(term, custom) == _recursive_postorder(term, custom)
+
+
+def test_children_table_has_a_row_per_node_class():
+    # A concrete class lists its own fields; Concept and Formula do not.
+    classes, stack = set(), Term.__subclasses__()
+    while stack:
+        cls = stack.pop()
+        stack += cls.__subclasses__()
+        if "_fields" in cls.__dict__:
+            classes.add(cls)
+    assert set(syntax._CHILDREN) == classes == set(syntax._PARTS)
+    rng = random.Random(22)
+    met = set()
+    for _ in range(200):
+        for term in postorder(random_raw_formula_any(rng)):
+            met.add(type(term))
+            kids = child_terms(term)
+            assert kids == _field_children(term)
+            parts = syntax._PARTS[type(term)](term)
+            assert kids == tuple(p for p in parts if not isinstance(p, str))
+    assert met == classes
 
 
 # -- closure ----------------------------------------------------------------
@@ -447,6 +533,7 @@ def _front_end_seconds(depth: int) -> float:
     return time.process_time() - start
 
 
+@pytest.mark.slow
 def test_front_end_time_is_linear_in_depth():
     # Every run starts in a fresh child from the same tables and heap.
     # Each ratio is taken within a pair of consecutive runs, so a slow
