@@ -442,7 +442,8 @@ def serialize(term: Concept | Formula) -> str:
     The text is emitted left to right from an explicit stack of pending
     strings and subterms, so deep terms need no recursion and no
     subterm's text is built apart from the whole."""
-    child_terms(term)  # a non-term raises TypeError here
+    if term.__class__ not in _CHILDREN:
+        child_terms(term)  # raises TypeError
     out: list[str] = []
     stack: list = [term]
     while stack:
@@ -563,7 +564,8 @@ def normalize(term: Concept | Formula) -> Concept | Formula:
     """
     result = _NORMAL.get(term)
     if result is None:
-        child_terms(term)  # a non-term raises TypeError here
+        if term.__class__ not in _CHILDREN:
+            child_terms(term)  # raises TypeError
         result = _rewrite(term)
     return result
 
