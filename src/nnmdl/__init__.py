@@ -7,11 +7,10 @@ without modalised concepts (classes C, N), and a brute-force bounded-model
 oracle used as independent ground truth.
 """
 
-from .extraction import extract_model, floors_ceilings, validate
+from .extraction import extract_model, validate
 from .fragment import (
     Abstraction,
     FragmentResult,
-    check_g_fragment,
     prop_abstraction,
     solve_fragment,
 )
@@ -26,14 +25,8 @@ from .semantics import (
     FrameClass,
     NeighbourhoodModel,
     Windows,
-    add_unit,
     check_frame_class,
-    close_intersection,
-    close_supplementation,
-    interpret_concept,
     satisfies,
-    truth_set_concept,
-    truth_set_formula,
 )
 from .syntax import (
     Closure,
@@ -54,7 +47,6 @@ from .tableau import (
     find_applicable,
     init,
     is_clash,
-    is_complete,
     solve,
 )
 
@@ -75,21 +67,14 @@ __all__ = [
     "SolveOptions",
     "SolveResult",
     "Windows",
-    "add_unit",
     "brute_force_sat",
     "check_frame_class",
-    "check_g_fragment",
-    "close_intersection",
-    "close_supplementation",
     "closure",
     "enumerate_models",
     "extract_model",
     "find_applicable",
-    "floors_ceilings",
     "init",
-    "interpret_concept",
     "is_clash",
-    "is_complete",
     "neg_nnf",
     "normalize",
     "parse_concept",
@@ -99,8 +84,6 @@ __all__ = [
     "serialize",
     "solve",
     "solve_fragment",
-    "truth_set_concept",
-    "truth_set_formula",
     "validate",
     "weight",
 ]

@@ -31,7 +31,6 @@ function of the completion set and safe to run concurrently.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .semantics import (
     EMPTY,
@@ -42,17 +41,8 @@ from .semantics import (
     mask_members,
     satisfies,
 )
-from .syntax import AtomicConcept, Concept, Formula, neg_nnf
+from .syntax import AtomicConcept, Formula, neg_nnf
 from .tableau import CompletionSet, _modal_premises, blockers
-
-
-@dataclass(frozen=True)
-class TruthApproximation:
-    """Labels forced to carry a term (floor) and labels merely allowed
-    to (ceiling).  floor <= ceiling whenever the source set is clash-free."""
-
-    floor: frozenset[int]
-    ceil: frozenset[int]
 
 
 def _bracket(
@@ -71,25 +61,6 @@ def _bracket(
     return (
         mask_members(holders.get(item, 0), names),
         mask_members(~refuted, names) if refuted else full,
-    )
-
-
-def floors_ceilings(
-    tableau: CompletionSet,
-    term: Concept | Formula,
-    var: int | None = None,
-) -> TruthApproximation:
-    """Bracket of a term: floor collects labels asserting it (at the given
-    variable for concepts), the ceiling drops labels asserting its negation.
-    Both are read from the state's `holders` masks."""
-    item = term
-    if isinstance(term, Concept):
-        if var is None:
-            raise ValueError("concept terms need a variable")
-        item = (term, var)
-    labels = range(len(tableau.systems))
-    return TruthApproximation(
-        *_bracket(tableau.holders, item, labels, frozenset(labels))
     )
 
 

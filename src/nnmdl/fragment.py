@@ -90,7 +90,6 @@ from .syntax import (
     Formula,
     NotF,
     OrF,
-    _subterms,
     child_terms,
     neg_nnf,
     normalize,
@@ -115,11 +114,6 @@ class FragmentCapError(ValueError):
 # Abstraction
 # ---------------------------------------------------------------------------
 
-def check_g_fragment(phi: Formula) -> bool:
-    """True when no box or diamond occurs inside a concept."""
-    return not any(type(t) in (Box, Dia) for t in _subterms(phi))
-
-
 @dataclass(frozen=True)
 class Abstraction:
     """Propositional skeleton of a formula: its normal form, with one
@@ -141,7 +135,7 @@ def prop_abstraction(phi: Formula) -> Abstraction:
     phi = normalize(phi)
     letters: list[str] = []
     ci_of: dict[str, CI] = {}
-    for term in _subterms(phi):
+    for term in postorder(phi):
         if isinstance(term, (Box, Dia)):
             raise FragmentError("modalised concepts are outside this fragment")
         if isinstance(term, CI):

@@ -45,10 +45,10 @@ from .syntax import (
     Top,
 )
 
-#: The member-by-member supplementation check and the closures enumerate
-#: subsets of the world set; models beyond this many worlds are rejected
-#: rather than silently skipped (window collections upward closed by shape
-#: need no enumeration).
+#: The member-by-member supplementation check ranges over subsets of the
+#: world set; models beyond this many worlds are rejected rather than
+#: silently skipped (window collections upward closed by shape need no
+#: member-by-member check).
 MAX_WORLDS_FOR_SUPPLEMENTATION = 16
 
 
@@ -273,7 +273,7 @@ class NeighbourhoodModel:
             keys[index] = key
         model = cls(
             worlds=tuple(data["worlds"]),
-            constant_domain=bool(data.get("constant_domain", False)),
+            constant_domain=data.get("constant_domain", False),
             domains={
                 w: frozenset(members) for w, members in data["domains"].items()
             },
@@ -310,10 +310,11 @@ class NeighbourhoodModel:
 
 #: Each field of an exported model, outermost container first: a JSON
 #: "object" (keyed by world, or by modality index outermost in
-#: neighbourhoods), a "list", and at the leaves a "string" or a "pair"
-#: (a list of two strings).
+#: neighbourhoods), a "list", and at the leaves a "string", a "pair"
+#: (a list of two strings) or a "boolean".
 _EXPORTED_SHAPES = {
     "worlds": ("list", "string"),
+    "constant_domain": ("boolean",),
     "domains": ("object", "list", "string"),
     "concepts": ("object", "object", "list", "string"),
     "roles": ("object", "object", "list", "pair"),
@@ -325,6 +326,8 @@ def _has_shape(value, shape: tuple[str, ...]) -> bool:
     kind, inner = shape[0], shape[1:]
     if kind == "string":
         return isinstance(value, str)
+    if kind == "boolean":
+        return isinstance(value, bool)
     if kind == "pair":
         return (
             isinstance(value, list)
@@ -459,27 +462,6 @@ class Evaluator:
         return out
 
 
-def interpret_concept(
-    model: NeighbourhoodModel, world: str, concept: Concept
-) -> frozenset[str]:
-    """Extension of a concept at a world; always a subset of its domain."""
-    return Evaluator(model).concept_ext(world, concept)
-
-
-def truth_set_concept(
-    model: NeighbourhoodModel, element: str, concept: Concept
-) -> frozenset[str]:
-    """Worlds whose interpretation contains the element.
-
-    Worlds whose domain lacks the element are excluded.
-    """
-    return Evaluator(model).concept_truth_set(element, concept)
-
-
-def truth_set_formula(model: NeighbourhoodModel, phi: Formula) -> frozenset[str]:
-    return Evaluator(model).formula_truth_set(phi)
-
-
 def satisfies(model: NeighbourhoodModel, world: str, phi: Formula) -> bool:
     """Truth of a formula at a world (full syntax, no NNF required)."""
     return Evaluator(model).holds(world, phi)
@@ -571,68 +553,3 @@ def check_frame_class(model: NeighbourhoodModel, frame_class: FrameClass) -> boo
             ws in collection for _, _, collection in _collections(model)
         )
     raise ValueError(f"unknown frame class {frame_class!r}")
-
-
-def _rebuild_neighbourhoods(model, transform) -> NeighbourhoodModel:
-    return NeighbourhoodModel(
-        worlds=model.worlds,
-        constant_domain=model.constant_domain,
-        domains=dict(model.domains),
-        concepts={w: dict(ext) for w, ext in model.concepts.items()},
-        roles={w: dict(ext) for w, ext in model.roles.items()},
-        neighbourhoods={
-            index: {
-                world: transform(per_world.get(world, frozenset()))
-                for world in model.worlds
-            }
-            for index, per_world in model.neighbourhoods.items()
-        },
-    )
-
-
-def close_supplementation(model: NeighbourhoodModel) -> NeighbourhoodModel:
-    """Smallest pointwise extension closed under supersets; idempotent."""
-    ws = model.world_set()
-    if len(ws) > MAX_WORLDS_FOR_SUPPLEMENTATION:
-        raise ModelTooLargeError(
-            f"supplementation closure: {len(ws)} worlds, too large to verify"
-        )
-
-    def up_close(collection):
-        out = set(collection)
-        frontier = list(collection)
-        while frontier:
-            alpha = frontier.pop()
-            for w in ws - alpha:
-                bigger = alpha | {w}
-                if bigger not in out:
-                    out.add(bigger)
-                    frontier.append(bigger)
-        return frozenset(out)
-
-    return _rebuild_neighbourhoods(model, up_close)
-
-
-def close_intersection(model: NeighbourhoodModel) -> NeighbourhoodModel:
-    """Smallest pointwise extension closed under binary intersection."""
-
-    def meet_close(collection):
-        out = set(collection)
-        changed = True
-        while changed:
-            changed = False
-            for a in list(out):
-                for b in list(out):
-                    meet = a & b
-                    if meet not in out:
-                        out.add(meet)
-                        changed = True
-        return frozenset(out)
-
-    return _rebuild_neighbourhoods(model, meet_close)
-
-
-def add_unit(model: NeighbourhoodModel) -> NeighbourhoodModel:
-    """Adds the full world set to every neighbourhood collection."""
-    ws = model.world_set()
-    return _rebuild_neighbourhoods(model, lambda collection: collection | {ws})

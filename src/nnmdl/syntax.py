@@ -73,6 +73,9 @@ class Term:
             node = object.__new__(cls)
             for name, value in zip(cls._fields, args):
                 object.__setattr__(node, name, value)
+            for child in _CHILDREN[cls](node):
+                if child.__class__ not in _CHILDREN:
+                    raise TypeError(f"not a concept or formula: {child!r}")
             object.__setattr__(node, "_sort_key", None)
             node = _TERMS.setdefault(key, node)
         return node
@@ -172,9 +175,6 @@ class DiaF(Formula):
     __slots__ = _fields = ("index", "arg")
 
 
-TOP = Top()
-BOT = Bot()
-
 #: Per node class, the node's child terms, leftmost first: its fields
 #: that hold terms, in `_fields` order.
 _CHILDREN = {
@@ -184,6 +184,9 @@ _CHILDREN = {
     ),
     **dict.fromkeys((And, Or, CI, AndF, OrF), lambda t: (t.left, t.right)),
 }
+
+TOP = Top()
+BOT = Bot()
 
 
 def child_terms(term: Concept | Formula) -> tuple:
@@ -669,12 +672,6 @@ class Closure:
         return len(self.con_neg) + len(self.for_neg) + len(self.roles)
 
 
-def _subterms(term: Concept | Formula) -> list:
-    """Distinct subterms of a term, both sides of every inclusion
-    included, each listed after its own subterms."""
-    return postorder(term)
-
-
 #: Closures: formula -> its `Closure`, written through `dict.setdefault`.
 _CLOSURES: dict[Formula, Closure] = {}
 
@@ -688,7 +685,7 @@ def _build_closure(phi: Formula) -> Closure:
     roles: set = set()
     atoms: set = set()
     modalities: set = set()
-    for term in _subterms(phi):
+    for term in postorder(phi):
         cls = type(term)
         if issubclass(cls, Concept):
             concepts.add(term)

@@ -160,9 +160,6 @@ class ConstraintSystem:
     def concept_set(self, var: int) -> set[Concept]:
         return {c for c, v in self.concepts if v == var}
 
-    def constraint_count(self) -> int:
-        return len(self.formulas) + len(self.concepts) + len(self.roles)
-
 
 @dataclass
 class SolveStats:
@@ -854,10 +851,6 @@ def find_applicable(tableau: CompletionSet) -> list[RuleInstance]:
             instances.extend(_modal_instances(tableau, system))
     instances.sort(key=_instance_key)
     return instances
-
-
-def is_complete(tableau: CompletionSet) -> bool:
-    return not find_applicable(tableau)
 
 
 # ---------------------------------------------------------------------------

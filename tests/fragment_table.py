@@ -34,9 +34,9 @@ from nnmdl.syntax import (
     Formula,
     NotF,
     OrF,
-    _subterms,
     closure,
     neg_nnf,
+    postorder,
     sort_key,
 )
 from nnmdl.tableau import _nonempty_subsets
@@ -82,7 +82,7 @@ def _valuations(
     atoms = [abstraction.ci_of(letter) for letter in letters] + boxes
     compound = [
         psi
-        for psi in _subterms(abstraction.prop_formula)
+        for psi in postorder(abstraction.prop_formula)
         if isinstance(psi, (NotF, AndF, OrF, DiaF))
     ]
     negation = {psi: neg_nnf(psi) for psi in atoms + compound}

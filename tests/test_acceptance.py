@@ -21,13 +21,7 @@ from nnmdl.oracle import (
     count_models,
     formula_signature,
 )
-from nnmdl.semantics import (
-    FrameClass,
-    add_unit,
-    check_frame_class,
-    close_intersection,
-    close_supplementation,
-)
+from nnmdl.semantics import FrameClass, check_frame_class
 from nnmdl.syntax import (
     closure,
     neg_nnf,
@@ -43,6 +37,7 @@ from corpus import (
     random_normalized_formula,
     random_raw_formula_any,
 )
+from test_semantics import add_unit, close_intersection, close_supplementation
 
 CORPUS_SEED = 74453
 CORPUS_SIZE = 500
@@ -57,6 +52,11 @@ CLASSES = (FrameClass.E, FrameClass.M, FrameClass.C, FrameClass.N)
 #: (a cap above count_candidates' raw count, which the filter keeps small).
 SLICE_BOUNDS = OracleBounds(max_worlds=3, max_domain=1, candidate_cap=10**10)
 SLICE_BUDGET = 600_000
+
+
+def constraint_count(system) -> int:
+    """The formulas, concepts and roles asserted at one label."""
+    return len(system.formulas) + len(system.concepts) + len(system.roles)
 
 
 @dataclass
@@ -92,7 +92,7 @@ def corpus_results():
                 completion = result.completion
                 labels = len(completion.systems)
                 max_constraints = max(
-                    s.constraint_count() for s in completion.systems
+                    constraint_count(s) for s in completion.systems
                 )
                 ok = validate(result.model, phi, fc)
                 model = result.model

@@ -505,6 +505,14 @@ def test_deep_chain_abstract(capsys, left):
             "model field 'neighbourhoods' has modality indices ' 1' and '1', "
             "which are the same integer",
         ),
+        (
+            {
+                "worlds": ["w", "v"],
+                "domains": {"w": ["d"], "v": ["e"]},
+                "constant_domain": "false",
+            },
+            "model field 'constant_domain' is not a boolean",
+        ),
     ],
 )
 def test_validate_rejects_malformed_model_file(capsys, tmp_path, document, message):

@@ -1,14 +1,10 @@
 import random
+from typing import NamedTuple
 
 import pytest
 
-from nnmdl.extraction import (
-    TruthApproximation,
-    extract_model,
-    floors_ceilings,
-    validate,
-)
-from nnmdl.semantics import FrameClass, check_frame_class, satisfies
+from nnmdl.extraction import _bracket, extract_model, validate
+from nnmdl.semantics import Evaluator, FrameClass, check_frame_class, satisfies
 from nnmdl.syntax import (
     AndF,
     AtomicConcept,
@@ -40,6 +36,30 @@ def completed(phi, fc):
 
 
 # -- floors and ceilings -------------------------------------------------------
+
+class TruthApproximation(NamedTuple):
+    """Labels forced to carry a term (floor) and labels merely allowed
+    to (ceiling).  floor <= ceiling whenever the source set is clash-free."""
+
+    floor: frozenset
+    ceil: frozenset
+
+
+def floors_ceilings(tableau, term, var=None) -> TruthApproximation:
+    """Bracket of a term as `extraction._bracket` reads it from the state's
+    `holders` masks, with labels as the names: floor collects labels
+    asserting it (at the given variable for concepts), the ceiling drops
+    labels asserting its negation."""
+    item = term
+    if isinstance(term, Concept):
+        if var is None:
+            raise ValueError("concept terms need a variable")
+        item = (term, var)
+    labels = range(len(tableau.systems))
+    return TruthApproximation(
+        *_bracket(tableau.holders, item, labels, frozenset(labels))
+    )
+
 
 def test_floor_equals_ceiling_when_everywhere_asserted():
     tableau = completed(P, FrameClass.E)
@@ -208,14 +228,12 @@ def test_validate_positive_on_corpus():
 
 
 def test_validate_negative_control():
-    from nnmdl.semantics import truth_set_formula
-
     phi = AndF(BoxF(1, P), DiaF(1, Q))
     tableau = completed(phi, FrameClass.E)
     model = extract_model(tableau, FrameClass.E)
     assert satisfies(model, "0", normalize(phi))
     # removing the box body's truth set from world 0 falsifies the box there
-    body_set = truth_set_formula(model, P)
+    body_set = Evaluator(model).formula_truth_set(P)
     assert body_set in model.neighbourhoods[1]["0"]
     model.neighbourhoods[1]["0"] = model.neighbourhoods[1]["0"] - {body_set}
     assert not satisfies(model, "0", normalize(phi))

@@ -7,7 +7,6 @@ from nnmdl.fragment import (
     INNER_BOX_CAP,
     FragmentCapError,
     FragmentError,
-    check_g_fragment,
     prop_abstraction,
     serialize_prop,
     solve_fragment,
@@ -52,15 +51,17 @@ Q = CI(Top(), B)
 # -- fragment membership -------------------------------------------------------
 
 def test_formula_level_modalities_allowed():
-    assert check_g_fragment(BoxF(1, P))
+    prop_abstraction(BoxF(1, P))
 
 
 def test_concept_level_box_rejected():
-    assert not check_g_fragment(CI(Top(), Box(1, A)))
+    with pytest.raises(FragmentError):
+        prop_abstraction(CI(Top(), Box(1, A)))
 
 
 def test_nested_concept_diamond_rejected():
-    assert not check_g_fragment(BoxF(1, NotF(CI(A, Dia(2, B)))))
+    with pytest.raises(FragmentError):
+        prop_abstraction(BoxF(1, NotF(CI(A, Dia(2, B)))))
 
 
 # -- abstraction -----------------------------------------------------------------

@@ -1,0 +1,88 @@
+"""The package's public names are the ones its entry points run.
+
+`nnmdl.__all__` is sorted and resolves, and each of its names is used by
+some module of the package other than `__init__` and the module that
+defines it, or is on `UNCALLED` with a one-line reason.  A helper only the
+tests call belongs next to those tests, not in the library.
+"""
+
+import ast
+from pathlib import Path
+
+import nnmdl
+
+PACKAGE = Path(nnmdl.__file__).parent
+
+#: Public names no other module of the package uses, each with its reason.
+UNCALLED = {
+    "Abstraction": "the result type of `prop_abstraction`",
+    "FragmentResult": "the result type of `solve_fragment`",
+    "OracleResult": "the result type of `brute_force_sat`",
+    "Signature": "the signature `enumerate_models` ranges over",
+    "SolveResult": "the result type of `solve`",
+    "enumerate_models": "the oracle's model space, walked by perfbench and "
+    "by the tests' reference evaluator",
+    "find_applicable": "whole-state reference rule choice, bound by perfbench "
+    "and checked against the search",
+    "init": "the start state of `solve` and of the reference steps",
+    "is_clash": "whole-state reference clash test, bound by perfbench",
+    "parse_concept": "the parser's entry for the concept sort",
+    "weight": "the structural weight measure, a termination ordering the "
+    "tests check",
+}
+
+
+def _identifiers(module: Path) -> set:
+    """Every name, attribute and imported name used in a module's code;
+    comments and docstrings do not count."""
+    found = set()
+    for node in ast.walk(ast.parse(module.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+#: Module name -> the identifiers its code uses, parsed once.
+IDENTIFIERS = {
+    module.stem: _identifiers(module) for module in sorted(PACKAGE.glob("*.py"))
+}
+
+
+def _users(name: str) -> list:
+    """The modules of the package, other than `__init__` and the defining
+    module, that use `name`."""
+    home = getattr(nnmdl, name).__module__.rpartition(".")[2]
+    return [
+        module
+        for module, used in IDENTIFIERS.items()
+        if module not in ("__init__", home) and name in used
+    ]
+
+
+def test_all_is_sorted_without_duplicates():
+    assert nnmdl.__all__ == sorted(set(nnmdl.__all__))
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in nnmdl.__all__ if not hasattr(nnmdl, name)]
+    assert missing == []
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    uncalled = [
+        name
+        for name in nnmdl.__all__
+        if name not in UNCALLED and not _users(name)
+    ]
+    assert uncalled == []
+
+
+def test_every_allowlist_entry_is_public_uncalled_and_explained():
+    for name, reason in UNCALLED.items():
+        assert name in nnmdl.__all__, name
+        assert _users(name) == [], name
+        assert reason.strip() and "\n" not in reason, name

@@ -4,17 +4,12 @@ import random
 import pytest
 
 from nnmdl.semantics import (
+    Evaluator,
     FrameClass,
     ModelTooLargeError,
     NeighbourhoodModel,
-    add_unit,
     check_frame_class,
-    close_intersection,
-    close_supplementation,
-    interpret_concept,
     satisfies,
-    truth_set_concept,
-    truth_set_formula,
 )
 from nnmdl.syntax import (
     AtomicConcept,
@@ -75,27 +70,27 @@ def single_world(neigh=None, a_ext=("d",)):
 
 def test_interpret_complement():
     model = single_world()
-    assert interpret_concept(model, "w", Not(A)) == frozenset()
+    assert Evaluator(model).concept_ext("w", Not(A)) == frozenset()
 
 
 def test_interpret_box_via_truth_set():
     model = single_world(neigh=[{"w"}])
-    assert interpret_concept(model, "w", Box(1, A)) == frozenset({"d"})
+    assert Evaluator(model).concept_ext("w", Box(1, A)) == frozenset({"d"})
 
 
 def test_interpret_box_missing_neighbourhood():
     model = single_world(neigh=[])
-    assert interpret_concept(model, "w", Box(1, A)) == frozenset()
+    assert Evaluator(model).concept_ext("w", Box(1, A)) == frozenset()
 
 
 def test_interpret_unknown_world():
     with pytest.raises(ValueError, match="unknown world"):
-        interpret_concept(single_world(), "v", A)
+        Evaluator(single_world()).concept_ext("v", A)
 
 
 def test_interpret_modality_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        interpret_concept(single_world(), "w", Box(2, A))
+        Evaluator(single_world()).concept_ext("w", Box(2, A))
 
 
 def test_interpret_exists_two_world_table():
@@ -110,9 +105,10 @@ def test_interpret_exists_two_world_table():
     )
     # Hand enumeration: at u, members with an r-successor in A = {d, e};
     # at v, d loops onto itself and d is in A.
-    assert interpret_concept(model, "u", Exists("r", A)) == frozenset({"d", "e"})
-    assert interpret_concept(model, "v", Exists("r", A)) == frozenset({"d"})
-    assert interpret_concept(model, "u", Exists("r", Not(A))) == frozenset()
+    ext = Evaluator(model).concept_ext
+    assert ext("u", Exists("r", A)) == frozenset({"d", "e"})
+    assert ext("v", Exists("r", A)) == frozenset({"d"})
+    assert ext("u", Exists("r", Not(A))) == frozenset()
 
 
 # -- truth sets ---------------------------------------------------------------
@@ -122,13 +118,13 @@ def test_truth_set_top_is_domain_membership():
         ["u", "v"],
         {"u": {"d", "e"}, "v": {"d"}},
     )
-    assert truth_set_concept(model, "e", Top()) == frozenset({"u"})
-    assert truth_set_concept(model, "d", Top()) == frozenset({"u", "v"})
+    assert Evaluator(model).concept_truth_set("e", Top()) == frozenset({"u"})
+    assert Evaluator(model).concept_truth_set("d", Top()) == frozenset({"u", "v"})
 
 
 def test_truth_set_bot_empty():
     model = single_world()
-    assert truth_set_concept(model, "d", Bot()) == frozenset()
+    assert Evaluator(model).concept_truth_set("d", Bot()) == frozenset()
 
 
 def test_truth_set_varying_domain_excludes_absent():
@@ -137,8 +133,8 @@ def test_truth_set_varying_domain_excludes_absent():
         {"u": {"d", "e"}, "v": {"d"}},
         concepts={"u": {"A": {"d", "e"}}, "v": {"A": {"d"}}},
     )
-    assert truth_set_concept(model, "e", A) == frozenset({"u"})
-    assert truth_set_concept(model, "e", Not(A)) == frozenset()
+    assert Evaluator(model).concept_truth_set("e", A) == frozenset({"u"})
+    assert Evaluator(model).concept_truth_set("e", Not(A)) == frozenset()
 
 
 # -- formula satisfaction ------------------------------------------------------
@@ -187,7 +183,7 @@ def test_formula_truth_set():
         {"u": {"d"}, "v": {"d"}},
         concepts={"u": {"A": {"d"}}, "v": {"A": set()}},
     )
-    assert truth_set_formula(model, CI(Top(), A)) == frozenset({"u"})
+    assert Evaluator(model).formula_truth_set(CI(Top(), A)) == frozenset({"u"})
 
 
 # -- frame classes --------------------------------------------------------------
@@ -236,6 +232,72 @@ def test_supplementation_check_size_guard():
 
 
 # -- closure operations -----------------------------------------------------------
+#
+# Pointwise closures of a model's neighbourhood collections, used by these
+# tests and the acceptance suite's unit invariants to build models of each
+# frame class.
+
+
+def _rebuild_neighbourhoods(model, transform) -> NeighbourhoodModel:
+    return NeighbourhoodModel(
+        worlds=model.worlds,
+        constant_domain=model.constant_domain,
+        domains=dict(model.domains),
+        concepts={w: dict(ext) for w, ext in model.concepts.items()},
+        roles={w: dict(ext) for w, ext in model.roles.items()},
+        neighbourhoods={
+            index: {
+                world: transform(per_world.get(world, frozenset()))
+                for world in model.worlds
+            }
+            for index, per_world in model.neighbourhoods.items()
+        },
+    )
+
+
+def close_supplementation(model: NeighbourhoodModel) -> NeighbourhoodModel:
+    """Smallest pointwise extension closed under supersets; idempotent."""
+    ws = model.world_set()
+
+    def up_close(collection):
+        out = set(collection)
+        frontier = list(collection)
+        while frontier:
+            alpha = frontier.pop()
+            for w in ws - alpha:
+                bigger = alpha | {w}
+                if bigger not in out:
+                    out.add(bigger)
+                    frontier.append(bigger)
+        return frozenset(out)
+
+    return _rebuild_neighbourhoods(model, up_close)
+
+
+def close_intersection(model: NeighbourhoodModel) -> NeighbourhoodModel:
+    """Smallest pointwise extension closed under binary intersection."""
+
+    def meet_close(collection):
+        out = set(collection)
+        changed = True
+        while changed:
+            changed = False
+            for a in list(out):
+                for b in list(out):
+                    meet = a & b
+                    if meet not in out:
+                        out.add(meet)
+                        changed = True
+        return frozenset(out)
+
+    return _rebuild_neighbourhoods(model, meet_close)
+
+
+def add_unit(model: NeighbourhoodModel) -> NeighbourhoodModel:
+    """Adds the full world set to every neighbourhood collection."""
+    ws = model.world_set()
+    return _rebuild_neighbourhoods(model, lambda collection: collection | {ws})
+
 
 def test_close_intersection_example():
     model = two_world_model([{"w"}, {"v"}])

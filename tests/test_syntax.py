@@ -226,10 +226,25 @@ def test_weight_invariant_under_negation_random():
         assert weight(phi) == weight(neg_nnf(phi))
 
 
-@pytest.mark.parametrize("function", [weight, neg_nnf, serialize, closure, normalize])
+@pytest.mark.parametrize(
+    "function",
+    [
+        weight,
+        neg_nnf,
+        serialize,
+        closure,
+        normalize,
+        # A node refuses a non-term child when it is built.
+        pytest.param(lambda value: And(value, A), id="And"),
+        pytest.param(NotF, id="NotF"),
+        pytest.param(lambda value: BoxF(1, value), id="BoxF"),
+    ],
+)
 def test_a_non_term_is_a_type_error(function):
+    interned = dict(syntax._TERMS)
     with pytest.raises(TypeError, match="^not a concept or formula: 42$"):
         function(42)
+    assert syntax._TERMS == interned
 
 
 # -- walks ------------------------------------------------------------------

@@ -41,12 +41,12 @@ from nnmdl.tableau import (
     find_applicable,
     init,
     is_clash,
-    is_complete,
     label_budget,
     solve,
 )
 
 from corpus import random_normalized_formula
+from test_acceptance import constraint_count
 from test_agenda import label_contents
 from test_search_pin import box_dia
 
@@ -238,29 +238,29 @@ def test_apply_branch_out_of_range():
 def test_completeness_checks():
     phi = normalize(CI(Top(), A))
     tableau = init(phi, FrameClass.E)
-    assert not is_complete(tableau)  # R_eq pending
+    assert find_applicable(tableau)  # R_eq pending
     inst = find_applicable(tableau)[0]
     assert inst.rule == R_EQ
     out = apply(tableau, inst, 0)
-    assert is_complete(out)
+    assert not find_applicable(out)
 
 
 def test_trivial_inclusion_complete_immediately():
     # top(x) is already present, so the inclusion's conclusion needs nothing
     phi = normalize(CI(Top(), Top()))
-    assert is_complete(init(phi, FrameClass.E))
+    assert not find_applicable(init(phi, FrameClass.E))
 
 
 def test_pending_conjunction_not_complete():
     phi = normalize(AndF(P, Q))
-    assert not is_complete(init(phi, FrameClass.E))
+    assert find_applicable(init(phi, FrameClass.E))
 
 
 def test_diamond_without_boxes_complete_under_e():
     phi = normalize(DiaF(1, NotF(CI(Top(), Top()))))
     result = solve(phi, FrameClass.E)
     assert result.verdict == "sat"
-    assert is_complete(result.completion)
+    assert not find_applicable(result.completion)
     assert len(result.completion.systems) == 1
 
 
@@ -420,12 +420,12 @@ def test_monotone_growth_and_closure_membership():
                 if not instances:
                     break
                 before = {
-                    n: state.systems[n].constraint_count()
+                    n: constraint_count(state.systems[n])
                     for n in range(len(state.systems))
                 }
                 state = apply(state, instances[0], 0)
                 for n, count in before.items():
-                    assert state.systems[n].constraint_count() >= count
+                    assert constraint_count(state.systems[n]) >= count
                 for system in state.systems:
                     for psi in system.formulas:
                         assert psi in clo.for_neg
