@@ -21,13 +21,13 @@ A call walks the formula once, for its signature and for all of its
 evaluation that does not depend on the shape (world count and domain
 sizes).  What depends only on the shapes is built once per process, in
 one table keyed by the signature's size, the bounds and the class: each
-shape's mask ranges, collections, domain masks and decode templates.  A
-shape then only binds one closure per step.  Subterms without a modal
-operator at or below them are evaluated once per ALC skeleton (domains,
-concepts, roles), and only the modal layer above them once per
-neighbourhood choice.  Only the witness is decoded into a
-`NeighbourhoodModel`, from its own masks, by the `_decode` that
-`enumerate_models` uses for every model.
+shape's mask ranges, collections and domain masks.  A shape then only
+binds one closure per step.  Subterms without a modal operator at or
+below them are evaluated once per ALC skeleton (domains, concepts,
+roles), and only the modal layer above them once per neighbourhood
+choice.  Only the witness is decoded into a `NeighbourhoodModel`, from
+its own masks, by the `_decode` that `enumerate_models` calls once per
+model.
 
 A formula without a modal operator is decided on the one-world shapes
 alone.  Its value at a world depends only on that world's domain,
@@ -230,6 +230,13 @@ def count_candidates(signature: Signature, bounds: OracleBounds) -> int:
 
 _WORLDS = tuple(f"w{i}" for i in range(2 * DEFAULT_MAX_WORLDS))
 _ELEMENTS = tuple(f"d{i}" for i in range(2 * DEFAULT_MAX_DOMAIN))
+#: The world sets by index: index alpha holds w{i} when bit i is set, so
+#: the sets over k worlds are the first 2^k entries.
+_WORLD_SETS = tuple(mask_members(a, _WORLDS) for a in range(1 << len(_WORLDS)))
+#: Per domain size s, the element pairs by bit: bit d * s + e is (d{d}, d{e}).
+_PAIRS = tuple(
+    tuple(product(_ELEMENTS[:s], repeat=2)) for s in range(len(_ELEMENTS) + 1)
+)
 
 
 class _Shape(NamedTuple):
@@ -244,6 +251,7 @@ class _Shape(NamedTuple):
     (i - 1) * wcount + j, of `axes`.  Both are walked in `product` order."""
 
     wcount: int
+    sizes: tuple[int, ...]
     ranges: tuple  # the concept axes' mask ranges, the role axes'
     collections: tuple[int, ...]
     axes: int
@@ -260,8 +268,6 @@ class _Shape(NamedTuple):
     rows: tuple
     name_axes: tuple
     modal_axes: tuple
-    # The decode templates: see `_decode`.
-    decode: tuple
 
     def skeletons(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         concepts, roles = self.ranges
@@ -271,16 +277,14 @@ class _Shape(NamedTuple):
         return product(self.collections, repeat=self.axes)
 
 
-def _shape(sizes, constant, n_names, n_roles, modalities, world_sets, collections):
+def _shape(sizes, n_names, n_roles, modalities, collections):
     wcount, worlds = len(sizes), _WORLDS[: len(sizes)]
     indexes, axes = range(wcount), wcount * modalities
     sweep_size = len(collections) ** axes
     skeletons = 2 ** (sum(sizes) * n_names + sum(s * s for s in sizes) * n_roles)
-    # Per world, the element pairs by bit: bit d * size + e is (d{d}, d{e}).
-    pairs = [tuple(product(_ELEMENTS[:s], repeat=2)) for s in sizes]
-    by_index = list(enumerate(worlds))
     return _Shape(
         wcount,
+        sizes,
         ranges=(
             tuple(range(1 << s) for s in sizes for _ in range(n_names)),
             tuple(range(1 << s * s) for s in sizes for _ in range(n_roles)),
@@ -305,14 +309,6 @@ def _shape(sizes, constant, n_names, n_roles, modalities, world_sets, collection
             tuple((m + w, range(sizes[w]), 1 << w, worlds[w]) for w in indexes)
             for m in range(0, axes, wcount)
         ),
-        decode=(
-            worlds,
-            constant,
-            world_sets,
-            tuple((w, frozenset(_ELEMENTS[:s])) for w, s in zip(worlds, sizes)),
-            tuple((w, j * n_names, (j + 1) * n_names, _ELEMENTS) for j, w in by_index),
-            tuple((w, j * n_roles, (j + 1) * n_roles, pairs[j]) for j, w in by_index),
-        ),
     )
 
 
@@ -332,19 +328,18 @@ def _build_space(key: tuple) -> tuple[_Shape, ...]:
     """The shapes of a bounded space in enumeration order: world count,
     then domain sizes."""
     n_names, n_roles, modalities, max_worlds, max_domain, domain_mode, frame_class = key
-    sizes, constant = range(1, max_domain + 1), domain_mode == "constant"
+    sizes = range(1, max_domain + 1)
     shapes: list[_Shape] = []
     for wcount in range(1, max_worlds + 1):
-        world_sets = tuple(mask_members(alpha, _WORLDS) for alpha in range(1 << wcount))
+        world_sets = _WORLD_SETS[: 1 << wcount]
         # Without a modality a skeleton has one model and no collection.
         collections = _admitted(world_sets, frame_class) if modalities else ()
-        if constant:
+        if domain_mode == "constant":
             combos = [(s,) * wcount for s in sizes]
         else:
             combos = product(sizes, repeat=wcount)
         shapes += [
-            _shape(c, constant, n_names, n_roles, modalities, world_sets, collections)
-            for c in combos
+            _shape(c, n_names, n_roles, modalities, collections) for c in combos
         ]
     return tuple(shapes)
 
@@ -388,60 +383,38 @@ def count_models(
     return sum(shape.models for shape in _mask_space(signature, bounds, frame_class))
 
 
-def _cached_members(cache: dict, mask: int, items) -> frozenset:
-    members = cache.get(mask)
-    if members is None:
-        members = cache[mask] = mask_members(mask, items)
-    return members
-
-
-def _extensions(names, masks, worlds) -> dict:
-    """Per world, the set of each name under the skeleton's masks; see
-    `_decode` for `worlds`."""
-    return {
-        w: {a: _cached_members(cache, m, items) for a, m in zip(names, masks[lo:hi])}
-        for w, lo, hi, items, cache in worlds
-    }
-
-
 def _decode(
-    shape: _Shape, signature: Signature, skeletons
-) -> Iterator[NeighbourhoodModel]:
-    """The models of the shape at the given skeletons (concept masks, role
-    masks, choices), one per choice, in order.  Each set is decoded once
-    and shared by every model that holds it, and consecutive skeletons
-    with the same concept masks share their concept extensions; treat the
-    models as immutable."""
-    # The world names, the world sets by index (index alpha holds w{i} when
-    # bit i is set) and (world, domain) pairs; per world of each kind, its
-    # name, the slice of the masks and the items a mask's bits stand for.
-    worlds, constant, world_sets, domains, concept_worlds, role_worlds = shape.decode
-    domains = dict(domains)
-    # With the sets decoded so far by mask, per world.
-    concept_worlds = [(*world, {}) for world in concept_worlds]
-    role_worlds = [(*world, {}) for world in role_worlds]
-    collections: dict = {}
-    last_concepts = None
-    for concepts, roles, choices in skeletons:
-        if concepts != last_concepts:
-            last_concepts = concepts
-            concept_ext = _extensions(signature.concept_names, concepts, concept_worlds)
-        role_ext = _extensions(signature.role_names, roles, role_worlds)
-        for choice in choices:
-            yield NeighbourhoodModel(
-                worlds=worlds,
-                constant_domain=constant,
-                domains=domains,
-                concepts=concept_ext,
-                roles=role_ext,
-                neighbourhoods={
-                    i: {
-                        w: _cached_members(collections, choice[k], world_sets)
-                        for k, _, _, w in per_world
-                    }
-                    for i, per_world in enumerate(shape.modal_axes, 1)
-                },
-            )
+    shape: _Shape, signature: Signature, bounds: OracleBounds, concepts, roles, choice
+) -> NeighbourhoodModel:
+    """The model of the shape with the given concept masks, role masks and
+    neighbourhood choice."""
+    worlds, sizes = _WORLDS[: shape.wcount], shape.sizes
+    names, role_names = signature.concept_names, signature.role_names
+    n_names, n_roles = len(names), len(role_names)
+    world_sets = _WORLD_SETS[: 1 << shape.wcount]
+    return NeighbourhoodModel(
+        worlds=worlds,
+        constant_domain=bounds.domain_mode == "constant",
+        domains={w: frozenset(_ELEMENTS[:s]) for w, s in zip(worlds, sizes)},
+        concepts={
+            w: {
+                a: mask_members(m, _ELEMENTS)
+                for a, m in zip(names, concepts[j * n_names : (j + 1) * n_names])
+            }
+            for j, w in enumerate(worlds)
+        },
+        roles={
+            w: {
+                r: mask_members(m, _PAIRS[s])
+                for r, m in zip(role_names, roles[j * n_roles : (j + 1) * n_roles])
+            }
+            for j, (w, s) in enumerate(zip(worlds, sizes))
+        },
+        neighbourhoods={
+            i: {w: mask_members(choice[k], world_sets) for k, _, _, w in per_world}
+            for i, per_world in enumerate(shape.modal_axes, 1)
+        },
+    )
 
 
 def enumerate_models(
@@ -452,15 +425,15 @@ def enumerate_models(
     """Every model within bounds whose frame lies in the class.
 
     Models are produced up to the fixed naming w0.. / d0.. (domains are
-    prefixes of the element pool; no further isomorphism pruning).
-    Models share the sets and dictionaries they have in common; treat
-    them as immutable.  The walk covers every shape, also for a
-    signature without modalities, so it is the reference that
-    `brute_force_sat`'s one-world rule is tested against.
+    prefixes of the element pool; no further isomorphism pruning).  The
+    walk covers every shape, also for a signature without modalities, so
+    it is the reference that `brute_force_sat`'s one-world rule is tested
+    against.
     """
     for shape in _mask_space(signature, bounds, frame_class, bounds.candidate_cap):
-        skeletons = ((c, r, shape.choices()) for c, r in shape.skeletons())
-        yield from _decode(shape, signature, skeletons)
+        for concepts, roles in shape.skeletons():
+            for choice in shape.choices():
+                yield _decode(shape, signature, bounds, concepts, roles, choice)
 
 
 # ---------------------------------------------------------------------------
@@ -699,6 +672,8 @@ def brute_force_sat(
     the later shapes count as checked; verdict, witness and count are
     those of the full walk.
     """
+    if not isinstance(phi, Formula):
+        raise TypeError(f"not a formula: {phi!r}")
     if bounds is None:
         bounds = OracleBounds()
     signature, plan = _compile(phi)
@@ -717,7 +692,7 @@ def brute_force_sat(
                 checked += shape.sweep_size
                 continue
             position, choice, holds = hit
-            model = next(_decode(shape, signature, [(concepts, roles, [choice])]))
+            model = _decode(shape, signature, bounds, concepts, roles, choice)
             world = model.worlds[(holds & -holds).bit_length() - 1]
             return OracleResult(SAT, model, world, checked + position)
     return OracleResult(

@@ -73,7 +73,11 @@ class Term:
             node = object.__new__(cls)
             for name, value in zip(cls._fields, args):
                 object.__setattr__(node, name, value)
-            for child in _CHILDREN[cls](node):
+            try:
+                children = _CHILDREN[cls]
+            except KeyError:
+                raise TypeError(f"{cls.__qualname__} is abstract") from None
+            for child in children(node):
                 if child.__class__ not in _CHILDREN:
                     raise TypeError(f"not a concept or formula: {child!r}")
             object.__setattr__(node, "_sort_key", None)

@@ -72,11 +72,9 @@ from .syntax import (
     Exists,
     Forall,
     Formula,
-    Not,
     NotF,
     Or,
     OrF,
-    Top,
     TOP,
     closure,
     Closure,
@@ -1259,6 +1257,8 @@ def solve(
     an engine bug, not an input error).  Result stats aggregate the whole
     search, including backtracked applications.
     """
+    if not isinstance(phi, Formula):
+        raise TypeError(f"not a formula: {phi!r}")
     if options is None:
         options = SolveOptions()
     phi = normalize(phi)

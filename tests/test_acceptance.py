@@ -30,7 +30,7 @@ from nnmdl.syntax import (
     serialize,
     weight,
 )
-from nnmdl.tableau import SolveOptions, label_budget, solve
+from nnmdl.tableau import label_budget, solve
 
 from corpus import (
     random_g_formula,

@@ -5,14 +5,24 @@ field dropped, a field or one of its entries given another JSON type,
 the text truncated) and run through `validate`; formula texts are
 truncated or have one keyword swapped for another and run through
 `solve` and `abstract`.  Every run must exit 0, 1 or 2, and none may
-report an internal error, which the CLI keeps for engine defects.
+report an internal error, which the CLI keeps for engine defects.  The
+library's entry points refuse a value that is not a formula with a
+`TypeError`, not an engine error.
 """
 
 import json
 import random
+import re
 
+import pytest
+
+from nnmdl import syntax
 from nnmdl.cli import EXIT_ERROR, EXIT_SAT, main
-from nnmdl.syntax import serialize
+from nnmdl.fragment import solve_fragment
+from nnmdl.oracle import brute_force_sat
+from nnmdl.semantics import FrameClass
+from nnmdl.syntax import AtomicConcept, serialize
+from nnmdl.tableau import solve
 
 from corpus import random_normalized_formula
 
@@ -110,3 +120,21 @@ def test_damaged_input_is_never_an_internal_error(capsys, monkeypatch, tmp_path)
     assert exported >= 6
     assert runs > 1000
     assert failures == []
+
+
+@pytest.mark.parametrize("value", [AtomicConcept("A"), 42], ids=["concept", "int"])
+@pytest.mark.parametrize(
+    "entry, frame_class",
+    [
+        (solve, FrameClass.E),
+        (solve_fragment, FrameClass.C),
+        (brute_force_sat, FrameClass.E),
+    ],
+    ids=["solve", "solve_fragment", "brute_force_sat"],
+)
+def test_a_non_formula_is_a_type_error(entry, frame_class, value):
+    interned = dict(syntax._TERMS)
+    message = f"^{re.escape(f'not a formula: {value!r}')}$"
+    with pytest.raises(TypeError, match=message):
+        entry(value, frame_class)
+    assert syntax._TERMS == interned

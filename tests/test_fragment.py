@@ -29,8 +29,6 @@ from nnmdl.syntax import (
     Top,
     closure,
     neg_nnf,
-    normalize,
-    parse_formula,
 )
 
 from corpus import random_g_formula

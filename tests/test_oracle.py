@@ -106,6 +106,20 @@ def test_class_filter_matches_checker():
         assert filtered == direct
 
 
+def test_enumerated_models_share_no_dict():
+    signature = Signature(("A",), ("r",), 1)
+    bounds = OracleBounds(max_worlds=1, max_domain=1)
+    models = enumerate_models(signature, bounds, FrameClass.E)
+    expected = [model.to_json() for model in islice(models, 2)]
+    models = enumerate_models(signature, bounds, FrameClass.E)
+    first = next(models)
+    first.domains.clear()
+    first.concepts["w0"].clear()
+    first.roles["w0"].clear()
+    first.neighbourhoods[1].clear()
+    assert next(models).to_json() == expected[1]
+
+
 def test_enumerated_models_satisfy_their_class():
     signature = Signature((), (), 1)
     bounds = OracleBounds(max_worlds=2, max_domain=1)

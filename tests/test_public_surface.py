@@ -3,7 +3,8 @@
 `nnmdl.__all__` is sorted and resolves, and each of its names is used by
 some module of the package other than `__init__` and the module that
 defines it, or is on `UNCALLED` with a one-line reason.  A helper only the
-tests call belongs next to those tests, not in the library.
+tests call belongs next to those tests, not in the library.  Every name a
+module of the package or of the tests imports is used in that module.
 """
 
 import ast
@@ -12,6 +13,7 @@ from pathlib import Path
 import nnmdl
 
 PACKAGE = Path(nnmdl.__file__).parent
+TESTS = Path(__file__).parent
 
 #: Public names no other module of the package uses, each with its reason.
 UNCALLED = {
@@ -32,18 +34,31 @@ UNCALLED = {
 }
 
 
-def _identifiers(module: Path) -> set:
-    """Every name, attribute and imported name used in a module's code;
-    comments and docstrings do not count."""
+def _identifiers(module: Path, imports: bool = True) -> set:
+    """Every name, attribute and, unless `imports` is false, imported name
+    used in a module's code; comments and docstrings do not count."""
     found = set()
     for node in ast.walk(ast.parse(module.read_text())):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
-        elif isinstance(node, ast.alias):
+        elif imports and isinstance(node, ast.alias):
             found.add(node.name)
     return found
+
+
+def _imported(module: Path) -> set:
+    """The names a module's imports bind, `from __future__` aside."""
+    bound = set()
+    for node in ast.walk(ast.parse(module.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(
+                alias.asname or alias.name.partition(".")[0] for alias in node.names
+            )
+    return bound
 
 
 #: Module name -> the identifiers its code uses, parsed once.
@@ -86,3 +101,13 @@ def test_every_allowlist_entry_is_public_uncalled_and_explained():
         assert name in nnmdl.__all__, name
         assert _users(name) == [], name
         assert reason.strip() and "\n" not in reason, name
+
+
+def test_every_import_is_used():
+    unused = []
+    for module in [*sorted(PACKAGE.glob("*.py")), *sorted(TESTS.glob("*.py"))]:
+        used = _identifiers(module, imports=False)
+        if module.stem == "__init__":
+            used |= set(nnmdl.__all__)
+        unused += [f"{module.name}: {n}" for n in sorted(_imported(module) - used)]
+    assert unused == []

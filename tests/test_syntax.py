@@ -17,6 +17,7 @@ from nnmdl.syntax import (
     Box,
     BoxF,
     CI,
+    Concept,
     Dia,
     DiaF,
     Exists,
@@ -244,6 +245,14 @@ def test_a_non_term_is_a_type_error(function):
     interned = dict(syntax._TERMS)
     with pytest.raises(TypeError, match="^not a concept or formula: 42$"):
         function(42)
+    assert syntax._TERMS == interned
+
+
+@pytest.mark.parametrize("cls", [Term, Concept, Formula], ids=lambda c: c.__name__)
+def test_an_abstract_class_is_a_type_error(cls):
+    interned = dict(syntax._TERMS)
+    with pytest.raises(TypeError, match=f"^{cls.__name__} is abstract$"):
+        cls()
     assert syntax._TERMS == interned
 
 

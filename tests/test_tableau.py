@@ -14,14 +14,11 @@ from nnmdl.syntax import (
     Exists,
     Not,
     NotF,
-    Or,
-    OrF,
     Top,
     TOP,
     closure,
     neg_nnf,
     normalize,
-    parse_formula,
     serialize,
 )
 from nnmdl.tableau import (
