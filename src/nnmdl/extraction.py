@@ -41,8 +41,8 @@ from .semantics import (
     mask_members,
     satisfies,
 )
-from .syntax import AtomicConcept, Formula, neg_nnf
-from .tableau import CompletionSet, _modal_premises, blockers
+from .syntax import AtomicConcept, Formula
+from .tableau import CompletionSet, _modal_premises, _neg_item, blockers
 
 
 def _bracket(
@@ -52,25 +52,18 @@ def _bracket(
     variable) pair) as the entries of `names` indexed by label: the labels
     whose `holders` mask holds the item, and all but those holding its
     negation.  `full` is the set of all of `names`."""
-    if item.__class__ is tuple:
-        term, var = item
-        negated = (neg_nnf(term), var)
-    else:
-        negated = neg_nnf(item)
-    refuted = holders.get(negated, 0)
+    refuted = holders.get(_neg_item(item), 0)
     return (
         mask_members(holders.get(item, 0), names),
         mask_members(~refuted, names) if refuted else full,
     )
 
 
-def extract_model(
-    tableau: CompletionSet, frame_class: FrameClass
-) -> NeighbourhoodModel:
+def extract_model(tableau: CompletionSet) -> NeighbourhoodModel:
     """Read a finite model off a saturated clash-free completion set.
 
-    The result's frame lies in the requested class by construction, and
-    the formula the completion set was built for holds at world "0".
+    The result's frame lies by construction in the class the completion
+    set was built for, and its formula holds at world "0".
     Raises ValueError when the state has a clash.  Saturation is not
     checked here: it is the caller's responsibility, and `validate` only
     tests the model this returns.
@@ -83,6 +76,7 @@ def extract_model(
     modalities = tableau.closure.modalities
     role_names = sorted(tableau.closure.roles)
     holders = tableau.holders
+    frame_class = tableau.frame_class
 
     domains = {}
     concept_ext: dict[str, dict[str, frozenset[str]]] = {}

@@ -391,6 +391,7 @@ def solve_fragment(phi: Formula, frame_class: FrameClass) -> FragmentResult:
     """Constant-domain satisfiability through the abstraction."""
     if not isinstance(phi, Formula):
         raise TypeError(f"not a formula: {phi!r}")
+    frame_class = FrameClass(frame_class)
     if frame_class not in (FrameClass.C, FrameClass.N):
         raise ValueError(
             f"fragment procedure decides classes C and N, not {frame_class.value}"

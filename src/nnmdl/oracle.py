@@ -430,6 +430,7 @@ def enumerate_models(
     it is the reference that `brute_force_sat`'s one-world rule is tested
     against.
     """
+    frame_class = FrameClass(frame_class)
     for shape in _mask_space(signature, bounds, frame_class, bounds.candidate_cap):
         for concepts, roles in shape.skeletons():
             for choice in shape.choices():
@@ -674,6 +675,7 @@ def brute_force_sat(
     """
     if not isinstance(phi, Formula):
         raise TypeError(f"not a formula: {phi!r}")
+    frame_class = FrameClass(frame_class)
     if bounds is None:
         bounds = OracleBounds()
     signature, plan = _compile(phi)

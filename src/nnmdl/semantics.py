@@ -528,6 +528,7 @@ def check_frame_class(model: NeighbourhoodModel, frame_class: FrameClass) -> boo
     MAX_WORLDS_FOR_SUPPLEMENTATION worlds (the condition ranges over
     subsets of the world set).
     """
+    frame_class = FrameClass(frame_class)
     if frame_class is FrameClass.E:
         return True
     ws = model.world_set()
@@ -548,8 +549,5 @@ def check_frame_class(model: NeighbourhoodModel, frame_class: FrameClass) -> boo
             or intersection_closed_collection(collection)
             for _, _, collection in _collections(model)
         )
-    if frame_class is FrameClass.N:
-        return all(
-            ws in collection for _, _, collection in _collections(model)
-        )
-    raise ValueError(f"unknown frame class {frame_class!r}")
+    # N: the full world set belongs to every collection.
+    return all(ws in collection for _, _, collection in _collections(model))

@@ -33,7 +33,9 @@ class, which fixes the shape of R_L for the whole run.  From its first
 constraint on, every add pushes the rule instances it completes onto an
 agenda, a heap ordered by the same canonical key that `find_applicable`
 sorts by, and sets the state's clash flag when its NNF negation is
-already present (or it is a bottom concept).  The next instance is the
+already present (or it is a bottom concept).  A new formula or (concept,
+variable) pair takes one path there, `CompletionSet._put`, and the R_L
+instances are built in one place, `_modal_added`.  The next instance is the
 agenda's head once stale heads have been dropped; an R_exists instance
 that is only blocked is parked until its variable's concept set grows.
 The search extends the state in place, copies it only at a branch point
@@ -221,11 +223,14 @@ class CompletionSet:
     `clash_deps` is the union of the sets of the first pair of clashing
     constraints (a bottom concept's own set).  `agenda` is a heap of
     (key, instance) pairs holding every applicable rule instance of the
-    state's frame class, possibly with stale ones in between, and
-    `parked` holds, per (label, variable), the R_exists instances found
-    blocked.  `owned` has bit n set when this state may write label n's
-    system in place: `copy` shares the systems and clears both sides'
-    bits, and `_own` copies a shared system before its first write.
+    state's frame class, possibly with stale ones in between: each add
+    reaches it through `_put`, which stores, indexes, stamps and
+    clash-checks the constraint and pushes what it completes, with R_L
+    instances built by `_modal_added`.  `parked` holds, per (label,
+    variable), the R_exists instances found blocked.  `owned` has bit n
+    set when this state may write label n's system in place: `copy`
+    shares the systems and clears both sides' bits, and `_own` copies a
+    shared system before its first write.
     """
 
     __slots__ = (
@@ -253,7 +258,7 @@ class CompletionSet:
         self.next_var = 0
         self.phi = phi
         self.closure = phi_closure
-        self.frame_class = frame_class
+        self.frame_class = FrameClass(frame_class)
         self.clash = False
         self.clash_deps = 0
         self.holders: dict[Formula | tuple[Concept, int], int] = {}
@@ -310,15 +315,7 @@ class CompletionSet:
             raise EngineError(f"formula outside closure: {serialize(psi)}")
         if psi in self.systems[label].formulas:
             return
-        system = self._own(label)
-        system.formulas.add(psi)
-        self.holders[psi] = self.holders.get(psi, 0) | 1 << label
-        if self.stamp != system.deps_base:
-            self._stamp_with(label, psi)
-        neg = neg_nnf(psi)
-        if neg in system.formulas:
-            self._clash_with(system, neg)
-        self._formula_added(system, psi)
+        self._put(self._own(label), psi, psi, -1)
 
     def add_concept(self, label: int, concept: Concept, var: int) -> None:
         if concept not in self.closure.con_neg:
@@ -327,7 +324,7 @@ class CompletionSet:
         if (concept, var) in self.systems[label].concepts:
             return
         system = self._own(label)
-        self._put_concept(system, concept, var)
+        self._put(system, (concept, var), concept, var)
         self._add_variable(system, var)
 
     def add_role(self, label: int, role: str, x: int, y: int) -> None:
@@ -355,30 +352,47 @@ class CompletionSet:
         if var in system.variables:
             return
         system.variables.add(var)
-        self._put_concept(system, TOP, var)
+        if (TOP, var) not in system.concepts:
+            self._put(system, (TOP, var), TOP, var)
         for psi in system.formulas:
             if isinstance(psi, CI):
                 self._push(_eq_instance(system.label, psi, var))
 
-    def _put_concept(
-        self, system: ConstraintSystem, concept: Concept, var: int
+    def _put(
+        self, system: ConstraintSystem, item: BranchItem, term, var: int
     ) -> None:
-        """Add a pair to a system this state owns."""
-        pair = (concept, var)
-        if pair in system.concepts:
-            return
-        system.concepts.add(pair)
+        """Add a constraint absent from a system this state owns: the
+        formula `term` (`var` -1) or the pair (`term`, `var`), named `item`
+        as `holders` and `deps` name it.  Store and stamp it, flag a clash
+        when it is bottom (its own partner) or its NNF negation is present,
+        and push the instances whose last premise it is.  The variable's
+        parked R_exists instances get another look: a variable can only
+        become unblocked when its own concept set grows."""
         label = system.label
-        self.holders[pair] = self.holders.get(pair, 0) | 1 << label
+        store = system.formulas if var < 0 else system.concepts
+        store.add(item)
+        self.holders[item] = self.holders.get(item, 0) | 1 << label
         if self.stamp != system.deps_base:
-            self._stamp_with(label, pair)
-        if isinstance(concept, Bot):
-            self._clash_with(system, pair)
-        else:
-            neg = (neg_nnf(concept), var)
-            if neg in system.concepts:
-                self._clash_with(system, neg)
-        self._concept_added(system, concept, var)
+            self._stamp_with(label, item)
+        other = item if isinstance(term, Bot) else _neg_item(item)
+        if other in store:
+            self._clash_with(system, other)
+        inst = _premise_instance(label, term, var)
+        if inst is not None:
+            self._push(inst)
+        elif isinstance(term, CI):
+            for v in system.variables:
+                self._push(_eq_instance(label, term, v))
+        elif isinstance(term, Forall):
+            for role, x, y in system.roles:
+                if role == term.role and x == var:
+                    self._push(_forall_instance(label, term, y))
+        elif isinstance(term, (BoxF, DiaF, Box, Dia)):
+            box = isinstance(term, (BoxF, Box))
+            body = term.arg if var < 0 else (term.arg, var)
+            self._modal_added(system, term.index, body, box)
+        for entry in self.parked.pop((label, var), ()):
+            heappush(self.agenda, entry)
 
     def _stamp_with(self, label: int, key) -> None:
         self.deps[(label, key)] = self.stamp
@@ -404,77 +418,28 @@ class CompletionSet:
         the same instance once per index."""
         heappush(self.agenda, (_instance_key(inst), inst))
 
-    def _formula_added(self, system: ConstraintSystem, psi: Formula) -> None:
-        """Push the instances whose last premise is this new formula."""
-        inst = _premise_instance(system.label, psi)
-        if inst is not None:
-            self._push(inst)
-        elif isinstance(psi, CI):
-            for var in system.variables:
-                self._push(_eq_instance(system.label, psi, var))
-        elif isinstance(psi, BoxF):
-            self._box_added(system, psi.index, psi.arg)
-        elif isinstance(psi, DiaF):
-            self._diamond_added(system, psi.index, psi.arg)
-
-    def _concept_added(
-        self, system: ConstraintSystem, concept: Concept, var: int
+    def _modal_added(
+        self, system: ConstraintSystem, index: int, body: BranchItem, box: bool
     ) -> None:
-        """Push the instances whose last premise is this new concept, and
-        give the variable's parked R_exists instances another look: a
-        variable can only become unblocked when its own concept set grows."""
-        label = system.label
-        inst = _premise_instance(label, concept, var)
-        if inst is not None:
-            self._push(inst)
-        elif isinstance(concept, Forall):
-            for role, x, y in system.roles:
-                if role == concept.role and x == var:
-                    self._push(_forall_instance(label, concept, y))
-        elif isinstance(concept, Box):
-            self._box_added(system, concept.index, (concept.arg, var))
-        elif isinstance(concept, Dia):
-            self._diamond_added(system, concept.index, (concept.arg, var))
-        parked = self.parked.pop((label, var), None)
-        if parked:
-            for entry in parked:
-                heappush(self.agenda, entry)
-
-    def _box_added(
-        self, system: ConstraintSystem, index: int, box_item: BranchItem
-    ) -> None:
-        """R_L instances pairing a new box body with the label's diamonds
-        of the same index; under C, every box subset holding the new one."""
+        """Push the R_L instances a new box (or diamond) body completes,
+        the only place they are built for the agenda: N's diamond-alone
+        one, then each box choice of the index (under C, each subset)
+        holding the new box, paired with each diamond or the new one.  A
+        box without a diamond of its index enumerates no choice."""
+        label, frame_class = system.label, self.frame_class
+        if not box and frame_class is FrameClass.N:
+            self._push(_unit_instance(label, body))
         boxes, dias = _modal_premises(system)
-        diamonds = dias.get(index)
+        diamonds = dias.get(index) if box else (body,)
         if not diamonds:
             return
-        for gamma_items in _box_choices(boxes[index], self.frame_class):
-            if box_item not in gamma_items:
+        for gamma_items in _box_choices(boxes.get(index, []), frame_class):
+            if box and body not in gamma_items:
                 continue
             for delta_item in diamonds:
                 self._push(
-                    _modal_instance(
-                        system.label, self.frame_class, gamma_items, delta_item
-                    )
+                    _modal_instance(label, frame_class, gamma_items, delta_item)
                 )
-
-    def _diamond_added(
-        self, system: ConstraintSystem, index: int, delta_item: BranchItem
-    ) -> None:
-        """R_L instances of a new diamond body: N's diamond-alone shape and
-        the pairs with the label's boxes of the same index."""
-        if self.frame_class is FrameClass.N:
-            self._push(_unit_instance(system.label, delta_item))
-        boxes, _ = _modal_premises(system)
-        for gamma_items in _box_choices(
-            boxes.get(index, []), self.frame_class
-        ):
-            self._push(
-                _modal_instance(
-                    system.label, self.frame_class, gamma_items, delta_item
-                )
-            )
 
 
 def label_budget(fg_size: int, frame_class: FrameClass) -> int:
@@ -487,6 +452,7 @@ def label_budget(fg_size: int, frame_class: FrameClass) -> int:
 def init(phi: Formula, frame_class: FrameClass) -> CompletionSet:
     """Initial completion set for a frame class: the formula and one domain
     seed at label 0."""
+    frame_class = FrameClass(frame_class)
     tableau = CompletionSet(phi, closure(phi), frame_class)
     system = tableau.new_label()
     tableau.add_formula(system.label, phi)
@@ -603,9 +569,9 @@ def _instance_key(inst: RuleInstance):
 
 
 def _neg_item(item: BranchItem) -> BranchItem:
-    if isinstance(item, Formula):
-        return neg_nnf(item)
-    return (neg_nnf(item[0]), item[1])
+    if item.__class__ is tuple:
+        return (neg_nnf(item[0]), item[1])
+    return neg_nnf(item)
 
 
 def _holds_in(system: ConstraintSystem, item: BranchItem) -> bool:
@@ -1259,6 +1225,7 @@ def solve(
     """
     if not isinstance(phi, Formula):
         raise TypeError(f"not a formula: {phi!r}")
+    frame_class = FrameClass(frame_class)
     if options is None:
         options = SolveOptions()
     phi = normalize(phi)
@@ -1268,7 +1235,7 @@ def solve(
         return SolveResult("unsat", None, None, None, search.stats)
     model = None
     if options.extract:
-        model = extraction.extract_model(final, frame_class)
+        model = extraction.extract_model(final)
         if options.validate and not extraction.validate(
             model, phi, frame_class
         ):

@@ -14,6 +14,8 @@ import random
 import time
 from itertools import chain
 
+import pytest
+
 from nnmdl import tableau
 from nnmdl.semantics import FrameClass
 from nnmdl.syntax import (
@@ -334,6 +336,34 @@ def test_c_boxes_4_step_and_label_counts():
     assert result.stats.steps == 61
     assert result.stats.labels_created == 24
     print(f"\nc_boxes(4) under C: 61 steps in {elapsed:.2f} s")
+
+
+@pytest.mark.parametrize(
+    "phi, frame_class, pushes",
+    [
+        (c_boxes(4), FrameClass.C, 292),
+        (box_dia(6), FrameClass.E, 24),
+        (box_dia(6), FrameClass.M, 24),
+        (box_dia(6), FrameClass.C, 76),
+        (box_dia(6), FrameClass.N, 25),
+    ],
+    ids=["c_boxes4-C", "box_dia6-E", "box_dia6-M", "box_dia6-C", "box_dia6-N"],
+)
+def test_agenda_push_counts_are_pinned(monkeypatch, phi, frame_class, pushes):
+    # The agenda's heads are checked against `find_applicable`, its size
+    # is not: an instance pushed twice, or an R_L instance built for a
+    # box subset that does not hold the new box, leaves every head and
+    # verdict as it was and changes these counts.
+    calls = []
+    real_push = tableau.CompletionSet._push
+
+    def counting(state, inst):
+        calls.append(inst)
+        real_push(state, inst)
+
+    monkeypatch.setattr(tableau.CompletionSet, "_push", counting)
+    solve(phi, frame_class, SolveOptions(extract=False))
+    assert len(calls) == pushes
 
 
 def test_c_boxes_5_unsat_within_the_default_step_cap(monkeypatch):

@@ -7,22 +7,26 @@ truncated or have one keyword swapped for another and run through
 `solve` and `abstract`.  Every run must exit 0, 1 or 2, and none may
 report an internal error, which the CLI keeps for engine defects.  The
 library's entry points refuse a value that is not a formula with a
-`TypeError`, not an engine error.
+`TypeError`, not an engine error, and read a frame class given by name
+as the class itself, refusing an unknown name with a `ValueError`.
 """
 
+import inspect
 import json
 import random
 import re
 
 import pytest
 
+import nnmdl
 from nnmdl import syntax
 from nnmdl.cli import EXIT_ERROR, EXIT_SAT, main
+from nnmdl.extraction import validate
 from nnmdl.fragment import solve_fragment
-from nnmdl.oracle import brute_force_sat
-from nnmdl.semantics import FrameClass
-from nnmdl.syntax import AtomicConcept, serialize
-from nnmdl.tableau import solve
+from nnmdl.oracle import OracleBounds, Signature, brute_force_sat, enumerate_models
+from nnmdl.semantics import FrameClass, check_frame_class
+from nnmdl.syntax import AtomicConcept, closure, parse_formula, serialize
+from nnmdl.tableau import CompletionSet, init, next_instance, solve
 
 from corpus import random_normalized_formula
 
@@ -138,3 +142,63 @@ def test_a_non_formula_is_a_type_error(entry, frame_class, value):
     with pytest.raises(TypeError, match=message):
         entry(value, frame_class)
     assert syntax._TERMS == interned
+
+
+#: Unsat under C, sat under E, M and N.
+C2 = parse_formula(
+    "(and (and (sub top (box 1 (atom A))) (sub top (box 1 (atom B))))"
+    " (not (sub top (box 1 (and (atom A) (atom B))))))"
+)
+#: Unsat under N, whose search starts from N's diamond-alone instance.
+UNIT = parse_formula("(dia 1 (sub top bot))")
+BOX_DIA = parse_formula(
+    "(and (box 1 (sub top (atom A))) (dia 1 (sub top (atom B))))"
+)
+
+
+def _first_instance(frame_class):
+    state = CompletionSet(UNIT, closure(UNIT), frame_class)
+    state.add_formula(state.new_label().label, UNIT)
+    return next_instance(state)
+
+
+def _model():
+    return solve(BOX_DIA, FrameClass.N).model
+
+
+#: What each public entry point taking a frame class answers for one.
+ANSWERS = {
+    "CompletionSet": _first_instance,
+    "brute_force_sat": lambda fc: brute_force_sat(UNIT, fc).verdict,
+    "check_frame_class": lambda fc: check_frame_class(_model(), fc),
+    "enumerate_models": lambda fc: sum(
+        1 for _ in enumerate_models(Signature((), (), 1), OracleBounds(2, 1), fc)
+    ),
+    "init": lambda fc: next_instance(init(UNIT, fc)),
+    "solve": lambda fc: solve(C2, fc).verdict,
+    "solve_fragment": lambda fc: solve_fragment(UNIT, fc).verdict,
+    "validate": lambda fc: validate(_model(), BOX_DIA, fc),
+}
+
+
+def test_every_entry_point_taking_a_frame_class_is_covered():
+    taking = {
+        name
+        for name in nnmdl.__all__
+        if callable(obj := getattr(nnmdl, name))
+        and "frame_class" in inspect.signature(obj).parameters
+    }
+    assert taking == set(ANSWERS)
+
+
+@pytest.mark.parametrize("name", sorted(ANSWERS))
+@pytest.mark.parametrize("given", ["C", "N"])
+def test_a_frame_class_given_by_name_is_the_class(name, given):
+    answer = ANSWERS[name]
+    assert answer(given) == answer(FrameClass(given))
+
+
+@pytest.mark.parametrize("name", sorted(ANSWERS))
+def test_an_unknown_frame_class_is_a_value_error(name):
+    with pytest.raises(ValueError, match="'X' is not a valid FrameClass"):
+        ANSWERS[name]("X")

@@ -158,7 +158,7 @@ def test_floors_ceilings_match_a_label_scan_on_acceptance_corpus():
 def test_diamond_only_yields_empty_neighbourhoods():
     phi = DiaF(1, NotF(P))
     tableau = completed(phi, FrameClass.E)
-    model = extract_model(tableau, FrameClass.E)
+    model = extract_model(tableau)
     assert model.worlds == ("0",)
     assert model.neighbourhoods[1]["0"] == frozenset()
     assert satisfies(model, "0", normalize(phi))
@@ -167,7 +167,7 @@ def test_diamond_only_yields_empty_neighbourhoods():
 def test_blocked_variable_inherits_successor_edge():
     phi = CI(Top(), Exists("r", A))
     tableau = completed(phi, FrameClass.E)
-    model = extract_model(tableau, FrameClass.E)
+    model = extract_model(tableau)
     assert model.worlds == ("0",)
     pairs = model.roles["0"]["r"]
     assert ("x0", "x1") in pairs
@@ -179,7 +179,7 @@ def test_blocked_variable_inherits_successor_edge():
 def test_unit_class_extraction_includes_world_set():
     phi = AndF(BoxF(1, P), DiaF(1, P))
     tableau = completed(phi, FrameClass.N)
-    model = extract_model(tableau, FrameClass.N)
+    model = extract_model(tableau)
     full = frozenset(model.worlds)
     for per_world in model.neighbourhoods.values():
         for collection in per_world.values():
@@ -189,14 +189,14 @@ def test_unit_class_extraction_includes_world_set():
 def test_supplemented_extraction_is_upward_closed():
     phi = AndF(BoxF(1, P), DiaF(1, Q))
     tableau = completed(phi, FrameClass.M)
-    model = extract_model(tableau, FrameClass.M)
+    model = extract_model(tableau)
     assert check_frame_class(model, FrameClass.M)
 
 
 def test_intersection_extraction_is_meet_closed():
     phi = AndF(AndF(BoxF(1, P), BoxF(1, Q)), DiaF(1, P))
     tableau = completed(phi, FrameClass.C)
-    model = extract_model(tableau, FrameClass.C)
+    model = extract_model(tableau)
     assert check_frame_class(model, FrameClass.C)
 
 
@@ -208,7 +208,7 @@ def test_extraction_refuses_clashed_state():
     tableau.add_concept(0, A, 0)
     tableau.add_concept(0, Not(A), 0)
     with pytest.raises(ValueError, match="clash"):
-        extract_model(tableau, FrameClass.E)
+        extract_model(tableau)
 
 
 # -- validation --------------------------------------------------------------------
@@ -222,7 +222,7 @@ def test_validate_positive_on_corpus():
             result = solve(phi, fc, SolveOptions(extract=False))
             if result.verdict == "sat":
                 checked += 1
-                model = extract_model(result.completion, fc)
+                model = extract_model(result.completion)
                 assert validate(model, phi, fc)
     assert checked > 20
 
@@ -230,7 +230,7 @@ def test_validate_positive_on_corpus():
 def test_validate_negative_control():
     phi = AndF(BoxF(1, P), DiaF(1, Q))
     tableau = completed(phi, FrameClass.E)
-    model = extract_model(tableau, FrameClass.E)
+    model = extract_model(tableau)
     assert satisfies(model, "0", normalize(phi))
     # removing the box body's truth set from world 0 falsifies the box there
     body_set = Evaluator(model).formula_truth_set(P)
@@ -245,9 +245,9 @@ def test_sat_solve_extracts_once(monkeypatch):
     calls = []
     original = nnmdl.extraction.extract_model
 
-    def counting(tableau, frame_class):
-        calls.append(frame_class)
-        return original(tableau, frame_class)
+    def counting(tableau):
+        calls.append(tableau.frame_class)
+        return original(tableau)
 
     monkeypatch.setattr(nnmdl.extraction, "extract_model", counting)
     result = solve(normalize(AndF(BoxF(1, P), DiaF(1, Q))), FrameClass.E)
