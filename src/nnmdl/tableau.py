@@ -10,23 +10,24 @@ premises, with the branching shape determined by the frame class.
 Deterministic rules are applied before generating ones, generating before
 branching, and label-creating last; branch alternatives are explored
 depth-first in their given order, so runs are reproducible.  On a clash
-the search backjumps: every constraint carries the set of open branch
-points it depends on, and the search returns straight to the newest
-branch point in the clash's set, skipping the untried alternatives of
-later ones, none of which can avoid that clash.  A disjunction (R_or,
-R_cup) one of whose alternatives is already refuted in its label, by its
-NNF negation or as a bottom concept, opens no branch point: the other
-alternative is applied as a deterministic step (Boolean constraint
-propagation), resting on what refuted the skipped one.  Rules only
-ever add constraints, every payload stays inside the closure sets of the
+the search backjumps: every constraint is stored in its label with the
+set of open branch points it depends on, and the search returns
+straight to the newest branch point in the clash's set, skipping the
+untried alternatives of later ones, none of which can avoid that clash.
+A disjunction (R_or, R_cup) one of whose alternatives is already refuted
+in its label, by its NNF negation or as a bottom concept, opens no
+branch point: the other alternative is applied as a deterministic step
+(Boolean constraint propagation), resting on what refuted the skipped
+one.  Rules only ever add constraints, every payload stays inside the closure sets of the
 input formula, and the label count is asserted against its theoretical
 budget at every label creation.  A solve call owns its state exclusively;
 distinct calls share nothing mutable.
 
 A constraint has one name throughout: the formula psi, the pair (C, x)
 or the triple (role, x, y).  Rule instances list what their branches add
-by that name, and the `holders` and `deps` indexes of `CompletionSet`
-key on it, so an instance is read against either index as it stands.
+by that name, and the `holders` index of `CompletionSet` and each
+label's stores key on it, so an instance is read against either as it
+stands.
 
 The search is incremental.  A completion set is built for one frame
 class, which fixes the shape of R_L for the whole run.  From its first
@@ -41,9 +42,9 @@ that is only blocked is parked until its variable's concept set grows.
 The search extends the state in place, copies it only at a branch point
 (every alternative but the last works on a copy of the saved state) and
 keeps its branch points on an explicit stack.  A copy shares each
-label's system until a state first writes that label.  `find_applicable`,
-`is_clash` and `apply` recompute from the whole state, for any class;
-they are the references the agenda, the clash flag and the in-place
+label's system, its constraints together with their sets, until a state
+first writes that label.  `find_applicable`, `is_clash` and `apply`
+recompute from the whole state, for any class; they are the references the agenda, the clash flag and the in-place
 extension are tested against, and the tests build a chronological search
 from them to check backjumping's verdicts.  `find_applicable` builds R_L
 instances only when no in-label instance applies, since R_L comes last.
@@ -64,6 +65,7 @@ from .semantics import FrameClass, NeighbourhoodModel
 from .syntax import (
     And,
     AndF,
+    BOT,
     Bot,
     Box,
     BoxF,
@@ -129,32 +131,28 @@ class StaleInstanceError(ValueError):
 class ConstraintSystem:
     """All constraints of one label, with its occurring variables.
 
-    `deps_base` is the dependency set of the step that created the label
-    (see `CompletionSet`); every constraint of the label rests on it."""
+    `formulas`, `concepts` and `roles` map each constraint to the
+    dependency set it was added with (see `CompletionSet`); `stamps` is the
+    union of those sets, 0 while every constraint of the label rests on no
+    open branch point."""
 
-    __slots__ = (
-        "label",
-        "formulas",
-        "concepts",
-        "roles",
-        "variables",
-        "deps_base",
-    )
+    __slots__ = ("label", "formulas", "concepts", "roles", "variables", "stamps")
 
-    def __init__(self, label: int, deps_base: int = 0):
+    def __init__(self, label: int):
         self.label = label
-        self.formulas: set[Formula] = set()
-        self.concepts: set[tuple[Concept, int]] = set()
-        self.roles: set[tuple[str, int, int]] = set()
+        self.formulas: dict[Formula, int] = {}
+        self.concepts: dict[tuple[Concept, int], int] = {}
+        self.roles: dict[tuple[str, int, int], int] = {}
         self.variables: set[int] = set()
-        self.deps_base = deps_base
+        self.stamps = 0
 
     def copy(self) -> "ConstraintSystem":
-        dup = ConstraintSystem(self.label, self.deps_base)
-        dup.formulas = set(self.formulas)
-        dup.concepts = set(self.concepts)
-        dup.roles = set(self.roles)
+        dup = ConstraintSystem(self.label)
+        dup.formulas = dict(self.formulas)
+        dup.concepts = dict(self.concepts)
+        dup.roles = dict(self.roles)
         dup.variables = set(self.variables)
+        dup.stamps = self.stamps
         return dup
 
     def concept_set(self, var: int) -> set[Concept]:
@@ -208,29 +206,24 @@ class CompletionSet:
     concept; rules only add, so it stays set.  `holders` maps each formula
     and each (concept, variable) pair present anywhere to an int whose bit
     n is set when label n holds it; ints are immutable, so a copy of the
-    dict is a copy of the index.  `deps` maps (label, key) to the
-    dependency set a constraint was first added with: an int with bit i
-    set when the constraint rests on the choice made at branch point i of
-    the search stack.  The key is the formula, the (concept, variable)
-    pair or the (role, x, y) triple; a rule instance's branch items are
-    these same keys, so both indexes are read with them directly.  Every add stamps its constraint with
-    `stamp`, which the search sets before each extension.  A set equal to
-    its label's `deps_base` is not stored, so the map stays empty while
-    no branch point is open, and a label created by a branch stores only
-    what was added to it under later ones.  `stamped` has bit n set once
-    label n stores a set; the premises of an instance in any other label
-    all have the label's base set.
+    dict is a copy of the index.  Every add stores its constraint in its
+    label's system with `stamp`, which the search sets before each
+    extension: a dependency set, an int with bit i set when the constraint
+    rests on the choice made at branch point i of the search stack.  The
+    stores and `holders` key a constraint by its formula, (concept,
+    variable) pair or (role, x, y) triple; a rule instance's branch items
+    are these same keys, so both are read with them directly.
     `clash_deps` is the union of the sets of the first pair of clashing
     constraints (a bottom concept's own set).  `agenda` is a heap of
     (key, instance) pairs holding every applicable rule instance of the
     state's frame class, possibly with stale ones in between: each add
-    reaches it through `_put`, which stores, indexes, stamps and
-    clash-checks the constraint and pushes what it completes, with R_L
-    instances built by `_modal_added`.  `parked` holds, per (label,
-    variable), the R_exists instances found blocked.  `owned` has bit n
-    set when this state may write label n's system in place: `copy`
-    shares the systems and clears both sides' bits, and `_own` copies a
-    shared system before its first write.
+    reaches it through `_put`, which stores, indexes and clash-checks the
+    constraint and pushes what it completes, with R_L instances built by
+    `_modal_added`.  `parked` holds, per (label, variable), the R_exists
+    instances found blocked.  `owned` has bit n set when this state may
+    write label n's system in place: `copy` shares the systems, each
+    label's constraints together with their sets, and clears both sides'
+    bits, and `_own` copies a shared system before its first write.
     """
 
     __slots__ = (
@@ -243,8 +236,6 @@ class CompletionSet:
         "clash",
         "clash_deps",
         "holders",
-        "deps",
-        "stamped",
         "stamp",
         "agenda",
         "parked",
@@ -262,23 +253,24 @@ class CompletionSet:
         self.clash = False
         self.clash_deps = 0
         self.holders: dict[Formula | tuple[Concept, int], int] = {}
-        self.deps: dict[tuple[int, object], int] = {}
-        self.stamped = 0
         self.stamp = 0
         self.agenda: list[tuple] = []
         self.parked: dict[tuple[int, int], list[tuple]] = {}
 
     def copy(self) -> "CompletionSet":
-        """An independent copy; see `owned` for what it shares."""
-        dup = CompletionSet(self.phi, self.closure, self.frame_class)
+        """An independent copy, built without the constructor's checks;
+        see `owned` for what it shares."""
+        dup = object.__new__(CompletionSet)
         dup.systems = list(self.systems)
-        self.owned = 0
+        dup.owned = self.owned = 0
         dup.next_var = self.next_var
+        dup.phi = self.phi
+        dup.closure = self.closure
+        dup.frame_class = self.frame_class
         dup.clash = self.clash
         dup.clash_deps = self.clash_deps
         dup.holders = dict(self.holders)
-        dup.deps = dict(self.deps)
-        dup.stamped = self.stamped
+        dup.stamp = self.stamp
         dup.agenda = list(self.agenda)
         dup.parked = {k: list(v) for k, v in self.parked.items()}
         return dup
@@ -290,7 +282,7 @@ class CompletionSet:
         bound = label_budget(self.closure.fg_size, self.frame_class)
         if label + 1 > bound:
             raise EngineError(f"label budget exceeded: {label + 1} > {bound}")
-        system = ConstraintSystem(label, self.stamp)
+        system = ConstraintSystem(label)
         self.systems.append(system)
         self.owned |= 1 << label
         return system
@@ -333,9 +325,8 @@ class CompletionSet:
         if (role, x, y) in self.systems[label].roles:
             return
         system = self._own(label)
-        system.roles.add((role, x, y))
-        if self.stamp != system.deps_base:
-            self._stamp_with(label, (role, x, y))
+        system.roles[(role, x, y)] = self.stamp
+        system.stamps |= self.stamp
         self._add_variable(system, x)
         self._add_variable(system, y)
         for concept, source in system.concepts:
@@ -363,20 +354,21 @@ class CompletionSet:
     ) -> None:
         """Add a constraint absent from a system this state owns: the
         formula `term` (`var` -1) or the pair (`term`, `var`), named `item`
-        as `holders` and `deps` name it.  Store and stamp it, flag a clash
-        when it is bottom (its own partner) or its NNF negation is present,
-        and push the instances whose last premise it is.  The variable's
-        parked R_exists instances get another look: a variable can only
-        become unblocked when its own concept set grows."""
-        label = system.label
+        as `holders` and the label's stores key it.  Store it with its
+        dependency set `stamp`, flag a clash when it is bottom (its own
+        partner) or its NNF negation is present, and push the instances
+        whose last premise it is.  The variable's parked R_exists instances
+        get another look: a variable can only become unblocked when its own
+        concept set grows."""
+        label, stamp = system.label, self.stamp
         store = system.formulas if var < 0 else system.concepts
-        store.add(item)
+        store[item] = stamp
+        system.stamps |= stamp
         self.holders[item] = self.holders.get(item, 0) | 1 << label
-        if self.stamp != system.deps_base:
-            self._stamp_with(label, item)
-        other = item if isinstance(term, Bot) else _neg_item(item)
-        if other in store:
-            self._clash_with(system, other)
+        other = item if term is BOT else _neg_item(item)
+        if not self.clash and other in store:
+            self.clash = True
+            self.clash_deps = stamp | store[other]
         inst = _premise_instance(label, term, var)
         if inst is not None:
             self._push(inst)
@@ -391,21 +383,9 @@ class CompletionSet:
             box = isinstance(term, (BoxF, Box))
             body = term.arg if var < 0 else (term.arg, var)
             self._modal_added(system, term.index, body, box)
-        for entry in self.parked.pop((label, var), ()):
-            heappush(self.agenda, entry)
-
-    def _stamp_with(self, label: int, key) -> None:
-        self.deps[(label, key)] = self.stamp
-        self.stamped |= 1 << label
-
-    def _clash_with(self, system: ConstraintSystem, other) -> None:
-        """Record a clash between the constraint being added and `other`
-        of the same label (itself, for a bottom concept)."""
-        if not self.clash:
-            self.clash = True
-            self.clash_deps = self.stamp | self.deps.get(
-                (system.label, other), system.deps_base
-            )
+        if self.parked:
+            for entry in self.parked.pop((label, var), ()):
+                heappush(self.agenda, entry)
 
     # -- agenda -------------------------------------------------------------
 
@@ -510,7 +490,7 @@ def blockers(var: int, system: ConstraintSystem) -> list[int]:
 # ---------------------------------------------------------------------------
 
 #: A branch item targets the instance's fresh label (rule R_L) or its own
-#: label.  It is the constraint itself, as `holders` and `deps` key it: a
+#: label.  It is the constraint itself, as `holders` and the stores key it: a
 #: formula psi, or a (concept, variable) pair, whose variable is -1 for the
 #: witness R_neq allocates on application.  R_exists alone has the
 #: descriptor ("exists", role, var, target-concept) instead, whose witness
@@ -572,6 +552,14 @@ def _neg_item(item: BranchItem) -> BranchItem:
     if item.__class__ is tuple:
         return (neg_nnf(item[0]), item[1])
     return neg_nnf(item)
+
+
+def _store(system: ConstraintSystem, key) -> dict:
+    """The system's store for a constraint's kind: formula, (concept,
+    variable) pair or (role, x, y) triple."""
+    if isinstance(key, Formula):
+        return system.formulas
+    return system.concepts if len(key) == 2 else system.roles
 
 
 def _holds_in(system: ConstraintSystem, item: BranchItem) -> bool:
@@ -869,7 +857,7 @@ def next_instance(tableau: CompletionSet) -> RuleInstance | None:
 
 
 def _modal_premise(index: int, item: BranchItem, box: bool):
-    """The `deps` key of the box (or diamond) of this index around a body."""
+    """The store key of the box (or diamond) of this index around a body."""
     if isinstance(item, Formula):
         return (BoxF if box else DiaF)(index, item)
     concept, var = item
@@ -877,7 +865,7 @@ def _modal_premise(index: int, item: BranchItem, box: bool):
 
 
 def _premise_keys(system: ConstraintSystem, inst: RuleInstance) -> list:
-    """The `deps` keys, within the instance's label, of the constraints
+    """The store keys, within the instance's label, of the constraints
     an instance was completed by, rebuilt from its branches.
 
     Normalized inclusions read top <= C, so R_eq and R_neq rebuild theirs
@@ -925,14 +913,14 @@ def _premise_keys(system: ConstraintSystem, inst: RuleInstance) -> list:
 
 
 def _premise_deps(tableau: CompletionSet, inst: RuleInstance) -> int:
-    """Union of the dependency sets of the instance's premises."""
-    label = inst.label
-    system = tableau.systems[label]
-    out = system.deps_base
-    if tableau.stamped >> label & 1:
-        deps = tableau.deps
-        for key in _premise_keys(system, inst):
-            out |= deps.get((label, key), 0)
+    """Union of the dependency sets of the instance's premises; 0 without
+    rebuilding them when every set stored in the label is empty."""
+    system = tableau.systems[inst.label]
+    if not system.stamps:
+        return 0
+    out = 0
+    for key in _premise_keys(system, inst):
+        out |= _store(system, key)[key]
     return out
 
 
@@ -990,11 +978,8 @@ def _refuter(
     clashes on its own.  None while adding it would not clash at once."""
     if isinstance(item, tuple) and isinstance(item[0], Bot):
         return 0
-    system = tableau.systems[label]
     key = _neg_item(item)
-    if not _holds_in(system, key):
-        return None
-    return tableau.deps.get((label, key), system.deps_base)
+    return _store(tableau.systems[label], key).get(key)
 
 
 def _forced_branch(

@@ -5,9 +5,11 @@ state's clash flag; `find_applicable` and `is_clash` recompute both from
 the whole state.  These tests run the real search with checking wrappers
 around the functions it looks up, so every state it visits is compared.
 The same wrappers hold the `holders` index to the label sets it mirrors,
-and its settledness answers to the label scan.  At every clash they check
-the recorded dependency set against the clashing constraints' stored sets
-and the open branch points.
+and its settledness answers to the label scan.  After every step they
+check each label's stored dependency sets against the open branch points
+and its `stamps` union, each premise set against the stored sets of the
+rebuilt premises, and at every clash the recorded set against the
+clashing constraints' stored sets.
 """
 
 import random
@@ -62,6 +64,7 @@ class CheckedSearch:
         self.real_settled = tableau._settled
         self.real_step = tableau._Search._step
         self.real_premise_keys = tableau._premise_keys
+        self.real_premise_deps = tableau._premise_deps
         self.choices = 0
         self.parked: set = set()
         self.parked_then_chosen = 0
@@ -73,6 +76,7 @@ class CheckedSearch:
         monkeypatch.setattr(tableau, "_settled", self.settled)
         monkeypatch.setattr(tableau._Search, "_step", self.step_wrapper())
         monkeypatch.setattr(tableau, "_premise_keys", self.premise_keys)
+        monkeypatch.setattr(tableau, "_premise_deps", self.premise_deps)
 
     def next_instance(self, state):
         assert not is_clash(state)
@@ -109,16 +113,19 @@ class CheckedSearch:
 
         def step(search, state, inst, branch, stamp, path):
             checked.snapshot_new_frames(search.stack)
-            before = constraint_keys(state)
+            before = constraint_sets(state)
             checked.real_step(search, state, inst, branch, stamp, path)
             checked.check_saved_states(search.stack)
-            for label, key in constraint_keys(state) - before:
-                assert stored_set(state, label, key) == stamp
+            after = constraint_sets(state)
+            for key, deps in after.items():
+                assert deps == before.get(key, stamp)
             open_bits = (1 << len(search.stack)) - 1
-            assert all(deps & ~open_bits == 0 for deps in state.deps.values())
-            assert all(
-                s.deps_base & ~open_bits == 0 for s in state.systems
-            )
+            for system in state.systems:
+                union = 0
+                for deps in stored_sets(system).values():
+                    assert deps & ~open_bits == 0
+                    union |= deps
+                assert system.stamps == union
             if state.clash:
                 assert state.clash_deps & ~open_bits == 0
                 assert state.clash_deps in clash_unions(state)
@@ -151,6 +158,18 @@ class CheckedSearch:
         held = set(chain(system.formulas, system.concepts, system.roles))
         assert all(key in held for key in keys)
         return keys
+
+    def premise_deps(self, state, inst):
+        """The premise set is the union of the stored sets of the rebuilt
+        premises, also where the label's `stamps` lets it skip them."""
+        answer = self.real_premise_deps(state, inst)
+        system = state.systems[inst.label]
+        stored = stored_sets(system)
+        expected = 0
+        for key in self.premise_keys(system, inst):
+            expected |= stored[key]
+        assert answer == expected
+        return answer
 
     def check_agenda(self, state):
         """No candidate twice, and every parked one blocked, unwitnessed
@@ -202,49 +221,48 @@ def holders_from_systems(state):
 
 
 def label_contents(state):
-    """Each label's formulas, concepts, roles and variables, as values."""
+    """Each label's constraints with their stored sets, its variables and
+    its `stamps`, as values."""
     return [
         (
-            frozenset(s.formulas),
-            frozenset(s.concepts),
-            frozenset(s.roles),
+            frozenset(s.formulas.items()),
+            frozenset(s.concepts.items()),
+            frozenset(s.roles.items()),
             frozenset(s.variables),
+            s.stamps,
         )
         for s in state.systems
     ]
 
 
-def constraint_keys(state):
-    """Every constraint of the state as its (label, key) in `deps`."""
+def stored_sets(system):
+    """A label's constraints, each with the dependency set it stores."""
+    return {**system.formulas, **system.concepts, **system.roles}
+
+
+def constraint_sets(state):
+    """Every constraint of the state as (label, key), with its set."""
     return {
-        (label, key)
+        (label, key): deps
         for label, system in enumerate(state.systems)
-        for key in chain(system.formulas, system.concepts, system.roles)
+        for key, deps in stored_sets(system).items()
     }
-
-
-def stored_set(state, label, key):
-    """A constraint's dependency set: its entry, else its label's base."""
-    return state.deps.get((label, key), state.systems[label].deps_base)
 
 
 def clash_unions(state):
     """The union of the stored dependency sets of each clashing pair (a
     bottom concept's own set)."""
     unions = set()
-    for label, system in enumerate(state.systems):
-        for psi in system.formulas:
-            if neg_nnf(psi) in system.formulas:
-                unions.add(
-                    stored_set(state, label, psi)
-                    | stored_set(state, label, neg_nnf(psi))
-                )
-        for concept, var in system.concepts:
-            own = stored_set(state, label, (concept, var))
+    for system in state.systems:
+        formulas, concepts = system.formulas, system.concepts
+        for psi, deps in formulas.items():
+            if neg_nnf(psi) in formulas:
+                unions.add(deps | formulas[neg_nnf(psi)])
+        for (concept, var), deps in concepts.items():
             if concept == BOT:
-                unions.add(own)
-            elif (neg_nnf(concept), var) in system.concepts:
-                unions.add(own | stored_set(state, label, (neg_nnf(concept), var)))
+                unions.add(deps)
+            elif (neg_nnf(concept), var) in concepts:
+                unions.add(deps | concepts[(neg_nnf(concept), var)])
     return unions
 
 
@@ -364,6 +382,44 @@ def test_agenda_push_counts_are_pinned(monkeypatch, phi, frame_class, pushes):
     monkeypatch.setattr(tableau.CompletionSet, "_push", counting)
     solve(phi, frame_class, SolveOptions(extract=False))
     assert len(calls) == pushes
+
+
+@pytest.mark.parametrize(
+    "phi, frame_class, choices, rebuilds",
+    [
+        (c_boxes(4), FrameClass.C, 491, 9),
+        (box_dia(6), FrameClass.E, 21, 7),
+        (box_dia(6), FrameClass.M, 21, 7),
+        (box_dia(6), FrameClass.C, 120, 7),
+        (box_dia(6), FrameClass.N, 21, 7),
+    ],
+    ids=["c_boxes4-C", "box_dia6-E", "box_dia6-M", "box_dia6-C", "box_dia6-N"],
+)
+def test_modal_enumeration_counts_are_pinned(
+    monkeypatch, phi, frame_class, choices, rebuilds
+):
+    # Work that pushes nothing leaves the push counts as they were.  A box
+    # added before any diamond of its index enumerates no box choice
+    # (under C, 2**n - 1 of them); `_premise_deps` rebuilds no premises in
+    # a label whose constraints rest on no open branch point (without that
+    # skip, 15 and 12 rebuilds on c_boxes4-C and box_dia6-E).
+    counts = {"choices": 0, "rebuilds": 0}
+    real_choices = tableau._box_choices
+    real_premises = tableau._modal_premises
+
+    def box_choices(box_list, fc):
+        for gamma_items in real_choices(box_list, fc):
+            counts["choices"] += 1
+            yield gamma_items
+
+    def modal_premises(system):
+        counts["rebuilds"] += 1
+        return real_premises(system)
+
+    monkeypatch.setattr(tableau, "_box_choices", box_choices)
+    monkeypatch.setattr(tableau, "_modal_premises", modal_premises)
+    solve(phi, frame_class, SolveOptions(extract=False))
+    assert counts == {"choices": choices, "rebuilds": rebuilds}
 
 
 def test_c_boxes_5_unsat_within_the_default_step_cap(monkeypatch):

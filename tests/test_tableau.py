@@ -14,6 +14,7 @@ from nnmdl.syntax import (
     Exists,
     Not,
     NotF,
+    Or,
     Top,
     TOP,
     closure,
@@ -28,6 +29,7 @@ from nnmdl.tableau import (
     R_L,
     R_NEQ,
     R_SQCAP,
+    CompletionSet,
     EngineError,
     STEP_CAP_ENV,
     SolveOptions,
@@ -39,6 +41,7 @@ from nnmdl.tableau import (
     init,
     is_clash,
     label_budget,
+    next_instance,
     solve,
 )
 
@@ -58,8 +61,8 @@ def test_init_holds_formula_and_domain_seed():
     tableau = init(phi, FrameClass.E)
     assert len(tableau.systems) == 1
     system = tableau.systems[0]
-    assert system.formulas == {phi}
-    assert system.concepts == {(TOP, 0)}
+    assert system.formulas == {phi: 0}
+    assert system.concepts == {(TOP, 0): 0}
 
 
 def test_clash_same_label():
@@ -95,7 +98,7 @@ def test_blocking_subset_and_order():
     tableau.add_concept(0, A, 0)
     var = tableau.new_variable()
     system.variables.add(var)
-    system.concepts.add((TOP, var))
+    system.concepts[(TOP, var)] = 0
     assert blockers(var, system) == [0]  # {top} <= {top, A}
     assert blockers(0, system) == []
 
@@ -172,6 +175,37 @@ def test_copy_shares_only_the_labels_neither_side_writes():
     assert dup.systems[2] is not source.systems[2]
 
 
+def mutable_containers(value, found):
+    """Map the id of every list, dict and set reachable from a value
+    through builtin containers to the container, stopping at label
+    systems."""
+    if isinstance(value, (list, dict, set)):
+        found[id(value)] = value
+    if isinstance(value, dict):
+        value = [*value.keys(), *value.values()]
+    if isinstance(value, (list, tuple, set, frozenset)):
+        for item in value:
+            mutable_containers(item, found)
+    return found
+
+
+def test_copy_sets_every_slot_and_shares_only_label_systems():
+    # `copy` builds the duplicate without the constructor: a slot it
+    # forgets is unset, and a container it forgets to duplicate is shared.
+    phi = normalize(AndF(CI(TOP, Exists("r", A)), CI(TOP, Or(A, B))))
+    state = init(phi, FrameClass.E)
+    while not (state.agenda and state.parked):
+        state = apply(state, next_instance(state), 0)
+    dup = state.copy()
+    for slot in CompletionSet.__slots__:
+        assert getattr(dup, slot) == getattr(state, slot), slot
+    mine, theirs = (
+        mutable_containers([getattr(s, slot) for slot in CompletionSet.__slots__], {})
+        for s in (state, dup)
+    )
+    assert mine.keys().isdisjoint(theirs.keys())
+
+
 def test_apply_existential_leaves_its_input_untouched():
     # R_exists adds a role before anything else: the copy must not write
     # the label it shares with the input.
@@ -183,7 +217,7 @@ def test_apply_existential_leaves_its_input_untouched():
     before = label_contents(state)
     out = apply(state, inst, 0)
     assert label_contents(state) == before
-    assert out.systems[0].roles == {("r", 0, 1)}
+    assert out.systems[0].roles == {("r", 0, 1): 0}
 
 
 def test_apply_refuted_inclusion_allocates_fresh_variable():
