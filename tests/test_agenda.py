@@ -116,8 +116,7 @@ class CheckedSearch:
             before = constraint_sets(state)
             checked.real_step(search, state, inst, branch, stamp, path)
             checked.check_saved_states(search.stack)
-            after = constraint_sets(state)
-            for key, deps in after.items():
+            for key, deps in constraint_sets(state).items():
                 assert deps == before.get(key, stamp)
             open_bits = (1 << len(search.stack)) - 1
             for system in state.systems:
