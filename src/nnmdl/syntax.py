@@ -14,17 +14,22 @@ the same class and fields returns the one existing object, so equal terms
 are identical, equality and hashing cost constant time at any depth, and
 the immutable nodes are safe to share between concurrent solver instances.
 
-A node's child terms are written once, in the class-keyed table
-`_CHILDREN`; a value whose class has no row is not a term (`child_terms`
-raises `TypeError`).  `postorder` lists the distinct nodes under a root
-children first, reading that table unless given its own `children`:
-closure, sort keys, weights, deep negation and the fragment all walk with
-it.  Only the hot rewrite loops of `normalize` and `neg_nnf` read fields
-directly.
+Each node class has one row in each of three class-keyed tables.
+`_CHILDREN` gives its child terms; a value whose class has no row is not
+a term (`child_terms` raises `TypeError`).  `_TEXT` gives its text, a
+format over its fields that both `serialize` and `sort_key` render from.
+`_SHAPES` gives the factory of its constructor and build path, one per
+shape of fields: none, a name, one term, two terms, a lead and a term.
+`postorder` lists the distinct nodes under a root children first, reading
+`_CHILDREN` unless given its own `children`: closure, weights, deep
+negation and the fragment all walk with it.  The hot loops (the rewrites
+of `normalize` and `neg_nnf`, `serialize` and `sort_key`) read fields
+directly, dispatching on the class sets of the shapes.
 
 The parser splits text at whitespace once the parentheses are spaced
-out, and builds terms with a table-driven loop on an explicit stack; line
-and column are worked out from a token's offset, with the token regex,
+out, and builds terms with a table-driven loop on an explicit stack that
+probes `_TERMS` once per node and calls the class's build path on a miss;
+line and column are worked out from a token's offset, with the token regex,
 only when a `ParseError` is raised.  Neither the parser, the rewrites nor
 the walks recurse once per nesting level.  Three memo tables sit next to the
 intern table `_TERMS`: `_NORMAL` maps each term to its normal form (and
@@ -45,6 +50,9 @@ from operator import length_hint
 #: The one intern table: (class, *fields) -> the node with those fields.
 _TERMS: dict[tuple, Term] = {}
 
+#: Stands for a field a constructor call left out.
+_ABSENT = object()
+
 
 class Term:
     """Interned syntax node.
@@ -55,34 +63,20 @@ class Term:
     `dict.setdefault`, so threads that build equal terms concurrently
     still get one object.  A subclass lists its fields once, as both
     `__slots__` and `_fields`; fields cannot be assigned after
-    construction.  `_sort_key` caches the key `sort_key` computes.
+    construction.  Each concrete class takes its constructor from the
+    factory of its field shape in `_SHAPES`: a call whose node exists
+    costs one `_TERMS` probe, and a new node is written through the
+    class's slot descriptors once each term field's class is found in
+    `_CHILDREN`.  `Term`, `Concept` and `Formula` keep the constructor
+    below, which builds nothing.  `_sort_key` caches the key `sort_key`
+    computes.
     """
 
     __slots__ = ("_sort_key",)
     _fields: tuple[str, ...] = ()
 
     def __new__(cls, *args):
-        key = (cls, *args)
-        node = _TERMS.get(key)
-        if node is None:
-            if len(args) != len(cls._fields):
-                raise TypeError(
-                    f"{cls.__qualname__} takes {len(cls._fields)} fields, "
-                    f"got {len(args)}"
-                )
-            node = object.__new__(cls)
-            for name, value in zip(cls._fields, args):
-                object.__setattr__(node, name, value)
-            try:
-                children = _CHILDREN[cls]
-            except KeyError:
-                raise TypeError(f"{cls.__qualname__} is abstract") from None
-            for child in children(node):
-                if child.__class__ not in _CHILDREN:
-                    raise TypeError(f"not a concept or formula: {child!r}")
-            object.__setattr__(node, "_sort_key", None)
-            node = _TERMS.setdefault(key, node)
-        return node
+        raise _bad_call(cls, args)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -95,6 +89,21 @@ class Term:
             f"{name}={getattr(self, name)!r}" for name in self._fields
         )
         return f"{type(self).__qualname__}({fields})"
+
+
+def _bad_call(cls, args: tuple) -> TypeError:
+    """Why a constructor call with fields `args` (`_ABSENT` for one left
+    out) builds nothing: a wrong count, or a class without a shape."""
+    given = sum(1 for value in args if value is not _ABSENT)
+    if given != len(cls._fields):
+        return TypeError(
+            f"{cls.__qualname__} takes {len(cls._fields)} fields, got {given}"
+        )
+    return TypeError(f"{cls.__qualname__} is abstract")
+
+
+def _not_a_term(value) -> TypeError:
+    return TypeError(f"not a concept or formula: {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +198,169 @@ _CHILDREN = {
     **dict.fromkeys((And, Or, CI, AndF, OrF), lambda t: (t.left, t.right)),
 }
 
+#: Per node class, its text: a %-format of its fields in `_fields` order,
+#: where a term field stands for that term's text.  `sort_key` fills it
+#: with the children's keys; `serialize` cuts it at the fields.
+_TEXT = {
+    Top: "top",
+    Bot: "bot",
+    AtomicConcept: "(atom %s)",
+    Not: "(not %s)",
+    And: "(and %s %s)",
+    Or: "(or %s %s)",
+    Exists: "(some %s %s)",
+    Forall: "(all %s %s)",
+    Box: "(box %s %s)",
+    Dia: "(dia %s %s)",
+    CI: "(sub %s %s)",
+    NotF: "(not %s)",
+    AndF: "(and %s %s)",
+    OrF: "(or %s %s)",
+    BoxF: "(box %s %s)",
+    DiaF: "(dia %s %s)",
+}
+
+# Build paths, one factory per field shape.  A build path makes the node
+# of an intern key (class, then fields) that `_TERMS` lacks: it checks
+# that each term field is a term, writes the slots through the class's
+# descriptors and enters the node through `dict.setdefault`, returning
+# whichever node the table keeps.
+
+_new_object = object.__new__
+_set_sort_key = Term._sort_key.__set__
+
+
+def _no_field(cls):
+    def build(key):
+        node = _new_object(cls)
+        _set_sort_key(node, None)
+        return _TERMS.setdefault(key, node)
+
+    return build
+
+
+def _one_name(cls):
+    set_name = cls.name.__set__
+
+    def build(key):
+        node = _new_object(cls)
+        set_name(node, key[1])
+        _set_sort_key(node, None)
+        return _TERMS.setdefault(key, node)
+
+    return build
+
+
+def _one_term(cls):
+    set_arg = cls.arg.__set__
+
+    def build(key):
+        arg = key[1]
+        if arg.__class__ not in _CHILDREN:
+            raise _not_a_term(arg)
+        node = _new_object(cls)
+        set_arg(node, arg)
+        _set_sort_key(node, None)
+        return _TERMS.setdefault(key, node)
+
+    return build
+
+
+def _two_terms(cls):
+    set_left, set_right = cls.left.__set__, cls.right.__set__
+
+    def build(key):
+        _, left, right = key
+        if left.__class__ not in _CHILDREN:
+            raise _not_a_term(left)
+        if right.__class__ not in _CHILDREN:
+            raise _not_a_term(right)
+        node = _new_object(cls)
+        set_left(node, left)
+        set_right(node, right)
+        _set_sort_key(node, None)
+        return _TERMS.setdefault(key, node)
+
+    return build
+
+
+def _lead_and_term(cls):
+    set_lead = getattr(cls, cls._fields[0]).__set__
+    set_arg = cls.arg.__set__
+
+    def build(key):
+        _, lead, arg = key
+        if arg.__class__ not in _CHILDREN:
+            raise _not_a_term(arg)
+        node = _new_object(cls)
+        set_lead(node, lead)
+        set_arg(node, arg)
+        _set_sort_key(node, None)
+        return _TERMS.setdefault(key, node)
+
+    return build
+
+
+def _constructor(cls, build):
+    """The constructor of `cls`: one `_TERMS` probe, and `build` on a
+    miss.  A field left out, one too many or a subclass builds nothing."""
+    if not cls._fields:
+
+        def new(kind, *extra):
+            node = _TERMS.get((kind,))
+            if node is None or extra:
+                if extra or kind is not cls:
+                    raise _bad_call(kind, extra)
+                node = build((kind,))
+            return node
+
+    elif len(cls._fields) == 1:
+
+        def new(kind, field=_ABSENT, /, *extra):
+            key = (kind, field)
+            node = _TERMS.get(key)
+            if node is None or extra:
+                if field is _ABSENT or extra or kind is not cls:
+                    raise _bad_call(kind, (field, *extra))
+                node = build(key)
+            return node
+
+    else:
+
+        def new(kind, first=_ABSENT, second=_ABSENT, /, *extra):
+            key = (kind, first, second)
+            node = _TERMS.get(key)
+            if node is None or extra:
+                if second is _ABSENT or extra or kind is not cls:
+                    raise _bad_call(kind, (first, second, *extra))
+                node = build(key)
+            return node
+
+    return new
+
+
+#: Per node class, the factory of its build path: the shape of its fields.
+_SHAPES = {
+    **dict.fromkeys((Top, Bot), _no_field),
+    AtomicConcept: _one_name,
+    **dict.fromkeys((Not, NotF), _one_term),
+    **dict.fromkeys((And, Or, CI, AndF, OrF), _two_terms),
+    **dict.fromkeys((Exists, Forall, Box, Dia, BoxF, DiaF), _lead_and_term),
+}
+
+#: Per node class, its build path, which the parser and `_intern` call
+#: after their own `_TERMS` miss.
+_BUILD = {cls: shape(cls) for cls, shape in _SHAPES.items()}
+
+for _cls, _build in _BUILD.items():
+    _cls.__new__ = _constructor(_cls, _build)
+del _cls, _build
+
+#: The node classes by the shape of their fields.
+_BINARY = frozenset(c for c, shape in _SHAPES.items() if shape is _two_terms)
+_LEADS = frozenset(c for c, shape in _SHAPES.items() if shape is _lead_and_term)
+_CONCEPTS = frozenset(c for c in _SHAPES if issubclass(c, Concept))
+
 TOP = Top()
 BOT = Bot()
 
@@ -199,7 +371,7 @@ def child_terms(term: Concept | Formula) -> tuple:
     try:
         of = _CHILDREN[term.__class__]
     except KeyError:
-        raise TypeError(f"not a concept or formula: {term!r}") from None
+        raise _not_a_term(term) from None
     return of(term)
 
 
@@ -211,22 +383,30 @@ def postorder(root: Term, children=None) -> list:
     """Distinct nodes under `root`, `root` included, each listed after the
     nodes `children` gives for it (by default its child terms), the
     leftmost first.  Walked on an explicit stack, so deep terms need no
-    recursion."""
-    if children is None:
-        children = child_terms
+    recursion; the default walk reads `_CHILDREN` itself."""
+    if root.__class__ not in _CHILDREN:
+        raise _not_a_term(root)
+    table = _CHILDREN
     out: list = []
     seen: set = set()
     stack: list = [root]
-    pop, push, emit = stack.pop, stack.append, out.append
+    pop, push, emit, extend = stack.pop, stack.append, out.append, stack.extend
     while stack:
         top = pop()
         if top is _EXIT:
             emit(pop())
         elif top not in seen:
             seen.add(top)
-            push(top)
-            push(_EXIT)
-            stack.extend(reversed(children(top)))
+            if children is None:
+                kids = table[top.__class__](top)
+            else:
+                kids = children(top)
+            if kids:
+                push(top)
+                push(_EXIT)
+                extend(reversed(kids))
+            else:
+                emit(top)
     return out
 
 
@@ -351,8 +531,8 @@ def _parse(text: str, sort: int):
     Python frames.  The open frame is `key`, the intern key so far
     (constructor, then fields), complete at length `size`, whose term
     arguments have sort `sort`; the bottom frame only collects the
-    result.  A complete key is looked up in `_TERMS` first, so a node
-    that exists costs one dict lookup."""
+    result.  A complete key is looked up in `_TERMS`, so a node that
+    exists costs one dict lookup and a new one its class's build path."""
     tokens = _tokens(text)
     rest = iter(tokens)
     terms = _TERMS
@@ -399,9 +579,10 @@ def _parse(text: str, sort: int):
                 raise _error(
                     text, tokens, rest, f"expected ')', found '{token}'"
                 )
-            value = terms.get(tuple(key))
+            key = tuple(key)
+            value = terms.get(key)
             if value is None:
-                value = key[0](*key[1:])
+                value = _BUILD[key[0]](key)
             key, size, sort = stack.pop()
             key.append(value)
     raise _error(text, tokens, rest, _END)
@@ -422,43 +603,51 @@ def parse_concept(text: str) -> Concept:
     return _parse(text, _CONCEPT)
 
 
-#: Per node class, the node's text as a tuple of strings and children.
-_PARTS = {
-    Top: lambda t: ("top",),
-    Bot: lambda t: ("bot",),
-    AtomicConcept: lambda t: (f"(atom {t.name})",),
-    Not: lambda t: ("(not ", t.arg, ")"),
-    And: lambda t: ("(and ", t.left, " ", t.right, ")"),
-    Or: lambda t: ("(or ", t.left, " ", t.right, ")"),
-    Exists: lambda t: (f"(some {t.role} ", t.arg, ")"),
-    Forall: lambda t: (f"(all {t.role} ", t.arg, ")"),
-    Box: lambda t: (f"(box {t.index} ", t.arg, ")"),
-    Dia: lambda t: (f"(dia {t.index} ", t.arg, ")"),
-    CI: lambda t: ("(sub ", t.left, " ", t.right, ")"),
-    NotF: lambda t: ("(not ", t.arg, ")"),
-    AndF: lambda t: ("(and ", t.left, " ", t.right, ")"),
-    OrF: lambda t: ("(or ", t.left, " ", t.right, ")"),
-    BoxF: lambda t: (f"(box {t.index} ", t.arg, ")"),
-    DiaF: lambda t: (f"(dia {t.index} ", t.arg, ")"),
-}
+#: Per node class, its `_TEXT` format cut at the fields.
+_CUTS = {cls: tuple(text.split("%s")) for cls, text in _TEXT.items()}
 
 
 def serialize(term: Concept | Formula) -> str:
     """Render a concept or formula; parse_formula/parse_concept invert this.
 
     The text is emitted left to right from an explicit stack of pending
-    strings and subterms, so deep terms need no recursion and no
-    subterm's text is built apart from the whole."""
+    strings and subterms, each subterm's `_TEXT` format cut at its
+    fields, so deep terms need no recursion and no subterm's text is
+    built apart from the whole.  Stored sort keys are not read, so the
+    two renderings are built apart."""
     if term.__class__ not in _CHILDREN:
-        child_terms(term)  # raises TypeError
+        raise _not_a_term(term)
     out: list[str] = []
     stack: list = [term]
+    pop, push, emit = stack.pop, stack.append, out.append
     while stack:
-        top = stack.pop()
-        if top.__class__ is str:
-            out.append(top)
+        top = pop()
+        cls = top.__class__
+        if cls is str:
+            emit(top)
+        elif cls in _BINARY:
+            head, middle, tail = _CUTS[cls]
+            emit(head)
+            push(tail)
+            push(top.right)
+            push(middle)
+            push(top.left)
+        elif cls in _LEADS:
+            head, middle, tail = _CUTS[cls]
+            emit(head)
+            emit(str(_lead(top)))
+            emit(middle)
+            push(tail)
+            push(top.arg)
+        elif cls is Not or cls is NotF:
+            head, tail = _CUTS[cls]
+            emit(head)
+            push(tail)
+            push(top.arg)
+        elif cls is AtomicConcept:
+            emit(_TEXT[cls] % (top.name,))
         else:
-            stack.extend(reversed(_PARTS[top.__class__](top)))
+            emit(_TEXT[cls])
     return "".join(out)
 
 
@@ -492,10 +681,10 @@ _LEAVES = (AtomicConcept, Top, Bot)
 
 
 def _intern(key: tuple) -> Term:
-    """The node with intern key `key` (constructor, then fields)."""
+    """The node with intern key `key` (class, then fields)."""
     node = _TERMS.get(key)
     if node is None:
-        node = key[0](*key[1:])
+        node = _BUILD[key[0]](key)
     return node
 
 
@@ -572,7 +761,7 @@ def normalize(term: Concept | Formula) -> Concept | Formula:
     result = _NORMAL.get(term)
     if result is None:
         if term.__class__ not in _CHILDREN:
-            child_terms(term)  # raises TypeError
+            raise _not_a_term(term)
         result = _rewrite(term)
     return result
 
@@ -602,7 +791,7 @@ def _negation(node) -> Term | None:
         if arg is None:
             return None
         return _intern((_DUAL[cls], _lead(node), arg))
-    raise TypeError(f"not a concept or formula: {node!r}")
+    raise _not_a_term(node)
 
 
 def _negate_deep(term) -> Term:
@@ -681,9 +870,9 @@ _CLOSURES: dict[Formula, Closure] = {}
 
 
 def _build_closure(phi: Formula) -> Closure:
-    """Closure sets of `phi` in one pass over its subterms.  Subterms come
-    children first, so every `neg_nnf` call finds its children's
-    negations kept and builds one node."""
+    """Closure sets of `phi` in one pass over its subterms, sorted by the
+    class sets.  Subterms come children first, so every `neg_nnf` call
+    finds its children's negations kept and builds one node."""
     concepts: set = set()
     formulas: set = set()
     roles: set = set()
@@ -691,7 +880,7 @@ def _build_closure(phi: Formula) -> Closure:
     modalities: set = set()
     for term in postorder(phi):
         cls = type(term)
-        if issubclass(cls, Concept):
+        if cls in _CONCEPTS:
             concepts.add(term)
             concepts.add(neg_nnf(term))
             if cls is Exists or cls is Forall:
@@ -725,20 +914,46 @@ def closure(phi: Formula) -> Closure:
 
 def sort_key(term: Concept | Formula) -> str:
     """Stable canonical ordering key for deterministic iteration: the
-    serialized term.  Each key is stored on its node and built children
-    first from the children's stored keys, so each subterm is rendered
-    once and deep terms need no recursion."""
+    serialized term.  Each key is stored on its node, built from its
+    class's `_TEXT` format over the children's stored keys.  Missing keys
+    are built children first on an explicit stack that holds only
+    unkeyed nodes, so each subterm is rendered once and deep terms need
+    no recursion."""
     key = term._sort_key
-    if key is None:
-
-        def unkeyed(node) -> list:
-            return [c for c in child_terms(node) if c._sort_key is None]
-
-        for node in postorder(term, unkeyed):
-            text = [
-                p if p.__class__ is str else p._sort_key
-                for p in _PARTS[node.__class__](node)
-            ]
-            object.__setattr__(node, "_sort_key", "".join(text))
-        key = term._sort_key
-    return key
+    if key is not None:
+        return key
+    stack = [term]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = stack[-1]
+        if node._sort_key is not None:  # a shared subterm, keyed meanwhile
+            pop()
+            continue
+        cls = node.__class__
+        if cls in _BINARY:
+            left, right = node.left, node.right
+            left_key, right_key = left._sort_key, right._sort_key
+            if left_key is None or right_key is None:
+                if right_key is None:
+                    push(right)
+                if left_key is None:
+                    push(left)
+                continue
+            key = _TEXT[cls] % (left_key, right_key)
+        elif cls is AtomicConcept:
+            key = _TEXT[cls] % (node.name,)
+        elif cls is Top or cls is Bot:
+            key = _TEXT[cls]
+        else:
+            arg = node.arg
+            arg_key = arg._sort_key
+            if arg_key is None:
+                push(arg)
+                continue
+            if cls in _LEADS:
+                key = _TEXT[cls] % (_lead(node), arg_key)
+            else:
+                key = _TEXT[cls] % (arg_key,)
+        _set_sort_key(node, key)
+        pop()
+    return term._sort_key

@@ -134,9 +134,19 @@ class ConstraintSystem:
     `formulas`, `concepts` and `roles` map each constraint to the
     dependency set it was added with (see `CompletionSet`); `stamps` is the
     union of those sets, 0 while every constraint of the label rests on no
-    open branch point."""
+    open branch point, and `common` their intersection (-1, every bit,
+    while the label holds none).  When the two are equal, every stored set
+    is that one set."""
 
-    __slots__ = ("label", "formulas", "concepts", "roles", "variables", "stamps")
+    __slots__ = (
+        "label",
+        "formulas",
+        "concepts",
+        "roles",
+        "variables",
+        "stamps",
+        "common",
+    )
 
     def __init__(self, label: int):
         self.label = label
@@ -145,14 +155,18 @@ class ConstraintSystem:
         self.roles: dict[tuple[str, int, int], int] = {}
         self.variables: set[int] = set()
         self.stamps = 0
+        self.common = -1
 
     def copy(self) -> "ConstraintSystem":
-        dup = ConstraintSystem(self.label)
+        """An independent copy, built without the constructor."""
+        dup = object.__new__(ConstraintSystem)
+        dup.label = self.label
         dup.formulas = dict(self.formulas)
         dup.concepts = dict(self.concepts)
         dup.roles = dict(self.roles)
         dup.variables = set(self.variables)
         dup.stamps = self.stamps
+        dup.common = self.common
         return dup
 
     def concept_set(self, var: int) -> set[Concept]:
@@ -327,6 +341,7 @@ class CompletionSet:
         system = self._own(label)
         system.roles[(role, x, y)] = self.stamp
         system.stamps |= self.stamp
+        system.common &= self.stamp
         self._add_variable(system, x)
         self._add_variable(system, y)
         for concept, source in system.concepts:
@@ -364,6 +379,7 @@ class CompletionSet:
         store = system.formulas if var < 0 else system.concepts
         store[item] = stamp
         system.stamps |= stamp
+        system.common &= stamp
         self.holders[item] = self.holders.get(item, 0) | 1 << label
         other = item if term is BOT else _neg_item(item)
         if not self.clash and other in store:
@@ -913,11 +929,12 @@ def _premise_keys(system: ConstraintSystem, inst: RuleInstance) -> list:
 
 
 def _premise_deps(tableau: CompletionSet, inst: RuleInstance) -> int:
-    """Union of the dependency sets of the instance's premises; 0 without
-    rebuilding them when every set stored in the label is empty."""
+    """Union of the dependency sets of the instance's premises.  When
+    every set stored in the label is one and the same (`common` equals
+    `stamps`), that set is the answer, found without rebuilding them."""
     system = tableau.systems[inst.label]
-    if not system.stamps:
-        return 0
+    if system.common == system.stamps:
+        return system.stamps
     out = 0
     for key in _premise_keys(system, inst):
         out |= _store(system, key)[key]

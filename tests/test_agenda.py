@@ -6,9 +6,9 @@ the whole state.  These tests run the real search with checking wrappers
 around the functions it looks up, so every state it visits is compared.
 The same wrappers hold the `holders` index to the label sets it mirrors,
 and its settledness answers to the label scan.  After every step they
-check each label's stored dependency sets against the open branch points
-and its `stamps` union, each premise set against the stored sets of the
-rebuilt premises, and at every clash the recorded set against the
+check each label's stored dependency sets against the open branch points,
+its `stamps` union and its `common` intersection, each premise set
+against the stored sets of the rebuilt premises, and at every clash the recorded set against the
 clashing constraints' stored sets.
 """
 
@@ -120,11 +120,13 @@ class CheckedSearch:
                 assert deps == before.get(key, stamp)
             open_bits = (1 << len(search.stack)) - 1
             for system in state.systems:
-                union = 0
+                union, common = 0, -1
                 for deps in stored_sets(system).values():
                     assert deps & ~open_bits == 0
                     union |= deps
+                    common &= deps
                 assert system.stamps == union
+                assert system.common == common
             if state.clash:
                 assert state.clash_deps & ~open_bits == 0
                 assert state.clash_deps in clash_unions(state)
@@ -160,7 +162,8 @@ class CheckedSearch:
 
     def premise_deps(self, state, inst):
         """The premise set is the union of the stored sets of the rebuilt
-        premises, also where the label's `stamps` lets it skip them."""
+        premises, also where the label's `common` and `stamps` let it skip
+        them."""
         answer = self.real_premise_deps(state, inst)
         system = state.systems[inst.label]
         stored = stored_sets(system)
@@ -220,8 +223,8 @@ def holders_from_systems(state):
 
 
 def label_contents(state):
-    """Each label's constraints with their stored sets, its variables and
-    its `stamps`, as values."""
+    """Each label's constraints with their stored sets, its variables, its
+    `stamps` and its `common`, as values."""
     return [
         (
             frozenset(s.formulas.items()),
@@ -229,6 +232,7 @@ def label_contents(state):
             frozenset(s.roles.items()),
             frozenset(s.variables),
             s.stamps,
+            s.common,
         )
         for s in state.systems
     ]

@@ -38,10 +38,17 @@ from nnmdl.syntax import (
     parse_formula,
     postorder,
     serialize,
+    sort_key,
     weight,
 )
 
-from corpus import random_concept, random_raw_formula_any
+from corpus import (
+    random_concept,
+    random_g_formula,
+    random_normalized_formula,
+    random_raw_formula_any,
+)
+from test_acceptance import CORPUS_SEED, CORPUS_SIZE, FRAGMENT_SEED, FRAGMENT_SIZE
 
 A = AtomicConcept("A")
 B = AtomicConcept("B")
@@ -165,6 +172,46 @@ def test_round_trip_random_asts():
         assert parse_formula(serialize(phi)) == phi
 
 
+# -- sort keys ----------------------------------------------------------------
+
+def _assert_keys_are_texts(roots) -> None:
+    """Every subterm of each root, and every member of the closure of its
+    normal form (that form's subterms and their negations), has the sort
+    key `serialize` renders.  The members' stored keys are cleared first,
+    so `sort_key` builds each one anew."""
+    members = set()
+    for phi in roots:
+        clo = closure(normalize(phi))
+        members.update(postorder(phi), clo.con_neg, clo.for_neg)
+    for term in members:
+        object.__setattr__(term, "_sort_key", None)
+    for term in members:
+        assert sort_key(term) == serialize(term)
+
+
+def test_sort_key_is_the_text_on_the_corpora():
+    rng = random.Random(CORPUS_SEED)
+    roots = [random_normalized_formula(rng) for _ in range(CORPUS_SIZE)]
+    rng = random.Random(FRAGMENT_SEED)
+    roots += [random_g_formula(rng) for _ in range(FRAGMENT_SIZE)]
+    _assert_keys_are_texts(roots)
+
+
+def test_sort_key_is_the_text_on_random_formulas():
+    rng = random.Random(23)
+    _assert_keys_are_texts([random_raw_formula_any(rng) for _ in range(1000)])
+
+
+def _deep_keys(left: bool) -> None:
+    _assert_keys_are_texts([CI(Top(), _chain(2000, left, And, A, A))])
+
+
+@pytest.mark.parametrize("left", [True, False])
+def test_sort_key_is_the_text_on_deep_chains(left):
+    with _fresh_children() as pool:
+        pool.apply(_deep_keys, (left,))
+
+
 # -- normalization ----------------------------------------------------------
 
 def test_normalize_internalizes_inclusions():
@@ -227,6 +274,39 @@ def test_weight_invariant_under_negation_random():
         assert weight(phi) == weight(neg_nnf(phi))
 
 
+def _node_classes() -> list:
+    """The concrete node classes: those that list their own fields."""
+    classes, stack = [], Term.__subclasses__()
+    while stack:
+        cls = stack.pop()
+        stack += cls.__subclasses__()
+        if "_fields" in cls.__dict__:
+            classes.append(cls)
+    return sorted(classes, key=lambda cls: cls.__name__)
+
+
+NODE_CLASSES = _node_classes()
+
+
+def _fields_of(cls) -> list:
+    """Fields for a node of `cls`: a name, role or index where the class
+    takes one, and `A` for each term."""
+    leads = {"name": "A", "role": "r", "index": 1}
+    return [leads.get(name, A) for name in cls._fields]
+
+
+def _with_field(cls, position: int):
+    """Builds a node of `cls` from `_fields_of(cls)` with the given value
+    at field `position`."""
+
+    def build(value):
+        fields = _fields_of(cls)
+        fields[position] = value
+        return cls(*fields)
+
+    return build
+
+
 @pytest.mark.parametrize(
     "function",
     [
@@ -235,16 +315,36 @@ def test_weight_invariant_under_negation_random():
         serialize,
         closure,
         normalize,
-        # A node refuses a non-term child when it is built.
-        pytest.param(lambda value: And(value, A), id="And"),
-        pytest.param(NotF, id="NotF"),
-        pytest.param(lambda value: BoxF(1, value), id="BoxF"),
+        # A node refuses a non-term child when it is built, at every term
+        # field of every class; the id names the field after the first.
+        *(
+            pytest.param(
+                _with_field(cls, i),
+                id=cls.__name__ + (".right" if name == "right" else ""),
+            )
+            for cls in NODE_CLASSES
+            for i, name in enumerate(cls._fields)
+            if name in ("left", "right", "arg")
+        ),
     ],
 )
 def test_a_non_term_is_a_type_error(function):
     interned = dict(syntax._TERMS)
     with pytest.raises(TypeError, match="^not a concept or formula: 42$"):
         function(42)
+    assert syntax._TERMS == interned
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
+def test_a_wrong_field_count_is_a_type_error(cls):
+    fields = _fields_of(cls)
+    cls(*fields)  # exists, so a call with one field too many could hit it
+    interned = dict(syntax._TERMS)
+    count = len(fields)
+    for given in [fields[:n] for n in range(count)] + [fields + [A], fields + [A, A]]:
+        message = f"^{cls.__name__} takes {count} fields, got {len(given)}$"
+        with pytest.raises(TypeError, match=message):
+            cls(*given)
     assert syntax._TERMS == interned
 
 
@@ -307,14 +407,31 @@ def test_postorder_matches_a_recursive_walk():
 
 
 def test_children_table_has_a_row_per_node_class():
-    # A concrete class lists its own fields; Concept and Formula do not.
-    classes, stack = set(), Term.__subclasses__()
-    while stack:
-        cls = stack.pop()
-        stack += cls.__subclasses__()
-        if "_fields" in cls.__dict__:
-            classes.add(cls)
-    assert set(syntax._CHILDREN) == classes == set(syntax._PARTS)
+    # A concrete class lists its own fields, has one row in each
+    # per-class table and a constructor of its own, made for the shape of
+    # its fields; Term, Concept and Formula have no row and no
+    # constructor but Term's, which builds nothing.
+    classes = set(NODE_CLASSES)
+    assert len(classes) == 16
+    tables = (syntax._CHILDREN, syntax._TEXT, syntax._SHAPES, syntax._BUILD)
+    for table in tables:
+        assert set(table) == classes
+    for cls in (Term, Concept, Formula):
+        assert not any(cls in table for table in tables)
+        assert cls.__new__ is Term.__new__
+    fields_of_shape = {
+        syntax._no_field: {()},
+        syntax._one_name: {("name",)},
+        syntax._one_term: {("arg",)},
+        syntax._two_terms: {("left", "right")},
+        syntax._lead_and_term: {("role", "arg"), ("index", "arg")},
+    }
+    for cls in classes:
+        assert cls._fields in fields_of_shape[syntax._SHAPES[cls]]
+        assert "__new__" in cls.__dict__
+        node = cls(*_fields_of(cls))
+        assert [getattr(node, name) for name in cls._fields] == _fields_of(cls)
+    assert len({cls.__new__ for cls in classes}) == len(classes)
     rng = random.Random(22)
     met = set()
     for _ in range(200):
@@ -322,8 +439,9 @@ def test_children_table_has_a_row_per_node_class():
             met.add(type(term))
             kids = child_terms(term)
             assert kids == _field_children(term)
-            parts = syntax._PARTS[type(term)](term)
-            assert kids == tuple(p for p in parts if not isinstance(p, str))
+            values = (getattr(term, name) for name in term._fields)
+            texts = tuple(serialize(v) if isinstance(v, Term) else v for v in values)
+            assert serialize(term) == syntax._TEXT[type(term)] % texts
     assert met == classes
 
 
