@@ -68,6 +68,8 @@ from .syntax import (
     Or,
     OrF,
     Top,
+    _BINARY,
+    _LEAVES,
 )
 
 DEFAULT_MAX_WORLDS = 2
@@ -651,8 +653,6 @@ _BUILDERS = {
     DiaF: _formula_modal,
 }
 
-_LEAVES = frozenset((Top, Bot, AtomicConcept))
-_BINARY = frozenset((And, Or, CI, AndF, OrF))
 _MODAL = frozenset((Box, Dia, BoxF, DiaF))
 
 

@@ -67,9 +67,10 @@ class Term:
     factory of its field shape in `_SHAPES`: a call whose node exists
     costs one `_TERMS` probe, and a new node is written through the
     class's slot descriptors once each term field's class is found in
-    `_CHILDREN`.  `Term`, `Concept` and `Formula` keep the constructor
-    below, which builds nothing.  `_sort_key` caches the key `sort_key`
-    computes.
+    `_CHILDREN` and a leading name or modality index passes the parser's
+    rules (`_LEAD_CHECKS`).  `Term`, `Concept` and `Formula` keep the
+    constructor below, which builds nothing.  `_sort_key` caches the key
+    `sort_key` computes.
     """
 
     __slots__ = ("_sort_key",)
@@ -104,6 +105,12 @@ def _bad_call(cls, args: tuple) -> TypeError:
 
 def _not_a_term(value) -> TypeError:
     return TypeError(f"not a concept or formula: {value!r}")
+
+
+def _is_name(text: str) -> bool:
+    """The rule for concept and role names: a letter, then letters,
+    digits and underscores."""
+    return text[:1].isalpha() and text.replace("_", "").isalnum()
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +308,38 @@ def _lead_and_term(cls):
     return build
 
 
+def _name_check(what: str):
+    def check(value) -> None:
+        if value.__class__ is not str:
+            raise TypeError(f"{what} must be a str, got {value!r}")
+        if not _is_name(value):
+            raise ValueError(f"expected {what}, found {value!r}")
+
+    return check
+
+
+def _index_check(value) -> None:
+    if value.__class__ is not int:
+        raise TypeError(f"modality index must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"modality index must be at least 1, got {value}")
+
+
+#: Per class with a leading name or modality index, the check of that
+#: field its constructor makes on a `_TERMS` miss, by the parser's rules.
+#: The build paths skip it: the parser checks the token before it calls
+#: one, and the rewrites pass the fields of existing nodes.
+_LEAD_CHECKS = {
+    AtomicConcept: _name_check("concept name"),
+    **dict.fromkeys((Exists, Forall), _name_check("role name")),
+    **dict.fromkeys((Box, Dia, BoxF, DiaF), _index_check),
+}
+
+
 def _constructor(cls, build):
     """The constructor of `cls`: one `_TERMS` probe, and `build` on a
-    miss.  A field left out, one too many or a subclass builds nothing."""
+    miss once the leading field, if any, passes its `_LEAD_CHECKS` check.
+    A field left out, one too many or a subclass builds nothing."""
     if not cls._fields:
 
         def new(kind, *extra):
@@ -322,6 +358,8 @@ def _constructor(cls, build):
             if node is None or extra:
                 if field is _ABSENT or extra or kind is not cls:
                     raise _bad_call(kind, (field, *extra))
+                if kind in _LEAD_CHECKS:
+                    _LEAD_CHECKS[kind](field)
                 node = build(key)
             return node
 
@@ -333,6 +371,8 @@ def _constructor(cls, build):
             if node is None or extra:
                 if second is _ABSENT or extra or kind is not cls:
                     raise _bad_call(kind, (first, second, *extra))
+                if kind in _LEAD_CHECKS:
+                    _LEAD_CHECKS[kind](first)
                 node = build(key)
             return node
 
@@ -452,7 +492,7 @@ def _modality_index(token: str) -> int:
 
 def _name(what: str):
     def check(token: str) -> str:
-        if not token[0].isalpha() or not token.replace("_", "").isalnum():
+        if not _is_name(token):
             raise _BadToken(f"expected {what}, found '{token}'")
         return token
 

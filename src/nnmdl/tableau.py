@@ -14,14 +14,16 @@ the search backjumps: every constraint is stored in its label with the
 set of open branch points it depends on, and the search returns
 straight to the newest branch point in the clash's set, skipping the
 untried alternatives of later ones, none of which can avoid that clash.
-A disjunction (R_or, R_cup) one of whose alternatives is already refuted
-in its label, by its NNF negation or as a bottom concept, opens no
-branch point: the other alternative is applied as a deterministic step
-(Boolean constraint propagation), resting on what refuted the skipped
-one.  Rules only ever add constraints, every payload stays inside the closure sets of the
+What a step adds rests on the union of its premises' stored sets, which
+is taken when its instance is pushed.  A disjunction (R_or, R_cup) one
+of whose alternatives is already refuted in its label, by its NNF
+negation or as a bottom concept, opens no branch point: the other
+alternative is applied as a deterministic step (Boolean constraint
+propagation), resting on what refuted the skipped one.  Rules only ever
+add constraints, every payload stays inside the closure sets of the
 input formula, and the label count is asserted against its theoretical
-budget at every label creation.  A solve call owns its state exclusively;
-distinct calls share nothing mutable.
+budget at every label creation.  A solve call owns its state
+exclusively; distinct calls share nothing mutable.
 
 A constraint has one name throughout: the formula psi, the pair (C, x)
 or the triple (role, x, y).  Rule instances list what their branches add
@@ -33,7 +35,8 @@ The search is incremental.  A completion set is built for one frame
 class, which fixes the shape of R_L for the whole run.  From its first
 constraint on, every add pushes the rule instances it completes onto an
 agenda, a heap ordered by the same canonical key that `find_applicable`
-sorts by, and sets the state's clash flag when its NNF negation is
+sorts by, each with the union of the stored sets of the premises that
+completed it, and sets the state's clash flag when its NNF negation is
 already present (or it is a bottom concept).  A new formula or (concept,
 variable) pair takes one path there, `CompletionSet._put`, and the R_L
 instances are built in one place, `_modal_added`.  The next instance is the
@@ -44,9 +47,10 @@ The search extends the state in place, copies it only at a branch point
 keeps its branch points on an explicit stack.  A copy shares each
 label's system, its constraints together with their sets, until a state
 first writes that label.  `find_applicable`, `is_clash` and `apply`
-recompute from the whole state, for any class; they are the references the agenda, the clash flag and the in-place
-extension are tested against, and the tests build a chronological search
-from them to check backjumping's verdicts.  `find_applicable` builds R_L
+recompute from the whole state, for any class; they are the references
+the agenda, the clash flag and the in-place extension are tested
+against, and the tests build a chronological search from them to check
+backjumping's verdicts.  `find_applicable` builds R_L
 instances only when no in-label instance applies, since R_L comes last.
 Whether an R_L instance is already realized is read from an index
 mapping each constraint to the labels holding it, as an int with one bit
@@ -132,21 +136,9 @@ class ConstraintSystem:
     """All constraints of one label, with its occurring variables.
 
     `formulas`, `concepts` and `roles` map each constraint to the
-    dependency set it was added with (see `CompletionSet`); `stamps` is the
-    union of those sets, 0 while every constraint of the label rests on no
-    open branch point, and `common` their intersection (-1, every bit,
-    while the label holds none).  When the two are equal, every stored set
-    is that one set."""
+    dependency set it was added with (see `CompletionSet`)."""
 
-    __slots__ = (
-        "label",
-        "formulas",
-        "concepts",
-        "roles",
-        "variables",
-        "stamps",
-        "common",
-    )
+    __slots__ = ("label", "formulas", "concepts", "roles", "variables")
 
     def __init__(self, label: int):
         self.label = label
@@ -154,8 +146,6 @@ class ConstraintSystem:
         self.concepts: dict[tuple[Concept, int], int] = {}
         self.roles: dict[tuple[str, int, int], int] = {}
         self.variables: set[int] = set()
-        self.stamps = 0
-        self.common = -1
 
     def copy(self) -> "ConstraintSystem":
         """An independent copy, built without the constructor."""
@@ -165,8 +155,6 @@ class ConstraintSystem:
         dup.concepts = dict(self.concepts)
         dup.roles = dict(self.roles)
         dup.variables = set(self.variables)
-        dup.stamps = self.stamps
-        dup.common = self.common
         return dup
 
     def concept_set(self, var: int) -> set[Concept]:
@@ -229,11 +217,14 @@ class CompletionSet:
     are these same keys, so both are read with them directly.
     `clash_deps` is the union of the sets of the first pair of clashing
     constraints (a bottom concept's own set).  `agenda` is a heap of
-    (key, instance) pairs holding every applicable rule instance of the
-    state's frame class, possibly with stale ones in between: each add
-    reaches it through `_put`, which stores, indexes and clash-checks the
-    constraint and pushes what it completes, with R_L instances built by
-    `_modal_added`.  `parked` holds, per (label, variable), the R_exists
+    (key, (instance, premise set)) entries holding every applicable rule
+    instance of the state's frame class, possibly with stale ones in
+    between: each add reaches it through `_put`, which stores, indexes and
+    clash-checks the constraint and pushes what it completes, with R_L
+    instances built by `_modal_added`.  An entry's premise set is the union
+    of the stored sets of the premises whose group completed the instance;
+    stored sets never change, so it stays the union for as long as the
+    entry waits.  `parked` holds, per (label, variable), the R_exists
     instances found blocked.  `owned` has bit n set when this state may
     write label n's system in place: `copy` shares the systems, each
     label's constraints together with their sets, and clears both sides'
@@ -338,19 +329,18 @@ class CompletionSet:
             raise EngineError(f"role outside closure: {role}")
         if (role, x, y) in self.systems[label].roles:
             return
-        system = self._own(label)
-        system.roles[(role, x, y)] = self.stamp
-        system.stamps |= self.stamp
-        system.common &= self.stamp
+        system, stamp = self._own(label), self.stamp
+        system.roles[(role, x, y)] = stamp
         self._add_variable(system, x)
         self._add_variable(system, y)
-        for concept, source in system.concepts:
+        for (concept, source), deps in system.concepts.items():
             if (
                 source == x
                 and isinstance(concept, Forall)
                 and concept.role == role
             ):
-                self._push(_forall_instance(system.label, concept, y))
+                inst = _forall_instance(system.label, concept, y)
+                self._push(inst, stamp | deps)
 
     def _add_variable(self, system: ConstraintSystem, var: int) -> None:
         """Make a variable occur in a system this state owns, asserting
@@ -358,11 +348,13 @@ class CompletionSet:
         if var in system.variables:
             return
         system.variables.add(var)
-        if (TOP, var) not in system.concepts:
-            self._put(system, (TOP, var), TOP, var)
-        for psi in system.formulas:
+        label, top = system.label, (TOP, var)
+        if top not in system.concepts:
+            self._put(system, top, TOP, var)
+        top_deps = system.concepts[top]
+        for psi, deps in system.formulas.items():
             if isinstance(psi, CI):
-                self._push(_eq_instance(system.label, psi, var))
+                self._push(_eq_instance(label, psi, var), deps | top_deps)
 
     def _put(
         self, system: ConstraintSystem, item: BranchItem, term, var: int
@@ -372,14 +364,13 @@ class CompletionSet:
         as `holders` and the label's stores key it.  Store it with its
         dependency set `stamp`, flag a clash when it is bottom (its own
         partner) or its NNF negation is present, and push the instances
-        whose last premise it is.  The variable's parked R_exists instances
-        get another look: a variable can only become unblocked when its own
-        concept set grows."""
+        whose last premise it is, each with the union of its premises'
+        stored sets.  The variable's parked R_exists instances get another
+        look: a variable can only become unblocked when its own concept
+        set grows."""
         label, stamp = system.label, self.stamp
         store = system.formulas if var < 0 else system.concepts
         store[item] = stamp
-        system.stamps |= stamp
-        system.common &= stamp
         self.holders[item] = self.holders.get(item, 0) | 1 << label
         other = item if term is BOT else _neg_item(item)
         if not self.clash and other in store:
@@ -387,14 +378,15 @@ class CompletionSet:
             self.clash_deps = stamp | store[other]
         inst = _premise_instance(label, term, var)
         if inst is not None:
-            self._push(inst)
+            self._push(inst, stamp)
         elif isinstance(term, CI):
             for v in system.variables:
-                self._push(_eq_instance(label, term, v))
+                top_deps = system.concepts[(TOP, v)]
+                self._push(_eq_instance(label, term, v), stamp | top_deps)
         elif isinstance(term, Forall):
-            for role, x, y in system.roles:
+            for (role, x, y), deps in system.roles.items():
                 if role == term.role and x == var:
-                    self._push(_forall_instance(label, term, y))
+                    self._push(_forall_instance(label, term, y), stamp | deps)
         elif isinstance(term, (BoxF, DiaF, Box, Dia)):
             box = isinstance(term, (BoxF, Box))
             body = term.arg if var < 0 else (term.arg, var)
@@ -405,14 +397,17 @@ class CompletionSet:
 
     # -- agenda -------------------------------------------------------------
 
-    def _push(self, inst: "RuleInstance") -> None:
-        """Queue a candidate under its `find_applicable` sort key.  Within one
-        search the key determines the instance (rule, label and flattened
-        items fix the branches), so entries that tie hold equal instances.
-        Adds push an instance when its last premise arrives, which is once
-        except for R_L: equal bodies under two modality indices complete
-        the same instance once per index."""
-        heappush(self.agenda, (_instance_key(inst), inst))
+    def _push(self, inst: "RuleInstance", deps: int) -> None:
+        """Queue a candidate under its `find_applicable` sort key, with
+        `deps`, the union of the stored sets of the premises that completed
+        it.  Within one search the key determines the instance (rule, label
+        and flattened items fix the branches), so entries that tie hold
+        equal instances.  Adds push an instance when its last premise
+        arrives, which is once except for R_L: equal bodies under two
+        modality indices complete the same instance once per index, each
+        time with that index's premises; `next_instance` merges the
+        sets."""
+        heappush(self.agenda, (_instance_key(inst), (inst, deps)))
 
     def _modal_added(
         self, system: ConstraintSystem, index: int, body: BranchItem, box: bool
@@ -421,20 +416,33 @@ class CompletionSet:
         the only place they are built for the agenda: N's diamond-alone
         one, then each box choice of the index (under C, each subset)
         holding the new box, paired with each diamond or the new one.  A
-        box without a diamond of its index enumerates no choice."""
-        label, frame_class = system.label, self.frame_class
+        box without a diamond of its index enumerates no choice.  The new
+        premise's set is `stamp`; each other box's stored set is looked up
+        once per call, as under C a box lies in many subsets."""
+        label, frame_class, stamp = system.label, self.frame_class, self.stamp
         if not box and frame_class is FrameClass.N:
-            self._push(_unit_instance(label, body))
+            self._push(_unit_instance(label, body), stamp)
         boxes, dias = _modal_premises(system)
-        diamonds = dias.get(index) if box else (body,)
-        if not diamonds:
+        if not box:
+            diamonds, dia_deps, box_deps = (body,), (stamp,), {}
+        elif index in dias:
+            diamonds = dias[index]
+            dia_deps = [_modal_deps(system, index, d, False) for d in diamonds]
+            box_deps = {body: stamp}
+        else:
             return
         for gamma_items in _box_choices(boxes.get(index, []), frame_class):
             if box and body not in gamma_items:
                 continue
-            for delta_item in diamonds:
+            deps = 0
+            for g in gamma_items:
+                if g not in box_deps:
+                    box_deps[g] = _modal_deps(system, index, g, True)
+                deps |= box_deps[g]
+            for delta, delta_deps in zip(diamonds, dia_deps):
                 self._push(
-                    _modal_instance(label, frame_class, gamma_items, delta_item)
+                    _modal_instance(label, frame_class, gamma_items, delta),
+                    deps | delta_deps,
                 )
 
 
@@ -570,12 +578,11 @@ def _neg_item(item: BranchItem) -> BranchItem:
     return neg_nnf(item)
 
 
-def _store(system: ConstraintSystem, key) -> dict:
-    """The system's store for a constraint's kind: formula, (concept,
-    variable) pair or (role, x, y) triple."""
-    if isinstance(key, Formula):
-        return system.formulas
-    return system.concepts if len(key) == 2 else system.roles
+def _stored(system: ConstraintSystem, item: BranchItem) -> int | None:
+    """The dependency set the system stores with a formula or (concept,
+    variable) pair, None when it does not hold it."""
+    store = system.concepts if item.__class__ is tuple else system.formulas
+    return store.get(item)
 
 
 def _holds_in(system: ConstraintSystem, item: BranchItem) -> bool:
@@ -847,9 +854,16 @@ def _stale(tableau: CompletionSet, inst: RuleInstance) -> bool:
     return bool(blockers(var, system)) or _witnessed(system, role, var, target)
 
 
-def next_instance(tableau: CompletionSet) -> RuleInstance | None:
-    """Remove and return the least applicable rule instance, in the order
-    of `find_applicable`, or None when the state is saturated.
+def next_instance(
+    tableau: CompletionSet,
+) -> tuple[RuleInstance, int] | None:
+    """Remove the least applicable rule instance from the agenda, in the
+    order of `find_applicable`, and return it with its premise set, the
+    pair its entry holds; None when the state is saturated.  The premise
+    set is the union of the stored sets of every premise group that
+    completed the instance: an R_L instance completed under two modality
+    indices sits on the agenda once per index, and the tied entries are
+    merged here.
 
     Stale heads are dropped for good: rules only add constraints, so an
     instance that has fired or been realized stays so.  The one condition
@@ -861,9 +875,13 @@ def next_instance(tableau: CompletionSet) -> RuleInstance | None:
     agenda = tableau.agenda
     while agenda:
         entry = heappop(agenda)
-        inst = entry[1]
+        step = entry[1]
+        inst = step[0]
         if not _stale(tableau, inst):
-            return inst
+            if inst.rule is R_L:
+                while agenda and agenda[0][1][0] == inst:
+                    step = (inst, step[1] | heappop(agenda)[1][1])
+            return step
         if inst.rule == R_EXISTS:
             _, role, var, target = inst.branches[0][0]
             system = tableau.systems[inst.label]
@@ -872,73 +890,14 @@ def next_instance(tableau: CompletionSet) -> RuleInstance | None:
     return None
 
 
-def _modal_premise(index: int, item: BranchItem, box: bool):
-    """The store key of the box (or diamond) of this index around a body."""
+def _modal_deps(
+    system: ConstraintSystem, index: int, item: BranchItem, box: bool
+) -> int:
+    """The stored set of the box (or diamond) of this index around a body."""
     if isinstance(item, Formula):
-        return (BoxF if box else DiaF)(index, item)
+        return _stored(system, (BoxF if box else DiaF)(index, item))
     concept, var = item
-    return ((Box if box else Dia)(index, concept), var)
-
-
-def _premise_keys(system: ConstraintSystem, inst: RuleInstance) -> list:
-    """The store keys, within the instance's label, of the constraints
-    an instance was completed by, rebuilt from its branches.
-
-    Normalized inclusions read top <= C, so R_eq and R_neq rebuild theirs
-    from C; R_eq also rests on its variable occurring, which is the
-    variable's top.  R_forall and R_L do not carry the role source or the
-    modality index, so they take every premise group the label holds that
-    completes them: a larger set is still a sound one."""
-    rule = inst.rule
-    first = inst.branches[0]
-    if rule == R_EQ:
-        concept, var = first[0]
-        return [CI(TOP, concept), (TOP, var)]
-    if rule == R_AND:
-        return [AndF(*first)]
-    if rule == R_SQCAP:
-        (left, var), (right, _) = first
-        return [(And(left, right), var)]
-    if rule == R_SQCUP:
-        (left, var), (right, _) = first[0], inst.branches[1][0]
-        return [(Or(left, right), var)]
-    if rule == R_OR:
-        return [OrF(first[0], inst.branches[1][0])]
-    if rule == R_EXISTS:
-        _, role, var, target = first[0]
-        return [(Exists(role, target), var)]
-    if rule == R_NEQ:
-        return [NotF(CI(TOP, neg_nnf(first[0][0])))]
-    if rule == R_FORALL:
-        concept, y = first[0]
-        keys = []
-        for role, x, z in system.roles:
-            if z == y and (Forall(role, concept), x) in system.concepts:
-                keys += [(role, x, y), (Forall(role, concept), x)]
-        return keys
-    # R_L: the diamond is the first branch's last item, the boxes the rest.
-    *gamma, delta = first
-    boxes, dias = _modal_premises(system)
-    keys = []
-    for index, bodies in dias.items():
-        held = boxes.get(index, ())
-        if delta in bodies and all(g in held for g in gamma):
-            keys += [_modal_premise(index, g, True) for g in gamma]
-            keys.append(_modal_premise(index, delta, False))
-    return keys
-
-
-def _premise_deps(tableau: CompletionSet, inst: RuleInstance) -> int:
-    """Union of the dependency sets of the instance's premises.  When
-    every set stored in the label is one and the same (`common` equals
-    `stamps`), that set is the answer, found without rebuilding them."""
-    system = tableau.systems[inst.label]
-    if system.common == system.stamps:
-        return system.stamps
-    out = 0
-    for key in _premise_keys(system, inst):
-        out |= _store(system, key)[key]
-    return out
+    return _stored(system, ((Box if box else Dia)(index, concept), var))
 
 
 def _extend(tableau: CompletionSet, inst: RuleInstance, branch: int) -> None:
@@ -995,8 +954,7 @@ def _refuter(
     clashes on its own.  None while adding it would not clash at once."""
     if isinstance(item, tuple) and isinstance(item[0], Bot):
         return 0
-    key = _neg_item(item)
-    return _store(tableau.systems[label], key).get(key)
+    return _stored(tableau.systems[label], _neg_item(item))
 
 
 def _forced_branch(
@@ -1131,8 +1089,9 @@ class _Search:
         instance, next branch, trace length, premise set, failure set],
         and its first alternative runs on a copy.  Stack position i owns
         bit i of every dependency set: what a step adds is stamped with
-        the union of its premises' sets, plus the bit of the branch point
-        it opens.
+        the premise set its agenda entry carries, the union of its
+        premises' sets, plus the bit of the branch point it opens.  With
+        no branch point open, every set is 0.
 
         On a clash, the branch points whose bit is not in the clash's set
         are popped untried: no choice of theirs can avoid it.  The newest
@@ -1181,13 +1140,12 @@ class _Search:
                     stamp = premises | failed
                 self._step(tableau, inst, branch, stamp, path)
                 continue
-            inst = next_instance(tableau)
-            if inst is None:
+            step = next_instance(tableau)
+            if step is None:
                 if self.options.trace:
                     self.trace = path
                 return tableau
-            # With no branch point open, every set is empty.
-            stamp = _premise_deps(tableau, inst) if stack else 0
+            inst, stamp = step
             branch = 0
             forced = (
                 _forced_branch(tableau, inst)

@@ -5,11 +5,12 @@ state's clash flag; `find_applicable` and `is_clash` recompute both from
 the whole state.  These tests run the real search with checking wrappers
 around the functions it looks up, so every state it visits is compared.
 The same wrappers hold the `holders` index to the label sets it mirrors,
-and its settledness answers to the label scan.  After every step they
-check each label's stored dependency sets against the open branch points,
-its `stamps` union and its `common` intersection, each premise set
-against the stored sets of the rebuilt premises, and at every clash the recorded set against the
-clashing constraints' stored sets.
+and its settledness answers to the label scan.  At every pop they check
+the premise set the agenda entry carries against the stored sets of the
+premises rebuilt here from the instance's branches, after every step each
+label's stored dependency sets against the open branch points, and at
+every clash the recorded set against the clashing constraints' stored
+sets.
 """
 
 import random
@@ -21,15 +22,18 @@ import pytest
 from nnmdl import tableau
 from nnmdl.semantics import FrameClass
 from nnmdl.syntax import (
+    And,
     AndF,
     AtomicConcept,
     BOT,
+    Box,
     BoxF,
     CI,
     Dia,
     DiaF,
     Exists,
     Forall,
+    Formula,
     Not,
     NotF,
     Or,
@@ -38,9 +42,15 @@ from nnmdl.syntax import (
     neg_nnf,
 )
 from nnmdl.tableau import (
+    R_AND,
+    R_EQ,
     R_EXISTS,
+    R_FORALL,
     R_L,
     R_NEQ,
+    R_OR,
+    R_SQCAP,
+    R_SQCUP,
     SolveOptions,
     blockers,
     find_applicable,
@@ -63,8 +73,6 @@ class CheckedSearch:
         self.real_extend = tableau._extend
         self.real_settled = tableau._settled
         self.real_step = tableau._Search._step
-        self.real_premise_keys = tableau._premise_keys
-        self.real_premise_deps = tableau._premise_deps
         self.choices = 0
         self.parked: set = set()
         self.parked_then_chosen = 0
@@ -75,18 +83,19 @@ class CheckedSearch:
         monkeypatch.setattr(tableau, "_extend", self.extend)
         monkeypatch.setattr(tableau, "_settled", self.settled)
         monkeypatch.setattr(tableau._Search, "_step", self.step_wrapper())
-        monkeypatch.setattr(tableau, "_premise_keys", self.premise_keys)
-        monkeypatch.setattr(tableau, "_premise_deps", self.premise_deps)
 
     def next_instance(self, state):
         assert not is_clash(state)
         expected = find_applicable(state)
-        inst = self.real_next(state)
+        step = self.real_next(state)
+        inst = step and step[0]
         assert inst == (expected[0] if expected else None)
+        if step is not None:
+            assert step[1] == premise_deps(state.systems[inst.label], inst)
         self.choices += 1
         self.parked_then_chosen += inst in self.parked
         self.check_agenda(state)
-        return inst
+        return step
 
     def extend(self, state, inst, branch):
         self.real_extend(state, inst, branch)
@@ -120,13 +129,8 @@ class CheckedSearch:
                 assert deps == before.get(key, stamp)
             open_bits = (1 << len(search.stack)) - 1
             for system in state.systems:
-                union, common = 0, -1
                 for deps in stored_sets(system).values():
                     assert deps & ~open_bits == 0
-                    union |= deps
-                    common &= deps
-                assert system.stamps == union
-                assert system.common == common
             if state.clash:
                 assert state.clash_deps & ~open_bits == 0
                 assert state.clash_deps in clash_unions(state)
@@ -152,27 +156,6 @@ class CheckedSearch:
             if entry is not None and entry[0] is frame:
                 assert label_contents(frame[0]) == entry[1]
 
-    def premise_keys(self, system, inst):
-        """Every rebuilt premise is a constraint the label holds."""
-        keys = self.real_premise_keys(system, inst)
-        assert keys
-        held = set(chain(system.formulas, system.concepts, system.roles))
-        assert all(key in held for key in keys)
-        return keys
-
-    def premise_deps(self, state, inst):
-        """The premise set is the union of the stored sets of the rebuilt
-        premises, also where the label's `common` and `stamps` let it skip
-        them."""
-        answer = self.real_premise_deps(state, inst)
-        system = state.systems[inst.label]
-        stored = stored_sets(system)
-        expected = 0
-        for key in self.premise_keys(system, inst):
-            expected |= stored[key]
-        assert answer == expected
-        return answer
-
     def check_agenda(self, state):
         """No candidate twice, and every parked one blocked, unwitnessed
         R_exists for the variable it is parked under."""
@@ -181,7 +164,7 @@ class CheckedSearch:
             system = state.systems[label]
             assert blockers(var, system)
             for entry in parked:
-                inst = entry[1]
+                inst = entry[1][0]
                 assert inst.rule == R_EXISTS and inst.label == label
                 _, role, source, target = inst.branches[0][0]
                 assert source == var
@@ -223,16 +206,14 @@ def holders_from_systems(state):
 
 
 def label_contents(state):
-    """Each label's constraints with their stored sets, its variables, its
-    `stamps` and its `common`, as values."""
+    """Each label's constraints with their stored sets and its variables,
+    as values."""
     return [
         (
             frozenset(s.formulas.items()),
             frozenset(s.concepts.items()),
             frozenset(s.roles.items()),
             frozenset(s.variables),
-            s.stamps,
-            s.common,
         )
         for s in state.systems
     ]
@@ -241,6 +222,78 @@ def label_contents(state):
 def stored_sets(system):
     """A label's constraints, each with the dependency set it stores."""
     return {**system.formulas, **system.concepts, **system.roles}
+
+
+def modal_key(index, item, box):
+    """The store key of the box (or diamond) of this index around a body."""
+    if isinstance(item, Formula):
+        return (BoxF if box else DiaF)(index, item)
+    concept, var = item
+    return ((Box if box else Dia)(index, concept), var)
+
+
+def premise_keys(system, inst):
+    """The store keys, within the instance's label, of the constraints that
+    complete an instance, rebuilt from its branches.
+
+    Normalized inclusions read top <= C, so R_eq and R_neq rebuild theirs
+    from C; R_eq also rests on its variable occurring, which is the
+    variable's top.  R_forall and R_L do not carry the role source or the
+    modality index, so they take every premise group the label holds that
+    completes them."""
+    rule = inst.rule
+    first = inst.branches[0]
+    if rule == R_EQ:
+        concept, var = first[0]
+        return [CI(TOP, concept), (TOP, var)]
+    if rule == R_AND:
+        return [AndF(*first)]
+    if rule == R_SQCAP:
+        (left, var), (right, _) = first
+        return [(And(left, right), var)]
+    if rule == R_SQCUP:
+        (left, var), (right, _) = first[0], inst.branches[1][0]
+        return [(Or(left, right), var)]
+    if rule == R_OR:
+        return [OrF(first[0], inst.branches[1][0])]
+    if rule == R_EXISTS:
+        _, role, var, target = first[0]
+        return [(Exists(role, target), var)]
+    if rule == R_NEQ:
+        return [NotF(CI(TOP, neg_nnf(first[0][0])))]
+    held = stored_sets(system)
+    keys = []
+    if rule == R_FORALL:
+        concept, y = first[0]
+        for role, x, z in system.roles:
+            if z == y and (Forall(role, concept), x) in held:
+                keys += [(role, x, y), (Forall(role, concept), x)]
+        return keys
+    # R_L: the diamond is the first branch's last item, the boxes the rest.
+    *gamma, delta = first
+    indices = {
+        term.index
+        for term in chain(system.formulas, (c for c, _ in system.concepts))
+        if isinstance(term, (BoxF, DiaF, Box, Dia))
+    }
+    for index in sorted(indices):
+        group = [modal_key(index, g, True) for g in gamma]
+        group.append(modal_key(index, delta, False))
+        if all(key in held for key in group):
+            keys += group
+    return keys
+
+
+def premise_deps(system, inst):
+    """The union of the stored sets of an instance's rebuilt premises,
+    each of which the label holds."""
+    keys = premise_keys(system, inst)
+    assert keys
+    stored = stored_sets(system)
+    deps = 0
+    for key in keys:
+        deps |= stored[key]
+    return deps
 
 
 def constraint_sets(state):
@@ -347,6 +400,30 @@ def test_agenda_matches_find_applicable_on_c_boxes(monkeypatch):
     assert checked.choices > result.stats.steps / 2
 
 
+def test_a_push_joins_premises_of_different_branch_points(monkeypatch):
+    # Branch point 0's first alternative adds one premise, and branch point
+    # 1's first alternative, or a constraint resting on no branch point,
+    # completes the instance: the role edge of 0 meets the inclusion and
+    # the value restriction of 1 (R_eq and R_forall, pushed as the later
+    # premise is stored), and under C the box of 0 meets the box of none
+    # in one box subset.  The carried sets are checked at every pop.
+    checked = CheckedSearch(monkeypatch)
+    A, B, C = AtomicConcept("A"), AtomicConcept("B"), AtomicConcept("C")
+    roles = AndF(
+        OrF(CI(TOP, And(AtomicConcept("A0"), Exists("r", A))), CI(TOP, C)),
+        OrF(CI(TOP, And(AtomicConcept("B0"), Forall("r", B))), CI(TOP, C)),
+    )
+    boxes = AndF(
+        AndF(OrF(BoxF(1, CI(TOP, A)), CI(TOP, C)), BoxF(1, CI(TOP, B))),
+        DiaF(1, CI(TOP, C)),
+    )
+    for phi, frame_class in ((roles, FrameClass.E), (boxes, FrameClass.C)):
+        result = solve(phi, frame_class, SolveOptions(extract=False))
+        assert result.verdict == "sat"
+        assert result.stats.branch_points == 2
+    assert checked.choices == 28
+
+
 def test_c_boxes_4_step_and_label_counts():
     # Past the search pin's sizes.  Chronological backtracking needed
     # 17,624 steps and 7,827 labels here.
@@ -378,9 +455,9 @@ def test_agenda_push_counts_are_pinned(monkeypatch, phi, frame_class, pushes):
     calls = []
     real_push = tableau.CompletionSet._push
 
-    def counting(state, inst):
+    def counting(state, inst, deps):
         calls.append(inst)
-        real_push(state, inst)
+        real_push(state, inst, deps)
 
     monkeypatch.setattr(tableau.CompletionSet, "_push", counting)
     solve(phi, frame_class, SolveOptions(extract=False))
@@ -403,9 +480,9 @@ def test_modal_enumeration_counts_are_pinned(
 ):
     # Work that pushes nothing leaves the push counts as they were.  A box
     # added before any diamond of its index enumerates no box choice
-    # (under C, 2**n - 1 of them); `_premise_deps` rebuilds no premises in
-    # a label whose constraints rest on no open branch point (without that
-    # skip, 15 and 12 rebuilds on c_boxes4-C and box_dia6-E).
+    # (under C, 2**n - 1 of them); a step's premise set comes with its
+    # agenda entry, so no pop rebuilds its premises (rebuilding them for
+    # every R_L step made 15 and 12 rebuilds on c_boxes4-C and box_dia6-E).
     counts = {"choices": 0, "rebuilds": 0}
     real_choices = tableau._box_choices
     real_premises = tableau._modal_premises
@@ -454,7 +531,7 @@ def test_agenda_seeded_from_a_hand_built_state():
     state = init(phi, FrameClass.E)
     state.add_concept(0, AtomicConcept("A"), 0)
     expected = find_applicable(state)
-    assert next_instance(state) == expected[0]
+    assert next_instance(state)[0] == expected[0]
 
 
 def test_search_does_not_rescan_the_state(monkeypatch):

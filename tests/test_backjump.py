@@ -39,6 +39,7 @@ from nnmdl.syntax import (
 )
 from nnmdl.tableau import (
     R_EXISTS,
+    R_L,
     SolveOptions,
     StepCapError,
     apply,
@@ -280,21 +281,51 @@ def test_equal_bodies_under_two_indices_tie_on_equal_instances():
     while pending:
         state = pending.pop()
         by_key = {}
-        for key, inst in state.agenda:
+        for key, (inst, _) in state.agenda:
             assert by_key.setdefault(key, inst) == inst
         ties += len(state.agenda) - len(by_key)
         if state.clash:
             continue
-        inst = next_instance(state)
-        if inst is None:
+        step = next_instance(state)
+        if step is None:
             found = "sat"
             break
+        inst = step[0]
         for branch in reversed(range(inst.branch_count)):
             child = state.copy()
             tableau._extend(child, inst, branch)
             pending.append(child)
     assert ties
     assert found == chronological(phi, FrameClass.E) == "sat"
+
+
+def test_a_tied_instance_rests_on_every_index_that_completed_it(monkeypatch):
+    # As above, but box 1 enters as the first alternative of a
+    # disjunction, branch point 0: index 1's group for (P, Q) rests on
+    # bit 0 and index 2's on nothing.  Heap order puts the tied entry
+    # with set 0 first, so the R_L step carries bit 0 only if the pop
+    # merges the sets of both entries, as a rebuild of the premises
+    # would.  The step opens branch point 1 and adds its bit.
+    checked = CheckedSearch(monkeypatch)
+    real_step = tableau._Search._step
+    stamps = []
+
+    def step(search, state, inst, branch, stamp, path):
+        if inst.rule == R_L:
+            stamps.append(stamp)
+        real_step(search, state, inst, branch, stamp, path)
+
+    monkeypatch.setattr(tableau._Search, "_step", step)
+    P, Q = CI(TOP, A), CI(TOP, B)
+    phi = AndF(
+        AndF(OrF(BoxF(1, P), CI(TOP, C)), BoxF(2, P)),
+        AndF(DiaF(1, Q), DiaF(2, Q)),
+    )
+    result = solve(phi, FrameClass.E, SolveOptions(extract=False))
+    assert result.verdict == "sat"
+    assert result.stats.branch_points == 2
+    assert stamps == [0b11]
+    assert checked.choices == result.stats.steps + 1
 
 
 def test_branch_label_keeps_its_base_set_across_copies():

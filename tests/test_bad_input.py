@@ -8,7 +8,9 @@ truncated or have one keyword swapped for another and run through
 report an internal error, which the CLI keeps for engine defects.  The
 library's entry points refuse a value that is not a formula with a
 `TypeError`, not an engine error, and read a frame class given by name
-as the class itself, refusing an unknown name with a `ValueError`.
+as the class itself, refusing an unknown name with a `ValueError`.  The
+term constructors refuse a name or modality index the parser would
+refuse, before anything is interned.
 """
 
 import inspect
@@ -25,7 +27,22 @@ from nnmdl.extraction import validate
 from nnmdl.fragment import solve_fragment
 from nnmdl.oracle import OracleBounds, Signature, brute_force_sat, enumerate_models
 from nnmdl.semantics import FrameClass, check_frame_class
-from nnmdl.syntax import AtomicConcept, closure, parse_formula, serialize
+from nnmdl.syntax import (
+    CI,
+    TOP,
+    AtomicConcept,
+    Box,
+    BoxF,
+    Dia,
+    DiaF,
+    Exists,
+    Forall,
+    ParseError,
+    closure,
+    parse_concept,
+    parse_formula,
+    serialize,
+)
 from nnmdl.tableau import CompletionSet, init, next_instance, solve
 
 from corpus import random_normalized_formula
@@ -142,6 +159,60 @@ def test_a_non_formula_is_a_type_error(entry, frame_class, value):
     with pytest.raises(TypeError, match=message):
         entry(value, frame_class)
     assert syntax._TERMS == interned
+
+
+#: Term arguments for the constructor calls below.  Their atom occurs
+#: nowhere else, so each call misses `_TERMS`: a call whose fields equal
+#: an existing node's key (`True == 1`) returns that node.
+PROBE = AtomicConcept("LeadProbe")
+PROBE_INCLUSION = CI(TOP, PROBE)
+
+#: Constructor calls with a lead the parser refuses, and the error each
+#: raises: `ValueError` for a value of the right type, `TypeError` else.
+BAD_LEADS = {
+    "text-in-name": (lambda: AtomicConcept("B) (atom C"), ValueError),
+    "empty-name": (lambda: AtomicConcept(""), ValueError),
+    "digit-first": (lambda: AtomicConcept("1A"), ValueError),
+    "underscore-first": (lambda: AtomicConcept("_A"), ValueError),
+    "bytes-name": (lambda: AtomicConcept(b"A"), TypeError),
+    "int-name": (lambda: AtomicConcept(5), TypeError),
+    "spaced-role": (lambda: Exists("r s", PROBE), ValueError),
+    "none-role": (lambda: Forall(None, PROBE), TypeError),
+    "index-0": (lambda: Box(0, PROBE), ValueError),
+    "negative-index": (lambda: Dia(-1, PROBE), ValueError),
+    "formula-index-0": (lambda: DiaF(0, PROBE_INCLUSION), ValueError),
+    "bool-index": (lambda: BoxF(True, PROBE_INCLUSION), TypeError),
+    "float-index": (lambda: Box(1.0, PROBE), TypeError),
+    "text-index": (lambda: Dia("1", PROBE), TypeError),
+}
+
+
+@pytest.mark.parametrize(
+    "call, error", BAD_LEADS.values(), ids=list(BAD_LEADS)
+)
+def test_a_lead_the_parser_refuses_is_refused_by_the_constructor(call, error):
+    # Such leads built terms that broke the engine: `(atom B) (atom C)`
+    # as one name gave two distinct `Or` terms one sort key, which the
+    # agenda heap then compared, and index 0 reached extraction.
+    interned = dict(syntax._TERMS)
+    with pytest.raises(error):
+        call()
+    assert syntax._TERMS == interned
+
+
+@pytest.mark.parametrize(
+    "name", ["A", "a_1", "A_", "top", "\u00c4b", "1A", "A-B", "A B", "A)", ""]
+)
+def test_a_name_builds_exactly_when_the_parser_reads_it(name):
+    try:
+        parsed = parse_concept(f"(atom {name})")
+    except ParseError:
+        parsed = None
+    try:
+        built = AtomicConcept(name)
+    except ValueError:
+        built = None
+    assert built is parsed
 
 
 #: Unsat under C, sat under E, M and N.

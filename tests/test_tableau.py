@@ -196,7 +196,7 @@ def test_copy_sets_every_slot_and_shares_only_label_systems():
     phi = normalize(AndF(CI(TOP, Exists("r", A)), CI(TOP, Or(A, B))))
     state = init(phi, FrameClass.E)
     while not (state.agenda and state.parked):
-        state = apply(state, next_instance(state), 0)
+        state = apply(state, next_instance(state)[0], 0)
     dup = state.copy()
     for slot in CompletionSet.__slots__:
         assert getattr(dup, slot) == getattr(state, slot), slot
@@ -210,18 +210,13 @@ def test_copy_sets_every_slot_and_shares_only_label_systems():
 def test_system_copy_sets_every_slot_and_shares_no_container():
     # `ConstraintSystem.copy` builds the duplicate without the constructor:
     # a slot it forgets is unset, and a container it forgets to duplicate
-    # is shared.  The label holds constraints under two dependency sets,
-    # so `stamps` and `common` differ from each other and from a new
-    # system's.
+    # is shared.
     phi = normalize(AndF(CI(TOP, Exists("r", A)), CI(TOP, Or(A, B))))
     state = init(phi, FrameClass.E)
     while not state.systems[0].roles:
-        state = apply(state, next_instance(state), 0)
-    state.stamp = 0b10
-    state.add_concept(0, Not(A), 1)
+        state = apply(state, next_instance(state)[0], 0)
     system = state.systems[0]
     assert system.formulas and system.concepts and system.roles
-    assert (system.stamps, system.common) == (0b10, 0)
     dup = system.copy()
     for slot in ConstraintSystem.__slots__:
         assert getattr(dup, slot) == getattr(system, slot), slot
@@ -230,21 +225,6 @@ def test_system_copy_sets_every_slot_and_shares_no_container():
         for s in (system, dup)
     )
     assert mine.keys().isdisjoint(theirs.keys())
-
-
-def test_every_add_keeps_the_union_and_intersection_of_stored_sets():
-    # A role edge between variables the label already holds stores only
-    # itself, so only `add_role` itself can lower `common` here.
-    state = init(normalize(CI(TOP, Exists("r", A))), FrameClass.E)
-    system = state.new_label()
-    state.stamp = 0b11
-    state.add_concept(system.label, A, 0)
-    state.add_concept(system.label, A, 1)
-    assert (system.stamps, system.common) == (0b11, 0b11)
-    state.stamp = 0b01
-    state.add_role(system.label, "r", 0, 1)
-    assert system.roles == {("r", 0, 1): 0b01}
-    assert (system.stamps, system.common) == (0b11, 0b01)
 
 
 def test_apply_existential_leaves_its_input_untouched():
