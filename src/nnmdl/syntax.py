@@ -14,17 +14,19 @@ the same class and fields returns the one existing object, so equal terms
 are identical, equality and hashing cost constant time at any depth, and
 the immutable nodes are safe to share between concurrent solver instances.
 
-Each node class has one row in each of three class-keyed tables.
+Each node class has one row in each of four class-keyed tables.
 `_CHILDREN` gives its child terms; a value whose class has no row is not
 a term (`child_terms` raises `TypeError`).  `_TEXT` gives its text, a
 format over its fields that both `serialize` and `sort_key` render from.
-`_SHAPES` gives the factory of its constructor and build path, one per
-shape of fields: none, a name, one term, two terms, a lead and a term.
-`postorder` lists the distinct nodes under a root children first, reading
-`_CHILDREN` unless given its own `children`: closure, weights, deep
-negation and the fragment all walk with it.  The hot loops (the rewrites
-of `normalize` and `neg_nnf`, `serialize` and `sort_key`) read fields
-directly, dispatching on the class sets of the shapes.
+`_FIELD_CHECKS` gives one check per field, by the parser's rules: a
+concept or role name, a modality index, a concept or a formula; the
+constructors run it on every call.  `_BUILD` gives its build path, made
+by one factory per field count, which checks nothing.  `postorder` lists
+the distinct nodes under a root children first, reading `_CHILDREN`
+unless given its own `children`: closure, weights, deep negation and the
+fragment all walk with it.  The hot loops (the rewrites of `normalize`
+and `neg_nnf`, `serialize` and `sort_key`) read fields directly,
+dispatching on class sets derived from the classes' fields.
 
 The parser splits text at whitespace once the parentheses are spaced
 out, and builds terms with a table-driven loop on an explicit stack that
@@ -50,9 +52,6 @@ from operator import length_hint
 #: The one intern table: (class, *fields) -> the node with those fields.
 _TERMS: dict[tuple, Term] = {}
 
-#: Stands for a field a constructor call left out.
-_ABSENT = object()
-
 
 class Term:
     """Interned syntax node.
@@ -63,12 +62,13 @@ class Term:
     `dict.setdefault`, so threads that build equal terms concurrently
     still get one object.  A subclass lists its fields once, as both
     `__slots__` and `_fields`; fields cannot be assigned after
-    construction.  Each concrete class takes its constructor from the
-    factory of its field shape in `_SHAPES`: a call whose node exists
-    costs one `_TERMS` probe, and a new node is written through the
-    class's slot descriptors once each term field's class is found in
-    `_CHILDREN` and a leading name or modality index passes the parser's
-    rules (`_LEAD_CHECKS`).  `Term`, `Concept` and `Formula` keep the
+    construction.  The constructor of each concrete class checks, on
+    every call, the number of fields and then each field by the class's
+    `_FIELD_CHECKS` row before it probes `_TERMS`, so it refuses exactly
+    what the parser refuses, whatever is interned.  A new node is written
+    by the class's build path in `_BUILD`, which checks nothing: the
+    parser calls it on tokens it has checked, and the rewrites on fields
+    of existing nodes.  `Term`, `Concept` and `Formula` keep the
     constructor below, which builds nothing.  `_sort_key` caches the key
     `sort_key` computes.
     """
@@ -93,14 +93,12 @@ class Term:
 
 
 def _bad_call(cls, args: tuple) -> TypeError:
-    """Why a constructor call with fields `args` (`_ABSENT` for one left
-    out) builds nothing: a wrong count, or a class without a shape."""
-    given = sum(1 for value in args if value is not _ABSENT)
-    if given != len(cls._fields):
-        return TypeError(
-            f"{cls.__qualname__} takes {len(cls._fields)} fields, got {given}"
-        )
-    return TypeError(f"{cls.__qualname__} is abstract")
+    """Why a constructor call with fields `args` builds nothing: a wrong
+    count, or a class without a constructor of its own."""
+    name, count = cls.__qualname__, len(cls._fields)
+    if len(args) != count:
+        return TypeError(f"{name} takes {count} fields, got {len(args)}")
+    return TypeError(f"{name} is abstract")
 
 
 def _not_a_term(value) -> TypeError:
@@ -227,85 +225,16 @@ _TEXT = {
     DiaF: "(dia %s %s)",
 }
 
-# Build paths, one factory per field shape.  A build path makes the node
-# of an intern key (class, then fields) that `_TERMS` lacks: it checks
-# that each term field is a term, writes the slots through the class's
-# descriptors and enters the node through `dict.setdefault`, returning
-# whichever node the table keeps.
-
-_new_object = object.__new__
-_set_sort_key = Term._sort_key.__set__
-
-
-def _no_field(cls):
-    def build(key):
-        node = _new_object(cls)
-        _set_sort_key(node, None)
-        return _TERMS.setdefault(key, node)
-
-    return build
-
-
-def _one_name(cls):
-    set_name = cls.name.__set__
-
-    def build(key):
-        node = _new_object(cls)
-        set_name(node, key[1])
-        _set_sort_key(node, None)
-        return _TERMS.setdefault(key, node)
-
-    return build
-
-
-def _one_term(cls):
-    set_arg = cls.arg.__set__
-
-    def build(key):
-        arg = key[1]
-        if arg.__class__ not in _CHILDREN:
-            raise _not_a_term(arg)
-        node = _new_object(cls)
-        set_arg(node, arg)
-        _set_sort_key(node, None)
-        return _TERMS.setdefault(key, node)
-
-    return build
-
-
-def _two_terms(cls):
-    set_left, set_right = cls.left.__set__, cls.right.__set__
-
-    def build(key):
-        _, left, right = key
-        if left.__class__ not in _CHILDREN:
-            raise _not_a_term(left)
-        if right.__class__ not in _CHILDREN:
-            raise _not_a_term(right)
-        node = _new_object(cls)
-        set_left(node, left)
-        set_right(node, right)
-        _set_sort_key(node, None)
-        return _TERMS.setdefault(key, node)
-
-    return build
-
-
-def _lead_and_term(cls):
-    set_lead = getattr(cls, cls._fields[0]).__set__
-    set_arg = cls.arg.__set__
-
-    def build(key):
-        _, lead, arg = key
-        if arg.__class__ not in _CHILDREN:
-            raise _not_a_term(arg)
-        node = _new_object(cls)
-        set_lead(node, lead)
-        set_arg(node, arg)
-        _set_sort_key(node, None)
-        return _TERMS.setdefault(key, node)
-
-    return build
+#: The node classes, and the class sets the hot loops dispatch on, read
+#: off their fields and sorts.
+_CLASSES = (*Concept.__subclasses__(), *Formula.__subclasses__())
+_CONCEPTS = frozenset(c for c in _CLASSES if issubclass(c, Concept))
+_BINARY = frozenset(c for c in _CLASSES if c._fields == ("left", "right"))
+_LEADS = frozenset(c for c in _CLASSES if c._fields[1:] == ("arg",))
+_LEAVES = frozenset(
+    c for c in _CLASSES if c not in _BINARY and "arg" not in c._fields
+)
+_JUNCTIONS = _BINARY - {CI}
 
 
 def _name_check(what: str):
@@ -325,81 +254,105 @@ def _index_check(value) -> None:
         raise ValueError(f"modality index must be at least 1, got {value}")
 
 
-#: Per class with a leading name or modality index, the check of that
-#: field its constructor makes on a `_TERMS` miss, by the parser's rules.
-#: The build paths skip it: the parser checks the token before it calls
-#: one, and the rewrites pass the fields of existing nodes.
-_LEAD_CHECKS = {
-    AtomicConcept: _name_check("concept name"),
-    **dict.fromkeys((Exists, Forall), _name_check("role name")),
-    **dict.fromkeys((Box, Dia, BoxF, DiaF), _index_check),
+def _sort_check(sort: type, what: str):
+    def check(value) -> None:
+        if value.__class__ not in _CHILDREN:
+            raise _not_a_term(value)
+        if not isinstance(value, sort):
+            raise TypeError(f"not a {what}: {value!r}")
+
+    return check
+
+
+_concept_field = _sort_check(Concept, "concept")
+_formula_field = _sort_check(Formula, "formula")
+_role_field = _name_check("role name")
+
+#: Per node class, one check per field in `_fields` order, by the
+#: parser's rules: what `_KEYWORDS` reads there.  A check raises
+#: `TypeError` for a value of the wrong type or sort, `ValueError` for a
+#: name or index of the right type that the parser would refuse.
+_FIELD_CHECKS = {
+    **dict.fromkeys((Top, Bot), ()),
+    AtomicConcept: (_name_check("concept name"),),
+    Not: (_concept_field,),
+    **dict.fromkeys((And, Or, CI), (_concept_field, _concept_field)),
+    **dict.fromkeys((Exists, Forall), (_role_field, _concept_field)),
+    **dict.fromkeys((Box, Dia), (_index_check, _concept_field)),
+    NotF: (_formula_field,),
+    **dict.fromkeys((AndF, OrF), (_formula_field, _formula_field)),
+    **dict.fromkeys((BoxF, DiaF), (_index_check, _formula_field)),
 }
 
+_new_object = object.__new__
+_set_sort_key = Term._sort_key.__set__
 
-def _constructor(cls, build):
-    """The constructor of `cls`: one `_TERMS` probe, and `build` on a
-    miss once the leading field, if any, passes its `_LEAD_CHECKS` check.
-    A field left out, one too many or a subclass builds nothing."""
-    if not cls._fields:
 
-        def new(kind, *extra):
-            node = _TERMS.get((kind,))
-            if node is None or extra:
-                if extra or kind is not cls:
-                    raise _bad_call(kind, extra)
-                node = build((kind,))
-            return node
+def _build_path(cls):
+    """The build path of `cls`, one shape per arity: it makes the node of
+    an intern key (class, then fields) that `_TERMS` lacks, writing the
+    slots through the class's descriptors, and enters it through
+    `dict.setdefault`, returning whichever node the table keeps.  It
+    checks nothing."""
+    setters = [getattr(cls, name).__set__ for name in cls._fields]
+    if not setters:
 
-    elif len(cls._fields) == 1:
+        def build(key):
+            node = _new_object(cls)
+            _set_sort_key(node, None)
+            return _TERMS.setdefault(key, node)
 
-        def new(kind, field=_ABSENT, /, *extra):
-            key = (kind, field)
-            node = _TERMS.get(key)
-            if node is None or extra:
-                if field is _ABSENT or extra or kind is not cls:
-                    raise _bad_call(kind, (field, *extra))
-                if kind in _LEAD_CHECKS:
-                    _LEAD_CHECKS[kind](field)
-                node = build(key)
-            return node
+    elif len(setters) == 1:
+        (set_field,) = setters
+
+        def build(key):
+            node = _new_object(cls)
+            set_field(node, key[1])
+            _set_sort_key(node, None)
+            return _TERMS.setdefault(key, node)
 
     else:
+        set_first, set_second = setters
 
-        def new(kind, first=_ABSENT, second=_ABSENT, /, *extra):
-            key = (kind, first, second)
-            node = _TERMS.get(key)
-            if node is None or extra:
-                if second is _ABSENT or extra or kind is not cls:
-                    raise _bad_call(kind, (first, second, *extra))
-                if kind in _LEAD_CHECKS:
-                    _LEAD_CHECKS[kind](first)
-                node = build(key)
-            return node
+        def build(key):
+            node = _new_object(cls)
+            set_first(node, key[1])
+            set_second(node, key[2])
+            _set_sort_key(node, None)
+            return _TERMS.setdefault(key, node)
+
+    return build
+
+
+#: Per node class, its build path, which the parser and `_intern` call
+#: after their own `_TERMS` miss.
+_BUILD = {cls: _build_path(cls) for cls in _CLASSES}
+
+
+def _constructor(cls):
+    """The constructor of `cls`: the field count, then each field by its
+    `_FIELD_CHECKS` check, then one `_TERMS` probe and the build path on
+    a miss.  A field left out, one too many or a subclass builds
+    nothing."""
+    checks, build = _FIELD_CHECKS[cls], _BUILD[cls]
+
+    def new(kind, *fields):
+        if kind is not cls or len(fields) != len(checks):
+            raise _bad_call(kind, fields)
+        for check, value in zip(checks, fields):
+            check(value)
+        key = (kind, *fields)
+        node = _TERMS.get(key)
+        if node is None:
+            node = build(key)
+        return node
 
     return new
 
 
-#: Per node class, the factory of its build path: the shape of its fields.
-_SHAPES = {
-    **dict.fromkeys((Top, Bot), _no_field),
-    AtomicConcept: _one_name,
-    **dict.fromkeys((Not, NotF), _one_term),
-    **dict.fromkeys((And, Or, CI, AndF, OrF), _two_terms),
-    **dict.fromkeys((Exists, Forall, Box, Dia, BoxF, DiaF), _lead_and_term),
-}
-
-#: Per node class, its build path, which the parser and `_intern` call
-#: after their own `_TERMS` miss.
-_BUILD = {cls: shape(cls) for cls, shape in _SHAPES.items()}
-
-for _cls, _build in _BUILD.items():
-    _cls.__new__ = _constructor(_cls, _build)
-del _cls, _build
-
-#: The node classes by the shape of their fields.
-_BINARY = frozenset(c for c, shape in _SHAPES.items() if shape is _two_terms)
-_LEADS = frozenset(c for c, shape in _SHAPES.items() if shape is _lead_and_term)
-_CONCEPTS = frozenset(c for c in _SHAPES if issubclass(c, Concept))
+for _cls in _CLASSES:
+    _cls.__new__ = _constructor(_cls)
+del _cls
 
 TOP = Top()
 BOT = Bot()
@@ -716,10 +669,6 @@ _DUAL = {
     DiaF: BoxF,
 }
 
-_JUNCTIONS = (And, Or, AndF, OrF)
-_LEAVES = (AtomicConcept, Top, Bot)
-
-
 def _intern(key: tuple) -> Term:
     """The node with intern key `key` (class, then fields)."""
     node = _TERMS.get(key)
@@ -751,7 +700,7 @@ def _rewrite(term):
                 memo.setdefault(node, node)
                 continue
             stack.append((node, True))
-            if cls in _JUNCTIONS or cls is CI:
+            if cls in _BINARY:
                 if node.right not in memo:
                     stack.append((node.right, False))
                 if node.left not in memo:

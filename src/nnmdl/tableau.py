@@ -454,9 +454,12 @@ def label_budget(fg_size: int, frame_class: FrameClass) -> int:
 
 
 def init(phi: Formula, frame_class: FrameClass) -> CompletionSet:
-    """Initial completion set for a frame class: the formula and one domain
-    seed at label 0."""
+    """Initial completion set for a frame class: the normal form of the
+    formula and one domain seed at label 0."""
+    if not isinstance(phi, Formula):
+        raise TypeError(f"not a formula: {phi!r}")
     frame_class = FrameClass(frame_class)
+    phi = normalize(phi)
     tableau = CompletionSet(phi, closure(phi), frame_class)
     system = tableau.new_label()
     tableau.add_formula(system.label, phi)
@@ -1183,21 +1186,18 @@ def solve(
     an engine bug, not an input error).  Result stats aggregate the whole
     search, including backtracked applications.
     """
-    if not isinstance(phi, Formula):
-        raise TypeError(f"not a formula: {phi!r}")
-    frame_class = FrameClass(frame_class)
+    start = init(phi, frame_class)
     if options is None:
         options = SolveOptions()
-    phi = normalize(phi)
     search = _Search(options)
-    final = search.run(init(phi, frame_class))
+    final = search.run(start)
     if final is None:
         return SolveResult("unsat", None, None, None, search.stats)
     model = None
     if options.extract:
         model = extraction.extract_model(final)
         if options.validate and not extraction.validate(
-            model, phi, frame_class
+            model, start.phi, start.frame_class
         ):
             raise EngineError(
                 "extracted model failed validation; "

@@ -161,9 +161,7 @@ def test_a_non_formula_is_a_type_error(entry, frame_class, value):
     assert syntax._TERMS == interned
 
 
-#: Term arguments for the constructor calls below.  Their atom occurs
-#: nowhere else, so each call misses `_TERMS`: a call whose fields equal
-#: an existing node's key (`True == 1`) returns that node.
+#: Term arguments for the constructor calls below.
 PROBE = AtomicConcept("LeadProbe")
 PROBE_INCLUSION = CI(TOP, PROBE)
 
@@ -197,6 +195,33 @@ def test_a_lead_the_parser_refuses_is_refused_by_the_constructor(call, error):
     interned = dict(syntax._TERMS)
     with pytest.raises(error):
         call()
+    assert syntax._TERMS == interned
+
+
+class Name(str):
+    """A str that is not a str to the constructors: the parser never
+    gives one."""
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: Box(True, x),
+        lambda x: Box(1.0, x),
+        lambda x: AtomicConcept(Name("A")),
+        lambda x: Exists(Name("r"), x),
+    ],
+    ids=["bool-index", "float-index", "str-subclass-name", "str-subclass-role"],
+)
+def test_a_lead_equal_to_an_interned_one_is_still_refused(call):
+    # The intern table compares keys with `==`, and `True == 1.0 == 1`
+    # and `Name("A") == "A"`: these calls would find the node below.
+    x = AtomicConcept("A")
+    Box(1, x)
+    Exists("r", x)
+    interned = dict(syntax._TERMS)
+    with pytest.raises(TypeError):
+        call(x)
     assert syntax._TERMS == interned
 
 

@@ -1,7 +1,9 @@
 """The benchmark must keep running against the current solver: its tracer
-wraps solver functions by name, so a refactor that drops one fails here,
-at once in `test_every_traced_function_exists` and in full in the smoke
-run."""
+wraps solver functions by name and its worker calls them by name, so a
+refactor that drops one fails here, at once in
+`test_every_traced_function_exists` and
+`test_every_package_name_the_benchmark_reads_exists`, and in full in the
+smoke run."""
 
 import ast
 import os
@@ -36,6 +38,32 @@ def test_every_traced_function_exists():
     for _, module, attr in wrapped:
         # The tracer looks each one up the same way on the imported package.
         assert callable(getattr(getattr(nnmdl, module), attr)), (module, attr)
+
+
+def package_chains() -> set:
+    """Every `nnmdl.<name>[.<name>...]` attribute chain in perfbench/*.py,
+    read with `ast`: each file names the imported package `nnmdl`."""
+    chains = set()
+    for path in Path(ROOT, "perfbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            while isinstance(node, ast.Attribute):
+                names.append(node.attr)
+                node = node.value
+            if names and isinstance(node, ast.Name) and node.id == "nnmdl":
+                chains.add(tuple(reversed(names)))
+    return chains
+
+
+def test_every_package_name_the_benchmark_reads_exists():
+    chains = package_chains()
+    assert ("oracle", "formula_signature") in chains
+    assert ("enumerate_models",) in chains
+    for chain in chains:
+        value = nnmdl
+        for name in chain:
+            assert hasattr(value, name), "nnmdl." + ".".join(chain)
+            value = getattr(value, name)
 
 
 @pytest.mark.slow

@@ -290,9 +290,11 @@ NODE_CLASSES = _node_classes()
 
 def _fields_of(cls) -> list:
     """Fields for a node of `cls`: a name, role or index where the class
-    takes one, and `A` for each term."""
+    takes one, and for each term `CI(TOP, A)` where a formula class but
+    `CI` takes it, `A` elsewhere."""
+    term = CI(Top(), A) if issubclass(cls, Formula) and cls is not CI else A
     leads = {"name": "A", "role": "r", "index": 1}
-    return [leads.get(name, A) for name in cls._fields]
+    return [leads.get(name, term) for name in cls._fields]
 
 
 def _with_field(cls, position: int):
@@ -356,6 +358,31 @@ def test_an_abstract_class_is_a_type_error(cls):
     assert syntax._TERMS == interned
 
 
+@pytest.mark.parametrize(
+    "cls, position",
+    [
+        pytest.param(cls, i, id=f"{cls.__name__}.{name}")
+        for cls in NODE_CLASSES
+        for i, name in enumerate(cls._fields)
+        if name in ("left", "right", "arg")
+    ],
+)
+def test_a_term_of_the_other_sort_is_a_type_error(cls, position):
+    # `(or (atom A) (sub top (atom A)))` does not parse, so `Or(A, CI(TOP,
+    # A))` must not build either: the engine would meet a concept outside
+    # its closure.  Checked with the right node interned, and before any
+    # node is built.
+    build = _with_field(cls, position)
+    right = _fields_of(cls)[position]
+    build(right)
+    other = A if isinstance(right, Formula) else CI(Top(), A)
+    expected = "concept" if isinstance(right, Concept) else "formula"
+    interned = dict(syntax._TERMS)
+    with pytest.raises(TypeError, match=f"^not a {expected}: "):
+        build(other)
+    assert syntax._TERMS == interned
+
+
 # -- walks ------------------------------------------------------------------
 
 def _field_children(term) -> tuple:
@@ -408,29 +435,43 @@ def test_postorder_matches_a_recursive_walk():
 
 def test_children_table_has_a_row_per_node_class():
     # A concrete class lists its own fields, has one row in each
-    # per-class table and a constructor of its own, made for the shape of
-    # its fields; Term, Concept and Formula have no row and no
-    # constructor but Term's, which builds nothing.
+    # per-class table and a constructor of its own; Term, Concept and
+    # Formula have no row and no constructor but Term's, which builds
+    # nothing.  A class's field checks check the sort of exactly the
+    # fields its children come from, each by the sort the parser reads
+    # there, so the constructors and the parser agree on every field.
     classes = set(NODE_CLASSES)
     assert len(classes) == 16
-    tables = (syntax._CHILDREN, syntax._TEXT, syntax._SHAPES, syntax._BUILD)
+    tables = (syntax._CHILDREN, syntax._TEXT, syntax._FIELD_CHECKS, syntax._BUILD)
     for table in tables:
         assert set(table) == classes
     for cls in (Term, Concept, Formula):
         assert not any(cls in table for table in tables)
         assert cls.__new__ is Term.__new__
-    fields_of_shape = {
-        syntax._no_field: {()},
-        syntax._one_name: {("name",)},
-        syntax._one_term: {("arg",)},
-        syntax._two_terms: {("left", "right")},
-        syntax._lead_and_term: {("role", "arg"), ("index", "arg")},
+    parsed_sort = {
+        cls: sort
+        for keywords in syntax._KEYWORDS
+        for cls, _, _, sort in keywords.values()
+    }
+    sort_check = {
+        syntax._CONCEPT: syntax._concept_field,
+        syntax._FORMULA: syntax._formula_field,
     }
     for cls in classes:
-        assert cls._fields in fields_of_shape[syntax._SHAPES[cls]]
         assert "__new__" in cls.__dict__
         node = cls(*_fields_of(cls))
         assert [getattr(node, name) for name in cls._fields] == _fields_of(cls)
+        checks = syntax._FIELD_CHECKS[cls]
+        assert len(checks) == len(cls._fields)
+        sorted_fields = [
+            getattr(node, name)
+            for name, check in zip(cls._fields, checks)
+            if check in sort_check.values()
+        ]
+        assert tuple(sorted_fields) == child_terms(node)
+        for check in checks:
+            if check in sort_check.values():
+                assert check is sort_check[parsed_sort[cls]]
     assert len({cls.__new__ for cls in classes}) == len(classes)
     rng = random.Random(22)
     met = set()

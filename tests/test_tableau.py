@@ -36,6 +36,7 @@ from nnmdl.tableau import (
     SolveOptions,
     StaleInstanceError,
     StepCapError,
+    _Search,
     apply,
     blockers,
     find_applicable,
@@ -46,7 +47,7 @@ from nnmdl.tableau import (
     solve,
 )
 
-from corpus import random_normalized_formula
+from corpus import random_normalized_formula, random_raw_formula_any
 from test_acceptance import constraint_count
 from test_agenda import label_contents
 from test_search_pin import box_dia
@@ -365,6 +366,28 @@ def test_existential_with_blocking_terminates():
 
 def test_solve_normalizes_input():
     assert solve(NotF(NotF(P)), FrameClass.E).verdict == "sat"
+
+
+@pytest.mark.parametrize("frame_class", list(FrameClass), ids=lambda fc: fc.value)
+def test_init_normalizes_its_formula(frame_class):
+    # Taken as given, the first formula queued an R_neq instance over
+    # `NotF(CI(TOP, B))`, outside the normal form's closure, and the
+    # search from that state raised an engine error.
+    def verdict(state) -> str:
+        final = _Search(SolveOptions(extract=False)).run(state)
+        return "unsat" if final is None else "sat"
+
+    rng = random.Random(31)
+    raw = [NotF(AndF(P, Q)), NotF(CI(A, Or(A, B)))]
+    raw += [random_raw_formula_any(rng) for _ in range(20)]
+    for phi in raw:
+        state, normal = init(phi, frame_class), init(normalize(phi), frame_class)
+        assert state.phi is normal.phi is normalize(phi)
+        assert find_applicable(state) == find_applicable(normal)
+        expected = solve(phi, frame_class).verdict
+        assert verdict(state) == verdict(normal) == expected
+    with pytest.raises(TypeError, match="^not a formula: "):
+        init(A, frame_class)
 
 
 def test_solve_trace_records_path():
