@@ -760,7 +760,7 @@ def _negation(node) -> Term | None:
     those is not in `_NEGATIONS` yet."""
     cls = type(node)
     if cls is AtomicConcept:
-        return Not(node)
+        return _intern((Not, node))
     if cls is Not or cls is NotF:
         return node.arg
     if cls is Top:
@@ -768,7 +768,7 @@ def _negation(node) -> Term | None:
     if cls is Bot:
         return TOP
     if cls is CI:
-        return NotF(node)
+        return _intern((NotF, node))
     memo = _NEGATIONS
     if cls in _JUNCTIONS:
         left, right = memo.get(node.left), memo.get(node.right)
