@@ -42,6 +42,7 @@ from .syntax import (
     NotF,
     Or,
     OrF,
+    TOP,
     Top,
 )
 
@@ -406,11 +407,13 @@ class Evaluator:
                 if self.concept_truth_set(d, concept.arg) in collection
             )
         elif isinstance(concept, Dia):
+            # d is in not-C at v iff v's domain holds d and C does not.
             collection = self._neighbourhood(concept.index, world)
+            truth = self.concept_truth_set
             out = frozenset(
                 d
                 for d in dom
-                if self.concept_truth_set(d, Not(concept.arg)) not in collection
+                if truth(d, TOP) - truth(d, concept.arg) not in collection
             )
         else:
             raise TypeError(f"not a concept: {concept!r}")
@@ -448,9 +451,8 @@ class Evaluator:
                 phi.index, world
             )
         if isinstance(phi, DiaF):
-            return self.formula_truth_set(NotF(phi.arg)) not in self._neighbourhood(
-                phi.index, world
-            )
+            refuted = self.model.world_set() - self.formula_truth_set(phi.arg)
+            return refuted not in self._neighbourhood(phi.index, world)
         raise TypeError(f"not a formula: {phi!r}")
 
     def formula_truth_set(self, phi: Formula) -> frozenset[str]:

@@ -39,9 +39,11 @@ sorts by, each with the union of the stored sets of the premises that
 completed it, and sets the state's clash flag when its NNF negation is
 already present (or it is a bottom concept).  A new formula or (concept,
 variable) pair takes one path there, `CompletionSet._put`, and the R_L
-instances are built in one place, `_modal_added`.  The next instance is the
-agenda's head once stale heads have been dropped; an R_exists instance
-that is only blocked is parked until its variable's concept set grows.
+instances are built in one place, `_modal_added`, from one scan of the
+label's boxes and diamonds with their stored sets; a new box enumerates
+only the box choices holding it.  The next instance is the agenda's head
+once stale heads have been dropped; an R_exists instance that is only
+blocked is parked until its variable's concept set grows.
 The search extends the state in place, copies it only at a branch point
 (every alternative but the last works on a copy of the saved state) and
 keeps its branch points on an explicit stack.  A copy shares each
@@ -414,32 +416,24 @@ class CompletionSet:
     ) -> None:
         """Push the R_L instances a new box (or diamond) body completes,
         the only place they are built for the agenda: N's diamond-alone
-        one, then each box choice of the index (under C, each subset)
-        holding the new box, paired with each diamond or the new one.  A
-        box without a diamond of its index enumerates no choice.  The new
-        premise's set is `stamp`; each other box's stored set is looked up
-        once per call, as under C a box lies in many subsets."""
-        label, frame_class, stamp = system.label, self.frame_class, self.stamp
+        one, then each box choice holding the new box with each diamond of
+        the index, or each choice with the new diamond.  Every premise's
+        set, `stamp` for the new one, is read from `_modal_premises`."""
+        label, frame_class = system.label, self.frame_class
         if not box and frame_class is FrameClass.N:
-            self._push(_unit_instance(label, body), stamp)
+            self._push(_unit_instance(label, body), self.stamp)
         boxes, dias = _modal_premises(system)
-        if not box:
-            diamonds, dia_deps, box_deps = (body,), (stamp,), {}
-        elif index in dias:
-            diamonds = dias[index]
-            dia_deps = [_modal_deps(system, index, d, False) for d in diamonds]
-            box_deps = {body: stamp}
-        else:
+        if index not in dias:
             return
-        for gamma_items in _box_choices(boxes.get(index, []), frame_class):
-            if box and body not in gamma_items:
-                continue
+        gammas, deltas = boxes.get(index, {}), dias[index]
+        if not box:
+            deltas = {body: deltas[body]}
+        choices = _box_choices(gammas, frame_class, body if box else None)
+        for gamma_items in choices:
             deps = 0
             for g in gamma_items:
-                if g not in box_deps:
-                    box_deps[g] = _modal_deps(system, index, g, True)
-                deps |= box_deps[g]
-            for delta, delta_deps in zip(diamonds, dia_deps):
+                deps |= gammas[g]
+            for delta, delta_deps in deltas.items():
                 self._push(
                     _modal_instance(label, frame_class, gamma_items, delta),
                     deps | delta_deps,
@@ -665,12 +659,22 @@ def _unit_instance(label: int, delta_item: BranchItem) -> RuleInstance:
     return RuleInstance(R_L, label, ((delta_item,), ()))
 
 
-def _box_choices(box_list: list, frame_class: FrameClass) -> Iterable[tuple]:
-    """The box bodies one R_L instance takes: each non-empty subset under C,
-    each single box otherwise."""
-    if frame_class is FrameClass.C:
-        return _nonempty_subsets(box_list)
-    return ((item,) for item in box_list)
+def _box_choices(
+    boxes: dict, frame_class: FrameClass, new: BranchItem | None = None
+) -> Iterable[tuple]:
+    """The box bodies one R_L instance takes, in the order of `boxes`: each
+    non-empty subset under C, each single box otherwise.  Given a `new`
+    body of `boxes`, only the choices holding it: under C, each subset of
+    the bodies before it, then it, then each subset of those after it."""
+    if frame_class is not FrameClass.C:
+        return ((item,) for item in boxes) if new is None else ((new,),)
+    if new is None:
+        return _nonempty_subsets(boxes)
+    items = list(boxes)
+    at = items.index(new)
+    lowers = ((), *_nonempty_subsets(items[:at]))
+    uppers = ((), *_nonempty_subsets(items[at + 1 :]))
+    return (lower + (new,) + upper for lower in lowers for upper in uppers)
 
 
 def _settled_by_scan(tableau: CompletionSet, inst: RuleInstance) -> bool:
@@ -764,21 +768,25 @@ def _label_instances(
 
 def _modal_premises(system: ConstraintSystem):
     """Bodies of a system's box and diamond constraints as branch items,
-    grouped by modality index."""
-    boxes: dict[int, list[BranchItem]] = {}
-    dias: dict[int, list[BranchItem]] = {}
-    for psi in system.formulas:
+    grouped by modality index: per index, each body mapped to the stored
+    set of its constraint, in `_item_key` order."""
+    boxes: dict[int, dict[BranchItem, int]] = {}
+    dias: dict[int, dict[BranchItem, int]] = {}
+    for psi, deps in system.formulas.items():
         if isinstance(psi, BoxF):
-            boxes.setdefault(psi.index, []).append(psi.arg)
+            boxes.setdefault(psi.index, {})[psi.arg] = deps
         elif isinstance(psi, DiaF):
-            dias.setdefault(psi.index, []).append(psi.arg)
-    for concept, var in system.concepts:
+            dias.setdefault(psi.index, {})[psi.arg] = deps
+    for (concept, var), deps in system.concepts.items():
         if isinstance(concept, Box):
-            boxes.setdefault(concept.index, []).append((concept.arg, var))
+            boxes.setdefault(concept.index, {})[(concept.arg, var)] = deps
         elif isinstance(concept, Dia):
-            dias.setdefault(concept.index, []).append((concept.arg, var))
-    for items in (*boxes.values(), *dias.values()):
-        items.sort(key=_item_key)
+            dias.setdefault(concept.index, {})[(concept.arg, var)] = deps
+    for grouped in (boxes, dias):
+        for index, sets in grouped.items():
+            if len(sets) > 1:
+                order = sorted(sets, key=_item_key)
+                grouped[index] = {b: sets[b] for b in order}
     return boxes, dias
 
 
@@ -891,16 +899,6 @@ def next_instance(
             if not _witnessed(system, role, var, target):
                 tableau.parked.setdefault((inst.label, var), []).append(entry)
     return None
-
-
-def _modal_deps(
-    system: ConstraintSystem, index: int, item: BranchItem, box: bool
-) -> int:
-    """The stored set of the box (or diamond) of this index around a body."""
-    if isinstance(item, Formula):
-        return _stored(system, (BoxF if box else DiaF)(index, item))
-    concept, var = item
-    return _stored(system, ((Box if box else Dia)(index, concept), var))
 
 
 def _extend(tableau: CompletionSet, inst: RuleInstance, branch: int) -> None:
@@ -1032,9 +1030,9 @@ def _step_cap(options: SolveOptions) -> tuple[int, str | None]:
             raise ValueError(
                 f"{STEP_CAP_ENV} must be a non-negative integer, got {env!r}"
             ) from None
-    if cap < 0:
+    if cap.__class__ is not int or cap < 0:
         raise ValueError(
-            f"{setting} must be a non-negative integer, got {cap}"
+            f"{setting} must be a non-negative integer, got {cap!r}"
         )
     return cap, setting
 

@@ -467,11 +467,11 @@ def test_agenda_push_counts_are_pinned(monkeypatch, phi, frame_class, pushes):
 @pytest.mark.parametrize(
     "phi, frame_class, choices, rebuilds",
     [
-        (c_boxes(4), FrameClass.C, 491, 9),
-        (box_dia(6), FrameClass.E, 21, 7),
-        (box_dia(6), FrameClass.M, 21, 7),
-        (box_dia(6), FrameClass.C, 120, 7),
-        (box_dia(6), FrameClass.N, 21, 7),
+        (c_boxes(4), FrameClass.C, 255, 9),
+        (box_dia(6), FrameClass.E, 6, 7),
+        (box_dia(6), FrameClass.M, 6, 7),
+        (box_dia(6), FrameClass.C, 63, 7),
+        (box_dia(6), FrameClass.N, 6, 7),
     ],
     ids=["c_boxes4-C", "box_dia6-E", "box_dia6-M", "box_dia6-C", "box_dia6-N"],
 )
@@ -479,27 +479,39 @@ def test_modal_enumeration_counts_are_pinned(
     monkeypatch, phi, frame_class, choices, rebuilds
 ):
     # Work that pushes nothing leaves the push counts as they were.  A box
-    # added before any diamond of its index enumerates no box choice
-    # (under C, 2**n - 1 of them); a step's premise set comes with its
-    # agenda entry, so no pop rebuilds its premises (rebuilding them for
-    # every R_L step made 15 and 12 rebuilds on c_boxes4-C and box_dia6-E).
-    counts = {"choices": 0, "rebuilds": 0}
+    # added before any diamond of its index enumerates no box choice, and a
+    # new box enumerates only the choices holding it (under C, 2**(n-1) of
+    # 2**n - 1; enumerating them all and dropping the rest made 491, 21 and
+    # 120 choices here).  Each choice builds an instance per diamond, one
+    # in these inputs, so a choice enumerated and then dropped shows as
+    # fewer builds.  A step's premise set comes with its agenda entry, so
+    # no pop rebuilds its premises (rebuilding them for every R_L step
+    # made 15 and 12 rebuilds on c_boxes4-C and box_dia6-E).
+    counts = {"choices": 0, "builds": 0, "rebuilds": 0}
     real_choices = tableau._box_choices
+    real_instance = tableau._modal_instance
     real_premises = tableau._modal_premises
 
-    def box_choices(box_list, fc):
-        for gamma_items in real_choices(box_list, fc):
+    def box_choices(*args):
+        for gamma_items in real_choices(*args):
             counts["choices"] += 1
             yield gamma_items
+
+    def modal_instance(*args):
+        counts["builds"] += 1
+        return real_instance(*args)
 
     def modal_premises(system):
         counts["rebuilds"] += 1
         return real_premises(system)
 
     monkeypatch.setattr(tableau, "_box_choices", box_choices)
+    monkeypatch.setattr(tableau, "_modal_instance", modal_instance)
     monkeypatch.setattr(tableau, "_modal_premises", modal_premises)
     solve(phi, frame_class, SolveOptions(extract=False))
-    assert counts == {"choices": choices, "rebuilds": rebuilds}
+    assert counts == {
+        "choices": choices, "builds": choices, "rebuilds": rebuilds
+    }
 
 
 def test_c_boxes_5_unsat_within_the_default_step_cap(monkeypatch):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from nnmdl import syntax
 from nnmdl.semantics import (
     Evaluator,
     FrameClass,
@@ -17,9 +18,11 @@ from nnmdl.syntax import (
     Box,
     BoxF,
     CI,
+    Dia,
     DiaF,
     Exists,
     Not,
+    NotF,
     Top,
     normalize,
     parse_formula,
@@ -184,6 +187,33 @@ def test_formula_truth_set():
         concepts={"u": {"A": {"d"}}, "v": {"A": set()}},
     )
     assert Evaluator(model).formula_truth_set(CI(Top(), A)) == frozenset({"u"})
+
+
+def test_diamonds_evaluate_without_building_a_negation():
+    # Not-C holds of d at v where v's domain holds d and C does not, so a
+    # diamond reads its body's truth sets and interns no new term.  Varying
+    # domains: e is absent from v, and the fresh atom holds of d at u only.
+    fresh = AtomicConcept("NeverNegated")
+    psi = CI(Top(), fresh)
+    model = make_model(
+        ["u", "v"],
+        {"u": {"d", "e"}, "v": {"d"}},
+        concepts={"u": {"NeverNegated": {"d"}}},
+        neighbourhoods={1: {"u": [{"v"}], "v": [{"v"}, {"u", "v"}]}},
+    )
+    dia, dia_f = Dia(1, fresh), DiaF(1, psi)
+    before = len(syntax._TERMS)
+    evaluator = Evaluator(model)
+    # Not-C holds of d at {v}, a neighbourhood of u and v, and of e at {u},
+    # which is none.
+    assert evaluator.concept_ext("u", dia) == frozenset({"e"})
+    assert evaluator.concept_ext("v", dia) == frozenset()
+    # psi holds nowhere, so its negation holds at {u, v}.
+    assert evaluator.holds("u", dia_f)
+    assert not evaluator.holds("v", dia_f)
+    assert len(syntax._TERMS) == before
+    assert (Not, fresh) not in syntax._TERMS
+    assert (NotF, psi) not in syntax._TERMS
 
 
 # -- frame classes --------------------------------------------------------------

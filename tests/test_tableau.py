@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nnmdl import syntax
 from nnmdl.oracle import SAT, brute_force_sat
 from nnmdl.semantics import FrameClass
 from nnmdl.syntax import (
@@ -50,7 +51,7 @@ from nnmdl.tableau import (
 from corpus import random_normalized_formula, random_raw_formula_any
 from test_acceptance import constraint_count
 from test_agenda import label_contents
-from test_search_pin import box_dia
+from test_search_pin import box_dia, c_boxes
 
 A = AtomicConcept("A")
 B = AtomicConcept("B")
@@ -469,9 +470,38 @@ def test_step_cap_names_its_setting(monkeypatch):
 
 
 def test_negative_step_cap_rejected():
+    # A cap that is not exactly an int is refused too: 2.5 was taken as a
+    # cap, True capped at one step and "3" raised a bare TypeError.
     phi = normalize(CI(Top(), Exists("r", A)))
-    with pytest.raises(ValueError, match="non-negative"):
-        solve(phi, FrameClass.E, SolveOptions(step_cap=-1))
+    for cap in (-1, 2.5, True, "3"):
+        with pytest.raises(
+            ValueError, match=r"SolveOptions\.step_cap must be a non-negative"
+        ):
+            solve(phi, FrameClass.E, SolveOptions(step_cap=cap))
+
+
+def test_a_solve_builds_no_term_through_a_constructor(monkeypatch):
+    # The constructors check every field; the engine builds what it needs
+    # through the unchecked build paths and rebuilds nothing to look it
+    # up.  R_L pushes once rebuilt box and diamond nodes to find their
+    # stored sets, and validation built Not/NotF around diamond bodies:
+    # 30 calls on c_boxes(4), 7 per class on box_dia(6) (22 under C) and
+    # 794 on the sample.
+    rng = random.Random(2024)
+    sample = [random_normalized_formula(rng) for _ in range(300)]
+    inputs = [(c_boxes(4), FrameClass.C)]
+    inputs += [(phi, fc) for phi in (box_dia(6), *sample) for fc in FrameClass]
+    calls = []
+    for cls in syntax._CLASSES:
+
+        def counting(kind, *fields, real=cls.__new__):
+            calls.append(kind.__name__)
+            return real(kind, *fields)
+
+        monkeypatch.setattr(cls, "__new__", counting)
+    for phi, frame_class in inputs:
+        solve(phi, frame_class)
+    assert calls == []
 
 
 def test_label_budget_values():
