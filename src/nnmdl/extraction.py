@@ -85,14 +85,15 @@ def extract_model(tableau: CompletionSet) -> NeighbourhoodModel:
         index: {} for index in modalities
     }
     for world, system in zip(world_ids, tableau.systems):
-        if not system.variables:
+        if not system.concepts:
             raise ValueError(f"label {world} has no variables")
-        names = {v: f"x{v}" for v in system.variables}
+        names = {v: f"x{v}" for v in system.concepts}
         domains[world] = frozenset(names.values())
         members: dict[str, list[str]] = {}
-        for c, v in system.concepts:
-            if c.__class__ is AtomicConcept:
-                members.setdefault(c.name, []).append(names[v])
+        for v, held in system.concepts.items():
+            for c in held:
+                if c.__class__ is AtomicConcept:
+                    members.setdefault(c.name, []).append(names[v])
         concept_ext[world] = {
             a: frozenset(members[a]) if a in members else EMPTY for a in atoms
         }
@@ -101,7 +102,7 @@ def extract_model(tableau: CompletionSet) -> NeighbourhoodModel:
             for role, x, y in system.roles:
                 per_role.setdefault(role, set()).add((names[x], names[y]))
             # A blocked variable borrows the edges of each that blocks it.
-            for var in system.variables:
+            for var in system.concepts:
                 for z in blockers(var, system):
                     for role, x, y in system.roles:
                         if x == z:

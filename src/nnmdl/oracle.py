@@ -101,8 +101,14 @@ class OracleBounds:
     candidate_cap: int = DEFAULT_CANDIDATE_CAP
 
     def __post_init__(self):
+        for name in ("max_worlds", "max_domain", "candidate_cap"):
+            value = getattr(self, name)
+            if value.__class__ is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.max_worlds < 1 or self.max_domain < 1:
             raise ValueError("bounds must be at least 1")
+        if self.candidate_cap < 0:
+            raise ValueError(f"candidate_cap {self.candidate_cap} below 0")
         if self.max_worlds > 2 * DEFAULT_MAX_WORLDS:
             raise ValueError(f"max_worlds {self.max_worlds} beyond supported range")
         if self.max_domain > 2 * DEFAULT_MAX_DOMAIN:

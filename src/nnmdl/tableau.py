@@ -25,11 +25,13 @@ input formula, and the label count is asserted against its theoretical
 budget at every label creation.  A solve call owns its state
 exclusively; distinct calls share nothing mutable.
 
-A constraint has one name throughout: the formula psi, the pair (C, x)
-or the triple (role, x, y).  Rule instances list what their branches add
-by that name, and the `holders` index of `CompletionSet` and each
-label's stores key on it, so an instance is read against either as it
-stands.
+A constraint is named by the formula psi, the pair (C, x) or the triple
+(role, x, y).  Rule instances list what their branches add by that name,
+and the `holders` index of `CompletionSet` and the agenda's keys use it,
+so an instance is read against the index as it stands.  A label stores
+its concept constraints nested by variable, each variable x mapped to
+its concepts C: what blocking and the rules ask of one variable reads
+that variable's entry alone.
 
 The search is incremental.  A completion set is built for one frame
 class, which fixes the shape of R_L for the whole run.  From its first
@@ -135,32 +137,29 @@ class StaleInstanceError(ValueError):
 # ---------------------------------------------------------------------------
 
 class ConstraintSystem:
-    """All constraints of one label, with its occurring variables.
+    """All constraints of one label.
 
-    `formulas`, `concepts` and `roles` map each constraint to the
-    dependency set it was added with (see `CompletionSet`)."""
+    `formulas` maps each formula constraint and `roles` each (role, x, y)
+    triple to the dependency set it was added with (see `CompletionSet`).
+    `concepts` maps each variable occurring in the label to its concepts,
+    each with its set; every entry holds top."""
 
-    __slots__ = ("label", "formulas", "concepts", "roles", "variables")
+    __slots__ = ("label", "formulas", "concepts", "roles")
 
     def __init__(self, label: int):
         self.label = label
         self.formulas: dict[Formula, int] = {}
-        self.concepts: dict[tuple[Concept, int], int] = {}
+        self.concepts: dict[int, dict[Concept, int]] = {}
         self.roles: dict[tuple[str, int, int], int] = {}
-        self.variables: set[int] = set()
 
     def copy(self) -> "ConstraintSystem":
         """An independent copy, built without the constructor."""
         dup = object.__new__(ConstraintSystem)
         dup.label = self.label
         dup.formulas = dict(self.formulas)
-        dup.concepts = dict(self.concepts)
+        dup.concepts = {var: dict(held) for var, held in self.concepts.items()}
         dup.roles = dict(self.roles)
-        dup.variables = set(self.variables)
         return dup
-
-    def concept_set(self, var: int) -> set[Concept]:
-        return {c for c, v in self.concepts if v == var}
 
 
 @dataclass
@@ -213,10 +212,10 @@ class CompletionSet:
     dict is a copy of the index.  Every add stores its constraint in its
     label's system with `stamp`, which the search sets before each
     extension: a dependency set, an int with bit i set when the constraint
-    rests on the choice made at branch point i of the search stack.  The
-    stores and `holders` key a constraint by its formula, (concept,
-    variable) pair or (role, x, y) triple; a rule instance's branch items
-    are these same keys, so both are read with them directly.
+    rests on the choice made at branch point i of the search stack.
+    `holders` keys a constraint by its formula or (concept, variable)
+    pair, as a rule instance's branch items do; a label's system stores
+    the pair under its variable, then its concept.
     `clash_deps` is the union of the sets of the first pair of clashing
     constraints (a bottom concept's own set).  `agenda` is a heap of
     (key, (instance, premise set)) entries holding every applicable rule
@@ -319,12 +318,12 @@ class CompletionSet:
     def add_concept(self, label: int, concept: Concept, var: int) -> None:
         if concept not in self.closure.con_neg:
             raise EngineError(f"concept outside closure: {serialize(concept)}")
-        # Pairs come with their variable, so a present pair is complete.
-        if (concept, var) in self.systems[label].concepts:
+        if concept in self.systems[label].concepts.get(var, ()):
             return
         system = self._own(label)
-        self._put(system, (concept, var), concept, var)
         self._add_variable(system, var)
+        if concept is not TOP:  # a new variable's entry holds top already
+            self._put(system, (concept, var), concept, var)
 
     def add_role(self, label: int, role: str, x: int, y: int) -> None:
         if role not in self.closure.roles:
@@ -335,56 +334,49 @@ class CompletionSet:
         system.roles[(role, x, y)] = stamp
         self._add_variable(system, x)
         self._add_variable(system, y)
-        for (concept, source), deps in system.concepts.items():
-            if (
-                source == x
-                and isinstance(concept, Forall)
-                and concept.role == role
-            ):
+        for concept, deps in system.concepts[x].items():
+            if isinstance(concept, Forall) and concept.role == role:
                 inst = _forall_instance(system.label, concept, y)
                 self._push(inst, stamp | deps)
 
     def _add_variable(self, system: ConstraintSystem, var: int) -> None:
-        """Make a variable occur in a system this state owns, asserting
-        top on it."""
-        if var in system.variables:
-            return
-        system.variables.add(var)
-        label, top = system.label, (TOP, var)
-        if top not in system.concepts:
-            self._put(system, top, TOP, var)
-        top_deps = system.concepts[top]
-        for psi, deps in system.formulas.items():
-            if isinstance(psi, CI):
-                self._push(_eq_instance(label, psi, var), deps | top_deps)
+        """Make a variable occur in a system this state owns: open its
+        entry and put top on it."""
+        if var not in system.concepts:
+            system.concepts[var] = {}
+            self._put(system, (TOP, var), TOP, var)
 
     def _put(
         self, system: ConstraintSystem, item: BranchItem, term, var: int
     ) -> None:
         """Add a constraint absent from a system this state owns: the
-        formula `term` (`var` -1) or the pair (`term`, `var`), named `item`
-        as `holders` and the label's stores key it.  Store it with its
-        dependency set `stamp`, flag a clash when it is bottom (its own
-        partner) or its NNF negation is present, and push the instances
-        whose last premise it is, each with the union of its premises'
-        stored sets.  The variable's parked R_exists instances get another
-        look: a variable can only become unblocked when its own concept
-        set grows."""
+        formula `term` (`var` -1) or the pair (`term`, `var`), whose
+        variable's entry is open, named `item` as `holders` keys it.
+        Store it with its dependency set `stamp` in `formulas` or in the
+        variable's entry, flag a clash when it is bottom (its own partner)
+        or its NNF negation is stored there, and push the instances whose
+        last premise it is, each with the union of its premises' stored
+        sets; a variable's top completes R_eq with each inclusion.  The
+        variable's parked R_exists instances get another look: a variable
+        can only become unblocked when its own concept set grows."""
         label, stamp = system.label, self.stamp
-        store = system.formulas if var < 0 else system.concepts
-        store[item] = stamp
+        store = system.formulas if var < 0 else system.concepts[var]
+        store[term] = stamp
         self.holders[item] = self.holders.get(item, 0) | 1 << label
-        other = item if term is BOT else _neg_item(item)
+        other = term if term is BOT else neg_nnf(term)
         if not self.clash and other in store:
             self.clash = True
             self.clash_deps = stamp | store[other]
         inst = _premise_instance(label, term, var)
         if inst is not None:
             self._push(inst, stamp)
+        elif term is TOP:
+            for psi, deps in system.formulas.items():
+                if isinstance(psi, CI):
+                    self._push(_eq_instance(label, psi, var), stamp | deps)
         elif isinstance(term, CI):
-            for v in system.variables:
-                top_deps = system.concepts[(TOP, v)]
-                self._push(_eq_instance(label, term, v), stamp | top_deps)
+            for v, held in system.concepts.items():
+                self._push(_eq_instance(label, term, v), stamp | held[TOP])
         elif isinstance(term, Forall):
             for (role, x, y), deps in system.roles.items():
                 if role == term.role and x == var:
@@ -476,11 +468,10 @@ def is_clash(tableau: CompletionSet) -> bool:
         for psi in system.formulas:
             if neg_nnf(psi) in system.formulas:
                 return True
-        for concept, var in system.concepts:
-            if isinstance(concept, Bot):
-                return True
-            if (neg_nnf(concept), var) in system.concepts:
-                return True
+        for held in system.concepts.values():
+            for concept in held:
+                if isinstance(concept, Bot) or neg_nnf(concept) in held:
+                    return True
     return False
 
 
@@ -489,8 +480,8 @@ def _witnessed(
 ) -> bool:
     """Some role successor of the variable already carries the target."""
     return any(
-        (role, var, z) in system.roles and (target, z) in system.concepts
-        for z in system.variables
+        target in held and (role, var, z) in system.roles
+        for z, held in system.concepts.items()
     )
 
 
@@ -498,11 +489,11 @@ def blockers(var: int, system: ConstraintSystem) -> list[int]:
     """Subset blocking: the older variables whose concept sets cover this
     one's, in ascending order.  The variable is blocked when the list is
     non-empty."""
-    mine = system.concept_set(var)
+    mine = system.concepts[var].keys()
     return [
         other
-        for other in sorted(system.variables)
-        if other < var and mine <= system.concept_set(other)
+        for other, held in sorted(system.concepts.items())
+        if other < var and mine <= held.keys()
     ]
 
 
@@ -578,12 +569,14 @@ def _neg_item(item: BranchItem) -> BranchItem:
 def _stored(system: ConstraintSystem, item: BranchItem) -> int | None:
     """The dependency set the system stores with a formula or (concept,
     variable) pair, None when it does not hold it."""
-    store = system.concepts if item.__class__ is tuple else system.formulas
-    return store.get(item)
+    if item.__class__ is tuple:
+        held = system.concepts.get(item[1])
+        return None if held is None else held.get(item[0])
+    return system.formulas.get(item)
 
 
 def _holds_in(system: ConstraintSystem, item: BranchItem) -> bool:
-    return item in system.formulas or item in system.concepts
+    return _stored(system, item) is not None
 
 
 def _some_branch_realized(
@@ -689,7 +682,7 @@ def _settled_by_scan(tableau: CompletionSet, inst: RuleInstance) -> bool:
     if inst.branches[-1]:
         return False
     var = inst.branches[0][0][1]
-    return any(var not in s.variables for s in tableau.systems)
+    return any(var not in s.concepts for s in tableau.systems)
 
 
 def _settled(tableau: CompletionSet, inst: RuleInstance) -> bool:
@@ -732,38 +725,33 @@ def _label_instances(
             ):
                 yield _premise_instance(label, psi)
         elif isinstance(psi, CI):
-            for var in system.variables:
-                if (psi.right, var) not in system.concepts:
+            for var, held in system.concepts.items():
+                if psi.right not in held:
                     yield _eq_instance(label, psi, var)
         elif isinstance(psi, NotF):
             negated = neg_nnf(psi.arg.right)
-            if not any(c == negated for c, _ in system.concepts):
+            if not any(negated in held for held in system.concepts.values()):
                 yield _premise_instance(label, psi)
-    for concept, var in system.concepts:
-        if isinstance(concept, And):
-            if not (
-                (concept.left, var) in system.concepts
-                and (concept.right, var) in system.concepts
-            ):
-                yield _premise_instance(label, concept, var)
-        elif isinstance(concept, Or):
-            if (concept.left, var) not in system.concepts and (
-                concept.right,
-                var,
-            ) not in system.concepts:
-                yield _premise_instance(label, concept, var)
-        elif isinstance(concept, Exists):
-            has_witness = _witnessed(system, concept.role, var, concept.arg)
-            if not has_witness and not blockers(var, system):
-                yield _premise_instance(label, concept, var)
-        elif isinstance(concept, Forall):
-            for role, x, y in system.roles:
-                if (
-                    role == concept.role
-                    and x == var
-                    and (concept.arg, y) not in system.concepts
-                ):
-                    yield _forall_instance(label, concept, y)
+    for var, held in system.concepts.items():
+        for concept in held:
+            if isinstance(concept, And):
+                if not (concept.left in held and concept.right in held):
+                    yield _premise_instance(label, concept, var)
+            elif isinstance(concept, Or):
+                if concept.left not in held and concept.right not in held:
+                    yield _premise_instance(label, concept, var)
+            elif isinstance(concept, Exists):
+                has_witness = _witnessed(system, concept.role, var, concept.arg)
+                if not has_witness and not blockers(var, system):
+                    yield _premise_instance(label, concept, var)
+            elif isinstance(concept, Forall):
+                for role, x, y in system.roles:
+                    if (
+                        role == concept.role
+                        and x == var
+                        and concept.arg not in system.concepts[y]
+                    ):
+                        yield _forall_instance(label, concept, y)
 
 
 def _modal_premises(system: ConstraintSystem):
@@ -777,11 +765,12 @@ def _modal_premises(system: ConstraintSystem):
             boxes.setdefault(psi.index, {})[psi.arg] = deps
         elif isinstance(psi, DiaF):
             dias.setdefault(psi.index, {})[psi.arg] = deps
-    for (concept, var), deps in system.concepts.items():
-        if isinstance(concept, Box):
-            boxes.setdefault(concept.index, {})[(concept.arg, var)] = deps
-        elif isinstance(concept, Dia):
-            dias.setdefault(concept.index, {})[(concept.arg, var)] = deps
+    for var, held in system.concepts.items():
+        for concept, deps in held.items():
+            if isinstance(concept, Box):
+                boxes.setdefault(concept.index, {})[(concept.arg, var)] = deps
+            elif isinstance(concept, Dia):
+                dias.setdefault(concept.index, {})[(concept.arg, var)] = deps
     for grouped in (boxes, dias):
         for index, sets in grouped.items():
             if len(sets) > 1:
@@ -860,7 +849,7 @@ def _stale(tableau: CompletionSet, inst: RuleInstance) -> bool:
         )
     if rule == R_NEQ:
         negated = inst.branches[0][0][0]
-        return any(c == negated for c, _ in system.concepts)
+        return any(negated in held for held in system.concepts.values())
     _, role, var, target = inst.branches[0][0]  # R_exists
     return bool(blockers(var, system)) or _witnessed(system, role, var, target)
 
@@ -925,7 +914,7 @@ def _extend(tableau: CompletionSet, inst: RuleInstance, branch: int) -> None:
             tableau.add_formula(label, item)
         else:
             tableau.add_concept(label, *item)
-    if not tableau.systems[label].variables:
+    if not tableau.systems[label].concepts:
         # Domains are non-empty: a fresh label reached only through formula
         # constraints still describes a world with at least one element.
         tableau._add_variable(tableau._own(label), tableau.new_variable())

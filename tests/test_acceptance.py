@@ -37,6 +37,7 @@ from corpus import (
     random_normalized_formula,
     random_raw_formula_any,
 )
+from test_agenda import concept_pairs
 from test_semantics import add_unit, close_intersection, close_supplementation
 
 CORPUS_SEED = 74453
@@ -55,8 +56,10 @@ SLICE_BUDGET = 600_000
 
 
 def constraint_count(system) -> int:
-    """The formulas, concepts and roles asserted at one label."""
-    return len(system.formulas) + len(system.concepts) + len(system.roles)
+    """The formulas, (concept, variable) pairs and roles asserted at one
+    label."""
+    pairs = concept_pairs(system)
+    return len(system.formulas) + len(pairs) + len(system.roles)
 
 
 @dataclass

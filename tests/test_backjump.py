@@ -222,6 +222,27 @@ def test_forced_step_rests_on_its_refuter():
     assert result.stats.backjumps > 0
 
 
+def test_a_new_variable_rests_on_an_earlier_inclusion(monkeypatch):
+    # The first disjunction, branch point 0, puts A on every element.
+    # The second is decided without a branch point, since its first
+    # disjunct is refuted, and its refuted inclusion then makes x2 with
+    # not A: x2 arrives after the inclusion, on no branch point, so only
+    # the inclusion's own set takes the clash of A and not A at x2 back
+    # to branch point 0, whose second alternative is sat.
+    checked = CheckedSearch(monkeypatch)
+    Z = AtomicConcept("Z")
+    phi = conj([
+        OrF(CI(TOP, A), CI(TOP, C)),
+        NotF(CI(TOP, Z)),
+        OrF(CI(TOP, Z), NotF(CI(TOP, Or(D, A)))),
+    ])
+    result = solve(phi, FrameClass.E, SolveOptions(extract=False))
+    assert result.verdict == chronological(phi, FrameClass.E) == "sat"
+    stats = result.stats
+    assert (stats.branch_points, stats.forced, stats.backtracks) == (1, 2, 1)
+    assert checked.choices == 17
+
+
 @pytest.mark.parametrize("n", [2, 3, pytest.param(4, marks=pytest.mark.slow)])
 def test_c_boxes_verdicts_match_chronological_search(n):
     # Chronological search takes 50, 593 and 17,624 steps here.
@@ -326,6 +347,29 @@ def test_a_tied_instance_rests_on_every_index_that_completed_it(monkeypatch):
     assert result.stats.branch_points == 2
     assert stamps == [0b11]
     assert checked.choices == result.stats.steps + 1
+
+
+def test_a_c_box_choice_rests_on_its_first_box(monkeypatch):
+    # Under C the boxes of P and Q put the meet P and Q in the
+    # neighbourhood, which (dia 1 (not P or not Q)) refutes: every
+    # alternative of the R_L instance taking both boxes clashes.  Box P
+    # enters as the first alternative of a disjunction, branch point 0,
+    # and is that box choice's first box, so only its stored set takes
+    # the clash back to branch point 0, past the R_L instance of box P
+    # alone; the disjunction's second alternative is sat.
+    checked = CheckedSearch(monkeypatch)
+    P, Q = CI(TOP, A), CI(TOP, B)
+    phi = conj([
+        OrF(BoxF(1, P), CI(TOP, C)),
+        BoxF(1, Q),
+        DiaF(1, OrF(NotF(P), NotF(Q))),
+    ])
+    result = solve(phi, FrameClass.C, SolveOptions(extract=False, trace=True))
+    assert result.verdict == chronological(phi, FrameClass.C) == "sat"
+    stats = result.stats
+    assert (stats.branch_points, stats.backtracks, stats.backjumps) == (4, 3, 1)
+    assert ["(sub top (atom C))"] in [entry["added"] for entry in result.trace]
+    assert checked.choices == 21
 
 
 def test_branch_label_keeps_its_base_set_across_copies():

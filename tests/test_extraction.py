@@ -22,6 +22,7 @@ from nnmdl.tableau import SolveOptions, solve
 
 from corpus import random_normalized_formula
 from test_acceptance import CORPUS_SEED, CORPUS_SIZE
+from test_agenda import concept_pairs
 
 A = AtomicConcept("A")
 B = AtomicConcept("B")
@@ -113,12 +114,12 @@ def scanned_bracket(tableau, term, var=None):
     negated = neg_nnf(term)
     if isinstance(term, Concept):
         floor = frozenset(
-            n for n in labels if (term, var) in tableau.systems[n].concepts
+            n for n in labels if (term, var) in concept_pairs(tableau.systems[n])
         )
         ceil = frozenset(
             n
             for n in labels
-            if (negated, var) not in tableau.systems[n].concepts
+            if (negated, var) not in concept_pairs(tableau.systems[n])
         )
     else:
         floor = frozenset(

@@ -86,6 +86,16 @@ def test_bounds_validation():
         OracleBounds(max_worlds=5)
     with pytest.raises(ValueError):
         OracleBounds(domain_mode="flexible")
+    for field, value in [
+        ("max_worlds", 2.5),
+        ("max_worlds", True),
+        ("max_worlds", "2"),
+        ("max_domain", 1.0),
+        ("candidate_cap", "9"),
+        ("candidate_cap", -1),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            OracleBounds(**{field: value})
 
 
 def test_signature_limits_enforced():

@@ -31,6 +31,7 @@ from nnmdl.syntax import (
     BoxF,
     CI,
     DiaF,
+    Exists,
     Not,
     NotF,
     Or,
@@ -81,6 +82,16 @@ def box_dia(n: int):
     parts = [BoxF(1, CI(TOP, x)) for x in atoms[:n]]
     parts.append(DiaF(1, CI(TOP, atoms[n])))
     return conj(parts)
+
+
+def some_fan(n: int):
+    """Every element has an r-successor in each of A0..A(n-1): sat in
+    every class, with many variables per label, most of them blocked."""
+    atoms = [AtomicConcept(x) for x in names(n)]
+    body = Exists("r", atoms[0])
+    for x in atoms[1:]:
+        body = And(body, Exists("r", x))
+    return CI(TOP, body)
 
 
 def pinned_inputs():

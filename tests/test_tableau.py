@@ -50,7 +50,7 @@ from nnmdl.tableau import (
 
 from corpus import random_normalized_formula, random_raw_formula_any
 from test_acceptance import constraint_count
-from test_agenda import label_contents
+from test_agenda import concept_pairs, label_contents
 from test_search_pin import box_dia, c_boxes
 
 A = AtomicConcept("A")
@@ -65,7 +65,7 @@ def test_init_holds_formula_and_domain_seed():
     assert len(tableau.systems) == 1
     system = tableau.systems[0]
     assert system.formulas == {phi: 0}
-    assert system.concepts == {(TOP, 0): 0}
+    assert concept_pairs(system) == {(TOP, 0): 0}
 
 
 def test_clash_same_label():
@@ -100,8 +100,7 @@ def test_blocking_subset_and_order():
     system = tableau.systems[0]
     tableau.add_concept(0, A, 0)
     var = tableau.new_variable()
-    system.variables.add(var)
-    system.concepts[(TOP, var)] = 0
+    system.concepts[var] = {TOP: 0}
     assert blockers(var, system) == [0]  # {top} <= {top, A}
     assert blockers(0, system) == []
 
@@ -153,10 +152,10 @@ def test_apply_conjunction_of_concepts():
         i for i in find_applicable(tableau) if i.rule == R_SQCAP
     )
     out = apply(tableau, inst, 0)
-    assert (A, 0) in out.systems[0].concepts
-    assert (B, 0) in out.systems[0].concepts
+    assert (A, 0) in concept_pairs(out.systems[0])
+    assert (B, 0) in concept_pairs(out.systems[0])
     # application is pure: the input is untouched
-    assert (A, 0) not in tableau.systems[0].concepts
+    assert (A, 0) not in concept_pairs(tableau.systems[0])
 
 
 def test_copy_shares_only_the_labels_neither_side_writes():
@@ -250,8 +249,8 @@ def test_apply_refuted_inclusion_allocates_fresh_variable():
         i for i in find_applicable(tableau) if i.rule == R_NEQ
     )
     out = apply(tableau, inst, 0)
-    assert (Not(A), 1) in out.systems[0].concepts
-    assert (TOP, 1) in out.systems[0].concepts
+    assert (Not(A), 1) in concept_pairs(out.systems[0])
+    assert (TOP, 1) in concept_pairs(out.systems[0])
     assert out.next_var == 2
 
 
@@ -269,7 +268,7 @@ def test_apply_modal_rule_negated_branch():
     assert neg_nnf(P) in out.systems[fresh].formulas
     assert neg_nnf(Q) in out.systems[fresh].formulas
     # formula-only label still gets a domain seed
-    assert out.systems[fresh].variables
+    assert concept_pairs(out.systems[fresh])
 
 
 def test_apply_stale_instance_rejected():
@@ -361,7 +360,8 @@ def test_existential_with_blocking_terminates():
     result = solve(phi, FrameClass.E)
     assert result.verdict == "sat"
     system = result.completion.systems[0]
-    assert len(system.variables) == 3  # root, witness, blocked witness
+    variables = {var for _, var in concept_pairs(system)}
+    assert len(variables) == 3  # root, witness, blocked witness
     assert result.model is not None
 
 
@@ -534,7 +534,7 @@ def test_monotone_growth_and_closure_membership():
                 for system in state.systems:
                     for psi in system.formulas:
                         assert psi in clo.for_neg
-                    for concept, _ in system.concepts:
+                    for concept, _ in concept_pairs(system):
                         assert concept in clo.con_neg
                     for role, _, _ in system.roles:
                         assert role in clo.roles
