@@ -423,7 +423,7 @@ def test_agenda_matches_find_applicable_on_some_fan(monkeypatch, n):
 @pytest.mark.parametrize("n, steps", [(8, 656), (10, 1220)])
 def test_some_fan_step_counts(n, steps):
     # Blocking reads each variable's own concepts; scanning every pair of
-    # the label once per older variable took 0.43 and 2.2 s here.
+    # the label once per older variable took 0.43 and 2.2 s on 2 vCPUs.
     started = time.perf_counter()
     result = solve(some_fan(n), FrameClass.E, SolveOptions(extract=False))
     elapsed = time.perf_counter() - started
