@@ -11,7 +11,7 @@ Subcommands:
 Verdicts go to stdout as one JSON object; --trace streams one JSON line
 per rule application to stderr as the search runs.  Exit status is 0 for
 sat/true, 1 for unsat/false, 2 for usage errors, bad input, exceeded
-resource caps, or internal errors.  Identical invocations produce
+resource caps or limits, or internal errors.  Identical invocations produce
 byte-identical output.
 """
 
@@ -278,6 +278,12 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (ValueError, EngineError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_ERROR
+    except (MemoryError, RecursionError) as exc:
+        # The input outgrew the process, which is not an engine defect.
+        sys.stderr.write(
+            f"error: resource limit: {type(exc).__name__}: {exc}\n"
+        )
         return EXIT_ERROR
     except Exception as exc:
         # A defect must not exit 0 or 1, which would read as a verdict.

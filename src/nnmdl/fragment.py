@@ -75,8 +75,8 @@ remaining classes are out of scope for this procedure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 from . import tableau
 from .semantics import FrameClass
@@ -114,8 +114,7 @@ class FragmentCapError(ValueError):
 # Abstraction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Abstraction:
+class Abstraction(NamedTuple):
     """Propositional skeleton of a formula: its normal form, with one
     letter per distinct inclusion (syntactic equality after
     normalization)."""
@@ -182,8 +181,7 @@ def _outside_boxes(psi: Formula) -> tuple:
     return child_terms(psi) if type(psi) in (AndF, OrF, NotF) else ()
 
 
-@dataclass(frozen=True)
-class SupportSet:
+class SupportSet(NamedTuple):
     """Surviving valuations: always empty, since the procedure builds no
     valuation."""
 
@@ -205,8 +203,7 @@ def _conjunction(formulas: list[Formula]) -> Formula:
     return out
 
 
-@dataclass
-class FragmentResult:
+class FragmentResult(NamedTuple):
     verdict: str  # "sat" | "unsat"
     #: Surviving valuations; empty, as no valuation is built.
     support: SupportSet

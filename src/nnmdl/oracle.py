@@ -38,7 +38,6 @@ one-world model comes before every larger one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from operator import and_, or_, xor
 from typing import Callable, Iterator, NamedTuple
@@ -86,39 +85,53 @@ class BoundsTooLargeError(ValueError):
     """The enumeration space exceeds the configured candidate cap."""
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     concept_names: tuple[str, ...]
     role_names: tuple[str, ...]
     modalities: int
 
 
-@dataclass(frozen=True)
-class OracleBounds:
+class _BoundsFields(NamedTuple):
     max_worlds: int = DEFAULT_MAX_WORLDS
     max_domain: int = DEFAULT_MAX_DOMAIN
     domain_mode: str = "varying"  # or "constant"
     candidate_cap: int = DEFAULT_CANDIDATE_CAP
 
-    def __post_init__(self):
-        for name in ("max_worlds", "max_domain", "candidate_cap"):
-            value = getattr(self, name)
-            if value.__class__ is not int:
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.max_worlds < 1 or self.max_domain < 1:
-            raise ValueError("bounds must be at least 1")
-        if self.candidate_cap < 0:
-            raise ValueError(f"candidate_cap {self.candidate_cap} below 0")
-        if self.max_worlds > 2 * DEFAULT_MAX_WORLDS:
-            raise ValueError(f"max_worlds {self.max_worlds} beyond supported range")
-        if self.max_domain > 2 * DEFAULT_MAX_DOMAIN:
-            raise ValueError(f"max_domain {self.max_domain} beyond supported range")
-        if self.domain_mode not in ("varying", "constant"):
-            raise ValueError(f"unknown domain mode {self.domain_mode!r}")
+
+class OracleBounds(_BoundsFields):
+    """The bounds of the enumerated model space.  Every construction
+    checks the fields, by keyword or position and through `_make` and
+    `_replace`, and refuses a bad one with a ValueError."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return _checked_bounds(super().__new__(cls, *args, **kwargs))
+
+    @classmethod
+    def _make(cls, iterable):
+        return _checked_bounds(super()._make(iterable))
 
 
-@dataclass
-class OracleResult:
+def _checked_bounds(bounds: OracleBounds) -> OracleBounds:
+    for name in ("max_worlds", "max_domain", "candidate_cap"):
+        value = getattr(bounds, name)
+        if value.__class__ is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    if bounds.max_worlds < 1 or bounds.max_domain < 1:
+        raise ValueError("bounds must be at least 1")
+    if bounds.candidate_cap < 0:
+        raise ValueError(f"candidate_cap {bounds.candidate_cap} below 0")
+    if bounds.max_worlds > 2 * DEFAULT_MAX_WORLDS:
+        raise ValueError(f"max_worlds {bounds.max_worlds} beyond supported range")
+    if bounds.max_domain > 2 * DEFAULT_MAX_DOMAIN:
+        raise ValueError(f"max_domain {bounds.max_domain} beyond supported range")
+    if bounds.domain_mode not in ("varying", "constant"):
+        raise ValueError(f"unknown domain mode {bounds.domain_mode!r}")
+    return bounds
+
+
+class OracleResult(NamedTuple):
     verdict: str
     model: NeighbourhoodModel | None
     world: str | None

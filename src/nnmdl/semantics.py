@@ -18,9 +18,7 @@ and is the only reading implemented.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence, Set
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 
@@ -135,7 +133,6 @@ class Windows(Set):
         return f"Windows({[(sorted(f), sorted(c)) for f, c in self.windows]!r})"
 
 
-@dataclass
 class NeighbourhoodModel:
     """Finite neighbourhood model.
 
@@ -144,17 +141,49 @@ class NeighbourhoodModel:
     frozensets.  neighbourhoods maps modality index -> world ->
     collection of world sets: a frozenset, or a Windows when the
     collection was extracted from a completion set.  Both read the same
-    through membership, iteration, len() and equality.
+    through membership, iteration, len() and equality.  Two models are
+    equal when their fields are.
     """
 
-    worlds: tuple[str, ...]
-    constant_domain: bool
-    domains: dict[str, frozenset[str]]
-    concepts: dict[str, dict[str, frozenset[str]]]
-    roles: dict[str, dict[str, frozenset[tuple[str, str]]]]
-    neighbourhoods: dict[
-        int, dict[str, frozenset[frozenset[str]] | Windows]
-    ] = field(default_factory=dict)
+    __slots__ = (
+        "worlds",
+        "constant_domain",
+        "domains",
+        "concepts",
+        "roles",
+        "neighbourhoods",
+    )
+
+    def __init__(
+        self,
+        worlds: tuple[str, ...],
+        constant_domain: bool,
+        domains: dict[str, frozenset[str]],
+        concepts: dict[str, dict[str, frozenset[str]]],
+        roles: dict[str, dict[str, frozenset[tuple[str, str]]]],
+        neighbourhoods: dict[
+            int, dict[str, frozenset[frozenset[str]] | Windows]
+        ] | None = None,
+    ):
+        self.worlds = worlds
+        self.constant_domain = constant_domain
+        self.domains = domains
+        self.concepts = concepts
+        self.roles = roles
+        self.neighbourhoods = {} if neighbourhoods is None else neighbourhoods
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__
+        )
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"NeighbourhoodModel({fields})"
 
     def world_set(self) -> frozenset[str]:
         return frozenset(self.worlds)
@@ -238,6 +267,8 @@ class NeighbourhoodModel:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
     @classmethod
@@ -302,6 +333,8 @@ class NeighbourhoodModel:
 
     @classmethod
     def from_json(cls, text: str) -> "NeighbourhoodModel":
+        import json
+
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:

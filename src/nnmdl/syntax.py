@@ -45,9 +45,9 @@ nothing mutable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import islice
 from operator import length_hint
+from typing import NamedTuple
 
 #: The one intern table: (class, *fields) -> the node with those fields.
 _TERMS: dict[tuple, Term] = {}
@@ -833,8 +833,7 @@ def weight(term: Concept | Formula) -> int:
 # Closure sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Closure:
+class Closure(NamedTuple):
     """Subterm closure of a normalized formula, closed under NNF negation.
 
     fg_size is the combined size of the three components and bounds the

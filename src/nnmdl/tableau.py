@@ -64,7 +64,6 @@ per label; `find_applicable` rescans the labels instead.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain, combinations
 from typing import Callable, Iterable, NamedTuple
@@ -162,23 +161,41 @@ class ConstraintSystem:
         return dup
 
 
-@dataclass
 class SolveStats:
     """Counts over a whole search.  `branch_points` counts the branching
     instances applied with a branch point, `forced` the disjunctions
     decided without one because an alternative was refuted, `backtracks`
     the alternatives tried after a clash and `backjumps` the branch
     points popped with alternatives untried; these four stay out of
-    `as_dict`, so the CLI's output keeps its shape."""
+    `as_dict`, so the CLI's output keeps its shape.  The search bumps
+    the counters in place."""
 
-    rule_applications: dict[str, int] = field(default_factory=dict)
-    labels_created: int = 0
-    variables_created: int = 0
-    steps: int = 0
-    branch_points: int = 0
-    forced: int = 0
-    backtracks: int = 0
-    backjumps: int = 0
+    __slots__ = (
+        "rule_applications",
+        "labels_created",
+        "variables_created",
+        "steps",
+        "branch_points",
+        "forced",
+        "backtracks",
+        "backjumps",
+    )
+
+    def __init__(self):
+        self.rule_applications: dict[str, int] = {}
+        self.labels_created = 0
+        self.variables_created = 0
+        self.steps = 0
+        self.branch_points = 0
+        self.forced = 0
+        self.backtracks = 0
+        self.backjumps = 0
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"SolveStats({fields})"
 
     def count(self, rule: str):
         self.rule_applications[rule] = self.rule_applications.get(rule, 0) + 1
@@ -985,8 +1002,7 @@ def applied_constraints(inst: RuleInstance, branch: int) -> list[str]:
 # Search
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SolveOptions:
+class SolveOptions(NamedTuple):
     extract: bool = True
     validate: bool = True
     trace: bool = False
@@ -994,8 +1010,7 @@ class SolveOptions:
     on_step: Callable[[dict], None] | None = None
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     verdict: str  # "sat" | "unsat"
     completion: CompletionSet | None
     model: NeighbourhoodModel | None

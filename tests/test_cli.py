@@ -343,6 +343,18 @@ def test_internal_error_is_not_a_verdict(capsys, monkeypatch):
     assert err == "error: internal error: RuntimeError: engine defect\n"
 
 
+def test_memory_error_is_a_resource_limit(capsys, monkeypatch):
+    # Running out of memory is a limit of the process, not an engine defect.
+    def exhausted(*args, **kwargs):
+        raise MemoryError("no room for the labels")
+
+    monkeypatch.setattr(cli, "solve", exhausted)
+    code, out, err = run_cli(capsys, "solve", "-e", SAT_SIMPLE)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == "error: resource limit: MemoryError: no room for the labels\n"
+
+
 #: Sat in three steps: R_and, then R_eq for each inclusion.
 THREE_STEPS = "(and (sub top (atom A)) (sub top (atom B)))"
 
@@ -449,6 +461,7 @@ def test_parser_overflow_is_not_a_verdict(capsys):
     assert code == EXIT_ERROR
     assert out == ""
     assert err.startswith("error: ")
+    assert "internal error" not in err
 
 
 def test_formula_from_file(capsys, tmp_path):

@@ -96,6 +96,23 @@ def test_bounds_validation():
     ]:
         with pytest.raises(ValueError, match=field):
             OracleBounds(**{field: value})
+    # Positional construction, `_make` and `_replace` check the same fields.
+    for build in (
+        lambda: OracleBounds(0, 1),
+        lambda: OracleBounds._make((1, 0, "varying", 1)),
+        lambda: OracleBounds()._replace(max_worlds=0),
+    ):
+        with pytest.raises(ValueError, match="bounds must be at least 1"):
+            build()
+    for field, build in [
+        ("max_worlds", lambda: OracleBounds(2.5, 1)),
+        ("max_domain", lambda: OracleBounds()._replace(max_domain=5)),
+        ("candidate_cap", lambda: OracleBounds()._replace(candidate_cap=-1)),
+        ("domain mode", lambda: OracleBounds(1, 1, "flexible")),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            build()
+    assert OracleBounds()._replace(max_worlds=1) == OracleBounds(max_worlds=1)
 
 
 def test_signature_limits_enforced():

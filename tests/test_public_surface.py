@@ -5,9 +5,14 @@ some module of the package other than `__init__` and the module that
 defines it, or is on `UNCALLED` with a one-line reason.  A helper only the
 tests call belongs next to those tests, not in the library.  Every name a
 module of the package or of the tests imports is used in that module.
+Importing the package loads no stdlib module that only a rarely used
+path needs.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import nnmdl
@@ -111,3 +116,27 @@ def test_every_import_is_used():
             used |= set(nnmdl.__all__)
         unused += [f"{module.name}: {n}" for n in sorted(_imported(module) - used)]
     assert unused == []
+
+
+#: Stdlib modules `import nnmdl` must not load: the record machinery of
+#: `dataclasses` with the modules it pulls in, and `json`, which only model
+#: export and the CLI use.
+UNLOADED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json")
+
+
+def test_import_loads_no_dataclasses_and_no_json():
+    script = (
+        "import sys; before = set(sys.modules); import nnmdl; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    added = out.split()
+    assert "nnmdl.tableau" in added
+    assert [name for name in UNLOADED if name in added] == []

@@ -27,6 +27,7 @@ from nnmdl.syntax import (
     normalize,
     parse_formula,
 )
+from nnmdl.tableau import solve
 
 from corpus import random_raw_formula_any
 
@@ -401,6 +402,34 @@ def test_json_round_trip_bit_exact():
     assert back.to_json() == text
     assert back.domains == model.domains
     assert back.neighbourhoods == model.neighbourhoods
+
+
+@pytest.mark.parametrize("frame_class", list(FrameClass))
+def test_extracted_model_equals_its_json_round_trip(frame_class):
+    phi = parse_formula(
+        "(and (box 1 (sub top (atom A))) "
+        "(and (dia 1 (sub top (some r (atom B)))) (sub top (atom C))))"
+    )
+    model = solve(phi, frame_class).model
+    back = NeighbourhoodModel.from_json(model.to_json())
+    assert back == model
+    extra = "w_extra"
+    grown = NeighbourhoodModel(
+        worlds=(*back.worlds, extra),
+        constant_domain=back.constant_domain,
+        domains={**back.domains, extra: back.domains[back.worlds[0]]},
+        concepts=back.concepts,
+        roles=back.roles,
+        neighbourhoods=back.neighbourhoods,
+    )
+    assert grown != model and grown != back
+    # `neighbourhoods` defaults to a fresh dict per model.
+    bare = [
+        NeighbourhoodModel(("w",), False, {"w": frozenset("d")}, {}, {})
+        for _ in range(2)
+    ]
+    assert bare[0] == bare[1] and bare[0].neighbourhoods == {}
+    assert bare[0].neighbourhoods is not bare[1].neighbourhoods
 
 
 def test_invariant_rejects_bad_extension():
