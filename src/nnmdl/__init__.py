@@ -5,22 +5,13 @@ countermodel extraction for varying domains (frame classes E, M, C, N), a
 propositional-abstraction procedure for the constant-domain fragment
 without modalised concepts (classes C, N), and a brute-force bounded-model
 oracle used as independent ground truth.
+
+Importing the package loads the parser, the semantics, the tableau and
+extraction; the oracle and the fragment procedure load on first use of one
+of their names, since a call runs at most one of them.
 """
 
 from .extraction import extract_model, validate
-from .fragment import (
-    Abstraction,
-    FragmentResult,
-    prop_abstraction,
-    solve_fragment,
-)
-from .oracle import (
-    OracleBounds,
-    OracleResult,
-    Signature,
-    brute_force_sat,
-    enumerate_models,
-)
 from .semantics import (
     FrameClass,
     NeighbourhoodModel,
@@ -87,3 +78,44 @@ __all__ = [
     "validate",
     "weight",
 ]
+
+#: Exported name -> the submodule that defines it, for the two procedures
+#: `__getattr__` imports on first use.  The submodules map to themselves.
+_DEFERRED = {
+    "Abstraction": "fragment",
+    "FragmentResult": "fragment",
+    "prop_abstraction": "fragment",
+    "solve_fragment": "fragment",
+    "fragment": "fragment",
+    "OracleBounds": "oracle",
+    "OracleResult": "oracle",
+    "Signature": "oracle",
+    "brute_force_sat": "oracle",
+    "enumerate_models": "oracle",
+    "oracle": "oracle",
+}
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines `name` and bind all of its
+    exported names here, so later reads are plain attribute reads."""
+    home = _DEFERRED.get(name)
+    # `from . import oracle` would first ask this hook for `oracle` and
+    # recurse; importing from the submodule does not.
+    if home == "oracle":
+        from .oracle import __dict__ as namespace
+    elif home == "fragment":
+        from .fragment import __dict__ as namespace
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    bound = globals()
+    bound.update(
+        (each, namespace[each])
+        for each, at in _DEFERRED.items()
+        if at == home and each != home
+    )
+    return bound[name]
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_DEFERRED})

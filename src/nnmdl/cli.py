@@ -22,14 +22,6 @@ import json
 import sys
 
 from .extraction import validate
-from .fragment import prop_abstraction, serialize_prop, solve_fragment
-from .oracle import (
-    DEFAULT_MAX_DOMAIN,
-    DEFAULT_MAX_WORLDS,
-    SAT,
-    OracleBounds,
-    brute_force_sat,
-)
 from .semantics import FrameClass, NeighbourhoodModel
 from .syntax import normalize, parse_formula, serialize
 from .tableau import EngineError, SolveOptions, StepCapError, solve
@@ -98,6 +90,8 @@ def _run_solve(args: argparse.Namespace) -> int:
     phi = _load_formula(args)
     logic = FrameClass(args.logic)
     if args.fragment:
+        from .fragment import solve_fragment
+
         result = solve_fragment(phi, logic)
         _emit(
             {
@@ -150,6 +144,20 @@ def _run_solve(args: argparse.Namespace) -> int:
 
 
 def _run_oracle(args: argparse.Namespace) -> int:
+    from .oracle import (
+        DEFAULT_MAX_DOMAIN,
+        DEFAULT_MAX_WORLDS,
+        SAT,
+        OracleBounds,
+        brute_force_sat,
+    )
+
+    # The parser leaves the bounds unset so that it need not load the
+    # oracle for their defaults.
+    if args.max_worlds is None:
+        args.max_worlds = DEFAULT_MAX_WORLDS
+    if args.max_domain is None:
+        args.max_domain = DEFAULT_MAX_DOMAIN
     phi = _load_formula(args)
     bounds = OracleBounds(
         max_worlds=args.max_worlds,
@@ -187,6 +195,8 @@ def _run_validate(args: argparse.Namespace) -> int:
 
 
 def _run_abstract(args: argparse.Namespace) -> int:
+    from .fragment import prop_abstraction, serialize_prop
+
     phi = _load_formula(args)
     abstraction = prop_abstraction(phi)
     _emit(
@@ -254,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_logic_arg(p_oracle)
     _add_domain_arg(p_oracle)
     _add_formula_args(p_oracle)
-    p_oracle.add_argument("--max-worlds", type=int, default=DEFAULT_MAX_WORLDS)
-    p_oracle.add_argument("--max-domain", type=int, default=DEFAULT_MAX_DOMAIN)
+    p_oracle.add_argument("--max-worlds", type=int)
+    p_oracle.add_argument("--max-domain", type=int)
     p_oracle.add_argument("--model-out", help="write the first witness here")
 
     p_validate = sub.add_parser("validate", help="check a stored model")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -584,3 +588,36 @@ def test_inner_box_cap_is_bad_input(capsys, monkeypatch):
     assert code == EXIT_ERROR
     assert out == ""
     assert err == "error: 16 inner boxes exceed the cap of 15\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "procedure"),
+    [
+        (["solve", "-e", SAT_SIMPLE], None),
+        (
+            ["solve", "--fragment", "--domain", "constant", "--logic", "C"]
+            + ["-e", SAT_SIMPLE],
+            "nnmdl.fragment",
+        ),
+        (["oracle", "-e", SAT_SIMPLE], "nnmdl.oracle"),
+    ],
+    ids=["solve", "fragment", "oracle"],
+)
+def test_a_subcommand_loads_only_the_procedure_it_runs(argv, procedure):
+    # One fresh interpreter per case: this process has loaded every module.
+    script = (
+        "import sys; from nnmdl import cli; code = cli.main(sys.argv[1:]); "
+        "print(code, *sorted(m for m in sys.modules if m.startswith('nnmdl.')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    code, *loaded = out.splitlines()[-1].split()
+    assert code == str(EXIT_SAT)
+    deferred = [m for m in ("nnmdl.fragment", "nnmdl.oracle") if m in loaded]
+    assert deferred == ([procedure] if procedure else [])

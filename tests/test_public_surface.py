@@ -6,7 +6,7 @@ defines it, or is on `UNCALLED` with a one-line reason.  A helper only the
 tests call belongs next to those tests, not in the library.  Every name a
 module of the package or of the tests imports is used in that module.
 Importing the package loads no stdlib module that only a rarely used
-path needs.
+path needs, and neither the oracle nor the fragment procedure.
 """
 
 import ast
@@ -140,3 +140,29 @@ def test_import_loads_no_dataclasses_and_no_json():
     added = out.split()
     assert "nnmdl.tableau" in added
     assert [name for name in UNLOADED if name in added] == []
+
+
+def test_import_defers_the_oracle_and_the_fragment_procedure():
+    script = """
+import sys
+import nnmdl
+
+loaded = sorted(name for name in sys.modules if name.startswith("nnmdl."))
+assert "nnmdl.oracle" not in loaded and "nnmdl.fragment" not in loaded, loaded
+listed = set(dir(nnmdl))
+for name in nnmdl.__all__:
+    getattr(nnmdl, name)
+assert set(nnmdl.__all__) <= listed, "dir() misses names not read yet"
+assert nnmdl.oracle.brute_force_sat is nnmdl.brute_force_sat
+try:
+    nnmdl.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("nnmdl.no_such_name resolved")
+"""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from nnmdl import syntax
+from nnmdl.extraction import validate
 from nnmdl.oracle import SAT, brute_force_sat
-from nnmdl.semantics import FrameClass
+from nnmdl.semantics import FrameClass, NeighbourhoodModel
 from nnmdl.syntax import (
     And,
     AndF,
@@ -21,6 +22,7 @@ from nnmdl.syntax import (
     closure,
     neg_nnf,
     normalize,
+    parse_formula,
     serialize,
 )
 from nnmdl.tableau import (
@@ -507,6 +509,51 @@ def test_a_solve_builds_no_term_through_a_constructor(monkeypatch):
 def test_label_budget_values():
     assert label_budget(6, FrameClass.E) == 36
     assert label_budget(6, FrameClass.C) == 2**6 * 6
+
+
+#: `mixed(9, 1)` of ROADMAP item 15: nine existential inclusions, one box
+#: and one diamond, all over the top concept.
+MIXED_9_1 = """
+(and (and (and (sub top (some r (atom B0))) (sub top (some r (atom B1))))
+          (and (sub top (some r (atom B2)))
+               (and (sub top (some r (atom B3))) (sub top (some r (atom B4))))))
+     (and (and (sub top (some r (atom B5)))
+               (and (sub top (some r (atom B6))) (sub top (some r (atom B7)))))
+          (and (sub top (some r (atom B8)))
+               (and (sub top (box 1 (atom P))) (sub top (dia 1 (atom Q)))))))
+"""
+
+
+@pytest.mark.parametrize("frame_class", ["E", "M", "C", "N"])
+def test_mixed_9_1_has_a_one_world_model(frame_class):
+    elements = frozenset(f"b{i}" for i in range(9))
+    model = NeighbourhoodModel(
+        worlds=("w",),
+        constant_domain=False,
+        domains={"w": elements},
+        concepts={
+            "w": {
+                **{f"B{i}": frozenset({f"b{i}"}) for i in range(9)},
+                "P": elements,
+                "Q": elements,
+            }
+        },
+        roles={"w": {"r": frozenset((x, y) for x in elements for y in elements)}},
+        neighbourhoods={1: {"w": frozenset({frozenset({"w"})})}},
+    )
+    assert validate(model, parse_formula(MIXED_9_1), FrameClass(frame_class))
+
+
+# Under N the same input takes 7.8 s and under E 10 s (2 shared vCPUs,
+# CPython 3.11) before failing the same way, so only M runs here.
+@pytest.mark.xfail(
+    strict=True, raises=EngineError, reason="ROADMAP item 15: R_L over many elements"
+)
+def test_mixed_9_1_is_sat_under_m():
+    phi = parse_formula(MIXED_9_1)
+    result = solve(phi, FrameClass.M)
+    assert result.verdict == "sat"
+    assert validate(result.model, phi, FrameClass.M)
 
 
 # -- invariants over the corpus ---------------------------------------------------
