@@ -90,6 +90,7 @@ from .syntax import (
     Formula,
     NotF,
     OrF,
+    _intern,
     child_terms,
     neg_nnf,
     normalize,
@@ -199,7 +200,7 @@ def _alc_sat(chi: Formula) -> bool:
 def _conjunction(formulas: list[Formula]) -> Formula:
     out = formulas[0]
     for f in formulas[1:]:
-        out = AndF(out, f)
+        out = _intern((AndF, out, f))
     return out
 
 
@@ -246,7 +247,7 @@ def _rebuild(order: list, boxes: dict):
             elif left is None or right is None:
                 out = None
             else:
-                out = cls(left, right)
+                out = _intern((cls, left, right))
         else:  # an inclusion or a negated one
             out = psi
         value[psi] = out
@@ -297,9 +298,9 @@ def _by_queries(
         vectors = [{**v, b: bit} for v in vectors for bit in (0, 1)]
     witnessed_by: dict[Formula, bool] = {}
 
-    def over_vectors(chi: Formula) -> bool:
+    def sat(chi: Formula) -> bool:
         """Some surviving vector, folded into chi, makes it True or
-        ALC-satisfiable."""
+        ALC-satisfiable; without inner boxes it is one ALC query."""
         hit = witnessed_by.get(chi)
         if hit is None:
             order = postorder(chi, _outside_boxes)
@@ -308,9 +309,6 @@ def _by_queries(
                 for folded in (_rebuild(order, v) for v in vectors)
             )
         return hit
-
-    # Without inner boxes the one vector is empty and folds nothing.
-    sat = over_vectors if inner else alc
 
     boxes = sorted(boxes, key=attrgetter("index"))
     start = [0] * len(boxes)
@@ -323,12 +321,13 @@ def _by_queries(
         b, bit = boxes[i], value[boxes[i]]
         group = boxes[start[i] : i + 1]
         if frame_class is FrameClass.N:
-            z = b.arg
-            if not bit and not sat(neg_nnf(z)):
+            z, not_z = b.arg, neg_nnf(b.arg)
+            if not bit and not sat(not_z):
                 return False
             return all(
                 value[s] == bit
-                or sat(OrF(AndF(s.arg, neg_nnf(z)), AndF(neg_nnf(s.arg), z)))
+                or sat(_intern((OrF, _intern((AndF, s.arg, not_z)),
+                                _intern((AndF, neg_nnf(s.arg), z)))))
                 for s in group[:-1]
             )
         if i + 1 < len(boxes) and start[i + 1] == start[i]:
@@ -337,8 +336,8 @@ def _by_queries(
         for z in group:
             if value[z]:
                 continue
-            meets = [s for s in ones if not sat(AndF(z.arg, neg_nnf(s)))]
-            if meets and not sat(AndF(_conjunction(meets), neg_nnf(z.arg))):
+            meets = [s for s in ones if not sat(_intern((AndF, z.arg, neg_nnf(s))))]
+            if meets and not sat(_conjunction([*meets, neg_nnf(z.arg)])):
                 return False
         return True
 

@@ -114,14 +114,12 @@ class OracleBounds(_BoundsFields):
 
 
 def _checked_bounds(bounds: OracleBounds) -> OracleBounds:
-    for name in ("max_worlds", "max_domain", "candidate_cap"):
+    for name, least in (("max_worlds", 1), ("max_domain", 1), ("candidate_cap", 0)):
         value = getattr(bounds, name)
         if value.__class__ is not int:
             raise ValueError(f"{name} must be an int, got {value!r}")
-    if bounds.max_worlds < 1 or bounds.max_domain < 1:
-        raise ValueError("bounds must be at least 1")
-    if bounds.candidate_cap < 0:
-        raise ValueError(f"candidate_cap {bounds.candidate_cap} below 0")
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     if bounds.max_worlds > 2 * DEFAULT_MAX_WORLDS:
         raise ValueError(f"max_worlds {bounds.max_worlds} beyond supported range")
     if bounds.max_domain > 2 * DEFAULT_MAX_DOMAIN:

@@ -20,13 +20,15 @@ a term (`child_terms` raises `TypeError`).  `_TEXT` gives its text, a
 format over its fields that both `serialize` and `sort_key` render from.
 `_FIELD_CHECKS` gives one check per field, by the parser's rules: a
 concept or role name, a modality index, a concept or a formula; the
-constructors run it on every call.  `_BUILD` gives its build path, made
-by one factory per field count, which checks nothing.  `postorder` lists
-the distinct nodes under a root children first, reading `_CHILDREN`
-unless given its own `children`: closure, weights, deep negation and the
-fragment all walk with it.  The hot loops (the rewrites of `normalize`
-and `neg_nnf`, `serialize` and `sort_key`) read fields directly,
-dispatching on class sets derived from the classes' fields.
+constructors, which are for callers outside the package, run it on every
+call.  `_BUILD` gives its build path, one factory per field count, which
+checks nothing: the parser, the rewrites and the fragment procedure
+build through it, so no module of the package calls a constructor at run
+time.  `postorder` lists the distinct nodes under a root children first,
+reading `_CHILDREN` unless given its own `children`: closure, weights,
+deep negation and the fragment all walk with it.  The hot loops (the
+rewrites of `normalize` and `neg_nnf`, `serialize` and `sort_key`) read
+fields directly, dispatching on class sets read off the classes' fields.
 
 The parser splits text at whitespace once the parentheses are spaced
 out, and builds terms with a table-driven loop on an explicit stack that
@@ -67,10 +69,10 @@ class Term:
     `_FIELD_CHECKS` row before it probes `_TERMS`, so it refuses exactly
     what the parser refuses, whatever is interned.  A new node is written
     by the class's build path in `_BUILD`, which checks nothing: the
-    parser calls it on tokens it has checked, and the rewrites on fields
-    of existing nodes.  `Term`, `Concept` and `Formula` keep the
-    constructor below, which builds nothing.  `_sort_key` caches the key
-    `sort_key` computes.
+    parser calls it on tokens it has checked, and the rewrites and the
+    fragment procedure on fields of existing nodes.  `Term`, `Concept`
+    and `Formula` keep the constructor below, which builds nothing.
+    `_sort_key` caches the key `sort_key` computes.
     """
 
     __slots__ = ("_sort_key",)

@@ -20,6 +20,7 @@ from itertools import chain
 import pytest
 
 from nnmdl import tableau
+from nnmdl.extraction import validate
 from nnmdl.semantics import FrameClass
 from nnmdl.syntax import (
     And,
@@ -39,6 +40,7 @@ from nnmdl.syntax import (
     Or,
     OrF,
     TOP,
+    closure,
     neg_nnf,
 )
 from nnmdl.tableau import (
@@ -56,11 +58,13 @@ from nnmdl.tableau import (
     find_applicable,
     init,
     is_clash,
+    label_budget,
     next_instance,
     solve,
 )
 
 from corpus import random_normalized_formula
+from families import balanced_conjunction, mixed, tbox_chain
 from test_search_pin import box_dia, c_boxes, or_chain, some_fan
 
 
@@ -420,6 +424,20 @@ def test_agenda_matches_find_applicable_on_some_fan(monkeypatch, n):
     assert checked.parked
 
 
+# The wide-label families at their smallest sizes; with these wrappers
+# `mixed(2, 2)` took 56 s under C on 2 shared vCPUs, so it stays out.
+def test_wide_label_families_under_checked_search(monkeypatch):
+    CheckedSearch(monkeypatch)
+    inputs = [*map(tbox_chain, range(3, 7)), mixed(1, 1), mixed(1, 2), mixed(2, 1)]
+    for phi in inputs:
+        fg_size = closure(phi).fg_size
+        for fc in FrameClass:
+            result = solve(phi, fc)
+            assert result.verdict == "sat"
+            assert validate(result.model, phi, fc)
+            assert result.stats.labels_created <= label_budget(fg_size, fc)
+
+
 @pytest.mark.parametrize("n, steps", [(8, 656), (10, 1220)])
 def test_some_fan_step_counts(n, steps):
     # Blocking reads each variable's own concepts; scanning every pair of
@@ -599,15 +617,6 @@ def test_search_does_not_rescan_the_state(monkeypatch):
     result = solve(or_chain(30), FrameClass.E, SolveOptions(extract=False))
     assert result.verdict == "sat"
     assert result.stats.steps == 149
-
-
-def balanced_conjunction(parts):
-    if len(parts) == 1:
-        return parts[0]
-    mid = len(parts) // 2
-    return AndF(
-        balanced_conjunction(parts[:mid]), balanced_conjunction(parts[mid:])
-    )
 
 
 def test_thousand_nested_branch_points_need_no_python_recursion():

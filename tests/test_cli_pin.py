@@ -15,7 +15,7 @@ import json
 
 from nnmdl.cli import main
 
-EXPECTED_DIGEST = "06e269e859704ca4b26812b71120c8cd76e98b98b351068168f34eaa3a2c51ce"
+EXPECTED_DIGEST = "84b3e28dcd3dffd439b0785334cbd3575e6f67362609f731ec2af2805e394cb4"
 
 UNSAT_E = "(and (box 1 (sub top (atom A))) (dia 1 (not (sub top (atom A)))))"
 UNSAT_N = "(dia 1 (not (sub top top)))"

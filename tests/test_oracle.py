@@ -97,12 +97,12 @@ def test_bounds_validation():
         with pytest.raises(ValueError, match=field):
             OracleBounds(**{field: value})
     # Positional construction, `_make` and `_replace` check the same fields.
-    for build in (
-        lambda: OracleBounds(0, 1),
-        lambda: OracleBounds._make((1, 0, "varying", 1)),
-        lambda: OracleBounds()._replace(max_worlds=0),
-    ):
-        with pytest.raises(ValueError, match="bounds must be at least 1"):
+    for field, build in [
+        ("max_worlds", lambda: OracleBounds(0, 1)),
+        ("max_domain", lambda: OracleBounds._make((1, 0, "varying", 1))),
+        ("max_worlds", lambda: OracleBounds()._replace(max_worlds=0)),
+    ]:
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1, got 0$"):
             build()
     for field, build in [
         ("max_worlds", lambda: OracleBounds(2.5, 1)),

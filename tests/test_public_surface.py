@@ -6,7 +6,9 @@ defines it, or is on `UNCALLED` with a one-line reason.  A helper only the
 tests call belongs next to those tests, not in the library.  Every name a
 module of the package or of the tests imports is used in that module.
 Importing the package loads no stdlib module that only a rarely used
-path needs, and neither the oracle nor the fragment procedure.
+path needs, and neither the oracle nor the fragment procedure.  No entry
+point builds a term through a checked node constructor: those are for
+callers outside the package.
 """
 
 import ast
@@ -16,6 +18,13 @@ import sys
 from pathlib import Path
 
 import nnmdl
+from nnmdl import syntax
+from nnmdl.fragment import solve_fragment
+from nnmdl.oracle import brute_force_sat
+from nnmdl.semantics import FrameClass
+from nnmdl.tableau import solve
+
+from test_fragment import SUBSET_CASES, nested
 
 PACKAGE = Path(nnmdl.__file__).parent
 TESTS = Path(__file__).parent
@@ -166,3 +175,26 @@ else:
         [sys.executable, "-c", script], env=env, capture_output=True, text=True
     )
     assert run.returncode == 0, run.stderr
+
+
+def test_no_entry_point_calls_a_node_constructor(monkeypatch):
+    # The inputs are built first; from then on every constructor raises.
+    # `nested(3)` has four inner boxes, and the subset case turns on C's
+    # maximal-subset test with a meet of two bodies, so both reach the
+    # fragment's requirement terms.  The oracle refuses more than three
+    # concept names, so it takes `nested(2)` in place of `nested(3)`.
+    deep, subset, oracle_deep = nested(3), SUBSET_CASES[0], nested(2)
+
+    def refuse(kind, *fields):
+        raise AssertionError(f"{kind.__name__} built through its constructor")
+
+    for cls in syntax._CLASSES:
+        monkeypatch.setattr(cls, "__new__", refuse)
+    for frame_class in FrameClass:
+        for phi in (deep, subset):
+            solve(phi, frame_class)
+        for phi in (oracle_deep, subset):
+            brute_force_sat(phi, frame_class)
+    for frame_class in (FrameClass.C, FrameClass.N):
+        for phi in (deep, subset):
+            solve_fragment(phi, frame_class)

@@ -51,6 +51,7 @@ from nnmdl.tableau import (
 )
 
 from corpus import random_normalized_formula, random_raw_formula_any
+from families import mixed
 from test_acceptance import constraint_count
 from test_agenda import concept_pairs, label_contents
 from test_search_pin import box_dia, c_boxes
@@ -522,6 +523,10 @@ MIXED_9_1 = """
           (and (sub top (some r (atom B8)))
                (and (sub top (box 1 (atom P))) (sub top (dia 1 (atom Q)))))))
 """
+
+
+def test_mixed_family_gives_the_mixed_9_1_text():
+    assert serialize(mixed(9, 1)) == " ".join(MIXED_9_1.split())
 
 
 @pytest.mark.parametrize("frame_class", ["E", "M", "C", "N"])
