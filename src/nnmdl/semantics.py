@@ -475,10 +475,12 @@ class Evaluator:
             )
         if isinstance(phi, NotF):
             return not self.holds(world, phi.arg)
+        # Both operands are evaluated, so a modality index the model lacks
+        # raises wherever it sits, never hidden by the other operand.
         if isinstance(phi, AndF):
-            return self.holds(world, phi.left) and self.holds(world, phi.right)
+            return self.holds(world, phi.left) & self.holds(world, phi.right)
         if isinstance(phi, OrF):
-            return self.holds(world, phi.left) or self.holds(world, phi.right)
+            return self.holds(world, phi.left) | self.holds(world, phi.right)
         if isinstance(phi, BoxF):
             return self.formula_truth_set(phi.arg) in self._neighbourhood(
                 phi.index, world

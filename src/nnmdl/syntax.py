@@ -35,8 +35,10 @@ out, and builds terms with a table-driven loop on an explicit stack that
 probes `_TERMS` once per node and calls the class's build path on a miss;
 line and column are worked out from a token's offset, with the token regex,
 only when a `ParseError` is raised.  Neither the parser, the rewrites nor
-the walks recurse once per nesting level.  Three memo tables sit next to the
-intern table `_TERMS`: `_NORMAL` maps each term to its normal form (and
+the walks recurse once per nesting level.  Four memo tables sit next to the
+intern table `_TERMS`: `_PARSED`, kept per sort, maps each text that
+parsed to its term (a text that raises stores nothing, so it raises again
+with the same position), `_NORMAL` maps each term to its normal form (and
 every normal form to itself), `_NEGATIONS` each term to its NNF negation,
 and `_CLOSURES` each formula to its frozen `Closure`.  Like `_TERMS` they
 are written only through `dict.setdefault` and hold only immutable
@@ -484,6 +486,9 @@ _KEYWORDS = (
 #: Bare tokens that stand for a term, per sort.
 _CONSTANTS = ({}, {"top": TOP, "bot": BOT})
 
+#: Per sort, each text that parsed -> its term.
+_PARSED: tuple[dict[str, Term], dict[str, Term]] = ({}, {})
+
 
 def _misplaced(sort: int, token: str, head: bool) -> str:
     """Message for a token that cannot start a term of `sort`; `head`
@@ -527,7 +532,12 @@ def _parse(text: str, sort: int):
     (constructor, then fields), complete at length `size`, whose term
     arguments have sort `sort`; the bottom frame only collects the
     result.  A complete key is looked up in `_TERMS`, so a node that
-    exists costs one dict lookup and a new one its class's build path."""
+    exists costs one dict lookup and a new one its class's build path.
+    A text that parsed before is one `_PARSED` lookup."""
+    parsed = _PARSED[sort]
+    term = parsed.get(text)
+    if term is not None:
+        return term
     tokens = _tokens(text)
     rest = iter(tokens)
     terms = _TERMS
@@ -566,7 +576,7 @@ def _parse(text: str, sort: int):
                     raise _error(
                         text, tokens, rest, f"trailing input '{token}'"
                     )
-                return key[1]
+                return parsed.setdefault(text, key[1])
             token = next(rest, None)
             if token != ")":
                 if token is None:

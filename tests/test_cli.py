@@ -157,6 +157,36 @@ def test_validate_rejects_entries_for_unknown_worlds(
     assert err.endswith(" has an entry for unknown world 'w9'\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(and (sub top bot) (box 2 (sub top top)))",
+        "(or (sub top top) (box 2 (sub top top)))",
+        "(and (sub top top) (box 2 (sub top top)))",
+    ],
+)
+def test_validate_refuses_a_missing_index_in_either_operand(
+    capsys, tmp_path, text
+):
+    # A failure must not look like a verdict, whatever the other operand.
+    model = {
+        "worlds": ["w"],
+        "constant_domain": False,
+        "domains": {"w": ["d"]},
+        "concepts": {"w": {}},
+        "roles": {"w": {}},
+        "neighbourhoods": {"1": {"w": [["w"]]}},
+    }
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run_cli(
+        capsys, "validate", "--logic", "E", "--model", str(path), "-e", text
+    )
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == "error: modality index 2 out of range\n"
+
+
 def test_oracle_reports_bounded_unsat(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--logic", "E", "-e", UNSAT_E)
     assert code == EXIT_UNSAT

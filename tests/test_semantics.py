@@ -97,6 +97,24 @@ def test_interpret_modality_out_of_range():
         Evaluator(single_world()).concept_ext("w", Box(2, A))
 
 
+#: Formulas whose other operand would decide them if index 2 were skipped.
+MISSING_INDEX = [
+    "(and (sub top bot) (box 2 (sub top top)))",
+    "(or (sub top top) (box 2 (sub top top)))",
+    "(and (sub top top) (box 2 (sub top top)))",
+]
+
+
+@pytest.mark.parametrize("text", MISSING_INDEX)
+def test_a_missing_index_raises_whatever_the_other_operand(text):
+    model = make_model(["w"], {"w": {"d"}}, neighbourhoods={1: {"w": [{"w"}]}})
+    phi = parse_formula(text)
+    interned = len(syntax._TERMS)
+    with pytest.raises(ValueError, match="^modality index 2 out of range$"):
+        satisfies(model, "w", phi)
+    assert len(syntax._TERMS) == interned
+
+
 def test_interpret_exists_two_world_table():
     model = make_model(
         ["u", "v"],

@@ -734,6 +734,46 @@ def test_front_end_time_is_linear_in_depth():
 
 # -- memo tables -------------------------------------------------------------
 
+def test_a_parsed_text_is_not_tokenized_again(monkeypatch):
+    formula_text = "(box 1 (sub (atom Parsed) (some r top)))"
+    concept_text = "(and (atom Parsed) (dia 2 bot))"
+    phi = parse_formula(formula_text)
+    concept = parse_concept(concept_text)
+
+    def no_tokens(text):
+        raise AssertionError(f"tokenized again: {text!r}")
+
+    monkeypatch.setattr(syntax, "_tokens", no_tokens)
+    assert parse_formula(formula_text) is phi
+    assert parse_concept(concept_text) is concept
+
+
+def test_sorts_stay_apart_after_a_hit():
+    parse_concept("top")
+    with pytest.raises(ParseError) as err:
+        parse_formula("top")
+    assert (str(err.value), err.value.line, err.value.column) == (
+        "1:1: 'top' is a concept, not a formula",
+        1,
+        1,
+    )
+    parse_formula("(sub top top)")
+    with pytest.raises(ParseError, match="'sub' is a formula, not a concept"):
+        parse_concept("(sub top top)")
+
+
+def test_a_failing_text_is_not_kept():
+    sizes = [len(table) for table in syntax._PARSED]
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ParseError) as err:
+            parse_formula("(sub top")
+        errors.append((str(err.value), err.value.line, err.value.column))
+    assert errors[0] == errors[1]
+    assert "(sub top" not in syntax._PARSED[syntax._FORMULA]
+    assert [len(table) for table in syntax._PARSED] == sizes
+
+
 def test_normal_forms_are_memoized(monkeypatch):
     # A second call, on the input or on its normal form, is one lookup.
     rng = random.Random(43)
