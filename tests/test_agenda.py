@@ -64,8 +64,15 @@ from nnmdl.tableau import (
 )
 
 from corpus import random_normalized_formula
-from families import balanced_conjunction, mixed, tbox_chain
-from test_search_pin import box_dia, c_boxes, or_chain, some_fan
+from families import (
+    balanced_conjunction,
+    box_dia,
+    c_boxes,
+    mixed,
+    or_chain,
+    some_fan,
+    tbox_chain,
+)
 
 
 class CheckedSearch:

@@ -53,7 +53,7 @@ from nnmdl.tableau import (
 from corpus import random_concept, random_normalized_formula
 from test_acceptance import CORPUS_SEED, CORPUS_SIZE
 from test_agenda import CheckedSearch, CopyCount
-from test_search_pin import c_boxes, conj, or_chain
+from families import c_boxes, conj, or_chain
 
 A, B, C = AtomicConcept("A"), AtomicConcept("B"), AtomicConcept("C")
 D = AtomicConcept("D")

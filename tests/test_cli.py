@@ -10,8 +10,7 @@ from nnmdl import cli, tableau
 from nnmdl.cli import EXIT_ERROR, EXIT_SAT, EXIT_UNSAT, main
 from nnmdl.syntax import serialize
 
-from test_fragment import nested
-from test_search_pin import c_boxes
+from families import c_boxes, nested
 
 UNSAT_E = "(and (box 1 (sub top (atom A))) (dia 1 (not (sub top (atom A)))))"
 UNSAT_N = "(dia 1 (not (sub top top)))"

@@ -32,6 +32,7 @@ from nnmdl.syntax import (
 )
 
 from corpus import random_g_formula
+from families import nested
 from fragment_table import (
     Valuation,
     _by_table,
@@ -247,15 +248,6 @@ def _twenty_letters():
     phi = parts[0]
     for p in parts[1:]:
         phi = AndF(phi, p)
-    return phi
-
-
-def nested(n: int) -> Formula:
-    """(box 1 (box 1 (sub top Ai))) for i < n and (dia 1 (dia 1 (sub top
-    An))), conjoined: sat, with n + 1 inner boxes."""
-    phi = DiaF(1, DiaF(1, CI(Top(), AtomicConcept(f"A{n}"))))
-    for i in reversed(range(n)):
-        phi = AndF(BoxF(1, BoxF(1, CI(Top(), AtomicConcept(f"A{i}")))), phi)
     return phi
 
 

@@ -16,7 +16,7 @@ from nnmdl.semantics import FrameClass
 from nnmdl.tableau import solve
 
 from corpus import random_normalized_formula
-from test_search_pin import box_dia
+from families import box_dia
 
 EXPECTED_DIGEST = "b6f62ee922e74780ac05fcc96c0bde0362c64e8f092945644e08911fe39dc8f6"
 

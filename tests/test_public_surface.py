@@ -24,7 +24,8 @@ from nnmdl.oracle import brute_force_sat
 from nnmdl.semantics import FrameClass
 from nnmdl.tableau import solve
 
-from test_fragment import SUBSET_CASES, nested
+from families import nested
+from test_fragment import SUBSET_CASES
 
 PACKAGE = Path(nnmdl.__file__).parent
 TESTS = Path(__file__).parent

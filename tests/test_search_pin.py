@@ -23,75 +23,13 @@ import json
 import random
 
 from nnmdl.semantics import FrameClass
-from nnmdl.syntax import (
-    And,
-    AndF,
-    AtomicConcept,
-    Box,
-    BoxF,
-    CI,
-    DiaF,
-    Exists,
-    Not,
-    NotF,
-    Or,
-    TOP,
-)
 from nnmdl.tableau import SolveOptions, solve
 
 from corpus import random_normalized_formula
+from families import box_dia, c_boxes, or_chain
 
 EXPECTED_DIGEST = "f1400b7b655b9c7be7ecfc663cd274c265b591ea3b6a55729a25af7818e9b97e"
 EXPECTED_OUTCOME_DIGEST = "e2406ec88a4afa82b828b50381f6e59381e965c4a092ef1312702dc5578e839b"
-
-
-def names(count: int) -> list[str]:
-    """Distinct concept names of one width, in increasing order."""
-    return [f"A{i:03d}" for i in range(count)]
-
-
-def conj(formulas):
-    out = formulas[0]
-    for f in formulas[1:]:
-        out = AndF(out, f)
-    return out
-
-
-def or_chain(n: int):
-    """top <= Ai or Bi and top <= not Ai for i < n: sat, every disjunction
-    first tries the refuted Ai and backtracks."""
-    atoms = [AtomicConcept(x) for x in names(2 * n)]
-    a, b = atoms[:n], atoms[n:]
-    parts = [CI(TOP, Or(x, y)) for x, y in zip(a, b)]
-    parts += [CI(TOP, Not(x)) for x in a]
-    return conj(parts)
-
-
-def c_boxes(n: int):
-    """Boxes of A0..A(n-1) on every element plus a refuted box of A0 and
-    A1: unsat over intersection-closed frames."""
-    atoms = [AtomicConcept(x) for x in names(n)]
-    parts = [CI(TOP, Box(1, x)) for x in atoms]
-    parts.append(NotF(CI(TOP, Box(1, And(atoms[0], atoms[1])))))
-    return conj(parts)
-
-
-def box_dia(n: int):
-    """n formula-level boxes plus one diamond: sat in every class."""
-    atoms = [AtomicConcept(x) for x in names(n + 1)]
-    parts = [BoxF(1, CI(TOP, x)) for x in atoms[:n]]
-    parts.append(DiaF(1, CI(TOP, atoms[n])))
-    return conj(parts)
-
-
-def some_fan(n: int):
-    """Every element has an r-successor in each of A0..A(n-1): sat in
-    every class, with many variables per label, most of them blocked."""
-    atoms = [AtomicConcept(x) for x in names(n)]
-    body = Exists("r", atoms[0])
-    for x in atoms[1:]:
-        body = And(body, Exists("r", x))
-    return CI(TOP, body)
 
 
 def pinned_inputs():

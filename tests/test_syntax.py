@@ -770,7 +770,6 @@ def test_a_failing_text_is_not_kept():
             parse_formula("(sub top")
         errors.append((str(err.value), err.value.line, err.value.column))
     assert errors[0] == errors[1]
-    assert "(sub top" not in syntax._PARSED[syntax._FORMULA]
     assert [len(table) for table in syntax._PARSED] == sizes
 
 

@@ -51,10 +51,9 @@ from nnmdl.tableau import (
 )
 
 from corpus import random_normalized_formula, random_raw_formula_any
-from families import mixed
+from families import box_dia, c_boxes, mixed
 from test_acceptance import constraint_count
 from test_agenda import concept_pairs, label_contents
-from test_search_pin import box_dia, c_boxes
 
 A = AtomicConcept("A")
 B = AtomicConcept("B")

@@ -26,7 +26,7 @@ from nnmdl.syntax import Box, BoxF, parse_formula
 from nnmdl.tableau import solve
 
 from test_model_pin import pinned_inputs
-from test_search_pin import box_dia
+from families import box_dia
 
 
 def fs(*worlds):
